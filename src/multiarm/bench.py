@@ -43,10 +43,8 @@ METHODS = ("dgmap", "decentralized")
 # Decentralized baseline: greedy per-arm sampling, no conflict resolution.
 # ---------------------------------------------------------------------------
 
-def _best_own_plan(arm, q, goal, history, policy: Policy, cfg: RunConfig,
-                   rng, bounds) -> np.ndarray:
-    plans = policy.sample_plans(obs.flatten(history), cfg.planner.batch, rng,
-                                cfg.controller.delta_limit)
+def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
+    """The arm's cheapest candidate, judged on its own: no other arm exists."""
     best, best_score = None, None
     for plan in plans:
         conflict = find_first_collision([arm], [q], [plan],
@@ -92,16 +90,21 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
 
     cycle = 0
     while world.step < ctrl.step_limit:
-        plans = []
-        for i in range(n):
-            if goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol):
-                plans.append(np.zeros((single.pred_horizon, world.arms[i].dof)))
-                continue
-            rng = substream(seed, TAG_EPISODE, cycle, i)
-            history = obs.build_history(world.histories[i], single.obs_horizon)
-            plans.append(_best_own_plan(world.arms[i], world.configs[i],
-                                        world.goals[i], history, single, cfg, rng,
-                                        bounds))
+        plans = [np.zeros((single.pred_horizon, arm.dof)) for arm in world.arms]
+        moving = [i for i in range(n)
+                  if not goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol)]
+        if moving:
+            # One sampling chain for every unfinished arm; arm i keeps its
+            # own generator, so its samples match a chain of its own.
+            conds = np.stack([obs.flatten(obs.build_history(world.histories[i],
+                                                            single.obs_horizon))
+                              for i in moving])
+            rngs = [substream(seed, TAG_EPISODE, cycle, i) for i in moving]
+            samples = single.sample_plans_many(conds, cfg.planner.batch, rngs,
+                                               ctrl.delta_limit)
+            for i, arm_samples in zip(moving, samples):
+                plans[i] = _best_own_plan(world.arms[i], world.configs[i],
+                                          world.goals[i], arm_samples, cfg, bounds)
         result.planner_calls += 1
         cycle += 1
         chunk = min(ctrl.baseline_chunk, ctrl.step_limit - world.step)
@@ -208,14 +211,7 @@ class BenchReport:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(cfg_dict, single_path, dual_path):
-    from .config import load_config
-    import tempfile, yaml, os
-    fd, path = tempfile.mkstemp(suffix=".yaml")
-    with os.fdopen(fd, "w") as fh:
-        yaml.safe_dump(cfg_dict, fh)
-    cfg = load_config(path)
-    os.unlink(path)
+def _worker_init(cfg, single_path, dual_path):
     _WORKER_STATE["cfg"] = cfg
     _WORKER_STATE["policies"] = {
         "single": load_checkpoint(single_path),
@@ -267,9 +263,9 @@ def run_benchmark(cfg: RunConfig, policies, methods, out_dir: str | Path,
             for ep in range(cfg.bench.episodes_per_cell)]
 
     if workers > 1 and policies.get("paths"):
-        from .config import as_dict
+        # RunConfig is a frozen dataclass tree, so it pickles as is.
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(as_dict(cfg), policies["paths"]["single"],
+                                 initargs=(cfg, policies["paths"]["single"],
                                            policies["paths"].get("dual"))) as pool:
             records = list(pool.map(_worker_episode, jobs, chunksize=4))
     else:
@@ -468,25 +464,15 @@ def _plan_goal_directed(arm, q0, goal_pose, plan, delta, slack, pos_tol) -> bool
     return dists[-1] <= dists[0] - min(0.05, 0.5 * dists[0])
 
 
-class _UntrainedPolicy:
+def _untrained_policy(dataset: Dataset, cfg: RunConfig, seed: int) -> Policy:
     """Fresh random-weight model wrapped with the dataset normalization."""
-
-    def __init__(self, dataset: Dataset, cfg: RunConfig, seed: int):
-        from .diffusion import cosine_schedule
-        self._schedule = cosine_schedule(cfg.diffusion.denoise_steps)
-        rng = substream(seed, TAG_TOY, 77)
-        self._model = DenoiserMLP("single", dataset.actions.shape[1],
-                                  dataset.obs_width, cfg.toy.hidden_dims,
-                                  cfg.diffusion.embed_dim,
-                                  cfg.diffusion.denoise_steps, rng)
-        self._norm = dataset.norm
-        self._t_p = dataset.t_p
-        self._dim = dataset.action_dim
-
-    def sample_plans(self, obs_vec, count, rng, delta_limit):
-        from .diffusion import sample
-        return sample(self._schedule, self._model, obs_vec, count, rng, self._norm,
-                      delta_limit, self._t_p, self._dim)
+    from .diffusion import cosine_schedule
+    model = DenoiserMLP("single", dataset.actions.shape[1], dataset.obs_width,
+                        cfg.toy.hidden_dims, cfg.diffusion.embed_dim,
+                        cfg.diffusion.denoise_steps, substream(seed, TAG_TOY, 77))
+    return Policy("single", model, cosine_schedule(cfg.diffusion.denoise_steps),
+                  dataset.norm, dataset.t_o, dataset.t_p, dataset.action_dim,
+                  dataset.frame_width, "toy", {})
 
 
 def toy_pointmass_suite(cfg: RunConfig, seed: int | None = None, log=None) -> dict:
@@ -503,7 +489,7 @@ def toy_pointmass_suite(cfg: RunConfig, seed: int | None = None, log=None) -> di
     return {
         "expert_fraction": dataset_goal_directed_fraction(dataset, cfg),
         "untrained_fraction": goal_directed_fraction(
-            _UntrainedPolicy(dataset, cfg, seed), cfg, seed),
+            _untrained_policy(dataset, cfg, seed), cfg, seed),
         "trained_fraction": goal_directed_fraction(policy, cfg, seed),
         "records": len(dataset),
     }

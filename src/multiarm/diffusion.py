@@ -3,6 +3,11 @@
 Squared-cosine schedule, forward noising, ancestral reverse sampling with
 the lower-bound posterior variance, training with AdamW plus EMA, and
 versioned binary checkpoints (layout in docs/file_formats.md).
+
+Sampling runs one chain over m stacked conditioning rows with one generator
+per row. Each row's generator draws exactly the blocks a chain of its own
+would, and each row's matrix products keep a solo chain's shapes, so
+stacking conditionings never changes any row's plans.
 """
 
 from __future__ import annotations
@@ -108,23 +113,45 @@ def reverse_step(schedule: NoiseSchedule, model, obs, z_k: np.ndarray, k: int,
     return mean + sigma * rng.standard_normal(z_k.shape)
 
 
+class _RowStreams:
+    """Noise source for a chain over a stack of conditioning rows: a request
+    for (m, count, w) normals takes block i from generators[i] alone, so each
+    generator draws exactly what it would in a chain of its own."""
+
+    def __init__(self, generators):
+        self.generators = list(generators)
+
+    def standard_normal(self, shape):
+        return np.stack([g.standard_normal(shape[1:]) for g in self.generators])
+
+
 def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: int,
-           rng: np.random.Generator, norm: NormStats, delta_limit: float,
-           pred_horizon: int, action_dim: int,
+           rngs, norm: NormStats, delta_limit: float, pred_horizon: int, action_dim: int,
            emb_proj_table: np.ndarray | None = None) -> np.ndarray:
-    """Draw `count` denormalized, per-step-clamped plans of shape (B, T, d)."""
+    """Draw `count` denormalized, per-step-clamped plans for each of the m
+    conditioning rows of `obs` (shape (m, obs_dim)); returns (m, count, T, d).
+
+    One chain denoises an (m, count, width) stack. Row i draws its noise from
+    rngs[i] only (initial block, then one block per step), and every matrix
+    product runs per row block with the shapes of a solo chain, so row i is
+    bit-identical to a chain run for that conditioning alone.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    obs = np.asarray(obs, dtype=float)
+    obs = np.atleast_2d(np.asarray(obs, dtype=float))
+    noise = _RowStreams(rngs)
+    m = obs.shape[0]
+    if len(noise.generators) != m:
+        raise ValueError("need one generator per conditioning row")
     norm_obs = (obs - norm.obs_mean) / norm.obs_scale
-    obs_proj = model.obs_projection(norm_obs[None, :])
+    obs_proj = model.obs_projection(norm_obs[:, None, :])
     if emb_proj_table is None:
         emb_proj_table = model.emb_projection_table()
-    z = rng.standard_normal((count, model.action_width))
+    z = noise.standard_normal((m, count, model.action_width))
     for k in range(schedule.n_steps, 0, -1):
-        z = reverse_step(schedule, model, None, z, k, rng,
+        z = reverse_step(schedule, model, None, z, k, noise,
                          obs_proj=obs_proj, emb_proj=emb_proj_table[k])
-    actions = norm.denormalize_act(z).reshape(count, pred_horizon, action_dim)
+    actions = norm.denormalize_act(z).reshape(m, count, pred_horizon, action_dim)
     return np.clip(actions, -delta_limit, delta_limit)
 
 
@@ -225,7 +252,14 @@ class Policy:
 
     def sample_plans(self, obs_vec: np.ndarray, count: int, rng: np.random.Generator,
                      delta_limit: float) -> np.ndarray:
-        return sample(self.schedule, self.model, obs_vec, count, rng, self.norm,
+        """`count` plans of shape (count, T, d) for one conditioning vector."""
+        return self.sample_plans_many(np.asarray(obs_vec)[None, :], count, [rng],
+                                      delta_limit)[0]
+
+    def sample_plans_many(self, obs_vecs, count: int, rngs, delta_limit: float) -> np.ndarray:
+        """`count` plans per conditioning row, shape (m, count, T, d), from one
+        chain; row i uses rngs[i] only and equals sample_plans(obs_vecs[i], ...)."""
+        return sample(self.schedule, self.model, obs_vecs, count, rngs, self.norm,
                       delta_limit, self.pred_horizon, self.action_dim,
                       emb_proj_table=self._emb_proj)
 
@@ -343,6 +377,11 @@ def load_checkpoint(path: str | Path, expect_morphology: str | None = None) -> P
         off += 4 + nlen
         arr, off = _unpack_array(blob, off)
         values.append(arr)
+    named = [*zip(("obs_mean", "obs_scale", "act_mean", "act_scale"), arrays),
+             *zip(model.parameter_names(), values)]
+    for name, arr in named:
+        if not np.all(np.isfinite(arr)):
+            raise IncompatibleCheckpointError(f"checkpoint array {name} is not finite")
     model.set_parameters(values)
     if expect_morphology is not None and digest != expect_morphology:
         raise IncompatibleCheckpointError(

@@ -36,23 +36,37 @@ def _segment_valid(a: np.ndarray, b: np.ndarray, is_valid, resolution: float) ->
 
 
 class _Tree:
+    """RRT tree whose nodes fill a preallocated array that doubles when full,
+    so nearest-neighbour queries scan one contiguous block."""
+
     def __init__(self, root: np.ndarray):
-        self.nodes = [np.asarray(root, dtype=float)]
+        root = np.asarray(root, dtype=float)
+        self._nodes = np.empty((64, root.shape[0]))
+        self._nodes[0] = root
+        self.size = 1
         self.parents = [-1]
 
+    def node(self, idx: int) -> np.ndarray:
+        return self._nodes[idx]
+
     def nearest(self, target: np.ndarray) -> int:
-        stack = np.stack(self.nodes)
-        return int(np.argmin(np.sum((stack - target) ** 2, axis=1)))
+        nodes = self._nodes[: self.size]
+        return int(np.argmin(np.sum((nodes - target) ** 2, axis=1)))
 
     def add(self, config: np.ndarray, parent: int) -> int:
-        self.nodes.append(config)
+        if self.size == len(self._nodes):
+            grown = np.empty((2 * self.size, self._nodes.shape[1]))
+            grown[: self.size] = self._nodes
+            self._nodes = grown
+        self._nodes[self.size] = config
         self.parents.append(parent)
-        return len(self.nodes) - 1
+        self.size += 1
+        return self.size - 1
 
     def path_to_root(self, idx: int) -> list[np.ndarray]:
         path = []
         while idx != -1:
-            path.append(self.nodes[idx])
+            path.append(self._nodes[idx])
             idx = self.parents[idx]
         return path
 
@@ -60,7 +74,7 @@ class _Tree:
 def _extend(tree: _Tree, target: np.ndarray, is_valid, resolution: float):
     """One steer step toward target: returns (status, node_index)."""
     near_idx = tree.nearest(target)
-    near = tree.nodes[near_idx]
+    near = tree.node(near_idx)
     diff = target - near
     gap = float(np.max(np.abs(diff)))
     if gap <= 1e-12:
@@ -120,7 +134,7 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
         sample = rng.uniform(bounds_lo, bounds_hi)
         status, new_idx = _extend(tree_a, sample, is_valid, resolution)
         if status != "trapped":
-            status_b, meet_idx = _connect(tree_b, tree_a.nodes[new_idx], is_valid, resolution)
+            status_b, meet_idx = _connect(tree_b, tree_a.node(new_idx), is_valid, resolution)
             if status_b == "reached":
                 part_a = tree_a.path_to_root(new_idx)[::-1]
                 part_b = tree_b.path_to_root(meet_idx)

@@ -22,13 +22,40 @@ def sinusoidal_table(max_step: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+# np.exp leaves its vectorised fast path for results near or below the
+# smallest normal double and then runs 10-100x slower. Denoising chains of
+# weakly trained models drive pre-activations far past that range.
+_EXP_FAST_MIN = -700.0
+_EXP_ZERO_BELOW = -746.0  # exp(a) rounds to +0.0 for every a below this
+
+
+def _exp_nonpositive(a: np.ndarray) -> np.ndarray:
+    """np.exp(a) for a non-empty array a <= 0, bit for bit, without the slow
+    path for arguments whose result is subnormal or zero."""
+    if not a.min() < _EXP_FAST_MIN:  # also taken when a holds a NaN
+        return np.exp(a)
+    e = np.exp(np.maximum(a, _EXP_FAST_MIN))
+    low = a < _EXP_FAST_MIN
+    e[low] = 0.0
+    tiny = low & (a > _EXP_ZERO_BELOW)
+    if tiny.any():
+        e[tiny] = np.exp(a[tiny])
+    return e
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Overflow-free logistic of a float array: 1 / (1 + e^-x) for x >= 0,
+    e^x / (1 + e^x) below.
+
+    Both branches share e = exp(-|x|), and the numerator (1 for x >= 0, else
+    e) is picked by max(e, x >= 0), which is exact because 0 <= e <= 1. No
+    per-element branches, yet every element goes through the same float
+    operations as in the branch-wise form, so results are bit-identical to
+    it for every input. NaNs keep their sign: minimum(x, -x) returns the NaN
+    operand unchanged, where -abs(x) would flip it.
+    """
+    e = _exp_nonpositive(np.minimum(x, -x))
+    return np.maximum(e, (x >= 0).astype(e.dtype)) / (1.0 + e)
 
 
 def silu(x):
@@ -123,7 +150,8 @@ class DenoiserMLP:
     def forward(self, z: np.ndarray, obs: np.ndarray | None = None, k=None, *,
                 obs_proj: np.ndarray | None = None, emb_proj: np.ndarray | None = None,
                 cache: dict | None = None) -> np.ndarray:
-        """Predicted noise for z of shape (B, action_width).
+        """Predicted noise for z of shape (B, action_width), or a stack
+        (m, B, action_width) whose blocks each go through their own products.
 
         Either (obs, k) or precomputed (obs_proj, emb_proj) must be given.
         Pass a dict as `cache` to collect intermediates for backward().

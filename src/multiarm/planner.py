@@ -78,22 +78,22 @@ def init_plans(single_policy: Policy, histories, batch: int, seed: int,
                delta_limit: float, bases=None, frozen=frozenset()) -> list[PlanSet]:
     """Sample each arm's candidate batch independently of the other arms.
 
+    All non-frozen arms share one sampling chain; arm i keeps its own
+    generator, so its plans do not depend on which other arms are sampled.
     Frozen arms (already at their goals) hold a single zero plan.
     """
     if bases is None:
         from .kinematics import IDENTITY_POSE
         bases = [IDENTITY_POSE] * len(histories)
-    plan_sets = []
-    horizon = single_policy.pred_horizon
-    dof = single_policy.action_dim
-    for i, (history, base) in enumerate(zip(histories, bases)):
-        if i in frozen:
-            plan_sets.append(PlanSet([np.zeros((horizon, dof))]))
-            continue
-        rng = substream(seed, TAG_PLAN, 0, i)
-        samples = single_policy.sample_plans(obs.single_conditioning(history, base),
-                                             batch, rng, delta_limit)
-        plan_sets.append(PlanSet(list(samples)))
+    shape = (single_policy.pred_horizon, single_policy.action_dim)
+    plan_sets = [PlanSet([np.zeros(shape)]) for _ in histories]
+    active = [i for i in range(len(histories)) if i not in frozen]
+    if active:
+        conds = np.stack([obs.single_conditioning(histories[i], bases[i]) for i in active])
+        rngs = [substream(seed, TAG_PLAN, 0, i) for i in active]
+        samples = single_policy.sample_plans_many(conds, batch, rngs, delta_limit)
+        for i, arm_samples in zip(active, samples):
+            plan_sets[i] = PlanSet(list(arm_samples))
     return plan_sets
 
 

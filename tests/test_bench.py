@@ -10,7 +10,9 @@ from multiarm.config import load_config
 from multiarm.controller import make_world
 from multiarm.kinematics import BasePose, forward_kinematics, make_arm
 
-from .test_planner import ScriptedPolicy, dodge_plans, facing_scene, straight_plans
+from .test_diffusion import random_policy
+from .test_planner import (PerRowReference, PerRowSampling, ScriptedPolicy, dodge_plans,
+                           facing_scene, ring_scene, straight_plans)
 from .test_controller import config_seeking_plans
 
 T_P = 16
@@ -27,7 +29,7 @@ def tiny_bench_cfg(cfg, episodes=3, n_arms=(1, 2), difficulties=("easy",)):
         episodes_per_cell=episodes))
 
 
-class GoalAwarePolicy:
+class GoalAwarePolicy(PerRowSampling):
     """Scripted single-arm policy that decodes the frame and heads for a
     crude goal guess; enough to finish easy tasks."""
 
@@ -70,6 +72,19 @@ class TestBaseline:
         result = bn.baseline_decentralized(world, single, cfg, seed=2)
         assert not result.success
         assert result.collision
+
+    def test_stacked_sampling_matches_per_arm_reference(self, cfg):
+        arms, starts, goals, _ = ring_scene(4, radius=1.4)
+        single = random_policy("single", 40, pred_horizon=T_P, seed=3)
+        small = dataclasses.replace(cfg, controller=dataclasses.replace(
+            cfg.controller, step_limit=24))
+        runs = []
+        for policy in (single, PerRowReference(single)):
+            world = make_world(arms, starts, goals)
+            result = bn.baseline_decentralized(world, policy, small, seed=5)
+            runs.append((result.to_json(), [q.tobytes() for q in world.configs]))
+        assert runs[0][0]["planner_calls"] >= 2
+        assert runs[0] == runs[1]
 
     def test_never_reports_success_with_collision(self, cfg):
         arms, starts, goals, _ = facing_scene()
@@ -185,5 +200,5 @@ class TestToyPieces:
             cfg.toy, episodes=10, eval_samples=40))
         ds = bn.toy_dataset(small, seed=1)
         fraction = bn.goal_directed_fraction(
-            bn._UntrainedPolicy(ds, small, 1), small, seed=1, n_eval=40)
+            bn._untrained_policy(ds, small, 1), small, seed=1, n_eval=40)
         assert fraction <= 0.2

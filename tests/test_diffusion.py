@@ -15,6 +15,18 @@ def tiny_model(rng, action_width=4, obs_dim=3, hidden=(8, 8), embed=8, K=10):
     return DenoiserMLP("single", action_width, obs_dim, hidden, embed, K, rng)
 
 
+def random_policy(family, obs_dim, pred_horizon=4, action_dim=3, hidden=(256, 256),
+                  embed=32, K=6, seed=0):
+    """Untrained policy with production-width layers and a short chain."""
+    rng = np.random.default_rng(seed)
+    width = pred_horizon * action_dim
+    model = DenoiserMLP(family, width, obs_dim, hidden, embed, K, rng)
+    norm = NormStats(rng.normal(size=obs_dim), rng.uniform(0.5, 2.0, obs_dim),
+                     np.zeros(width), np.full(width, 0.05))
+    return dif.Policy(family, model, make_schedule(K), norm, 2, pred_horizon, action_dim,
+                      obs_dim // 2, "test", {})
+
+
 def synthetic_dataset(rng, n=512, t_p=2, action_dim=2, obs_dim=6):
     """Actions depend linearly on the conditioning, plus small noise."""
     obs = rng.normal(size=(n, obs_dim))
@@ -226,11 +238,33 @@ class TestSampling:
         sched = make_schedule(10)
         norm = NormStats(np.zeros(3), np.ones(3), np.zeros(4), np.ones(4))
         obs = rng.normal(size=3)
-        a = dif.sample(sched, model, obs, 5, np.random.default_rng(7), norm, 0.1, 2, 2)
-        b = dif.sample(sched, model, obs, 5, np.random.default_rng(7), norm, 0.1, 2, 2)
+        a = dif.sample(sched, model, obs[None], 5, [np.random.default_rng(7)], norm, 0.1, 2, 2)
+        b = dif.sample(sched, model, obs[None], 5, [np.random.default_rng(7)], norm, 0.1, 2, 2)
         assert np.array_equal(a, b)
-        assert a.shape == (5, 2, 2)
+        assert a.shape == (1, 5, 2, 2)
         assert np.max(np.abs(a)) <= 0.1
+
+    def test_one_generator_per_row(self, rng):
+        model = tiny_model(rng, action_width=4, obs_dim=3, K=10)
+        norm = NormStats(np.zeros(3), np.ones(3), np.zeros(4), np.ones(4))
+        with pytest.raises(ValueError):
+            dif.sample(make_schedule(10), model, np.zeros((2, 3)), 5,
+                       [np.random.default_rng(7)], norm, 0.1, 2, 2)
+
+    @pytest.mark.parametrize("family,obs_dim", [("single", 40), ("dual", 80)])
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    @pytest.mark.parametrize("count", [1, 10])
+    def test_stacked_rows_equal_per_row_chains_bitwise(self, family, obs_dim, m, count):
+        # count 1 matters: BLAS takes a different kernel for a single row, so
+        # rows merged into one 2-D product would not match a solo chain.
+        policy = random_policy(family, obs_dim, pred_horizon=16, seed=m)
+        obs = np.random.default_rng(100 + m).normal(size=(m, obs_dim))
+        rngs = [np.random.default_rng(s) for s in range(m)]
+        many = policy.sample_plans_many(obs, count, rngs, 0.1)
+        assert many.shape == (m, count, 16, 3)
+        for i in range(m):
+            solo = policy.sample_plans(obs[i], count, np.random.default_rng(i), 0.1)
+            assert np.array_equal(many[i].view(np.uint64), solo.view(np.uint64))
 
     def test_initial_noise_statistics(self):
         rng = np.random.default_rng(0)
@@ -323,6 +357,14 @@ class TestCheckpoint:
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(dif.IncompatibleCheckpointError):
+            dif.load_checkpoint(path)
+
+    def test_non_finite_weight_rejected_despite_valid_checksum(self, rng, tmp_path):
+        policy = self.make_policy(rng)
+        policy.model.w_out[0, 0] = np.nan
+        path = tmp_path / "a.ckpt"
+        dif.save_checkpoint(policy, path)
+        with pytest.raises(dif.IncompatibleCheckpointError, match="w_out"):
             dif.load_checkpoint(path)
 
     def test_sampling_parity_after_load(self, rng, tmp_path):

@@ -24,6 +24,23 @@ def validate_path(path, is_valid, resolution):
         assert is_valid(w)
 
 
+class TestTree:
+    def test_nearest_matches_stacked_scan_through_growth(self):
+        rng = np.random.default_rng(3)
+        # Coarse grid coordinates make exact distance ties common.
+        root = rng.integers(-3, 4, size=3).astype(float)
+        tree, nodes = expert._Tree(root), [root]
+        for k in range(300):
+            target = rng.integers(-3, 4, size=3).astype(float)
+            expect = int(np.argmin(np.sum((np.stack(nodes) - target) ** 2, axis=1)))
+            assert tree.nearest(target) == expect
+            config = rng.integers(-3, 4, size=3).astype(float)
+            assert tree.add(config, k // 2) == len(nodes)
+            nodes.append(config)
+        assert all(np.array_equal(tree.node(i), n) for i, n in enumerate(nodes))
+        assert len(tree.path_to_root(len(nodes) - 1)) >= 2
+
+
 class TestBirrt:
     def test_start_equals_goal(self, rng):
         q = np.array([0.3, -0.2])

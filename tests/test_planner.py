@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,31 @@ from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import build_frame, build_history
 from multiarm.planner import PlanSet, dgmap_search, node_cost, plan_cost_terms
 
+from .test_diffusion import random_policy
+
 T_P = 16
 DELTA = 0.1
 
 
-class ScriptedPolicy:
+class PerRowSampling:
+    """sample_plans_many as one sample_plans call per conditioning row."""
+
+    def sample_plans_many(self, obs_vecs, count, rngs, delta_limit):
+        return np.stack([self.sample_plans(o, count, g, delta_limit)
+                         for o, g in zip(obs_vecs, rngs)])
+
+
+class PerRowReference(PerRowSampling):
+    """A real policy whose stacked sampling is replaced by per-row chains."""
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
+
+
+class ScriptedPolicy(PerRowSampling):
     """Stand-in policy: returns scripted plans regardless of conditioning."""
 
     def __init__(self, plans_fn, action_dim=3, obs_horizon=2, pred_horizon=T_P):
@@ -139,6 +160,54 @@ class TestInitPlans:
         assert len(sets[0]) == 10
         assert len(sets[1]) == 1
         assert np.all(sets[1].plans[0] == 0.0)
+
+
+def ring_scene(n, radius=1.0, q0=0.3):
+    """n arms on a circle facing its centre; closer rings crowd the middle."""
+    arms, starts, goals = [], [], []
+    for i in range(n):
+        angle = 2.0 * math.pi * i / n
+        arm = make_arm((0.5, 0.3, 0.2), BasePose(radius * math.cos(angle),
+                                                 radius * math.sin(angle), angle + math.pi),
+                       0.11)
+        arms.append(arm)
+        starts.append(np.array([q0, 0.0, 0.0]))
+        goals.append(forward_kinematics(arm, np.array([-q0, 0.3, 0.0])))
+    hists = [build_history([build_frame(arm, q, g)], 2)
+             for arm, q, g in zip(arms, starts, goals)]
+    return arms, starts, goals, hists
+
+
+class TestStackedSampling:
+    """One chain for all arms must give exactly the per-arm chains' plans."""
+
+    @pytest.mark.parametrize("n,frozen", [(2, ()), (4, ()), (4, (2,))])
+    def test_init_plans_match_per_arm_chains(self, n, frozen):
+        arms, _, _, hists = ring_scene(n)
+        single = random_policy("single", 40, pred_horizon=T_P)
+        bases = [arm.base for arm in arms]
+        got = pl.init_plans(single, hists, 5, 8, DELTA, bases, frozenset(frozen))
+        ref = pl.init_plans(PerRowReference(single), hists, 5, 8, DELTA, bases,
+                            frozenset(frozen))
+        for a, b in zip(got, ref):
+            assert len(a) == len(b)
+            for p, q in zip(a.plans, b.plans):
+                assert np.array_equal(p.view(np.uint64), q.view(np.uint64))
+
+    def test_dgmap_search_matches_per_arm_reference(self, cfg):
+        arms, starts, goals, hists = ring_scene(4)
+        single = random_policy("single", 40, pred_horizon=T_P, seed=1)
+        dual = random_policy("dual", 80, pred_horizon=T_P, seed=2)
+        small = dataclasses.replace(cfg, planner=dataclasses.replace(
+            cfg.planner, batch=4, max_expansions=6))
+        got = dgmap_search(arms, starts, goals, hists, single, dual, small, 13)
+        ref = dgmap_search(arms, starts, goals, hists, PerRowReference(single),
+                           PerRowReference(dual), small, 13)
+        assert got.stats["repairs"] >= 1
+        assert (got.t_star, got.solved) == (ref.t_star, ref.solved)
+        assert got.stats["expanded_tuples"] == ref.stats["expanded_tuples"]
+        for p, q in zip(got.plans, ref.plans):
+            assert np.array_equal(p.view(np.uint64), q.view(np.uint64))
 
 
 class TestSearch:
