@@ -2,8 +2,15 @@
 
 Each link is a capsule: its segment inflated by the arm's collision radius.
 Per plan step, collision is tested at the step's end configuration and at
-the midpoint interpolation, which is sufficient because per-step deltas are
-clamped small relative to the capsule radii.
+the midpoint interpolation. That is a heuristic, not a guarantee: per-step
+deltas are clamped small relative to the capsule radii, but a swept link
+can still touch and leave contact between the two checked states (1 miss
+in 300 max-rate steps that started near contact).
+
+The predicates `states_free` and `states_collide` take (k, d) stacks of
+configurations and answer per row from one vertex build per arm and one
+segment-distance kernel call; the scalar `is_free` and `arms_collide` are
+their one-row case.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import ArmModel, clamp_config, link_vertices
+from .kinematics import ArmModel, DimensionError
 
 
 @dataclass(frozen=True)
@@ -165,20 +172,57 @@ def _self_clear(verts: np.ndarray, radius: float) -> np.ndarray:
     return np.all(clear, axis=(-2, -1))
 
 
+def _check_stack(arm: ArmModel, qs) -> np.ndarray:
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != arm.dof:
+        raise DimensionError(f"config stack shape {qs.shape} does not match (k, {arm.dof})")
+    return qs
+
+
+def _trajectory_vertices(arm: ArmModel, states: np.ndarray) -> np.ndarray:
+    """Vertex stacks for a batch of configs, shape (n, d+1, 2)."""
+    cum = arm.base.heading + np.cumsum(states, axis=1)
+    steps = np.asarray(arm.link_lengths)[None, :, None] * np.stack([np.cos(cum), np.sin(cum)], axis=2)
+    verts = np.empty((len(states), arm.dof + 1, 2))
+    verts[:, 0] = arm.base.xy
+    verts[:, 1:] = arm.base.xy + np.cumsum(steps, axis=1)
+    return verts
+
+
+def _verts_free(arm: ArmModel, verts: np.ndarray, bounds: WorldBounds) -> np.ndarray:
+    return _verts_in_bounds(verts, arm.collision_radius, bounds) & _self_clear(verts, arm.collision_radius)
+
+
+def _verts_collide(a: ArmModel, va: np.ndarray, b: ArmModel, vb: np.ndarray) -> np.ndarray:
+    """Per-state capsule contact between two vertex stacks of shape (k, d+1, 2)."""
+    dist = segment_distance_batch(va[:, :-1, None, :], va[:, 1:, None, :],
+                                  vb[:, None, :-1, :], vb[:, None, 1:, :])
+    return np.any(dist < a.collision_radius + b.collision_radius, axis=(1, 2))
+
+
+def states_free(arm: ArmModel, qs, bounds: WorldBounds = DEFAULT_BOUNDS) -> np.ndarray:
+    """Per row of a (k, d) config stack: self-collision-free and fully inside
+    the world rectangle. Returns (k,) bools."""
+    return _verts_free(arm, _trajectory_vertices(arm, _check_stack(arm, qs)), bounds)
+
+
+def states_collide(a: ArmModel, qa, b: ArmModel, qb) -> np.ndarray:
+    """Per row: True if any link capsule of arm a at qa[r] touches any link
+    capsule of arm b at qb[r]. qa is (k, d_a), qb is (k, d_b)."""
+    va = _trajectory_vertices(a, _check_stack(a, qa))
+    vb = _trajectory_vertices(b, _check_stack(b, qb))
+    return _verts_collide(a, va, b, vb)
+
+
 def is_free(arm: ArmModel, q: np.ndarray, bounds: WorldBounds = DEFAULT_BOUNDS) -> bool:
     """Self-collision-free and fully inside the world rectangle."""
-    verts = link_vertices(arm, q)
-    return bool(_verts_in_bounds(verts, arm.collision_radius, bounds)
-                and _self_clear(verts, arm.collision_radius))
+    return bool(states_free(arm, np.asarray(q, dtype=float)[None], bounds)[0])
 
 
 def arms_collide(a: ArmModel, qa: np.ndarray, b: ArmModel, qb: np.ndarray) -> bool:
     """True if any link capsule of arm a touches any link capsule of arm b."""
-    va = link_vertices(a, qa)
-    vb = link_vertices(b, qb)
-    dist = segment_distance_batch(va[:-1, None, :], va[1:, None, :],
-                                  vb[None, :-1, :], vb[None, 1:, :])
-    return bool(np.any(dist < a.collision_radius + b.collision_radius))
+    return bool(states_collide(a, np.asarray(qa, dtype=float)[None],
+                               b, np.asarray(qb, dtype=float)[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +255,13 @@ def _checked_states(configs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trajectory_vertices(arm: ArmModel, states: np.ndarray) -> np.ndarray:
-    """Vertex stacks for a batch of configs, shape (n, d+1, 2)."""
-    cum = arm.base.heading + np.cumsum(states, axis=1)
-    steps = np.asarray(arm.link_lengths)[None, :, None] * np.stack([np.cos(cum), np.sin(cum)], axis=2)
-    verts = np.empty((len(states), arm.dof + 1, 2))
-    verts[:, 0] = arm.base.xy
-    verts[:, 1:] = arm.base.xy + np.cumsum(steps, axis=1)
-    return verts
-
-
 def _first_self_violation(arm: ArmModel, verts: np.ndarray, bounds: WorldBounds):
-    ok = _verts_in_bounds(verts, arm.collision_radius, bounds) & _self_clear(verts, arm.collision_radius)
-    bad = np.flatnonzero(~ok)
+    bad = np.flatnonzero(~_verts_free(arm, verts, bounds))
     return int(bad[0]) // 2 if len(bad) else None
 
 
 def _first_pair_collision(a: ArmModel, va: np.ndarray, b: ArmModel, vb: np.ndarray):
-    dist = segment_distance_batch(va[:, :-1, None, :], va[:, 1:, None, :],
-                                  vb[:, None, :-1, :], vb[:, None, 1:, :])
-    hit = np.any(dist < a.collision_radius + b.collision_radius, axis=(1, 2))
-    bad = np.flatnonzero(hit)
+    bad = np.flatnonzero(_verts_collide(a, va, b, vb))
     return int(bad[0]) // 2 if len(bad) else None
 
 

@@ -80,11 +80,6 @@ def goal_reached(world: WorldState, i: int, pos_tol: float, rot_tol: float) -> b
             and rot_distance(pose, world.goals[i]) <= rot_tol)
 
 
-def hold_at_goal(world: WorldState, i: int, horizon: int) -> np.ndarray:
-    """Zero plan for an arm that should stay put while others finish."""
-    return np.zeros((horizon, world.arms[i].dof))
-
-
 def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
                           subsamples: int) -> bool:
     """Check interpolated states between consecutive executed configs."""

@@ -17,8 +17,20 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import DEFAULT_BOUNDS, WorldBounds, arms_collide, is_free
-from .expert import birrt_plan, dual_birrt_plan, sample_goal_config, single_arm_validity
+# perfbench/layers.py patches arms_collide on this module, so the name stays bound.
+from .collision import (  # noqa: F401
+    DEFAULT_BOUNDS,
+    WorldBounds,
+    arms_collide,
+    is_free,
+)
+from .expert import (
+    birrt_plan,
+    dual_arm_validity,
+    dual_birrt_plan,
+    sample_goal_config,
+    single_arm_validity,
+)
 from .kinematics import ArmModel, EEPose, forward_kinematics
 from .seeding import TAG_DATA, substream
 
@@ -205,15 +217,12 @@ def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
 
 def _dual_episode(arm_a, arm_b, rng, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
                   max_iters, shortcut_attempts):
-    def joint_free(qa, qb):
-        return (is_free(arm_a, qa, bounds) and is_free(arm_b, qb, bounds)
-                and not arms_collide(arm_a, qa, arm_b, qb))
-
+    valid = dual_arm_validity(arm_a, arm_b, bounds)
     starts = None
     for _ in range(100):
         qa = sample_free_config(arm_a, rng, bounds)
         qb = sample_free_config(arm_b, rng, bounds)
-        if qa is not None and qb is not None and joint_free(qa, qb):
+        if qa is not None and qb is not None and valid(np.concatenate([qa, qb])[None])[0]:
             starts = (qa, qb)
             break
     if starts is None:
@@ -229,7 +238,7 @@ def _dual_episode(arm_a, arm_b, rng, t_o, t_p, resolution, bounds, pos_tol, rot_
         pose_b = forward_kinematics(arm_b, gb_seed)
         ta = sample_goal_config(arm_a, pose_a, rng, pos_tol, rot_tol, bounds)
         tb = sample_goal_config(arm_b, pose_b, rng, pos_tol, rot_tol, bounds)
-        if ta is None or tb is None or not joint_free(ta, tb):
+        if ta is None or tb is None or not valid(np.concatenate([ta, tb])[None])[0]:
             continue
         goals = (ta, tb, pose_a, pose_b)
         break

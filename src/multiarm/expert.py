@@ -5,6 +5,10 @@ space, with shortcut smoothing, plus goal-pose to goal-config resolution by
 random restarts of damped Jacobian-transpose descent. Paths are arrays of
 waypoints whose consecutive rows differ by at most `resolution` per joint,
 so expert steps convert to clamp-free delta actions.
+
+Validity predicates are batch-only: `is_valid(qs)` takes a (k, d) stack of
+configurations and returns (k,) bools, so a steer step, both endpoints or a
+whole shortcut segment is checked in one call.
 """
 
 from __future__ import annotations
@@ -13,8 +17,18 @@ import math
 
 import numpy as np
 
-from . import kinematics as kin
-from .collision import DEFAULT_BOUNDS, WorldBounds, arms_collide, is_free
+# perfbench/layers.py patches is_free and arms_collide on this module, so the
+# names stay bound.
+from .collision import (  # noqa: F401
+    DEFAULT_BOUNDS,
+    WorldBounds,
+    _checked_states,
+    _trajectory_vertices,
+    arms_collide,
+    is_free,
+    states_collide,
+    states_free,
+)
 from .kinematics import ArmModel, EEPose, wrap_angle
 
 
@@ -27,12 +41,9 @@ def steps_between(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray
 
 
 def _segment_valid(a: np.ndarray, b: np.ndarray, is_valid, resolution: float) -> bool:
-    prev = a
-    for w in steps_between(a, b, resolution):
-        if not is_valid(0.5 * (prev + w)) or not is_valid(w):
-            return False
-        prev = w
-    return True
+    """Every waypoint from a to b and every step midpoint, in one call."""
+    configs = np.concatenate([a[None, :], steps_between(a, b, resolution)])
+    return bool(np.all(is_valid(_checked_states(configs))))
 
 
 class _Tree:
@@ -81,7 +92,7 @@ def _extend(tree: _Tree, target: np.ndarray, is_valid, resolution: float):
         return "reached", near_idx
     scale = min(1.0, resolution / gap)
     new = near + scale * diff
-    if not is_valid(0.5 * (near + new)) or not is_valid(new):
+    if not np.all(is_valid(_checked_states(np.stack([near, new])))):
         return "trapped", near_idx
     idx = tree.add(new, near_idx)
     return ("reached" if scale >= 1.0 else "advanced"), idx
@@ -123,7 +134,7 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    if not is_valid(start) or not is_valid(goal):
+    if not np.all(is_valid(np.stack([start, goal]))):
         raise ValueError("birrt endpoints must satisfy the validity predicate")
     if float(np.max(np.abs(goal - start))) <= 1e-12:
         return start[None, :]
@@ -148,16 +159,19 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
 
 
 def single_arm_validity(arm: ArmModel, bounds: WorldBounds = DEFAULT_BOUNDS):
-    return lambda q: is_free(arm, q, bounds)
+    """Batch predicate: (k, d) configs -> (k,) bools."""
+    return lambda qs: states_free(arm, qs, bounds)
 
 
 def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds = DEFAULT_BOUNDS):
+    """Batch predicate over stacked [q_a | q_b] rows: (k, d_a + d_b) -> (k,) bools."""
     da = arm_a.dof
 
-    def valid(q):
-        qa, qb = q[:da], q[da:]
-        return (is_free(arm_a, qa, bounds) and is_free(arm_b, qb, bounds)
-                and not arms_collide(arm_a, qa, arm_b, qb))
+    def valid(qs):
+        qs = np.asarray(qs, dtype=float)
+        qa, qb = qs[:, :da], qs[:, da:]
+        return (states_free(arm_a, qa, bounds) & states_free(arm_b, qb, bounds)
+                & ~states_collide(arm_a, qa, arm_b, qb))
 
     return valid
 
@@ -175,14 +189,13 @@ def dual_birrt_plan(arm_a: ArmModel, arm_b: ArmModel, starts, goals,
                       lo, hi, resolution, max_iters, shortcut_attempts)
 
 
-def _pose_jacobian(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Planar Jacobian of (x, y, theta) wrt joint angles, shape (3, d)."""
-    verts = kin.link_vertices(arm, q)
-    tip = verts[-1]
-    jac = np.ones((3, arm.dof))
-    rel = tip[None, :] - verts[:-1]
-    jac[0] = -rel[:, 1]
-    jac[1] = rel[:, 0]
+def _pose_jacobian(verts: np.ndarray) -> np.ndarray:
+    """Planar Jacobians of (x, y, theta) wrt joint angles, shape (k, 3, d),
+    from vertex stacks of shape (k, d + 1, 2)."""
+    rel = verts[:, -1:, :] - verts[:, :-1, :]
+    jac = np.ones((len(verts), 3, verts.shape[1] - 1))
+    jac[:, 0] = -rel[..., 1]
+    jac[:, 1] = rel[..., 0]
     return jac
 
 
@@ -194,31 +207,58 @@ def sample_goal_config(arm: ArmModel, goal_pose: EEPose, rng: np.random.Generato
 
     Random restarts with damped Jacobian-transpose descent on the pose
     residual; None when the budget runs out (e.g. unreachable goals).
+
+    All restarts descend in lockstep as one (max_restarts, d) block. The
+    result is the lowest-index restart that converges collision-free, and
+    rng is left where drawing the starts one restart at a time, up to and
+    including that one (all of them when none converges), leaves it.
     """
     if float(np.linalg.norm(goal_pose.position - arm.base.xy)) > arm.total_length + pos_tol:
         return None
     rot_weight = 0.3
-    for _ in range(max_restarts):
-        q = rng.uniform(arm.lower_limits, arm.upper_limits)
-        step_scale = 0.8
-        prev_norm = np.inf
-        for _ in range(iters):
-            ee = kin.forward_kinematics(arm, q)
-            r_pos = goal_pose.position - ee.position
-            r_rot = float(wrap_angle(goal_pose.orientation - ee.orientation))
-            if (np.linalg.norm(r_pos) <= 0.5 * pos_tol and abs(r_rot) <= 0.5 * rot_tol
-                    and is_free(arm, q, bounds)):
-                return q
-            residual = np.array([r_pos[0], r_pos[1], rot_weight * r_rot])
-            norm = float(np.linalg.norm(residual))
-            if norm > prev_norm:
-                step_scale = max(step_scale * 0.5, 0.01)
-            prev_norm = norm
-            step = step_scale * (_pose_jacobian(arm, q).T @ residual)
-            biggest = float(np.max(np.abs(step)))
-            if biggest > 0.2:
-                step *= 0.2 / biggest
-            if biggest < 1e-10:
-                break
-            q = np.clip(q + step, arm.lower_limits, arm.upper_limits)
-    return None
+    lo, hi = arm.lower_limits, arm.upper_limits
+    saved = rng.bit_generator.state
+    q = rng.uniform(lo, hi, size=(max_restarts, arm.dof))
+    rows = np.arange(max_restarts)  # restart index of each live row, ascending
+    step_scale = np.full(max_restarts, 0.8)
+    prev_norm = np.full(max_restarts, np.inf)
+    winner, found = None, None
+    for _ in range(iters):
+        if not len(rows):
+            break
+        verts = _trajectory_vertices(arm, q)
+        r_pos = goal_pose.position - verts[:, -1]
+        r_rot = wrap_angle(goal_pose.orientation
+                           - wrap_angle(arm.base.heading + np.sum(q, axis=1)))
+        near = np.flatnonzero((np.sqrt(np.vecdot(r_pos, r_pos)) <= 0.5 * pos_tol)
+                              & (np.abs(r_rot) <= 0.5 * rot_tol))
+        if len(near):
+            near = near[states_free(arm, q[near], bounds)]
+        if len(near):
+            # Restarts after the first success can no longer win; earlier ones
+            # keep descending.
+            first = near[0]
+            winner, found = int(rows[first]), q[first].copy()
+            live = slice(0, first)
+            rows, q, verts = rows[live], q[live], verts[live]
+            r_pos, r_rot = r_pos[live], r_rot[live]
+            step_scale, prev_norm = step_scale[live], prev_norm[live]
+        # np.vecdot and the stacked matmul over transposed Jacobians round
+        # exactly like one restart's 1-D dot and gemv; norm(axis=...) and
+        # einsum do not, and would change which restart wins.
+        residual = np.stack([r_pos[:, 0], r_pos[:, 1], rot_weight * r_rot], axis=1)
+        norm = np.sqrt(np.vecdot(residual, residual))
+        step_scale = np.where(norm > prev_norm, np.maximum(step_scale * 0.5, 0.01), step_scale)
+        prev_norm = norm
+        jac_t = _pose_jacobian(verts).transpose(0, 2, 1)
+        step = step_scale[:, None] * np.matmul(jac_t, residual[:, :, None])[:, :, 0]
+        biggest = np.max(np.abs(step), axis=1)
+        big = biggest > 0.2
+        step[big] *= (0.2 / biggest[big])[:, None]
+        moving = ~(biggest < 1e-10)  # a restart whose step vanished gives up
+        rows, step_scale, prev_norm = rows[moving], step_scale[moving], prev_norm[moving]
+        q = np.clip(q[moving] + step[moving], lo, hi)
+    if winner is not None:
+        rng.bit_generator.state = saved
+        rng.uniform(lo, hi, size=(winner + 1, arm.dof))
+    return found

@@ -14,10 +14,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Workspace disc radius as a fraction of total link length; also the knob
-# that sets how much neighbouring workspaces can overlap.
-DEFAULT_WORKSPACE_SCALE = 0.85
-
 
 class DimensionError(ValueError):
     """Configuration length does not match the arm's joint count."""
@@ -199,9 +195,10 @@ def apply_to_angles(pose: BasePose, angles):
 # Workspace geometry.
 # ---------------------------------------------------------------------------
 
-def reach_radius(arm: ArmModel, scale: float = DEFAULT_WORKSPACE_SCALE) -> float:
-    """Workspace disc radius: total length capped by the workspace scale."""
-    return min(arm.total_length, scale * arm.total_length)
+def reach_radius(arm: ArmModel, scale: float) -> float:
+    """Workspace disc radius: total length times the workspace scale, which
+    `MorphologyConfig.workspace_scale` bounds to (0, 1]."""
+    return scale * arm.total_length
 
 
 def disc_intersection_area(c0: np.ndarray, r0: float, c1: np.ndarray, r1: float) -> float:
@@ -219,8 +216,7 @@ def disc_intersection_area(c0: np.ndarray, r0: float, c1: np.ndarray, r1: float)
     return (r0 * r0 * (a0 - math.sin(2 * a0) / 2) + r1 * r1 * (a1 - math.sin(2 * a1) / 2))
 
 
-def workspace_intersection(a: ArmModel, b: ArmModel,
-                           scale: float = DEFAULT_WORKSPACE_SCALE) -> float:
+def workspace_intersection(a: ArmModel, b: ArmModel, scale: float) -> float:
     """Intersection area of the two arms' reach discs."""
     return disc_intersection_area(a.base.xy, reach_radius(a, scale),
                                   b.base.xy, reach_radius(b, scale))

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import WorldBounds, arms_collide, is_free
+# perfbench/layers.py patches is_free on this module, so the name stays bound.
+from .collision import WorldBounds, arms_collide, is_free  # noqa: F401
 from .config import MorphologyConfig, RunConfig
 from .datasets import sample_free_config
 from .expert import sample_goal_config
@@ -173,16 +174,6 @@ def sample_bases(n_arms: int, difficulty: str, rng: np.random.Generator,
     if any(math.hypot(b.x, b.y) + total > bound for b in bases):
         return None
     return bases
-
-
-def _joint_free_set(arms, configs, bounds) -> bool:
-    for i, (arm, q) in enumerate(zip(arms, configs)):
-        if not is_free(arm, q, bounds):
-            return False
-        for j in range(i):
-            if arms_collide(arms[j], configs[j], arm, q):
-                return False
-    return True
 
 
 def _sample_joint_configs(arms, rng, bounds, tries: int = 60):

@@ -14,7 +14,7 @@ from multiarm.collision import (
     is_free,
     rollout,
 )
-from multiarm.kinematics import BasePose, make_arm
+from multiarm.kinematics import BasePose, DimensionError, link_vertices, make_arm
 
 from .conftest import random_arm, random_config
 
@@ -106,7 +106,7 @@ class TestIsFree:
         # Fold the chain back onto itself: link 3 lies on top of link 1.
         arm = make_arm((0.5, 0.3, 0.5), BasePose(0, 0, 0), 0.05)
         q = np.array([0.0, math.pi, math.pi * 0.999])
-        verts = col.link_vertices(arm, q)
+        verts = link_vertices(arm, q)
         gap = capsule_distance((verts[0], verts[1]), (verts[2], verts[3]))
         assert gap < 2 * arm.collision_radius
         assert not is_free(arm, q)
@@ -249,3 +249,85 @@ class TestFindFirstCollision:
         first = find_first_collision(arms, starts, plans)
         for _ in range(5):
             assert find_first_collision(arms, starts, plans) == first
+
+
+def scalar_free(arm, q, bounds):
+    """One-config reference: every vertex inside the inset rectangle and every
+    non-adjacent link pair (both orders) at least two radii apart."""
+    verts = link_vertices(arm, q)
+    r = arm.collision_radius
+    inside = all(bounds.x_min + r <= x <= bounds.x_max - r
+                 and bounds.y_min + r <= y <= bounds.y_max - r for x, y in verts)
+    return inside and all(capsule_distance(verts[m:m + 2], verts[n:n + 2]) >= 2 * r
+                          for m in range(arm.dof) for n in range(arm.dof) if abs(m - n) >= 2)
+
+
+def scalar_collide(a, qa, b, qb):
+    va, vb = link_vertices(a, qa), link_vertices(b, qb)
+    return any(capsule_distance(va[m:m + 2], vb[n:n + 2]) < a.collision_radius + b.collision_radius
+               for m in range(a.dof) for n in range(b.dof))
+
+
+class TestBatchedPredicates:
+    def test_states_free_matches_scalar_formula(self, rng):
+        bounds = WorldBounds(-1.2, 1.2, -1.2, 1.2)
+        verdicts = []
+        for _ in range(60):
+            arm = random_arm(rng, dof=int(rng.integers(1, 6)), base_scale=0.8)
+            qs = rng.uniform(arm.lower_limits, arm.upper_limits, size=(20, arm.dof))
+            batch = col.states_free(arm, qs, bounds)
+            assert batch.shape == (20,) and batch.dtype == bool
+            expect = [scalar_free(arm, q, bounds) for q in qs]
+            assert batch.tolist() == expect
+            assert [is_free(arm, q, bounds) for q in qs] == expect
+            verdicts.extend(expect)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_states_collide_matches_scalar_formula(self, rng):
+        verdicts = []
+        for _ in range(60):
+            a, b = random_arm(rng, base_scale=0.5), random_arm(rng, base_scale=0.5)
+            qa = rng.uniform(a.lower_limits, a.upper_limits, size=(20, a.dof))
+            qb = rng.uniform(b.lower_limits, b.upper_limits, size=(20, b.dof))
+            batch = col.states_collide(a, qa, b, qb)
+            expect = [scalar_collide(a, x, b, y) for x, y in zip(qa, qb)]
+            assert batch.tolist() == expect
+            assert [arms_collide(a, x, b, y) for x, y in zip(qa, qb)] == expect
+            verdicts.extend(expect)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_exact_bounds_contact(self):
+        # Tip at x = 1.0 exactly; the inset bound is 1.25 - 0.25 = 1.0 exactly.
+        arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.25)
+        qs = np.zeros((2, 2))
+        for x_max, free in ((1.25, True), (1.2499999, False)):
+            bounds = WorldBounds(-2.0, x_max, -2.0, 2.0)
+            assert col.states_free(arm, qs, bounds).tolist() == [free, free]
+            assert scalar_free(arm, qs[0], bounds) == free
+
+    def test_exact_pair_contact(self):
+        # Parallel unit links 0.2 apart with radii 0.1 + 0.1: touching is not
+        # a collision, any overlap is.
+        a = make_arm((1.0,), BasePose(0, 0, 0), 0.1)
+        for y, hit in ((0.2, False), (0.19, True)):
+            b = make_arm((1.0,), BasePose(0.0, y, 0.0), 0.1)
+            assert col.states_collide(a, np.zeros((3, 1)), b, np.zeros((3, 1))).tolist() == [hit] * 3
+            assert scalar_collide(a, np.zeros(1), b, np.zeros(1)) == hit
+
+    def test_empty_stack(self, arm3):
+        assert col.states_free(arm3, np.zeros((0, 3))).shape == (0,)
+        assert col.states_collide(arm3, np.zeros((0, 3)), arm3, np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2), (1, 1, 3)])
+    def test_wrong_stack_shape_raises(self, arm3, shape):
+        with pytest.raises(DimensionError):
+            col.states_free(arm3, np.zeros(shape))
+        with pytest.raises(DimensionError):
+            col.states_collide(arm3, np.zeros(shape), arm3, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), ()])
+    def test_wrong_config_shape_raises(self, arm3, shape):
+        with pytest.raises(DimensionError):
+            is_free(arm3, np.zeros(shape))
+        with pytest.raises(DimensionError):
+            arms_collide(arm3, np.zeros(shape), arm3, np.zeros(3))

@@ -7,7 +7,7 @@ import pytest
 from multiarm import controller as ctl
 from multiarm.collision import find_first_collision
 from multiarm.config import load_config
-from multiarm.controller import goal_reached, hold_at_goal, make_world, run_episode
+from multiarm.controller import goal_reached, make_world, run_episode
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 
 from .test_planner import ScriptedPolicy, dodge_plans, facing_scene, straight_plans
@@ -60,15 +60,6 @@ class TestGoalReached:
         assert goal_reached(world, 0, 0.03125, 0.125)
         assert not goal_reached(world, 0, 0.03124, 0.125)
         assert not goal_reached(world, 0, 0.03125, 0.124)
-
-
-class TestHold:
-    def test_zero_plan_shape(self, cfg):
-        arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
-        world = make_world([arm], [np.zeros(3)], [forward_kinematics(arm, np.zeros(3))])
-        plan = hold_at_goal(world, 0, T_P)
-        assert plan.shape == (T_P, 3)
-        assert np.all(plan == 0.0)
 
 
 class TestRunEpisode:

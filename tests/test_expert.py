@@ -4,24 +4,34 @@ import numpy as np
 import pytest
 
 from multiarm import expert
-from multiarm.collision import DEFAULT_BOUNDS, arms_collide, is_free
-from multiarm.expert import birrt_plan, dual_birrt_plan, sample_goal_config
-from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm, pos_distance, rot_distance
+from multiarm.collision import DEFAULT_BOUNDS, WorldBounds, arms_collide, is_free
+from multiarm.expert import birrt_plan, dual_birrt_plan, sample_goal_config, steps_between
+from multiarm.kinematics import (
+    BasePose,
+    EEPose,
+    forward_kinematics,
+    link_vertices,
+    make_arm,
+    pos_distance,
+    rot_distance,
+    wrap_angle,
+)
 
 RES = 0.1
 
 
-def always_valid(q):
-    return True
+def always_valid(qs):
+    return np.ones(len(qs), dtype=bool)
 
 
 def validate_path(path, is_valid, resolution):
-    """Independent re-validation: spacing, waypoints, and midpoints."""
+    """Independent re-validation, one config per call: spacing, waypoints,
+    and midpoints."""
     for a, b in zip(path[:-1], path[1:]):
         assert float(np.max(np.abs(b - a))) <= resolution + 1e-9
-        assert is_valid(0.5 * (a + b))
+        assert is_valid((0.5 * (a + b))[None, :])[0]
     for w in path:
-        assert is_valid(w)
+        assert is_valid(w[None, :])[0]
 
 
 class TestTree:
@@ -50,7 +60,7 @@ class TestBirrt:
 
     def test_invalid_endpoints_raise(self, rng):
         with pytest.raises(ValueError):
-            birrt_plan(np.zeros(2), np.ones(2), lambda q: bool(np.all(q == 0)), rng,
+            birrt_plan(np.zeros(2), np.ones(2), lambda qs: np.all(qs == 0, axis=1), rng,
                        np.full(2, -2.0), np.full(2, 2.0), RES)
 
     def test_free_space_straightens(self, rng):
@@ -78,8 +88,8 @@ class TestBirrt:
         valid = expert.dual_arm_validity(a, b)
         starts = (np.array([0.6, 0.0, 0.0]), np.array([0.6, 0.0, 0.0]))
         goals = (np.array([-0.6, 0.0, 0.0]), np.array([-0.6, 0.0, 0.0]))
-        assert valid(np.concatenate([starts[0], starts[1]]))
-        assert valid(np.concatenate([goals[0], goals[1]]))
+        assert valid(np.concatenate([starts[0], starts[1]])[None, :])[0]
+        assert valid(np.concatenate([goals[0], goals[1]])[None, :])[0]
         path = dual_birrt_plan(a, b, starts, goals, rng, RES, max_iters=8000)
         assert path is not None
         validate_path(path, valid, RES)
@@ -134,3 +144,191 @@ class TestSampleGoalConfig:
     def test_unreachable_goal(self, arm3, rng):
         goal = EEPose(np.array([5.0, 0.0]), 0.0)
         assert sample_goal_config(arm3, goal, rng) is None
+
+
+def one_at_a_time(is_valid):
+    """Scalar view of a batch predicate: one config per call."""
+    return lambda q: bool(is_valid(q[None, :])[0])
+
+
+def scalar_segment_valid(a, b, valid, resolution):
+    prev = a
+    for w in steps_between(a, b, resolution):
+        if not valid(0.5 * (prev + w)) or not valid(w):
+            return False
+        prev = w
+    return True
+
+
+def scalar_extend(tree, target, valid, resolution):
+    near_idx = tree.nearest(target)
+    near = tree.node(near_idx)
+    diff = target - near
+    gap = float(np.max(np.abs(diff)))
+    if gap <= 1e-12:
+        return "reached", near_idx
+    scale = min(1.0, resolution / gap)
+    new = near + scale * diff
+    if not valid(0.5 * (near + new)) or not valid(new):
+        return "trapped", near_idx
+    idx = tree.add(new, near_idx)
+    return ("reached" if scale >= 1.0 else "advanced"), idx
+
+
+class CountingValidity:
+    def __init__(self, is_valid):
+        self.is_valid = is_valid
+        self.calls = 0
+
+    def __call__(self, qs):
+        self.calls += 1
+        return self.is_valid(qs)
+
+
+@pytest.fixture
+def head_on_pair():
+    a = make_arm((0.5, 0.3, 0.2), BasePose(-0.7, 0.0, 0.0), 0.11)
+    b = make_arm((0.5, 0.3, 0.2), BasePose(0.7, 0.0, math.pi), 0.11)
+    return a, b
+
+
+class TestBatchedValidity:
+    def test_segment_valid_matches_scalar_loop(self, head_on_pair, rng):
+        valid = expert.dual_arm_validity(*head_on_pair)
+        verdicts = []
+        for _ in range(150):
+            a, b = rng.uniform(-math.pi, math.pi, size=(2, 6))
+            counting = CountingValidity(valid)
+            got = expert._segment_valid(a, b, counting, RES)
+            assert counting.calls == 1
+            expect = scalar_segment_valid(a, b, one_at_a_time(valid), RES)
+            assert got == expect
+            verdicts.append(expect)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_extend_matches_scalar_loop(self, head_on_pair, rng):
+        valid = expert.dual_arm_validity(*head_on_pair)
+        root = np.array([0.6, 0.0, 0.0, 0.6, 0.0, 0.0])
+        batched, scalar = expert._Tree(root), expert._Tree(root)
+        statuses = set()
+        for _ in range(300):
+            target = rng.uniform(-math.pi, math.pi, size=6)
+            counting = CountingValidity(valid)
+            got = expert._extend(batched, target, counting, 0.5)
+            expect = scalar_extend(scalar, target, one_at_a_time(valid), 0.5)
+            assert got == expect
+            assert counting.calls <= 1
+            statuses.add(got[0])
+        assert batched.size == scalar.size
+        assert all(batched.node(i).tobytes() == scalar.node(i).tobytes()
+                   for i in range(batched.size))
+        assert {"advanced", "trapped"} <= statuses
+
+    def test_single_arm_validity_is_batched(self, arm3, rng):
+        qs = rng.uniform(-math.pi, math.pi, size=(40, 3))
+        got = expert.single_arm_validity(arm3)(qs)
+        assert got.tolist() == [is_free(arm3, q) for q in qs]
+
+
+def sequential_goal_config(arm, goal_pose, rng, pos_tol=0.03, rot_tol=0.1,
+                           bounds=DEFAULT_BOUNDS, max_restarts=50, iters=200):
+    """Reference: restarts drawn and descended one after another."""
+    if float(np.linalg.norm(goal_pose.position - arm.base.xy)) > arm.total_length + pos_tol:
+        return None
+    for _ in range(max_restarts):
+        q = rng.uniform(arm.lower_limits, arm.upper_limits)
+        step_scale = 0.8
+        prev_norm = np.inf
+        for _ in range(iters):
+            ee = forward_kinematics(arm, q)
+            r_pos = goal_pose.position - ee.position
+            r_rot = float(wrap_angle(goal_pose.orientation - ee.orientation))
+            if (np.linalg.norm(r_pos) <= 0.5 * pos_tol and abs(r_rot) <= 0.5 * rot_tol
+                    and is_free(arm, q, bounds)):
+                return q
+            residual = np.array([r_pos[0], r_pos[1], 0.3 * r_rot])
+            norm = float(np.linalg.norm(residual))
+            if norm > prev_norm:
+                step_scale = max(step_scale * 0.5, 0.01)
+            prev_norm = norm
+            verts = link_vertices(arm, q)
+            jac = np.ones((3, arm.dof))
+            rel = verts[-1][None, :] - verts[:-1]
+            jac[0] = -rel[:, 1]
+            jac[1] = rel[:, 0]
+            step = step_scale * (jac.T @ residual)
+            biggest = float(np.max(np.abs(step)))
+            if biggest > 0.2:
+                step *= 0.2 / biggest
+            if biggest < 1e-10:
+                break
+            q = np.clip(q + step, arm.lower_limits, arm.upper_limits)
+    return None
+
+
+def assert_same_as_sequential(arm, goal, seed, **kwargs):
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_goal_config(arm, goal, rng_a, **kwargs)
+    expect = sequential_goal_config(arm, goal, rng_b, **kwargs)
+    assert (got is None) == (expect is None)
+    if got is not None:
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    return got
+
+
+class TestLockstepGoalConfig:
+    @pytest.mark.parametrize("max_restarts", [1, 50])
+    def test_reachable(self, arm3, max_restarts):
+        goal = forward_kinematics(arm3, np.array([0.4, -0.9, 1.1]))
+        hits = sum(assert_same_as_sequential(arm3, goal, seed, max_restarts=max_restarts)
+                   is not None for seed in range(8))
+        assert hits == 8 if max_restarts == 50 else hits >= 1
+
+    @pytest.mark.parametrize("max_restarts", [1, 50])
+    def test_unreachable(self, arm3, max_restarts):
+        # Only full extension reaches (1, 0), and it points along heading 0.
+        goal = EEPose(np.array([1.0, 0.0]), math.pi / 2)
+        assert assert_same_as_sequential(arm3, goal, 3, max_restarts=max_restarts) is None
+
+    @pytest.mark.parametrize("max_restarts", [1, 50])
+    def test_collides_at_convergence(self, arm3, max_restarts):
+        # The wall sits half a radius beyond the goal, so every config within
+        # tolerance leaves the inset rectangle and descent runs on.
+        goal = forward_kinematics(arm3, np.array([0.3, -0.2, 0.1]))
+        bounds = WorldBounds(-3.0, float(goal.position[0]) + 0.055, -3.0, 3.0)
+        assert assert_same_as_sequential(arm3, goal, 5, bounds=bounds,
+                                         max_restarts=max_restarts) is None
+
+    def test_random_goals_tight_bounds(self, rng):
+        # A tight world makes some restarts converge in collision, so later
+        # restarts win and earlier ones keep descending past them.
+        bounds = WorldBounds(-1.0, 1.0, -1.0, 1.0)
+        for seed in range(12):
+            arm = make_arm((0.5, 0.3, 0.2), BasePose(*rng.uniform(-0.3, 0.3, size=2),
+                                                     rng.uniform(-math.pi, math.pi)), 0.11)
+            goal = forward_kinematics(arm, rng.uniform(-math.pi, math.pi, size=3))
+            assert_same_as_sequential(arm, goal, seed, bounds=bounds, max_restarts=6)
+
+    def test_loose_tolerance_takes_first_free_start(self, arm3):
+        # Every pose meets these tolerances, so all free starts succeed on the
+        # first iteration together. With one iteration the lowest-index free
+        # start must win; with more, a lower-index start that descends into
+        # free space later still beats it.
+        bounds = WorldBounds(-0.9, 0.9, -0.9, 0.9)
+        goal = forward_kinematics(arm3, np.zeros(3))
+        loose = dict(pos_tol=10.0, rot_tol=10.0, bounds=bounds, max_restarts=20)
+        replaced = 0
+        for seed in range(10):
+            first = assert_same_as_sequential(arm3, goal, seed, iters=1, **loose)
+            starts = np.random.default_rng(seed).uniform(
+                arm3.lower_limits, arm3.upper_limits, size=(20, 3))
+            free = [is_free(arm3, q, bounds) for q in starts]
+            assert first.tobytes() == starts[free.index(True)].tobytes()
+            later = assert_same_as_sequential(arm3, goal, seed, **loose)
+            replaced += later.tobytes() != first.tobytes()
+        assert replaced > 0
+
+    def test_zero_restarts(self, arm3):
+        goal = forward_kinematics(arm3, np.zeros(3))
+        assert assert_same_as_sequential(arm3, goal, 0, max_restarts=0) is None

@@ -22,6 +22,8 @@ from multiarm.kinematics import (
 
 from .conftest import random_arm, random_config
 
+SCALE = 0.85  # MorphologyConfig.workspace_scale default
+
 
 def fk_oracle(arm, q):
     """Independent FK via chained 2x2 rotation matrices."""
@@ -165,24 +167,25 @@ class TestDistances:
 class TestWorkspaceIntersection:
     def test_coincident(self):
         arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
-        r = kin.reach_radius(arm)
-        assert workspace_intersection(arm, arm) == pytest.approx(math.pi * r * r)
+        r = kin.reach_radius(arm, SCALE)
+        assert workspace_intersection(arm, arm, SCALE) == pytest.approx(math.pi * r * r)
 
     def test_disjoint(self):
         a = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
         b = make_arm((0.5, 0.5), BasePose(10, 0, 0), 0.1)
-        assert workspace_intersection(a, b) == 0.0
+        assert workspace_intersection(a, b, SCALE) == 0.0
 
     def test_symmetry(self, rng):
         for _ in range(20):
             a, b = random_arm(rng), random_arm(rng)
-            assert workspace_intersection(a, b) == pytest.approx(workspace_intersection(b, a))
+            assert workspace_intersection(a, b, SCALE) == pytest.approx(
+                workspace_intersection(b, a, SCALE))
 
     def test_monte_carlo_oracle(self, rng):
         for _ in range(5):
             a, b = random_arm(rng), random_arm(rng)
-            area = workspace_intersection(a, b)
-            ra, rb = kin.reach_radius(a), kin.reach_radius(b)
+            area = workspace_intersection(a, b, SCALE)
+            ra, rb = kin.reach_radius(a, SCALE), kin.reach_radius(b, SCALE)
             lo = np.minimum(a.base.xy - ra, b.base.xy - rb)
             hi = np.maximum(a.base.xy + ra, b.base.xy + rb)
             pts = rng.uniform(lo, hi, size=(1_000_000, 2))
@@ -204,8 +207,8 @@ class TestTransforms:
 
     def test_reach_radius_cap(self):
         arm = make_arm((1.0, 1.0), BasePose(0, 0, 0), 0.1)
-        assert kin.reach_radius(arm) == pytest.approx(0.85 * 2.0)
-        assert kin.reach_radius(arm, scale=2.0) == pytest.approx(2.0)
+        assert kin.reach_radius(arm, 0.85) == pytest.approx(0.85 * 2.0)
+        assert kin.reach_radius(arm, 1.0) == 2.0
 
 
 class TestValidation:
