@@ -11,6 +11,14 @@ The predicates `states_free` and `states_collide` take (k, d) stacks of
 configurations and answer per row from one vertex build per arm and one
 segment-distance kernel call; the scalar `is_free` and `arms_collide` are
 their one-row case.
+
+First-conflict search has a broad phase. Each (arm, plan) gets one
+`PlanRecord`: its rollout, its checked-state vertex stack and that stack's
+axis-aligned bounds. An arm pair whose bounds are separated on x or y by
+more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot touch at any checked
+state, so it resolves to "no conflict" without the capsule kernel. The
+margin sits far above the kernel's rounding error, so every verdict is the
+one the kernel would give.
 """
 
 from __future__ import annotations
@@ -255,13 +263,58 @@ def _checked_states(configs: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class PlanRecord:
+    """One arm's rolled-out plan as first-conflict search sees it.
+
+    `configs` is the rollout (T + 1, d), `verts` the vertex stack of its
+    checked states (2T, d + 1, 2), and (x_lo, y_lo, x_hi, y_hi) the
+    axis-aligned bounds of every vertex in `verts`. The bounds come from
+    numpy min/max, so a NaN vertex makes them NaN and the broad phase never
+    prunes on it.
+    """
+
+    configs: np.ndarray
+    verts: np.ndarray
+    x_lo: float
+    y_lo: float
+    x_hi: float
+    y_hi: float
+
+
+def plan_record(arm: ArmModel, q0: np.ndarray, plan: np.ndarray,
+                delta_limit: float) -> PlanRecord:
+    configs = rollout(arm, q0, plan, delta_limit)
+    verts = _trajectory_vertices(arm, _checked_states(configs))
+    lo = np.min(verts, axis=(0, 1))
+    hi = np.max(verts, axis=(0, 1))
+    return PlanRecord(configs, verts, float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+
+
+# Slack on the broad-phase gap test. The kernel measures between two points
+# it places on the segments, so its distance can undershoot the bounds gap
+# only by rounding error (about 1e-15 at workspace scale). A pair pruned with
+# this margin is one the kernel would also find clear.
+BROAD_PHASE_MARGIN = 1e-9
+
+
+def _separated(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanRecord) -> bool:
+    """True when the two sweeps' bounds are further apart on x or y than any
+    capsule contact allows. NaN bounds compare False and fall through."""
+    reach = a.collision_radius + b.collision_radius + BROAD_PHASE_MARGIN
+    return (rb.x_lo - ra.x_hi > reach or ra.x_lo - rb.x_hi > reach
+            or rb.y_lo - ra.y_hi > reach or ra.y_lo - rb.y_hi > reach)
+
+
 def _first_self_violation(arm: ArmModel, verts: np.ndarray, bounds: WorldBounds):
     bad = np.flatnonzero(~_verts_free(arm, verts, bounds))
     return int(bad[0]) // 2 if len(bad) else None
 
 
-def _first_pair_collision(a: ArmModel, va: np.ndarray, b: ArmModel, vb: np.ndarray):
-    bad = np.flatnonzero(_verts_collide(a, va, b, vb))
+def _first_pair_collision(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanRecord):
+    if _separated(a, ra, b, rb):
+        return None
+    bad = np.flatnonzero(_verts_collide(a, ra.verts, b, rb.verts))
     return int(bad[0]) // 2 if len(bad) else None
 
 
@@ -274,9 +327,10 @@ def find_first_collision(arms, start_configs, plans, cache: CollisionCache | Non
     Per-arm infeasibility surfaces as a self conflict (arm_i == arm_j).
     Ties in time break toward the lexicographically smallest (i, j). With a
     cache and per-arm plan indices, pairwise results are memoized under the
-    digest of the start configurations. `state_cache` additionally memoizes
-    rolled-out link geometry across calls, keyed by (arm, plan index); it
-    must be reset whenever start configurations change.
+    digest of the start configurations; a pair the broad phase prunes is
+    stored like any other. `state_cache` additionally memoizes each arm's
+    `PlanRecord` across calls, keyed by (arm, plan index); it must be reset
+    whenever start configurations change.
     """
     n = len(arms)
     horizons = {np.asarray(p).shape[0] for p in plans}
@@ -285,19 +339,18 @@ def find_first_collision(arms, start_configs, plans, cache: CollisionCache | Non
     digest = start_configs_digest(start_configs) if cache is not None else None
     use_cache = cache is not None and plan_indices is not None
 
-    verts = [None] * n
+    records = [None] * n
 
-    def arm_verts(i):
-        if verts[i] is None:
+    def record(i):
+        if records[i] is None:
             key = (i, plan_indices[i]) if (state_cache is not None and plan_indices is not None) else None
             if key is not None and key in state_cache:
-                verts[i] = state_cache[key]
-                return verts[i]
-            states = _checked_states(rollout(arms[i], start_configs[i], plans[i], delta_limit))
-            verts[i] = _trajectory_vertices(arms[i], states)
+                records[i] = state_cache[key]
+                return records[i]
+            records[i] = plan_record(arms[i], start_configs[i], plans[i], delta_limit)
             if key is not None:
-                state_cache[key] = verts[i]
-        return verts[i]
+                state_cache[key] = records[i]
+        return records[i]
 
     best: tuple[int, int, int] | None = None
 
@@ -313,10 +366,10 @@ def find_first_collision(arms, start_configs, plans, cache: CollisionCache | Non
         if use_cache:
             found, value = cache.lookup(i, plan_indices[i], i, plan_indices[i], digest)
             if not found:
-                value = _first_self_violation(arms[i], arm_verts(i), bounds)
+                value = _first_self_violation(arms[i], record(i).verts, bounds)
                 cache.store(i, plan_indices[i], i, plan_indices[i], digest, value)
         else:
-            value = _first_self_violation(arms[i], arm_verts(i), bounds)
+            value = _first_self_violation(arms[i], record(i).verts, bounds)
         consider(value, i, i)
 
     for i in range(n):
@@ -324,10 +377,10 @@ def find_first_collision(arms, start_configs, plans, cache: CollisionCache | Non
             if use_cache:
                 found, value = cache.lookup(i, plan_indices[i], j, plan_indices[j], digest)
                 if not found:
-                    value = _first_pair_collision(arms[i], arm_verts(i), arms[j], arm_verts(j))
+                    value = _first_pair_collision(arms[i], record(i), arms[j], record(j))
                     cache.store(i, plan_indices[i], j, plan_indices[j], digest, value)
             else:
-                value = _first_pair_collision(arms[i], arm_verts(i), arms[j], arm_verts(j))
+                value = _first_pair_collision(arms[i], record(i), arms[j], record(j))
             consider(value, i, j)
 
     if best is None:

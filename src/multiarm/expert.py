@@ -22,11 +22,13 @@ import numpy as np
 from .collision import (  # noqa: F401
     DEFAULT_BOUNDS,
     WorldBounds,
+    _check_stack,
     _checked_states,
     _trajectory_vertices,
+    _verts_collide,
+    _verts_free,
     arms_collide,
     is_free,
-    states_collide,
     states_free,
 )
 from .kinematics import ArmModel, EEPose, wrap_angle
@@ -106,6 +108,13 @@ def _connect(tree: _Tree, target: np.ndarray, is_valid, resolution: float):
     return status, idx
 
 
+def _path_length(waypoints: np.ndarray) -> float:
+    """Summed step lengths, added left to right; each length rounds like the
+    per-pair np.linalg.norm."""
+    d = waypoints[1:] - waypoints[:-1]
+    return sum(np.sqrt(np.vecdot(d, d)).tolist())
+
+
 def _shortcut(path: np.ndarray, is_valid, resolution: float, attempts: int,
               rng: np.random.Generator) -> np.ndarray:
     """Random shortcut smoothing; every replacement segment is re-validated."""
@@ -115,7 +124,7 @@ def _shortcut(path: np.ndarray, is_valid, resolution: float, attempts: int,
             break
         i = int(rng.integers(0, len(pts) - 2))
         j = int(rng.integers(i + 2, len(pts)))
-        old_len = sum(float(np.linalg.norm(pts[k + 1] - pts[k])) for k in range(i, j))
+        old_len = _path_length(np.stack(pts[i:j + 1]))
         if float(np.linalg.norm(pts[j] - pts[i])) >= old_len - 1e-12:
             continue
         if not _segment_valid(pts[i], pts[j], is_valid, resolution):
@@ -169,9 +178,10 @@ def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds = DE
 
     def valid(qs):
         qs = np.asarray(qs, dtype=float)
-        qa, qb = qs[:, :da], qs[:, da:]
-        return (states_free(arm_a, qa, bounds) & states_free(arm_b, qb, bounds)
-                & ~states_collide(arm_a, qa, arm_b, qb))
+        va = _trajectory_vertices(arm_a, _check_stack(arm_a, qs[:, :da]))
+        vb = _trajectory_vertices(arm_b, _check_stack(arm_b, qs[:, da:]))
+        return (_verts_free(arm_a, va, bounds) & _verts_free(arm_b, vb, bounds)
+                & ~_verts_collide(arm_a, va, arm_b, vb))
 
     return valid
 

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observation as obs
-from .collision import CollisionCache, Conflict, WorldBounds, find_first_collision, rollout
+from .collision import (
+    CollisionCache,
+    Conflict,
+    PlanRecord,
+    WorldBounds,
+    find_first_collision,
+    plan_record,
+    rollout,
+)
 from .config import RunConfig
 from .diffusion import Policy
 from .kinematics import EEPose, forward_kinematics, pos_distance, rot_distance
@@ -61,8 +69,11 @@ class PlannerResult:
 def plan_cost_terms(arm, start, plan, goal: EEPose, delta_limit: float) -> float:
     """Per-arm cost: summed step magnitudes plus terminal pose residuals."""
     plan = np.asarray(plan, dtype=float)
-    traj = rollout(arm, start, plan, delta_limit)
-    ee = forward_kinematics(arm, traj[-1])
+    return _cost_terms(arm, rollout(arm, start, plan, delta_limit)[-1], plan, goal)
+
+
+def _cost_terms(arm, final_config: np.ndarray, plan: np.ndarray, goal: EEPose) -> float:
+    ee = forward_kinematics(arm, final_config)
     smoothness = float(np.sum(np.linalg.norm(plan, axis=1)))
     return smoothness + pos_distance(ee, goal) + rot_distance(ee, goal)
 
@@ -124,6 +135,8 @@ class _Search:
         # Tuples ever inserted. Cost depends only on the tuple, so dropping
         # re-pushes from sibling expansions loses nothing but heap churn.
         self.pushed: set[tuple[int, ...]] = set()
+        # (arm, plan index) -> PlanRecord, shared by first-conflict search and
+        # cost, so each candidate plan is rolled out once.
         self.state_cache: dict = {}
         self.seq = 0
         self.audit = audit
@@ -146,14 +159,21 @@ class _Search:
                                     delta_limit=self.delta, bounds=self.bounds,
                                     state_cache=self.state_cache)
 
+    def record(self, i: int, bi: int) -> PlanRecord:
+        rec = self.state_cache.get((i, bi))
+        if rec is None:
+            rec = self.state_cache[(i, bi)] = plan_record(
+                self.arms[i], self.starts[i], self.plan_sets[i].plans[bi], self.delta)
+        return rec
+
     def cost_for(self, b, collided: bool) -> float:
         total = 0.0
         for i, bi in enumerate(b):
             key = (i, bi)
             if key not in self.arm_terms:
-                self.arm_terms[key] = plan_cost_terms(
-                    self.arms[i], self.starts[i], self.plan_sets[i].plans[bi],
-                    self.goals[i], self.delta)
+                self.arm_terms[key] = _cost_terms(
+                    self.arms[i], self.record(i, bi).configs[-1],
+                    self.plan_sets[i].plans[bi], self.goals[i])
             total += self.arm_terms[key]
         return total + (self.penalty if collided else 0.0)
 

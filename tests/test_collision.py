@@ -331,3 +331,109 @@ class TestBatchedPredicates:
             is_free(arm3, np.zeros(shape))
         with pytest.raises(DimensionError):
             arms_collide(arm3, np.zeros(shape), arm3, np.zeros(3))
+
+
+class KernelSpy:
+    """Wraps collision.segment_distance_batch and records every call's shape."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        kernel = col.segment_distance_batch
+
+        def spy(*args):
+            self.calls.append(np.broadcast_shapes(*(np.shape(a)[:-1] for a in args)))
+            return kernel(*args)
+
+        monkeypatch.setattr(col, "segment_distance_batch", spy)
+
+
+def one_link_pair(gap, axis):
+    """Two one-link arms along `axis`, radii 0.125 each, whose link segments
+    (and so their swept bounds under zero plans) are exactly `gap` apart."""
+    heading = 0.0 if axis == 0 else math.pi / 2
+    a = make_arm((0.5,), BasePose(0.0, 0.0, heading), 0.125)
+    xy = [0.0, 0.0]
+    xy[axis] = 0.5 + gap
+    b = make_arm((0.5,), BasePose(xy[0], xy[1], heading), 0.125)
+    return a, b
+
+
+class TestBroadPhase:
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, -1e-12, 1e-6, -1e-6])
+    def test_gap_at_contact_distance_matches_brute_force(self, monkeypatch, axis, eps):
+        spy = KernelSpy(monkeypatch)
+        a, b = one_link_pair(0.25 + eps, axis)
+        starts = [np.zeros(1), np.zeros(1)]
+        plans = [np.zeros((4, 1)), np.zeros((4, 1))]
+        for arms in ([a, b], [b, a]):
+            expect = brute_first_conflict(arms, starts, plans)
+            assert (expect is not None) == (eps < 0)
+            spy.calls.clear()
+            assert find_first_collision(arms, starts, plans) == expect
+            # Only a gap clear of the margin is pruned; the rest reach the kernel.
+            assert len(spy.calls) == (0 if eps > 1e-9 else 1)
+
+    def test_reused_caches_match_brute_force(self, rng):
+        pruned = reached = 0
+        for trial in range(12):
+            n = int(rng.integers(4, 7))
+            arms = [random_arm(rng, base_scale=1.6) for _ in range(n)]
+            starts = [random_config(a, rng) for a in arms]
+            candidates = [[rng.uniform(-DELTA, DELTA, size=(8, a.dof)) for _ in range(3)]
+                          for a in arms]
+            cache, state_cache = CollisionCache(), {}
+            for _ in range(6):
+                b = tuple(int(k) for k in rng.integers(0, 3, size=n))
+                plans = [candidates[i][k] for i, k in enumerate(b)]
+                got = find_first_collision(arms, starts, plans, cache=cache, plan_indices=b,
+                                           state_cache=state_cache)
+                assert got == brute_first_conflict(arms, starts, plans), f"trial {trial}"
+            records = {i: [state_cache[key] for key in state_cache if key[0] == i]
+                       for i in range(n)}
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for ri in records[i]:
+                        for rj in records[j]:
+                            if col._separated(arms[i], ri, arms[j], rj):
+                                pruned += 1
+                            else:
+                                reached += 1
+        assert pruned and reached
+
+    def test_far_pairs_never_reach_the_kernel(self, monkeypatch, rng):
+        spy = KernelSpy(monkeypatch)
+        # Arms 0 and 1 share the middle; arm 2 sits far off to the right.
+        arms = [make_arm((0.4, 0.3), BasePose(-0.5, 0.0, 0.0), 0.08),
+                make_arm((0.4, 0.3), BasePose(0.5, 0.0, math.pi), 0.08),
+                make_arm((0.4, 0.3), BasePose(2.6, 0.0, 0.0), 0.08)]
+        starts = [np.zeros(2)] * 3
+        plans = [rng.uniform(-DELTA, DELTA, size=(16, 2)) for _ in arms]
+        cache = CollisionCache()
+        expect = brute_first_conflict(arms, starts, plans)
+        spy.calls.clear()
+        got = find_first_collision(arms, starts, plans, cache=cache, plan_indices=(0, 0, 0))
+        assert got == expect
+        # Two-link arms need no self kernel, so the one call is the 0-1 pair.
+        assert spy.calls == [(32, 2, 2)]
+        # Pruned pairs are still stored, so the cache counts stay as before.
+        assert (cache.evals, cache.hits) == (6, 0)
+
+    def test_nan_bounds_fall_through(self):
+        a, b = one_link_pair(2.0, 0)
+        far = col.plan_record(b, np.zeros(1), np.zeros((4, 1)), DELTA)
+        assert col._separated(a, col.plan_record(a, np.zeros(1), np.zeros((4, 1)), DELTA), b, far)
+        lost = col.plan_record(a, np.array([np.nan]), np.zeros((4, 1)), DELTA)
+        assert math.isnan(lost.x_hi)
+        assert not col._separated(a, lost, b, far)
+        assert not col._separated(b, far, a, lost)
+
+    def test_record_bounds_cover_checked_states(self, rng):
+        for _ in range(20):
+            arm = random_arm(rng)
+            rec = col.plan_record(arm, random_config(arm, rng),
+                                  rng.uniform(-DELTA, DELTA, size=(6, arm.dof)), DELTA)
+            assert rec.configs.shape == (7, arm.dof)
+            assert rec.verts.shape == (12, arm.dof + 1, 2)
+            assert (rec.x_lo, rec.y_lo) == tuple(rec.verts.reshape(-1, 2).min(axis=0))
+            assert (rec.x_hi, rec.y_hi) == tuple(rec.verts.reshape(-1, 2).max(axis=0))

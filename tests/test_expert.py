@@ -229,6 +229,35 @@ class TestBatchedValidity:
         got = expert.single_arm_validity(arm3)(qs)
         assert got.tolist() == [is_free(arm3, q) for q in qs]
 
+    def test_dual_arm_validity_builds_vertices_once(self, head_on_pair, rng, monkeypatch):
+        a, b = head_on_pair
+        qs = rng.uniform(-math.pi, math.pi, size=(200, 6))
+        expect = [is_free(a, q[:3]) and is_free(b, q[3:]) and not arms_collide(a, q[:3], b, q[3:])
+                  for q in qs]
+        builds = []
+        real = expert._trajectory_vertices
+        monkeypatch.setattr(expert, "_trajectory_vertices",
+                            lambda arm, states: builds.append(arm) or real(arm, states))
+        assert expert.dual_arm_validity(a, b)(qs).tolist() == expect
+        assert builds == [a, b]
+        assert 0 < sum(expect) < len(expect)
+
+
+def per_pair_length(pts, i, j):
+    return sum(float(np.linalg.norm(pts[k + 1] - pts[k])) for k in range(i, j))
+
+
+class TestShortcut:
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_path_length_bitwise_equal_to_per_pair_norms(self, d, rng):
+        for _ in range(500):
+            n = int(rng.integers(2, 40))
+            pts = list(rng.normal(0.0, float(rng.choice([1e-3, 1.0, 1e3])), size=(n, d)))
+            i = int(rng.integers(0, n - 1))
+            j = int(rng.integers(i + 1, n))
+            got = expert._path_length(np.stack(pts[i:j + 1]))
+            assert np.float64(got).tobytes() == np.float64(per_pair_length(pts, i, j)).tobytes()
+
 
 def sequential_goal_config(arm, goal_pose, rng, pos_tol=0.03, rot_tol=0.1,
                            bounds=DEFAULT_BOUNDS, max_restarts=50, iters=200):

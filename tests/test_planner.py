@@ -374,3 +374,52 @@ class TestCacheIntegration:
                                collided=conflict is not None)
         if result.solved:
             assert result.stats["extraction_costs"][-1] == pytest.approx(recomputed)
+
+
+class TestPlanRecords:
+    def test_each_plan_rolled_out_once(self, cfg, monkeypatch):
+        from multiarm import collision
+        rolled = []
+        real = collision.rollout
+
+        def counting(arm, q0, plan, delta_limit):
+            rolled.append((id(arm), np.asarray(plan).tobytes()))
+            return real(arm, q0, plan, delta_limit)
+
+        monkeypatch.setattr(collision, "rollout", counting)
+        monkeypatch.setattr(pl, "rollout", counting)
+        arms, starts, goals, hists = facing_scene()
+        search = pl._Search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
+                            ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
+        result = search.run()
+        assert result.stats["repairs"] >= 1
+        assert len(rolled) == len(set(rolled)) == len(search.state_cache)
+        # Every generated node's arms were costed, so every candidate in a
+        # generated tuple has its one record.
+        assert len(search.arm_terms) == len(search.state_cache)
+
+    def test_broad_phase_leaves_search_unchanged(self, cfg, monkeypatch):
+        from multiarm import collision
+        arms, starts, goals, hists = ring_scene(6, radius=1.6)
+        single = random_policy("single", 40, pred_horizon=T_P, seed=3)
+        dual = random_policy("dual", 80, pred_horizon=T_P, seed=4)
+        small = dataclasses.replace(cfg, planner=dataclasses.replace(
+            cfg.planner, batch=4, max_expansions=8))
+        pruned = []
+        separated = collision._separated
+
+        def counting(*args):
+            pruned.append(separated(*args))
+            return pruned[-1]
+
+        monkeypatch.setattr(collision, "_separated", counting)
+        got = dgmap_search(arms, starts, goals, hists, single, dual, small, 5)
+        monkeypatch.setattr(collision, "_separated", lambda *args: False)
+        ref = dgmap_search(arms, starts, goals, hists, single, dual, small, 5)
+        assert any(pruned) and not all(pruned)
+        assert (got.t_star, got.solved) == (ref.t_star, ref.solved)
+        for key in ("expanded_tuples", "extraction_costs", "generated", "repairs",
+                    "cache_hits", "cache_evals"):
+            assert got.stats[key] == ref.stats[key]
+        for p, q in zip(got.plans, ref.plans):
+            assert np.array_equal(p.view(np.uint64), q.view(np.uint64))
