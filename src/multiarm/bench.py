@@ -23,14 +23,14 @@ from .config import RunConfig, config_digest, morphology_digest
 from .controller import (
     EpisodeResult,
     WorldState,
-    goal_reached,
     make_world,
     run_episode,
+    run_loop,
     segment_has_collision,
 )
 from .datasets import Dataset, compute_norm_stats, episode_windows
 from .diffusion import Policy, load_checkpoint, policy_from_state, train
-from .kinematics import BasePose, forward_kinematics, make_arm, pos_distance, wrap_angle
+from .kinematics import BasePose, forward_kinematics, make_arm, pos_distance
 from .nets import DenoiserMLP
 from .planner import plan_cost_terms
 from .seeding import METHOD_IDS, TAG_EPISODE, TAG_TASK, TAG_TOY, substream
@@ -60,39 +60,14 @@ def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
 
 def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
                            seed: int, trace_path=None) -> EpisodeResult:
-    """Each arm executes its own best sample every cycle; a collision ends
-    the episode as failure, exactly like the executor's safety assertion."""
+    """Each arm executes its own best sample every cycle, through the same
+    executor as DG-MAP: a collision ends the episode as failure."""
     ctrl = cfg.controller
-    bounds = WorldBounds(cfg.world.x_min, cfg.world.x_max, cfg.world.y_min,
-                         cfg.world.y_max)
-    n = len(world.arms)
-    result = EpisodeResult(False, 0, [], [])
-    best_pos = None
-    no_progress = 0
+    bounds = WorldBounds.from_world(cfg.world)
 
-    def residuals():
-        pos, rot = [], []
-        for arm, q, goal in zip(world.arms, world.configs, world.goals):
-            pose = forward_kinematics(arm, q)
-            pos.append(pos_distance(pose, goal))
-            rot.append(abs(float(wrap_angle(pose.orientation - goal.orientation))))
-        return pos, rot
-
-    def finish(success):
-        result.success = success
-        result.residual_pos, result.residual_rot = residuals()
-        result.steps = world.step
-        return result
-
-    best_pos, _ = residuals()
-    if all(goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol) for i in range(n)):
-        return finish(True)
-
-    cycle = 0
-    while world.step < ctrl.step_limit:
+    def propose(cycle, frozen):
         plans = [np.zeros((single.pred_horizon, arm.dof)) for arm in world.arms]
-        moving = [i for i in range(n)
-                  if not goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol)]
+        moving = [i for i in range(len(world.arms)) if i not in frozen]
         if moving:
             # One sampling chain for every unfinished arm; arm i keeps its
             # own generator, so its samples match a chain of its own.
@@ -105,47 +80,9 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
             for i, arm_samples in zip(moving, samples):
                 plans[i] = _best_own_plan(world.arms[i], world.configs[i],
                                           world.goals[i], arm_samples, cfg, bounds)
-        result.planner_calls += 1
-        cycle += 1
-        chunk = min(ctrl.baseline_chunk, ctrl.step_limit - world.step)
-        executed = 0
-        outcome = None
-        for s in range(chunk):
-            prev = [q.copy() for q in world.configs]
-            for i in range(n):
-                delta = np.clip(plans[i][s], -ctrl.delta_limit, ctrl.delta_limit)
-                world.configs[i] = np.clip(world.configs[i] + delta,
-                                           world.arms[i].lower_limits,
-                                           world.arms[i].upper_limits)
-            world.step += 1
-            executed += 1
-            if segment_has_collision(world.arms, prev, world.configs, bounds,
-                                     ctrl.exec_subsamples):
-                result.collision = True
-                outcome = "collision"
-                break
-            for i in range(n):
-                world.histories[i].append(obs.build_frame(
-                    world.arms[i], world.configs[i], world.goals[i]))
-            pos_now, _ = residuals()
-            progressed = any(best_pos[i] - pos_now[i] >= ctrl.stall_eps
-                             for i in range(n))
-            best_pos = [min(b, p) for b, p in zip(best_pos, pos_now)]
-            no_progress = 0 if progressed else no_progress + 1
-            if all(goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol)
-                   for i in range(n)):
-                outcome = "success"
-                break
-            if no_progress >= ctrl.stall_window:
-                result.stall = True
-                outcome = "stall"
-                break
-        result.chunks.append(executed)
-        if outcome == "success":
-            return finish(True)
-        if outcome in ("collision", "stall"):
-            return finish(False)
-    return finish(False)
+        return plans, ctrl.baseline_chunk, {}
+
+    return run_loop(world, cfg, propose, trace_path)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +119,7 @@ def run_episode_with_resim(task: TaskSpec, method: str, policies, cfg: RunConfig
     recorded = [[np.asarray(js[t]) for js in joint_slices]
                 for t in range(steps_recorded)]
 
-    bounds = WorldBounds(cfg.world.x_min, cfg.world.x_max, cfg.world.y_min,
-                         cfg.world.y_max)
+    bounds = WorldBounds.from_world(cfg.world)
     resim_ok = True
     if result.success:
         resim_ok = resimulate_trajectory(task.arms, recorded, bounds,

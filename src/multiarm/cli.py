@@ -54,8 +54,7 @@ def _out_path(path: str | Path) -> Path:
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     digest = morphology_digest(cfg)
-    bounds = WorldBounds(cfg.world.x_min, cfg.world.x_max, cfg.world.y_min,
-                         cfg.world.y_max)
+    bounds = WorldBounds.from_world(cfg.world)
     common = dict(t_o=cfg.diffusion.obs_horizon, t_p=cfg.diffusion.pred_horizon,
                   resolution=cfg.controller.delta_limit, bounds=bounds,
                   pos_tol=cfg.controller.pos_tol, rot_tol=cfg.controller.rot_tol,

@@ -44,6 +44,11 @@ class WorldBounds:
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
             raise ValueError("degenerate world bounds")
 
+    @classmethod
+    def from_world(cls, world) -> WorldBounds:
+        """The bounds of a config's `world` section (x_min, x_max, y_min, y_max)."""
+        return cls(world.x_min, world.x_max, world.y_min, world.y_max)
+
 
 DEFAULT_BOUNDS = WorldBounds()
 

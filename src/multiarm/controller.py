@@ -1,10 +1,12 @@
 """Closed-loop receding-horizon execution.
 
-Each cycle replans from the current configurations, executes the planner's
-safe prefix (clamped like any rollout), and appends executed frames to the
-observation histories. Execution asserts collision-freedom independently of
-planner claims by subsampling every executed step; any violation ends the
-episode as a recorded failure, never an exception.
+Each cycle asks a method's proposer for plans from the current
+configurations, executes the proposed prefix (clamped like any rollout), and
+appends executed frames to the observation histories. Execution asserts
+collision-freedom independently of planner claims by subsampling every
+executed step; any violation ends the episode as a recorded failure, never
+an exception. `run_loop` is that executor for every method; `run_episode`
+is DG-MAP's proposer on top of it.
 """
 
 from __future__ import annotations
@@ -127,17 +129,27 @@ def _residuals(world: WorldState):
     return pos, rot
 
 
-def run_episode(world: WorldState, single: Policy, dual: Policy | None,
-                cfg: RunConfig, seed: int, trace_path: str | Path | None = None) -> EpisodeResult:
-    """Plan-execute loop until success, failure, stall, or the step limit."""
+def run_loop(world: WorldState, cfg: RunConfig, propose,
+             trace_path: str | Path | None = None) -> EpisodeResult:
+    """Execute proposals until success, collision, stall or the step limit.
+
+    Every cycle calls `propose(cycle, frozen)`, where `frozen` holds the arms
+    already at their goals, and gets back `(plans, horizon, stats)`: one
+    (>= horizon, dof) delta plan per arm, the number of steps to execute
+    (>= 1; the loop clips it to the steps left) and the proposer's counters
+    (`repairs`, `expansions`, `solved`). The loop owns everything else, so
+    methods differ only in what they propose.
+    """
     ctrl = cfg.controller
-    bounds = WorldBounds(cfg.world.x_min, cfg.world.x_max, cfg.world.y_min,
-                         cfg.world.y_max)
+    bounds = WorldBounds.from_world(cfg.world)
     n = len(world.arms)
     trace = _TraceWriter(trace_path)
     result = EpisodeResult(False, 0, *(_residuals(world)))
     best_pos = list(result.residual_pos)
     no_progress = 0
+
+    def at_goal(i: int) -> bool:
+        return goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol)
 
     def finish(success: bool) -> EpisodeResult:
         result.success = success
@@ -146,30 +158,28 @@ def run_episode(world: WorldState, single: Policy, dual: Policy | None,
         trace.close()
         return result
 
-    if all(goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol) for i in range(n)):
+    if all(at_goal(i) for i in range(n)):
         return finish(True)
 
     cycle = 0
     while world.step < ctrl.step_limit:
-        frozen = frozenset(i for i in range(n)
-                           if goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol))
-        cycle_seed = int(substream(seed, TAG_CYCLE, cycle).integers(0, 2 ** 62))
-        plan = dgmap_search(world.arms, world.configs, world.goals,
-                            [obs.build_history(h, single.obs_horizon) for h in world.histories],
-                            single, dual, cfg, cycle_seed, frozen)
+        frozen = frozenset(i for i in range(n) if at_goal(i))
+        plans, horizon, stats = propose(cycle, frozen)
         result.planner_calls += 1
-        result.repairs += plan.stats.get("repairs", 0)
-        result.expansions += plan.stats.get("expansions", 0)
-        result.solved_calls += int(plan.solved)
+        result.repairs += stats.get("repairs", 0)
+        result.expansions += stats.get("expansions", 0)
+        result.solved_calls += int(stats.get("solved", False))
         cycle += 1
 
-        chunk = min(plan.t_star, ctrl.step_limit - world.step)
+        if horizon < 1:
+            raise ValueError(f"proposer returned horizon {horizon}; it must be >= 1")
+        chunk = min(horizon, ctrl.step_limit - world.step)
         executed = 0
-        outcome = None
+        success = False
         for s in range(chunk):
             prev = [q.copy() for q in world.configs]
             for i in range(n):
-                delta = np.clip(plan.plans[i][s], -ctrl.delta_limit, ctrl.delta_limit)
+                delta = np.clip(plans[i][s], -ctrl.delta_limit, ctrl.delta_limit)
                 world.configs[i] = np.clip(world.configs[i] + delta,
                                            world.arms[i].lower_limits,
                                            world.arms[i].upper_limits)
@@ -178,7 +188,6 @@ def run_episode(world: WorldState, single: Policy, dual: Policy | None,
             if segment_has_collision(world.arms, prev, world.configs, bounds,
                                      ctrl.exec_subsamples):
                 result.collision = True
-                outcome = "collision"
                 break
             for i in range(n):
                 world.histories[i].append(
@@ -191,17 +200,27 @@ def run_episode(world: WorldState, single: Policy, dual: Policy | None,
             best_pos = [min(b, p) for b, p in zip(best_pos, pos_now)]
             no_progress = 0 if progressed else no_progress + 1
 
-            if all(goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol)
-                   for i in range(n)):
-                outcome = "success"
+            success = all(at_goal(i) for i in range(n))
+            if success:
                 break
             if no_progress >= ctrl.stall_window:
                 result.stall = True
-                outcome = "stall"
                 break
         result.chunks.append(executed)
-        if outcome == "success":
-            return finish(True)
-        if outcome in ("collision", "stall"):
-            return finish(False)
+        if success or result.collision or result.stall:
+            return finish(success)
     return finish(False)
+
+
+def run_episode(world: WorldState, single: Policy, dual: Policy | None,
+                cfg: RunConfig, seed: int, trace_path: str | Path | None = None) -> EpisodeResult:
+    """DG-MAP: every cycle searches one horizon and executes its safe prefix."""
+
+    def propose(cycle, frozen):
+        cycle_seed = int(substream(seed, TAG_CYCLE, cycle).integers(0, 2 ** 62))
+        plan = dgmap_search(world.arms, world.configs, world.goals,
+                            [obs.build_history(h, single.obs_horizon) for h in world.histories],
+                            single, dual, cfg, cycle_seed, frozen)
+        return plan.plans, plan.t_star, plan.stats
+
+    return run_loop(world, cfg, propose, trace_path)

@@ -97,16 +97,20 @@ def path_to_deltas(path: np.ndarray) -> np.ndarray:
     return np.diff(path, axis=0)
 
 
+def _action_window(deltas: np.ndarray, t: int, t_p: int, dof: int) -> np.ndarray:
+    """Deltas t .. t + t_p - 1 flattened, zero-padded past the path's end."""
+    window = np.zeros((t_p, dof))
+    avail = deltas[t: t + t_p]
+    window[: len(avail)] = avail
+    return window.reshape(-1)
+
+
 def episode_windows(frames: list[np.ndarray], deltas: np.ndarray, t_o: int, t_p: int,
                     action_dim: int):
     """One (obs_history, action_window) pair per waypoint."""
-    n = len(frames)
-    for t in range(n):
+    for t in range(len(frames)):
         hist = obs.build_history(frames[: t + 1], t_o)
-        window = np.zeros((t_p, action_dim))
-        avail = deltas[t: t + t_p]
-        window[: len(avail)] = avail
-        yield obs.flatten(hist), window.reshape(-1)
+        yield obs.flatten(hist), _action_window(deltas, t, t_p, action_dim)
 
 
 def sample_free_config(arm: ArmModel, rng: np.random.Generator,
@@ -118,15 +122,44 @@ def sample_free_config(arm: ArmModel, rng: np.random.Generator,
     return None
 
 
-def _assemble(family, t_o, t_p, frame_width, action_dim, obs_rows, act_rows, meta) -> Dataset:
+def _generate(family: str, draw_arms, episode, n_episodes: int, seed: int,
+              morphology_digest: str, **settings) -> Dataset:
+    """The episode loop both families share.
+
+    Episode ep draws its arms with `draw_arms(rng)` from its own substream;
+    the first arm's dof sets the action width. `episode(arms, rng,
+    **settings)` returns the episode's (observation, action) rows, or None
+    when the expert gives up and the episode is skipped.
+    """
+    t_o, t_p = settings["t_o"], settings["t_p"]
+    rows = []
+    skipped = 0
+    dof = None
+    for ep in range(n_episodes):
+        rng = substream(seed, TAG_DATA, FAMILIES[family], ep)
+        arms = draw_arms(rng)
+        dof = arms[0].dof
+        got = episode(arms, rng, **settings)
+        if got is None:
+            skipped += 1
+            continue
+        rows.extend(got)
+    if dof is None:
+        dof = draw_arms(substream(seed, TAG_DATA, FAMILIES[family], 0))[0].dof
+    frame_width = obs.frame_width(dof)
     obs_width = t_o * frame_width * (2 if family == "dual" else 1)
-    observations = (np.stack(obs_rows).astype(np.float32) if obs_rows
+    observations = (np.stack([o for o, _ in rows]).astype(np.float32) if rows
                     else np.zeros((0, obs_width), dtype=np.float32))
-    actions = (np.stack(act_rows).astype(np.float32) if act_rows
-               else np.zeros((0, t_p * action_dim), dtype=np.float32))
-    norm = compute_norm_stats(observations, actions)
-    return Dataset(family, t_o, t_p, frame_width, action_dim, observations, actions,
-                   norm, meta)
+    actions = (np.stack([a for _, a in rows]).astype(np.float32) if rows
+               else np.zeros((0, t_p * dof), dtype=np.float32))
+    meta = {
+        "episodes": n_episodes,
+        "skipped": skipped,
+        "seed": seed,
+        "morphology_digest": morphology_digest,
+    }
+    return Dataset(family, t_o, t_p, frame_width, dof, observations, actions,
+                   compute_norm_stats(observations, actions), meta)
 
 
 def generate_single_dataset(arm_sampler, n_episodes: int, seed: int, *, t_o: int,
@@ -136,47 +169,11 @@ def generate_single_dataset(arm_sampler, n_episodes: int, seed: int, *, t_o: int
                             max_iters: int = 4000, shortcut_attempts: int = 100,
                             morphology_digest: str = "") -> Dataset:
     """Single-arm demonstrations: BiRRT to a sampled reachable goal pose."""
-    obs_rows, act_rows = [], []
-    skipped = 0
-    action_dim = None
-    frame_width = None
-    for ep in range(n_episodes):
-        rng = substream(seed, TAG_DATA, FAMILIES["single"], ep)
-        arm = arm_sampler(rng)
-        action_dim = arm.dof
-        frame_width = obs.frame_width(arm.dof)
-        valid = single_arm_validity(arm, bounds)
-        start = sample_free_config(arm, rng, bounds)
-        goal_seed = sample_free_config(arm, rng, bounds)
-        if start is None or goal_seed is None:
-            skipped += 1
-            continue
-        goal_pose = forward_kinematics(arm, goal_seed)
-        target = sample_goal_config(arm, goal_pose, rng, pos_tol, rot_tol, bounds)
-        if target is None:
-            skipped += 1
-            continue
-        path = birrt_plan(start, target, valid, rng, arm.lower_limits, arm.upper_limits,
-                          resolution, max_iters, shortcut_attempts)
-        if path is None:
-            skipped += 1
-            continue
-        deltas = path_to_deltas(path)
-        frames = [obs.build_frame(arm, q, goal_pose) for q in path]
-        for o, a in episode_windows(frames, deltas, t_o, t_p, arm.dof):
-            obs_rows.append(o)
-            act_rows.append(a)
-    if action_dim is None:
-        probe = arm_sampler(substream(seed, TAG_DATA, FAMILIES["single"], 0))
-        action_dim = probe.dof
-        frame_width = obs.frame_width(probe.dof)
-    meta = {
-        "episodes": n_episodes,
-        "skipped": skipped,
-        "seed": seed,
-        "morphology_digest": morphology_digest,
-    }
-    return _assemble("single", t_o, t_p, frame_width, action_dim, obs_rows, act_rows, meta)
+    return _generate("single", lambda rng: (arm_sampler(rng),), _single_episode,
+                     n_episodes, seed, morphology_digest, t_o=t_o, t_p=t_p,
+                     resolution=resolution, bounds=bounds, pos_tol=pos_tol,
+                     rot_tol=rot_tol, max_iters=max_iters,
+                     shortcut_attempts=shortcut_attempts)
 
 
 def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
@@ -186,37 +183,35 @@ def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
                           max_iters: int = 4000, shortcut_attempts: int = 100,
                           morphology_digest: str = "") -> Dataset:
     """Dual-arm demonstrations: joint-space BiRRT, two ego records per window."""
-    obs_rows, act_rows = [], []
-    skipped = 0
-    action_dim = None
-    frame_width = None
-    for ep in range(n_episodes):
-        rng = substream(seed, TAG_DATA, FAMILIES["dual"], ep)
-        arm_a, arm_b = pair_sampler(rng)
-        action_dim = arm_a.dof
-        frame_width = obs.frame_width(arm_a.dof)
-        episode = _dual_episode(arm_a, arm_b, rng, t_o, t_p, resolution, bounds,
-                                pos_tol, rot_tol, max_iters, shortcut_attempts)
-        if episode is None:
-            skipped += 1
-            continue
-        obs_rows.extend(episode[0])
-        act_rows.extend(episode[1])
-    if action_dim is None:
-        probe_a, _ = pair_sampler(substream(seed, TAG_DATA, FAMILIES["dual"], 0))
-        action_dim = probe_a.dof
-        frame_width = obs.frame_width(probe_a.dof)
-    meta = {
-        "episodes": n_episodes,
-        "skipped": skipped,
-        "seed": seed,
-        "morphology_digest": morphology_digest,
-    }
-    return _assemble("dual", t_o, t_p, frame_width, action_dim, obs_rows, act_rows, meta)
+    return _generate("dual", pair_sampler, _dual_episode, n_episodes, seed,
+                     morphology_digest, t_o=t_o, t_p=t_p, resolution=resolution,
+                     bounds=bounds, pos_tol=pos_tol, rot_tol=rot_tol,
+                     max_iters=max_iters, shortcut_attempts=shortcut_attempts)
 
 
-def _dual_episode(arm_a, arm_b, rng, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
+def _single_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
+                    max_iters, shortcut_attempts):
+    (arm,) = arms
+    valid = single_arm_validity(arm, bounds)
+    start = sample_free_config(arm, rng, bounds)
+    goal_seed = sample_free_config(arm, rng, bounds)
+    if start is None or goal_seed is None:
+        return None
+    goal_pose = forward_kinematics(arm, goal_seed)
+    target = sample_goal_config(arm, goal_pose, rng, pos_tol, rot_tol, bounds)
+    if target is None:
+        return None
+    path = birrt_plan(start, target, valid, rng, arm.lower_limits, arm.upper_limits,
+                      resolution, max_iters, shortcut_attempts)
+    if path is None:
+        return None
+    frames = [obs.build_frame(arm, q, goal_pose) for q in path]
+    return list(episode_windows(frames, path_to_deltas(path), t_o, t_p, arm.dof))
+
+
+def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
                   max_iters, shortcut_attempts):
+    arm_a, arm_b = arms
     valid = dual_arm_validity(arm_a, arm_b, bounds)
     starts = None
     for _ in range(100):
@@ -256,21 +251,16 @@ def _dual_episode(arm_a, arm_b, rng, t_o, t_p, resolution, bounds, pos_tol, rot_
     frames_a = [obs.build_frame(arm_a, q, goals[2]) for q in path_a]
     frames_b = [obs.build_frame(arm_b, q, goals[3]) for q in path_b]
 
-    obs_rows, act_rows = [], []
+    rows = []
     for ego_frames, other_frames, ego_deltas, ego_base, other_base in (
             (frames_a, frames_b, deltas_a, arm_a.base, arm_b.base),
             (frames_b, frames_a, deltas_b, arm_b.base, arm_a.base)):
-        n = len(ego_frames)
-        for t in range(n):
+        for t in range(len(ego_frames)):
             ego_hist = obs.build_history(ego_frames[: t + 1], t_o)
             other_hist = obs.build_history(other_frames[: t + 1], t_o)
             paired = obs.build_paired(ego_hist, other_hist, ego_base, other_base)
-            window = np.zeros((t_p, da))
-            avail = ego_deltas[t: t + t_p]
-            window[: len(avail)] = avail
-            obs_rows.append(obs.flatten(paired))
-            act_rows.append(window.reshape(-1))
-    return obs_rows, act_rows
+            rows.append((obs.flatten(paired), _action_window(ego_deltas, t, t_p, da)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

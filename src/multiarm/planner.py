@@ -78,13 +78,6 @@ def _cost_terms(arm, final_config: np.ndarray, plan: np.ndarray, goal: EEPose) -
     return smoothness + pos_distance(ee, goal) + rot_distance(ee, goal)
 
 
-def node_cost(arms, start_configs, plans, goals, *, delta_limit: float,
-              penalty: float, collided: bool) -> float:
-    total = sum(plan_cost_terms(arm, q0, plan, goal, delta_limit)
-                for arm, q0, plan, goal in zip(arms, start_configs, plans, goals))
-    return total + (penalty if collided else 0.0)
-
-
 def init_plans(single_policy: Policy, histories, batch: int, seed: int,
                delta_limit: float, bases=None, frozen=frozenset()) -> list[PlanSet]:
     """Sample each arm's candidate batch independently of the other arms.
@@ -122,8 +115,7 @@ class _Search:
         self.frozen = frozenset(frozen)
         self.n = len(self.arms)
         self.delta = cfg.controller.delta_limit
-        self.bounds = WorldBounds(cfg.world.x_min, cfg.world.x_max, cfg.world.y_min,
-                                  cfg.world.y_max)
+        self.bounds = WorldBounds.from_world(cfg.world)
         self.penalty = cfg.planner.collision_penalty
         self.cache = CollisionCache()
         self.plan_sets = init_plans(single_policy, histories, cfg.planner.batch, seed,

@@ -206,8 +206,7 @@ def generate_task(n_arms: int, difficulty: str, rng: np.random.Generator,
         raise ValueError("n_arms must be >= 1")
     if difficulty not in DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}")
-    bounds = WorldBounds(cfg.world.x_min, cfg.world.x_max, cfg.world.y_min,
-                         cfg.world.y_max)
+    bounds = WorldBounds.from_world(cfg.world)
     for _ in range(cfg.bench.task_ring_attempts):
         bases = sample_bases(n_arms, difficulty, rng, cfg)
         if bases is None:

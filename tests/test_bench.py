@@ -86,6 +86,20 @@ class TestBaseline:
         assert runs[0][0]["planner_calls"] >= 2
         assert runs[0] == runs[1]
 
+    def test_trace_dump_matches_steps(self, cfg, tmp_path):
+        arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
+        goal_q = np.array([0.9, 0.0, 0.0])
+        world = make_world([arm], [np.zeros(3)], [forward_kinematics(arm, goal_q)])
+        single = ScriptedPolicy(config_seeking_plans(goal_q))
+        trace_path = tmp_path / "trace.jsonl"
+        result = bn.baseline_decentralized(world, single, cfg, seed=6,
+                                           trace_path=trace_path)
+        lines = [json.loads(ln) for ln in trace_path.read_text().splitlines()]
+        assert result.steps > 0
+        assert [ln["step"] for ln in lines] == list(range(1, result.steps + 1))
+        assert len(lines[0]["configs"]) == 1
+        assert len(lines[0]["ee"][0]) == 3
+
     def test_never_reports_success_with_collision(self, cfg):
         arms, starts, goals, _ = facing_scene()
         world = make_world(arms, starts, goals)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,3 +173,53 @@ class TestChecks:
                                 "--single", str(tiny_checkpoint)], capsys)
         assert code == 2
         assert "incompatible-checkpoint" in err
+
+
+# One small 2-arm cell: 3 episodes per method give 6 jobs, so two workers
+# each run a chunk of the pool's map.
+BENCH_CELL = """
+bench:
+  n_arms: [2]
+  difficulties: [easy]
+  episodes_per_cell: 3
+controller:
+  step_limit: 60
+"""
+
+
+class TestPipelineSmoke:
+    def test_gen_train_bench_across_worker_counts(self, tmp_path, small_cfg_file,
+                                                  tiny_checkpoint, capsys):
+        dual_data, dual_ckpt = tmp_path / "dual.mad", tmp_path / "dual.ckpt"
+        code, _, _ = run_cli(["gen-data", "--config", small_cfg_file, "--family", "dual",
+                              "--episodes", "1", "--out", str(dual_data), "--seed", "1"],
+                             capsys)
+        assert code == 0 and len(dsets.load_dataset(dual_data)) > 0
+        code, _, _ = run_cli(["train", "--config", small_cfg_file, "--family", "dual",
+                              "--data", str(dual_data), "--out", str(dual_ckpt),
+                              "--seed", "3"], capsys)
+        assert code == 0
+        bench_cfg = tmp_path / "bench.yaml"
+        bench_cfg.write_text(Path(small_cfg_file).read_text() + BENCH_CELL)
+
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"bench-w{workers}"
+            code, stdout, _ = run_cli(["bench", "--config", str(bench_cfg), "--methods",
+                                       "dgmap,decentralized", "--single",
+                                       str(tiny_checkpoint), "--dual", str(dual_ckpt),
+                                       "--out", str(out), "--workers", workers], capsys)
+            assert code == 0
+            assert "gate=soundness ok=1" in stdout
+            outputs.append([(out / name).read_bytes()
+                            for name in ("report.csv", "episodes.jsonl")])
+        assert outputs[0] == outputs[1]
+
+        records = [json.loads(ln) for ln in outputs[0][1].decode().splitlines()[1:]]
+        assert sorted((r["method"], r["episode"]) for r in records) == sorted(
+            (m, e) for m in ("dgmap", "decentralized") for e in range(3))
+        tasks = {}
+        for r in records:
+            tasks.setdefault(r["episode"], set()).add(r["task_digest"])
+        assert all(len(digests) == 1 for digests in tasks.values())
+        assert all(r["resim_ok"] for r in records if r["success"])

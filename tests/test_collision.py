@@ -118,6 +118,12 @@ class TestIsFree:
         assert is_free(arm, np.array([math.pi * 0.999, 0.0]), bounds)
 
 
+    def test_bounds_from_world_config(self):
+        from multiarm.config import load_config
+        world = load_config(None, {"world.x_min": -2.5, "world.y_max": 1.5}).world
+        bounds = WorldBounds.from_world(world)
+        assert bounds == WorldBounds(-2.5, world.x_max, world.y_min, 1.5)
+
 class TestArmsCollide:
     def test_far_apart(self, rng):
         a = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)

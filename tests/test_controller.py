@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from multiarm import controller as ctl
 from multiarm.collision import find_first_collision
 from multiarm.config import load_config
-from multiarm.controller import goal_reached, make_world, run_episode
+from multiarm.controller import goal_reached, make_world, run_episode, run_loop
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 
 from .test_planner import ScriptedPolicy, dodge_plans, facing_scene, straight_plans
@@ -143,6 +144,77 @@ class TestRunEpisode:
         r1 = run_episode(make_world(arms, starts, goals), single, dual, cfg, seed=7)
         r2 = run_episode(make_world(arms, starts, goals), single, dual, cfg, seed=7)
         assert r1.to_json() == r2.to_json()
+
+
+class ScriptedProposer:
+    """Returns the same plans, horizon and stats every cycle and records
+    each call's (cycle, frozen)."""
+
+    def __init__(self, plans, horizon, stats=None):
+        self.plans = plans
+        self.horizon = horizon
+        self.stats = stats or {}
+        self.calls = []
+
+    def __call__(self, cycle, frozen):
+        self.calls.append((cycle, frozen))
+        return self.plans, self.horizon, dict(self.stats)
+
+
+def limited(cfg, step_limit, stall_window=1000):
+    return dataclasses.replace(cfg, controller=dataclasses.replace(
+        cfg.controller, step_limit=step_limit, stall_window=stall_window))
+
+
+def two_apart_arms():
+    """Two arms far apart: arm 0 starts at its goal, arm 1 does not."""
+    a = make_arm((0.5, 0.3, 0.2), BasePose(-1.5, 0.0, 0.0), 0.11)
+    b = make_arm((0.5, 0.3, 0.2), BasePose(1.5, 0.0, math.pi), 0.11)
+    q = np.zeros(3)
+    goals = [forward_kinematics(a, q), forward_kinematics(b, np.array([0.8, 0.0, 0.0]))]
+    return make_world([a, b], [q, q.copy()], goals)
+
+
+class TestRunLoop:
+    def test_at_goal_never_proposes(self, cfg):
+        arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
+        q = np.array([0.2, 0.1, -0.3])
+        world = make_world([arm], [q], [forward_kinematics(arm, q)])
+        propose = ScriptedProposer([np.full((T_P, 3), 0.1)], T_P)
+        result = run_loop(world, cfg, propose)
+        assert propose.calls == []
+        assert result.success and result.steps == 0
+        assert result.planner_calls == 0 and result.chunks == []
+
+    def test_horizon_clipped_at_step_limit(self, cfg):
+        world = two_apart_arms()
+        propose = ScriptedProposer([np.zeros((T_P, 3))] * 2, 5)
+        result = run_loop(world, limited(cfg, 7), propose)
+        assert result.chunks == [5, 2]
+        assert result.steps == 7 == sum(result.chunks)
+        assert not (result.success or result.collision or result.stall)
+        assert result.planner_calls == 2
+
+    def test_zero_horizon_rejected(self, cfg):
+        with pytest.raises(ValueError, match="horizon"):
+            run_loop(two_apart_arms(), cfg, ScriptedProposer([np.zeros((T_P, 3))] * 2, 0))
+
+    def test_frozen_is_arms_at_goals(self, cfg):
+        world = two_apart_arms()
+        propose = ScriptedProposer([np.zeros((T_P, 3))] * 2, 3)
+        run_loop(world, limited(cfg, 9), propose)
+        assert propose.calls == [(0, frozenset({0})), (1, frozenset({0})),
+                                 (2, frozenset({0}))]
+
+    def test_stats_accumulate_from_proposer(self, cfg):
+        plans = [np.zeros((T_P, 3))] * 2
+        stats = {"repairs": 2, "expansions": 3, "solved": True}
+        result = run_loop(two_apart_arms(), limited(cfg, 9),
+                          ScriptedProposer(plans, 3, stats))
+        assert (result.repairs, result.expansions, result.solved_calls) == (6, 9, 3)
+        empty = run_loop(two_apart_arms(), limited(cfg, 9), ScriptedProposer(plans, 3))
+        assert (empty.repairs, empty.expansions, empty.solved_calls) == (0, 0, 0)
+        assert empty.planner_calls == 3
 
 
 class TestSegmentCollision:

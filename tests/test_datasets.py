@@ -47,6 +47,14 @@ class TestWindows:
         assert np.all(last_act == 0.0)  # end padding
         assert first_act[:6] == pytest.approx(deltas.reshape(-1)[:6])
 
+    def test_action_window_zero_pads_past_path_end(self):
+        deltas = np.arange(12, dtype=float).reshape(4, 3)
+        window = ds._action_window(deltas, 2, 5, 3)
+        assert window.shape == (15,)
+        assert np.array_equal(window.reshape(5, 3)[:2], deltas[2:])
+        assert np.all(window.reshape(5, 3)[2:] == 0.0)
+        assert np.all(ds._action_window(deltas, 4, 5, 3) == 0.0)
+
     def test_integrating_deltas_recovers_path(self, rng):
         path = np.cumsum(rng.uniform(-RES, RES, size=(30, 3)), axis=0)
         deltas = ds.path_to_deltas(path)

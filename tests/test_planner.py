@@ -9,7 +9,7 @@ from multiarm.collision import CollisionCache, find_first_collision
 from multiarm.config import RunConfig, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import build_frame, build_history
-from multiarm.planner import PlanSet, dgmap_search, node_cost, plan_cost_terms
+from multiarm.planner import PlanSet, dgmap_search, plan_cost_terms
 
 from .test_diffusion import random_policy
 
@@ -97,23 +97,27 @@ class TestPlanSet:
             PlanSet([])
 
 
+def one_arm_search(cfg, penalty=10.0):
+    """A one-arm search whose only candidate plan holds still at the goal."""
+    arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
+    q = np.array([0.3, -0.2])
+    goal = forward_kinematics(arm, q)
+    hist = build_history([build_frame(arm, q, goal)], 2)
+    hold = ScriptedPolicy(lambda o, c, r: np.zeros((c, T_P, 2)), action_dim=2)
+    cfg = dataclasses.replace(cfg, planner=dataclasses.replace(
+        cfg.planner, collision_penalty=penalty))
+    return pl._Search([arm], [q], [goal], [hist], hold, None, cfg, 0, frozenset())
+
+
 class TestNodeCost:
-    def test_zero_at_goal_with_zero_plans(self):
-        arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
-        q = np.array([0.3, -0.2])
-        goal = forward_kinematics(arm, q)
-        cost = node_cost([arm], [q], [np.zeros((T_P, 2))], [goal],
-                         delta_limit=DELTA, penalty=10.0, collided=False)
+    def test_zero_at_goal_with_zero_plans(self, cfg):
+        cost = one_arm_search(cfg).cost_for((0,), collided=False)
         assert cost == pytest.approx(0.0, abs=1e-12)
 
-    def test_collision_penalty_adds_ten(self):
-        arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
-        q = np.array([0.3, -0.2])
-        goal = forward_kinematics(arm, q)
-        base = node_cost([arm], [q], [np.zeros((T_P, 2))], [goal],
-                         delta_limit=DELTA, penalty=10.0, collided=False)
-        bumped = node_cost([arm], [q], [np.zeros((T_P, 2))], [goal],
-                           delta_limit=DELTA, penalty=10.0, collided=True)
+    def test_collision_penalty_adds_ten(self, cfg):
+        search = one_arm_search(cfg)
+        base = search.cost_for((0,), collided=False)
+        bumped = search.cost_for((0,), collided=True)
         assert bumped - base == pytest.approx(10.0)
 
     def test_matches_independent_recomputation(self, rng):
@@ -369,9 +373,10 @@ class TestCacheIntegration:
         # Recompute the returned node's cost from scratch.
         conflict = find_first_collision(arms, starts, list(result.plans),
                                         delta_limit=DELTA)
-        recomputed = node_cost(arms, starts, list(result.plans), goals,
-                               delta_limit=DELTA, penalty=cfg.planner.collision_penalty,
-                               collided=conflict is not None)
+        recomputed = sum(plan_cost_terms(arm, q0, plan, goal, DELTA)
+                         for arm, q0, plan, goal in zip(arms, starts, result.plans, goals))
+        if conflict is not None:
+            recomputed += cfg.planner.collision_penalty
         if result.solved:
             assert result.stats["extraction_costs"][-1] == pytest.approx(recomputed)
 
