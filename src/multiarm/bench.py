@@ -32,7 +32,7 @@ from .datasets import Dataset, compute_norm_stats, episode_windows
 from .diffusion import Policy, load_checkpoint, policy_from_state, train
 from .kinematics import BasePose, forward_kinematics, make_arm, pos_distance
 from .nets import DenoiserMLP
-from .planner import plan_cost_terms
+from .planner import _cost_terms
 from .seeding import METHOD_IDS, TAG_EPISODE, TAG_TASK, TAG_TOY, substream
 from .tasks import DIFFICULTIES, TaskSpec, generate_task, task_digest
 
@@ -44,13 +44,18 @@ METHODS = ("dgmap", "decentralized")
 # ---------------------------------------------------------------------------
 
 def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
-    """The arm's cheapest candidate, judged on its own: no other arm exists."""
+    """The arm's cheapest candidate, judged on its own: no other arm exists.
+
+    Each candidate is rolled out once: the conflict check leaves its
+    `PlanRecord` in `records`, and the cost reads the final config from it.
+    """
+    records: dict = {}
     best, best_score = None, None
-    for plan in plans:
-        conflict = find_first_collision([arm], [q], [plan],
+    for k, plan in enumerate(plans):
+        conflict = find_first_collision([arm], [q], [plan], plan_indices=(k,),
                                         delta_limit=cfg.controller.delta_limit,
-                                        bounds=bounds)
-        score = plan_cost_terms(arm, q, plan, goal, cfg.controller.delta_limit)
+                                        bounds=bounds, state_cache=records)
+        score = _cost_terms(arm, records[(0, k)].configs[-1], plan, goal)
         if conflict is not None:
             score += cfg.planner.collision_penalty
         if best_score is None or score < best_score:
@@ -92,11 +97,13 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
 def resimulate_trajectory(arms, configs_per_step, bounds: WorldBounds,
                           subsamples: int) -> bool:
     """True when the whole recorded trajectory is collision-free under dense
-    interpolation. Written against the raw geometry predicates only."""
-    for prev, new in zip(configs_per_step[:-1], configs_per_step[1:]):
-        if segment_has_collision(arms, list(prev), list(new), bounds, subsamples):
-            return False
-    return True
+    interpolation. `configs_per_step[t][i]` is arm i's config after step t;
+    every step of every arm goes through one `segment_has_collision` call,
+    the executor's own check, as (steps, dof) stacks."""
+    stacks = [np.asarray([step[i] for step in configs_per_step], dtype=float)
+              for i in range(len(arms))]
+    return not segment_has_collision(arms, [s[:-1] for s in stacks],
+                                     [s[1:] for s in stacks], bounds, subsamples)
 
 
 def run_episode_with_resim(task: TaskSpec, method: str, policies, cfg: RunConfig,
@@ -203,7 +210,7 @@ def run_benchmark(cfg: RunConfig, policies, methods, out_dir: str | Path,
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=(cfg, policies["paths"]["single"],
                                            policies["paths"].get("dual"))) as pool:
-            records = list(pool.map(_worker_episode, jobs, chunksize=4))
+            records = list(pool.map(_worker_episode, jobs))
     else:
         records = [_run_one(m, n, d, e, s, cfg, policies) for m, n, d, e, s in jobs]
 

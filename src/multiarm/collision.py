@@ -10,7 +10,12 @@ in 300 max-rate steps that started near contact).
 The predicates `states_free` and `states_collide` take (k, d) stacks of
 configurations and answer per row from one vertex build per arm and one
 segment-distance kernel call; the scalar `is_free` and `arms_collide` are
-their one-row case.
+their one-row case. Every caller reaches the kernel through the same stacked
+helpers, `_trajectory_vertices`, `_verts_free` and `_verts_collide`: the
+planner's first-conflict search, the experts' validity checks, and the
+executor's per-step check (`controller.segment_has_collision`), which the
+resim gate (`bench.resimulate_trajectory`) runs once over a whole recorded
+trajectory.
 
 First-conflict search has a broad phase. Each (arm, plan) gets one
 `PlanRecord`: its rollout, its checked-state vertex stack and that stack's

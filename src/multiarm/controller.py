@@ -5,8 +5,10 @@ configurations, executes the proposed prefix (clamped like any rollout), and
 appends executed frames to the observation histories. Execution asserts
 collision-freedom independently of planner claims by subsampling every
 executed step; any violation ends the episode as a recorded failure, never
-an exception. `run_loop` is that executor for every method; `run_episode`
-is DG-MAP's proposer on top of it.
+an exception. That check, `segment_has_collision`, stacks each arm's
+interpolated states and answers through the same vertex and capsule
+predicates as the planner and the experts. `run_loop` is the executor for
+every method; `run_episode` is DG-MAP's proposer on top of it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import WorldBounds, arms_collide, is_free
+from .collision import (
+    WorldBounds,
+    _check_stack,
+    _trajectory_vertices,
+    _verts_collide,
+    _verts_free,
+)
 from .config import RunConfig
 from .diffusion import Policy
 from .kinematics import EEPose, forward_kinematics, pos_distance, rot_distance
@@ -84,19 +92,29 @@ def goal_reached(world: WorldState, i: int, pos_tol: float, rot_tol: float) -> b
 
 def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
                           subsamples: int) -> bool:
-    """Check interpolated states between consecutive executed configs."""
-    n = len(arms)
-    for s in range(1, subsamples + 1):
-        tau = s / subsamples
-        states = [p + tau * (q - p) for p, q in zip(prev_configs, new_configs)]
-        for i in range(n):
-            if not is_free(arms[i], states[i], bounds):
-                return True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if arms_collide(arms[i], states[i], arms[j], states[j]):
-                    return True
-    return False
+    """True when an interpolated state between consecutive configs leaves the
+    bounds, self-collides or brings an arm pair into capsule contact.
+
+    Arm i moves from prev_configs[i] to new_configs[i]: one config (d,) or a
+    (k, d) stack of k steps. Every step is checked at tau = s / subsamples for
+    s = 1..subsamples, so a (k, d) call answers the OR of its k one-step
+    calls. Each arm's states form one stack with one vertex build; bounds and
+    self contact take one `_verts_free` call per arm and each arm pair one
+    `_verts_collide` call.
+    """
+    taus = np.arange(1, subsamples + 1) / subsamples
+    verts = []
+    for arm, p, q in zip(arms, prev_configs, new_configs):
+        p = _check_stack(arm, np.atleast_2d(p))
+        q = _check_stack(arm, np.atleast_2d(q))
+        states = (p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof)
+        v = _trajectory_vertices(arm, states)
+        if not np.all(_verts_free(arm, v, bounds)):
+            return True
+        verts.append(v)
+    n = len(verts)
+    return any(np.any(_verts_collide(arms[i], verts[i], arms[j], verts[j]))
+               for i in range(n) for j in range(i + 1, n))
 
 
 class _TraceWriter:
@@ -144,12 +162,15 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
     bounds = WorldBounds.from_world(cfg.world)
     n = len(world.arms)
     trace = _TraceWriter(trace_path)
-    result = EpisodeResult(False, 0, *(_residuals(world)))
-    best_pos = list(result.residual_pos)
+    # Residuals of the current configs, refreshed once per executed step;
+    # the goal tests below are `goal_reached`'s, applied to them.
+    pos, rot = _residuals(world)
+    result = EpisodeResult(False, 0, pos, rot)
+    best_pos = pos
     no_progress = 0
 
     def at_goal(i: int) -> bool:
-        return goal_reached(world, i, ctrl.pos_tol, ctrl.rot_tol)
+        return pos[i] <= ctrl.pos_tol and rot[i] <= ctrl.rot_tol
 
     def finish(success: bool) -> EpisodeResult:
         result.success = success
@@ -194,10 +215,10 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
                     obs.build_frame(world.arms[i], world.configs[i], world.goals[i]))
             trace.record(world)
 
-            pos_now, _ = _residuals(world)
-            progressed = any(best_pos[i] - pos_now[i] >= ctrl.stall_eps
+            pos, rot = _residuals(world)
+            progressed = any(best_pos[i] - pos[i] >= ctrl.stall_eps
                              for i in range(n))
-            best_pos = [min(b, p) for b, p in zip(best_pos, pos_now)]
+            best_pos = [min(b, p) for b, p in zip(best_pos, pos)]
             no_progress = 0 if progressed else no_progress + 1
 
             success = all(at_goal(i) for i in range(n))

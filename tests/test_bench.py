@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multiarm import bench as bn
+from multiarm import controller as ctl
 from multiarm.config import load_config
 from multiarm.controller import make_world
 from multiarm.kinematics import BasePose, forward_kinematics, make_arm
@@ -13,7 +14,7 @@ from multiarm.kinematics import BasePose, forward_kinematics, make_arm
 from .test_diffusion import random_policy
 from .test_planner import (PerRowReference, PerRowSampling, ScriptedPolicy, dodge_plans,
                            facing_scene, ring_scene, straight_plans)
-from .test_controller import config_seeking_plans
+from .test_controller import TIGHT, config_seeking_plans, random_layout, random_steps
 
 T_P = 16
 
@@ -108,6 +109,48 @@ class TestBaseline:
         assert not (result.success and result.collision)
 
 
+    def test_each_candidate_rolled_out_once(self, cfg, monkeypatch):
+        from multiarm import collision
+        from multiarm import planner as pl
+        arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
+        q = np.array([0.2, -0.4, 0.3])
+        goal = forward_kinematics(arm, np.array([1.0, 0.2, -0.2]))
+        plans = list(np.random.default_rng(4).uniform(-0.15, 0.15, (12, T_P, 3)))
+        bounds = bn.WorldBounds(-1.2, 1.2, -1.2, 0.5)
+
+        def reference():
+            # Conflict check and cost each roll the plan out themselves.
+            best, best_score = None, None
+            for plan in plans:
+                conflict = bn.find_first_collision([arm], [q], [plan],
+                                                   delta_limit=cfg.controller.delta_limit,
+                                                   bounds=bounds)
+                score = pl.plan_cost_terms(arm, q, plan, goal, cfg.controller.delta_limit)
+                if conflict is not None:
+                    score += cfg.planner.collision_penalty
+                if best_score is None or score < best_score:
+                    best, best_score = plan, score
+            return best, best_score
+
+        rolled = []
+        real = collision.rollout
+
+        def counting(arm, q0, plan, delta_limit):
+            rolled.append(np.asarray(plan).tobytes())
+            return real(arm, q0, plan, delta_limit)
+
+        monkeypatch.setattr(collision, "rollout", counting)
+        monkeypatch.setattr(pl, "rollout", counting)
+        got = bn._best_own_plan(arm, q, goal, plans, cfg, bounds)
+        assert sorted(rolled) == sorted(p.tobytes() for p in plans)
+        ref, ref_score = reference()
+        assert got is ref
+        # Some candidates leave the bounds, so the penalty takes part.
+        conflicts = [bn.find_first_collision([arm], [q], [p], delta_limit=0.1,
+                                             bounds=bounds) is not None for p in plans]
+        assert any(conflicts) and not all(conflicts)
+
+
 class TestResim:
     def test_detects_planted_collision(self, cfg):
         a = make_arm((1.0,), BasePose(0.0, 0.3, 0.0), 0.1)
@@ -119,6 +162,41 @@ class TestResim:
         bounds = bn.WorldBounds()
         assert bn.resimulate_trajectory([a, b], clean, bounds, 10)
         assert not bn.resimulate_trajectory([a, b], crossing, bounds, 10)
+
+
+    def test_one_check_matches_per_step_reference(self, monkeypatch):
+        calls = []
+        real = bn.segment_has_collision
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(bn, "segment_has_collision", counting)
+        rng = np.random.default_rng(8)
+        verdicts = []
+        for trial in range(60):
+            arms = random_layout(rng, 1 + trial % 6)
+            k = int(rng.integers(1, 12))
+            trajs = random_steps(rng, arms, k=k, reach=0.1)
+            recorded = [[t[s] for t in trajs] for s in range(k + 1)]
+            calls.clear()
+            got = bn.resimulate_trajectory(arms, recorded, TIGHT, 10)
+            assert len(calls) == 1
+            # The per-step reference: the old loop over consecutive states.
+            ref = not any(real(arms, list(prev), list(new), TIGHT, 10)
+                          for prev, new in zip(recorded[:-1], recorded[1:]))
+            assert got == ref
+            verdicts.append(got)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_one_state_trajectory_is_clear(self):
+        arms = [make_arm((1.0,), BasePose(0.0, y, 0.0), 0.1) for y in (0.0, 0.05)]
+        # The only state collides, but no step is taken, so nothing is checked.
+        assert ctl.segment_has_collision(arms, [np.zeros(1)] * 2, [np.zeros(1)] * 2,
+                                         bn.WorldBounds(), 10)
+        assert bn.resimulate_trajectory(arms, [[np.zeros(1), np.zeros(1)]],
+                                        bn.WorldBounds(), 10)
 
 
 class TestRunBenchmark:

@@ -175,8 +175,8 @@ class TestChecks:
         assert "incompatible-checkpoint" in err
 
 
-# One small 2-arm cell: 3 episodes per method give 6 jobs, so two workers
-# each run a chunk of the pool's map.
+# One small 2-arm cell: 3 episodes per method give 6 jobs, which the pool
+# hands out one at a time, so both workers run episodes.
 BENCH_CELL = """
 bench:
   n_arms: [2]

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from multiarm import controller as ctl
-from multiarm.collision import find_first_collision
+from multiarm.collision import WorldBounds, arms_collide, find_first_collision, is_free
 from multiarm.config import load_config
 from multiarm.controller import goal_reached, make_world, run_episode, run_loop
-from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
+from multiarm.kinematics import BasePose, DimensionError, EEPose, forward_kinematics, make_arm
 
 from .test_planner import ScriptedPolicy, dodge_plans, facing_scene, straight_plans
 
@@ -206,6 +206,35 @@ class TestRunLoop:
         assert propose.calls == [(0, frozenset({0})), (1, frozenset({0})),
                                  (2, frozenset({0}))]
 
+    def test_goal_test_is_inclusive(self, cfg):
+        # Dyadic residuals as in TestGoalReached: exactly at tolerance counts
+        # as reached, a tolerance 1e-5 below it does not.
+        arm = make_arm((0.5, 0.5), BasePose(-1.0, 0.0, 0.0), 0.1)
+        goal = EEPose(np.array([0.03125, 0.0]), 0.125)
+        for pos_tol, reached in ((0.03125, True), (0.03124, False)):
+            tol = dataclasses.replace(cfg, controller=dataclasses.replace(
+                cfg.controller, pos_tol=pos_tol, rot_tol=0.125, step_limit=2))
+            world = make_world([arm], [np.zeros(2)], [goal])
+            propose = ScriptedProposer([np.zeros((T_P, 2))], 1)
+            result = run_loop(world, tol, propose)
+            assert result.success == reached
+            assert len(propose.calls) == (0 if reached else 2)
+
+    def test_residuals_once_per_executed_step(self, cfg, monkeypatch):
+        calls = []
+        real = ctl.forward_kinematics
+
+        def counting(arm, q):
+            calls.append(1)
+            return real(arm, q)
+
+        monkeypatch.setattr(ctl, "forward_kinematics", counting)
+        result = run_loop(two_apart_arms(), limited(cfg, 9),
+                          ScriptedProposer([np.zeros((T_P, 3))] * 2, 4))
+        assert result.steps == 9
+        # Two arms: the starting residuals, one set per step, the final set.
+        assert len(calls) == 2 * (result.steps + 2)
+
     def test_stats_accumulate_from_proposer(self, cfg):
         plans = [np.zeros((T_P, 3))] * 2
         stats = {"repairs": 2, "expansions": 3, "solved": True}
@@ -215,6 +244,47 @@ class TestRunLoop:
         empty = run_loop(two_apart_arms(), limited(cfg, 9), ScriptedProposer(plans, 3))
         assert (empty.repairs, empty.expansions, empty.solved_calls) == (0, 0, 0)
         assert empty.planner_calls == 3
+
+
+def scalar_segment_has_collision(arms, prev_configs, new_configs, bounds, subsamples):
+    """Reference: one subsample, one arm and one arm pair at a time."""
+    n = len(arms)
+    for s in range(1, subsamples + 1):
+        tau = s / subsamples
+        states = [p + tau * (q - p) for p, q in zip(prev_configs, new_configs)]
+        for i in range(n):
+            if not is_free(arms[i], states[i], bounds):
+                return True
+        for i in range(n):
+            for j in range(i + 1, n):
+                if arms_collide(arms[i], states[i], arms[j], states[j]):
+                    return True
+    return False
+
+
+TIGHT = WorldBounds(-1.6, 1.6, -1.6, 1.6)
+
+
+def random_layout(rng, n):
+    """n arms of 1-4 links crowded into the middle of TIGHT, so that self
+    contact, pair contact and bounds violations all occur."""
+    arms = []
+    for _ in range(n):
+        dof = int(rng.integers(1, 5))
+        lengths = tuple(rng.uniform(0.2, 0.5, dof))
+        base = BasePose(*rng.uniform(-1.0, 1.0, 2), rng.uniform(-math.pi, math.pi))
+        arms.append(make_arm(lengths, base, float(rng.uniform(0.04, 0.12))))
+    return arms
+
+
+def random_steps(rng, arms, k=None, reach=0.3):
+    """(starts, ends) of one random step per arm or, given k, each arm's
+    (k + 1, d) trajectory of k random steps."""
+    starts = [rng.uniform(-math.pi, math.pi, arm.dof) for arm in arms]
+    if k is None:
+        return starts, [q + rng.uniform(-reach, reach, q.shape) for q in starts]
+    return [q + np.cumsum(rng.uniform(-reach, reach, (k + 1, len(q))), axis=0)
+            for q in starts]
 
 
 class TestSegmentCollision:
@@ -232,3 +302,89 @@ class TestSegmentCollision:
         prev = [np.array([0.3]), np.array([0.3])]
         new = [np.array([-0.3]), np.array([-0.3])]
         assert not ctl.segment_has_collision([a, b], prev, new, ctl.WorldBounds(), 10)
+
+    def test_wrong_shapes_rejected(self):
+        arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
+        with pytest.raises(DimensionError):
+            ctl.segment_has_collision([arm], [np.zeros(3)], [np.zeros(3)], WorldBounds(), 2)
+        with pytest.raises(DimensionError):
+            ctl.segment_has_collision([arm], [np.zeros((4, 3))], [np.zeros((4, 3))],
+                                      WorldBounds(), 2)
+
+    @pytest.mark.parametrize("subsamples", [1, 10])
+    def test_matches_scalar_reference(self, subsamples):
+        rng = np.random.default_rng(subsamples)
+        verdicts = []
+        for trial in range(300):
+            arms = random_layout(rng, 1 + trial % 6)
+            prev, new = random_steps(rng, arms)
+            got = ctl.segment_has_collision(arms, prev, new, TIGHT, subsamples)
+            assert got == scalar_segment_has_collision(arms, prev, new, TIGHT, subsamples)
+            verdicts.append(got)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_self_contact_and_bounds_alone(self):
+        folded = make_arm((0.5, 0.5, 0.5), BasePose(0, 0, 0), 0.1)
+        # Folding back on itself brings link 2 onto link 0.
+        fold = np.array([0.0, 3.0, 3.0])
+        assert not is_free(folded, fold, WorldBounds())
+        for prev, new in ((np.zeros(3), fold), (fold, np.zeros(3))):
+            assert ctl.segment_has_collision([folded], [prev], [new], WorldBounds(), 10)
+            assert scalar_segment_has_collision([folded], [prev], [new], WorldBounds(), 10)
+        # Straight out, the tip capsule reaches x = 1.6; folded up, x = 1.1.
+        up, out = np.array([math.pi / 2, -math.pi / 2, 0.0]), np.zeros(3)
+        for x_max, hit in ((1.55, True), (1.7, False)):
+            bounds = WorldBounds(-1.0, x_max, -1.0, 1.0)
+            for s in (1, 10):
+                assert ctl.segment_has_collision([folded], [up], [out], bounds, s) == hit
+                assert scalar_segment_has_collision([folded], [up], [out], bounds, s) == hit
+
+    def test_near_contact_pairs(self):
+        # Two parallel one-link arms whose gap sits at, just above and just
+        # below r_a + r_b = 0.2.
+        seen = set()
+        for gap in (0.2, np.nextafter(0.2, 1.0), np.nextafter(0.2, 0.0), 0.2 + 1e-9,
+                    0.2 - 1e-9):
+            for order in (1, -1):
+                a = make_arm((1.0,), BasePose(0.0, 0.0, 0.0), 0.1)
+                b = make_arm((1.0,), BasePose(0.0, order * gap, 0.0), 0.1)
+                q = [np.zeros(1), np.zeros(1)]
+                got = ctl.segment_has_collision([a, b], q, q, WorldBounds(), 10)
+                assert got == scalar_segment_has_collision([a, b], q, q, WorldBounds(), 10)
+                assert got == (gap < 0.2)
+                seen.add(got)
+        assert seen == {True, False}
+
+    def test_contact_only_between_endpoints(self):
+        # Arm a sweeps a quarter turn through a stub at (0.5, 0.5); both
+        # endpoints are clear of it, the half-way state is not. Thirds step
+        # over it: subsampling is a heuristic, not a swept test.
+        a = make_arm((1.0,), BasePose(0.0, 0.0, 0.0), 0.1)
+        b = make_arm((0.05,), BasePose(0.5, 0.5, 0.0), 0.05)
+        prev = [np.zeros(1), np.zeros(1)]
+        new = [np.array([math.pi / 2]), np.zeros(1)]
+        for s, hit in ((1, False), (2, True), (3, False), (10, True)):
+            assert ctl.segment_has_collision([a, b], prev, new, WorldBounds(), s) == hit
+            assert scalar_segment_has_collision([a, b], prev, new, WorldBounds(), s) == hit
+
+    @pytest.mark.parametrize("subsamples", [1, 10])
+    def test_step_stack_is_or_of_single_steps(self, subsamples):
+        rng = np.random.default_rng(100 + subsamples)
+        verdicts = []
+        for trial in range(120):
+            arms = random_layout(rng, 1 + trial % 6)
+            k = int(rng.integers(1, 8))
+            trajs = random_steps(rng, arms, k=k, reach=0.15)
+            got = ctl.segment_has_collision(arms, [t[:-1] for t in trajs],
+                                            [t[1:] for t in trajs], TIGHT, subsamples)
+            steps = [ctl.segment_has_collision(arms, [t[s] for t in trajs],
+                                               [t[s + 1] for t in trajs], TIGHT, subsamples)
+                     for s in range(k)]
+            assert got == any(steps)
+            verdicts.append(got)
+        assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_empty_step_stack_is_clear(self):
+        arms = [make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)] * 2
+        empty = [np.zeros((0, 2))] * 2
+        assert not ctl.segment_has_collision(arms, empty, empty, WorldBounds(), 10)
