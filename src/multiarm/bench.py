@@ -76,9 +76,9 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
         if moving:
             # One sampling chain for every unfinished arm; arm i keeps its
             # own generator, so its samples match a chain of its own.
-            conds = np.stack([obs.flatten(obs.build_history(world.histories[i],
-                                                            single.obs_horizon))
-                              for i in moving])
+            conds = np.stack([obs.conditioning(
+                [obs.build_history(world.histories[i], single.obs_horizon)],
+                world.arms[i].base) for i in moving])
             rngs = [substream(seed, TAG_EPISODE, cycle, i) for i in moving]
             samples = single.sample_plans_many(conds, cfg.planner.batch, rngs,
                                                ctrl.delta_limit)
@@ -341,7 +341,7 @@ def toy_dataset(cfg: RunConfig, seed: int) -> Dataset:
         goal_pose = forward_kinematics(arm, np.array([goal_q]))
         frames = [obs.build_frame(arm, q, goal_pose) for q in path]
         deltas = np.diff(path, axis=0)
-        for o, a in episode_windows(frames, deltas, t_o, t_p, 1):
+        for o, a in episode_windows([frames], deltas, t_o, t_p, 1, arm.base):
             obs_rows.append(o)
             act_rows.append(a)
     observations = np.stack(obs_rows).astype(np.float32)
@@ -368,7 +368,8 @@ def goal_directed_fraction(policy_like, cfg: RunConfig, seed: int,
         goal_pose = forward_kinematics(arm, np.array([goal_q]))
         frame = obs.build_frame(arm, np.array([q0]), goal_pose)
         history = obs.build_history([frame], cfg.diffusion.obs_horizon)
-        plan = policy_like.sample_plans(obs.flatten(history), 1, rng, delta)[0]
+        plan = policy_like.sample_plans(obs.conditioning([history], arm.base), 1, rng,
+                                        delta)[0]
         if _plan_goal_directed(arm, float(q0), goal_pose, plan, delta, slack,
                                cfg.controller.pos_tol):
             hits += 1

@@ -252,6 +252,9 @@ def main(argv=None) -> int:
     except dif.IncompatibleCheckpointError as exc:
         print(f"error=incompatible-checkpoint detail={exc}", file=sys.stderr)
         return 2
+    except dsets.IncompatibleDatasetError as exc:
+        print(f"error=incompatible-dataset detail={exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -67,9 +67,19 @@ class EpisodeResult:
     expansions: int = 0
     solved_calls: int = 0
 
+    @property
+    def end_reason(self) -> str:
+        """Why the episode ended: success, collision, stall or step_limit."""
+        if self.success:
+            return "success"
+        if self.collision:
+            return "collision"
+        return "stall" if self.stall else "step_limit"
+
     def to_json(self) -> dict:
         return {
             "success": bool(self.success),
+            "end_reason": self.end_reason,
             "steps": int(self.steps),
             "residual_pos": [round(float(v), 9) for v in self.residual_pos],
             "residual_rot": [round(float(v), 9) for v in self.residual_rot],

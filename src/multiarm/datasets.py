@@ -1,9 +1,10 @@
 """Demonstration datasets for the two model families.
 
-Records pair a flattened observation history with a horizon of delta
-actions. Episodes convert expert waypoint paths into per-step deltas; a
-window slides over every waypoint, padding history at the episode start by
-repeating the first frame and actions at the end with zeros. Files are a
+Records pair an ego-frame conditioning vector (`obs.conditioning`) with a
+horizon of delta actions. Episodes convert expert waypoint paths into
+per-step deltas; a window slides over every waypoint, padding history at
+the episode start by repeating the first frame and actions at the end with
+zeros. Files are a
 fixed binary layout (see docs/file_formats.md) plus a JSON sidecar.
 """
 
@@ -31,14 +32,20 @@ from .expert import (
     sample_goal_config,
     single_arm_validity,
 )
-from .kinematics import ArmModel, EEPose, forward_kinematics
+from .kinematics import ArmModel, BasePose, forward_kinematics
 from .seeding import TAG_DATA, substream
 
 MAGIC = b"MARMDAT\x01"
-FORMAT_VERSION = 1
+# Version 2: observation rows are ego-frame `obs.conditioning` vectors;
+# version-1 rows held world-frame features and are refused.
+FORMAT_VERSION = 2
 FAMILIES = {"single": 0, "dual": 1}
 FAMILY_NAMES = {v: k for k, v in FAMILIES.items()}
 SCALE_FLOOR = 1e-6
+
+
+class IncompatibleDatasetError(ValueError):
+    """The file is not a dataset this version can load."""
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,17 @@ def _action_window(deltas: np.ndarray, t: int, t_p: int, dof: int) -> np.ndarray
     return window.reshape(-1)
 
 
-def episode_windows(frames: list[np.ndarray], deltas: np.ndarray, t_o: int, t_p: int,
-                    action_dim: int):
-    """One (obs_history, action_window) pair per waypoint."""
-    for t in range(len(frames)):
-        hist = obs.build_history(frames[: t + 1], t_o)
-        yield obs.flatten(hist), _action_window(deltas, t, t_p, action_dim)
+def episode_windows(frame_lists, deltas: np.ndarray, t_o: int, t_p: int,
+                    action_dim: int, base: BasePose):
+    """One (conditioning, action_window) pair per waypoint.
+
+    `frame_lists` holds one world-frame frame list per arm, the ego arm's
+    last, and `base` is the ego arm's base: each row is the
+    `obs.conditioning` call the planner makes for the same world state.
+    """
+    for t in range(len(frame_lists[-1])):
+        hists = [obs.build_history(frames[: t + 1], t_o) for frames in frame_lists]
+        yield obs.conditioning(hists, base), _action_window(deltas, t, t_p, action_dim)
 
 
 def sample_free_config(arm: ArmModel, rng: np.random.Generator,
@@ -206,7 +218,8 @@ def _single_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol
     if path is None:
         return None
     frames = [obs.build_frame(arm, q, goal_pose) for q in path]
-    return list(episode_windows(frames, path_to_deltas(path), t_o, t_p, arm.dof))
+    return list(episode_windows([frames], path_to_deltas(path), t_o, t_p, arm.dof,
+                                arm.base))
 
 
 def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
@@ -247,20 +260,12 @@ def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
 
     da = arm_a.dof
     path_a, path_b = path[:, :da], path[:, da:]
-    deltas_a, deltas_b = path_to_deltas(path_a), path_to_deltas(path_b)
     frames_a = [obs.build_frame(arm_a, q, goals[2]) for q in path_a]
     frames_b = [obs.build_frame(arm_b, q, goals[3]) for q in path_b]
-
-    rows = []
-    for ego_frames, other_frames, ego_deltas, ego_base, other_base in (
-            (frames_a, frames_b, deltas_a, arm_a.base, arm_b.base),
-            (frames_b, frames_a, deltas_b, arm_b.base, arm_a.base)):
-        for t in range(len(ego_frames)):
-            ego_hist = obs.build_history(ego_frames[: t + 1], t_o)
-            other_hist = obs.build_history(other_frames[: t + 1], t_o)
-            paired = obs.build_paired(ego_hist, other_hist, ego_base, other_base)
-            rows.append((obs.flatten(paired), _action_window(ego_deltas, t, t_p, da)))
-    return rows
+    return [*episode_windows([frames_b, frames_a], path_to_deltas(path_a), t_o, t_p,
+                             da, arm_a.base),
+            *episode_windows([frames_a, frames_b], path_to_deltas(path_b), t_o, t_p,
+                             da, arm_b.base)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +313,28 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> Dataset:
     blob = Path(path).read_bytes()
     if blob[: len(MAGIC)] != MAGIC:
-        raise ValueError("not a dataset file")
+        raise IncompatibleDatasetError("not a dataset file")
     off = len(MAGIC)
+    if len(blob) < off + _HEADER.size + 8:
+        raise IncompatibleDatasetError("dataset header is truncated")
     (version, family_id, t_o, t_p, frame_w, obs_width, n_records, seed, episodes,
      skipped) = _HEADER.unpack_from(blob, off)
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported dataset format version {version}")
+        raise IncompatibleDatasetError(f"unsupported dataset format version {version}")
+    if family_id not in FAMILY_NAMES:
+        raise IncompatibleDatasetError(f"unknown dataset family id {family_id}")
     off += _HEADER.size
     (act_width,) = struct.unpack_from("<I", blob, off)
     off += 4
     (meta_len,) = struct.unpack_from("<I", blob, off)
     off += 4
-    meta = json.loads(blob[off: off + meta_len].decode())
+    body = 16 * (obs_width + act_width) + 4 * n_records * (obs_width + act_width)
+    if len(blob) != off + meta_len + body:
+        raise IncompatibleDatasetError("dataset size does not match its header")
+    try:
+        meta = json.loads(blob[off: off + meta_len].decode())
+    except ValueError as exc:
+        raise IncompatibleDatasetError(f"dataset meta is not JSON: {exc}") from exc
     off += meta_len
 
     def take_f8(count):

@@ -272,7 +272,9 @@ def policy_from_state(state: TrainState, family: str, dataset: Dataset,
 
 
 CKPT_MAGIC = b"MARMCKP\x01"
-CKPT_VERSION = 1
+# Version 2: models condition on ego-frame `obs.conditioning` vectors;
+# version-1 models saw world-frame features and are refused.
+CKPT_VERSION = 2
 
 
 def _pack_array(arr: np.ndarray) -> bytes:

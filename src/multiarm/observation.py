@@ -1,9 +1,11 @@
-"""Observation frames, stacked histories, and paired two-arm observations.
+"""Observation frames, stacked histories and model conditioning.
 
 A frame is a flat float vector; the layout is generated by `frame_layout`
 and used everywhere, so field widths follow the arm's joint count with no
-magic numbers. Histories stack the last T_o frames oldest-first. Paired
-rows put the other arm's transformed frame before the ego frame.
+magic numbers. Frames are stored world-frame; histories stack the last
+T_o of them oldest-first. `conditioning` is the one place that turns
+histories into model input: every history in the ego arm's base frame,
+the other arm's rows before the ego arm's.
 """
 
 from __future__ import annotations
@@ -64,22 +66,22 @@ def build_frame(arm: ArmModel, q: np.ndarray, goal: EEPose) -> np.ndarray:
 
 def transform_to_frame(target_base: BasePose, source_base: BasePose,
                        frame: np.ndarray) -> np.ndarray:
-    """Re-express a frame's pose-like fields from source_base coordinates
-    into target_base coordinates. Joint angles are frame-independent and
-    pass through unchanged."""
+    """Re-express the pose-like fields of a frame, or of a (..., w) stack of
+    frames, from source_base coordinates into target_base coordinates. Joint
+    angles are frame-independent and pass through unchanged."""
     frame = np.asarray(frame, dtype=float)
-    dof = dof_from_width(frame.shape[0])
+    dof = dof_from_width(frame.shape[-1])
     g = kin.frame_map(target_base, source_base)
     out = frame.copy()
 
     for name in ("ee_pose", "goal_pose", "base_pose"):
         s = slot(dof, name)
-        out[s.start:s.start + 2] = kin.apply_to_points(g, frame[s.start:s.start + 2])
-        out[s.start + 2] = kin.apply_to_angles(g, frame[s.start + 2])
+        out[..., s.start:s.start + 2] = kin.apply_to_points(g, frame[..., s.start:s.start + 2])
+        out[..., s.start + 2] = kin.apply_to_angles(g, frame[..., s.start + 2])
 
     s = slot(dof, "link_endpoints")
-    pts = frame[s].reshape(-1, 2)
-    out[s] = kin.apply_to_points(g, pts).reshape(-1)
+    pts = frame[..., s].reshape(*frame.shape[:-1], -1, 2)
+    out[..., s] = kin.apply_to_points(g, pts).reshape(*frame.shape[:-1], -1)
     return out
 
 
@@ -95,48 +97,18 @@ def build_history(frames, t_o: int) -> np.ndarray:
     return np.stack(window, axis=0)
 
 
-def build_paired(ego_hist: np.ndarray, other_hist: np.ndarray,
-                 ego_base: BasePose, other_base: BasePose) -> np.ndarray:
-    """Rowwise [transformed-other ++ ego] observation, shape (T_o, 2w)."""
-    if ego_hist.shape != other_hist.shape:
-        raise ValueError("history shapes must match")
-    rows = []
-    for other_frame, ego_frame in zip(other_hist, ego_hist):
-        moved = transform_to_frame(ego_base, other_base, other_frame)
-        rows.append(np.concatenate([moved, ego_frame]))
-    return np.stack(rows, axis=0)
+def conditioning(histories, base: BasePose) -> np.ndarray:
+    """Denoiser conditioning vector for both model families.
 
-
-def flatten(history: np.ndarray) -> np.ndarray:
-    """Conditioning vector: rows concatenated oldest-first."""
-    return np.asarray(history, dtype=float).reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# Denoiser input assembly. Frames are stored world-frame; the models always
-# see them canonicalized into the owning arm's base frame, which removes the
-# base-pose factor from what the networks must learn. The paired transform
-# then maps other-local coordinates into the ego frame.
-# ---------------------------------------------------------------------------
-
-def egocentric_history(history: np.ndarray, base: BasePose) -> np.ndarray:
-    """Re-express every frame of a world-frame history in `base` coordinates."""
-    return np.stack([transform_to_frame(base, kin.IDENTITY_POSE, row)
-                     for row in np.asarray(history, dtype=float)], axis=0)
-
-
-def single_conditioning(history: np.ndarray, base: BasePose) -> np.ndarray:
-    """Conditioning vector for the single-arm model."""
-    return flatten(egocentric_history(history, base))
-
-
-def paired_conditioning(ego_hist: np.ndarray, other_hist: np.ndarray,
-                        ego_base: BasePose, other_base: BasePose) -> np.ndarray:
-    """Conditioning vector for the pair model: [other-in-ego ++ ego-in-ego]."""
-    paired = build_paired(egocentric_history(ego_hist, ego_base),
-                          egocentric_history(other_hist, other_base),
-                          ego_base, other_base)
-    return flatten(paired)
+    `histories` are world-frame (T_o, w) histories, the ego arm's last: the
+    single-arm model gets [ego], the pair model [other, ego]. Every history
+    is re-expressed in the ego arm's `base`, so the features do not depend
+    on where the scene sits in the world. Rows are concatenated per history
+    step as [other ++ ego] and flattened oldest-first. Histories of
+    different shapes raise ValueError.
+    """
+    local = transform_to_frame(base, kin.IDENTITY_POSE, np.stack(histories))
+    return local.transpose(1, 0, 2).reshape(-1)
 
 
 def layout_table(dof: int, t_o: int) -> str:
@@ -145,6 +117,7 @@ def layout_table(dof: int, t_o: int) -> str:
     for name, start, stop in frame_layout(dof):
         lines.append(f"  [{start:3d}:{stop:3d}] {name}")
     w = frame_width(dof)
+    lines.append("conditioning frame: ego arm base (every history re-expressed in it)")
     lines.append(f"single conditioning width (T_o={t_o}): {t_o * w}")
     lines.append(f"paired row width: {2 * w}")
     lines.append(f"paired conditioning width (T_o={t_o}): {t_o * 2 * w}")

@@ -79,21 +79,19 @@ def _cost_terms(arm, final_config: np.ndarray, plan: np.ndarray, goal: EEPose) -
 
 
 def init_plans(single_policy: Policy, histories, batch: int, seed: int,
-               delta_limit: float, bases=None, frozen=frozenset()) -> list[PlanSet]:
+               delta_limit: float, bases, frozen=frozenset()) -> list[PlanSet]:
     """Sample each arm's candidate batch independently of the other arms.
 
-    All non-frozen arms share one sampling chain; arm i keeps its own
-    generator, so its plans do not depend on which other arms are sampled.
-    Frozen arms (already at their goals) hold a single zero plan.
+    Arm i is conditioned on its world-frame history seen from its base,
+    `bases[i]`. All non-frozen arms share one sampling chain; arm i keeps its
+    own generator, so its plans do not depend on which other arms are
+    sampled. Frozen arms (already at their goals) hold a single zero plan.
     """
-    if bases is None:
-        from .kinematics import IDENTITY_POSE
-        bases = [IDENTITY_POSE] * len(histories)
     shape = (single_policy.pred_horizon, single_policy.action_dim)
     plan_sets = [PlanSet([np.zeros(shape)]) for _ in histories]
     active = [i for i in range(len(histories)) if i not in frozen]
     if active:
-        conds = np.stack([obs.single_conditioning(histories[i], bases[i]) for i in active])
+        conds = np.stack([obs.conditioning([histories[i]], bases[i]) for i in active])
         rngs = [substream(seed, TAG_PLAN, 0, i) for i in active]
         samples = single_policy.sample_plans_many(conds, batch, rngs, delta_limit)
         for i, arm_samples in zip(active, samples):
@@ -204,10 +202,10 @@ class _Search:
         if self.dual is None or ego in self.frozen:
             return
         self.stats["repairs"] += 1
-        paired = obs.build_paired(self.histories[ego], self.histories[other],
-                                  self.arms[ego].base, self.arms[other].base)
-        samples = self.dual.sample_plans(obs.flatten(paired), self.cfg.planner.batch,
-                                         self.repair_rng, self.delta)
+        cond = obs.conditioning([self.histories[other], self.histories[ego]],
+                                self.arms[ego].base)
+        samples = self.dual.sample_plans(cond, self.cfg.planner.batch, self.repair_rng,
+                                         self.delta)
         sets = list(node.conflict_sets)
         sets[ego] = kappa
         sets = tuple(sets)

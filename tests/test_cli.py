@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from multiarm import cli
 from multiarm import datasets as dsets
+from multiarm import diffusion as dif
 from multiarm.config import load_config
 
 
@@ -124,8 +126,8 @@ class TestPlan:
                                    "4", "--dump", str(dump)], capsys)
         assert code == 0
         payload = json.loads(stdout.strip().splitlines()[-1])
-        assert set(payload) >= {"success", "steps", "collision", "task_digest",
-                                "config_digest"}
+        assert set(payload) >= {"success", "end_reason", "steps", "collision",
+                                "task_digest", "config_digest"}
         assert len(dump.read_text().splitlines()) == payload["steps"]
 
     def test_same_seed_same_json(self, small_cfg_file, tiny_checkpoint, capsys):
@@ -164,7 +166,34 @@ class TestLayout:
         assert first == second
 
 
+def as_version_one(src, dst, magic):
+    """Copy an artifact with its version field rewritten to 1."""
+    blob = bytearray(Path(src).read_bytes())
+    blob[len(magic): len(magic) + 4] = struct.pack("<I", 1)
+    Path(dst).write_bytes(bytes(blob))
+    return str(dst)
+
+
 class TestChecks:
+    def test_version_one_dataset_refused(self, tmp_path, small_cfg_file, tiny_dataset,
+                                         capsys):
+        old = as_version_one(tiny_dataset, tmp_path / "old.mad", dsets.MAGIC)
+        out = tmp_path / "model.ckpt"
+        code, stdout, err = run_cli(["train", "--config", small_cfg_file, "--family",
+                                     "single", "--data", old, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error=incompatible-dataset detail=")
+        assert "epoch=" not in stdout
+        assert not out.exists()
+
+    def test_version_one_checkpoint_refused(self, tmp_path, small_cfg_file,
+                                            tiny_checkpoint, capsys):
+        old = as_version_one(tiny_checkpoint, tmp_path / "old.ckpt", dif.CKPT_MAGIC)
+        code, _, err = run_cli(["plan", "--config", small_cfg_file, "--random", "1",
+                                "--single", old], capsys)
+        assert code == 2
+        assert err.startswith("error=incompatible-checkpoint detail=")
+
     def test_wrong_morphology_checkpoint_rejected(self, tmp_path, small_cfg_file,
                                                   tiny_checkpoint, capsys):
         other_cfg = tmp_path / "other.yaml"
@@ -223,3 +252,4 @@ class TestPipelineSmoke:
             tasks.setdefault(r["episode"], set()).add(r["task_digest"])
         assert all(len(digests) == 1 for digests in tasks.values())
         assert all(r["resim_ok"] for r in records if r["success"])
+        assert all((r["end_reason"] == "success") == r["success"] for r in records)

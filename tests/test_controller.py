@@ -73,6 +73,7 @@ class TestRunEpisode:
         assert result.success
         assert result.steps == 0
         assert result.planner_calls == 0
+        assert result.to_json()["end_reason"] == "success"
 
     def test_single_arm_reaches_goal(self, cfg):
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
@@ -94,6 +95,7 @@ class TestRunEpisode:
         assert not result.success
         assert result.stall
         assert result.steps == cfg.controller.stall_window
+        assert result.to_json()["end_reason"] == "stall"
 
     def test_crossing_pair_never_hides_collision(self, cfg):
         arms, starts, goals, _ = facing_scene()
@@ -194,6 +196,16 @@ class TestRunLoop:
         assert result.steps == 7 == sum(result.chunks)
         assert not (result.success or result.collision or result.stall)
         assert result.planner_calls == 2
+        assert result.to_json()["end_reason"] == "step_limit"
+
+    def test_head_on_sweep_ends_in_collision(self, cfg):
+        arms, starts, goals, _ = facing_scene()
+        sweep = np.zeros((T_P, 3))
+        sweep[:, 0] = -0.1
+        result = run_loop(make_world(arms, starts, goals), cfg,
+                          ScriptedProposer([sweep, sweep], T_P))
+        assert result.collision and not result.success
+        assert result.to_json()["end_reason"] == "collision"
 
     def test_zero_horizon_rejected(self, cfg):
         with pytest.raises(ValueError, match="horizon"):

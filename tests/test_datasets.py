@@ -1,11 +1,16 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from multiarm import datasets as ds
 from multiarm import observation as obs
-from multiarm.kinematics import BasePose, make_arm
+from multiarm import planner as pl
+from multiarm.config import load_config
+from multiarm.controller import make_world
+from multiarm.kinematics import IDENTITY_POSE, BasePose, make_arm
+from multiarm.seeding import TAG_DATA, substream
 
 RES = 0.1
 T_O, T_P = 2, 16
@@ -34,13 +39,13 @@ class TestWindows:
     def test_window_count_matches_path_length(self):
         frames = [np.full(20, float(i)) for i in range(9)]
         deltas = np.ones((8, 3)) * 0.05
-        rows = list(ds.episode_windows(frames, deltas, T_O, T_P, 3))
+        rows = list(ds.episode_windows([frames], deltas, T_O, T_P, 3, IDENTITY_POSE))
         assert len(rows) == 9
 
     def test_history_padding_and_action_padding(self):
         frames = [np.full(20, float(i)) for i in range(3)]
         deltas = np.arange(6, dtype=float).reshape(2, 3) * 0.01
-        rows = list(ds.episode_windows(frames, deltas, T_O, T_P, 3))
+        rows = list(ds.episode_windows([frames], deltas, T_O, T_P, 3, IDENTITY_POSE))
         first_obs, first_act = rows[0]
         assert first_obs[:20] == pytest.approx(first_obs[20:])  # repeated frame
         last_obs, last_act = rows[-1]
@@ -107,7 +112,7 @@ class TestDualGeneration:
         path_a = np.cumsum(rng.uniform(-0.02, 0.02, size=(10, 3)), axis=0)
         deltas = ds.path_to_deltas(path_a)
         frames = [np.zeros(20) for _ in path_a]
-        rows = list(ds.episode_windows(frames, deltas, T_O, T_P, 3))
+        rows = list(ds.episode_windows([frames], deltas, T_O, T_P, 3, a.base))
         for t, (_, act) in enumerate(rows):
             window = np.zeros((T_P, 3))
             avail = deltas[t: t + T_P]
@@ -146,3 +151,124 @@ class TestPersistence:
         bad.write_bytes(b"not a dataset")
         with pytest.raises(ValueError):
             ds.load_dataset(bad)
+
+
+class RecordingPolicy:
+    """Stand-in model: records every conditioning vector it is given and
+    returns zero plans."""
+
+    def __init__(self, action_dim=3, obs_horizon=T_O, pred_horizon=T_P):
+        self.action_dim = action_dim
+        self.obs_horizon = obs_horizon
+        self.pred_horizon = pred_horizon
+        self.conds = []
+
+    def sample_plans(self, obs_vec, count, rng, delta_limit):
+        self.conds.append(np.asarray(obs_vec))
+        return np.zeros((count, self.pred_horizon, self.action_dim))
+
+    def sample_plans_many(self, obs_vecs, count, rngs, delta_limit):
+        return np.stack([self.sample_plans(o, count, g, delta_limit)
+                         for o, g in zip(obs_vecs, rngs)])
+
+
+def record_expert(monkeypatch, planner_name):
+    """Capture the arms, goal poses and path of the expert episode."""
+    seen = {"goals": []}
+    real_goal, real_plan = ds.sample_goal_config, getattr(ds, planner_name)
+
+    def goal_config(arm, goal_pose, *args, **kwargs):
+        seen["goals"].append(goal_pose)
+        return real_goal(arm, goal_pose, *args, **kwargs)
+
+    def plan(*args, **kwargs):
+        seen["args"] = args
+        seen["path"] = real_plan(*args, **kwargs)
+        return seen["path"]
+
+    monkeypatch.setattr(ds, "sample_goal_config", goal_config)
+    monkeypatch.setattr(ds, planner_name, plan)
+    return seen
+
+
+def world_histories(arms, paths, goals, t):
+    """Per-arm planner histories after t executed steps along the paths, with
+    frames appended as the executor appends them."""
+    world = make_world(arms, [p[0] for p in paths], goals)
+    for s in range(1, t + 1):
+        for i, arm in enumerate(arms):
+            world.histories[i].append(obs.build_frame(arm, paths[i][s], goals[i]))
+    return [obs.build_history(h, T_O) for h in world.histories]
+
+
+class TestRowsMatchInference:
+    """A recorded row is the planner's conditioning for the same world state,
+    bit for bit after the float32 cast."""
+
+    def test_single_row_is_init_plans_conditioning(self, monkeypatch):
+        seen = record_expert(monkeypatch, "birrt_plan")
+        data = ds.generate_single_dataset(free_arm_sampler, 1, seed=7, t_o=T_O, t_p=T_P,
+                                          resolution=RES)
+        path, goal = seen["path"], seen["goals"][-1]
+        arm = free_arm_sampler(substream(7, TAG_DATA, ds.FAMILIES["single"], 0))
+        assert len(data) == len(path) > 1
+        policy = RecordingPolicy()
+        for t in range(len(path)):
+            hists = world_histories([arm], [path], [goal], t)
+            pl.init_plans(policy, hists, 1, seed=0, delta_limit=RES, bases=[arm.base])
+            assert policy.conds[-1].astype(np.float32).tobytes() == \
+                data.observations[t].tobytes()
+
+    def test_dual_row_is_repair_conditioning(self, monkeypatch):
+        seen = record_expert(monkeypatch, "dual_birrt_plan")
+        data = ds.generate_dual_dataset(spaced_pair_sampler, 1, seed=5, t_o=T_O,
+                                        t_p=T_P, resolution=RES)
+        arms = list(seen["args"][:2])
+        goals = seen["goals"][-2:]
+        path = seen["path"]
+        paths = [path[:, :3], path[:, 3:]]
+        n = len(path)
+        assert len(data) == 2 * n
+        cfg = load_config()
+        node = pl.SearchNode((0, 0), (frozenset(), frozenset()), 0.0, 0)
+        for t in range(n):
+            hists = world_histories(arms, paths, goals, t)
+            dual = RecordingPolicy()
+            search = pl._Search(arms, [p[t] for p in paths], goals, hists,
+                                RecordingPolicy(), dual, cfg, 0, frozenset())
+            search.repair(node, 0, 1, frozenset())
+            search.repair(node, 1, 0, frozenset())
+            for ego, cond in enumerate(dual.conds):
+                assert cond.astype(np.float32).tobytes() == \
+                    data.observations[ego * n + t].tobytes()
+
+
+class TestVersionRefusal:
+    def test_version_one_dataset_refused(self, single_ds, tmp_path):
+        path = tmp_path / "old.mad"
+        ds.save_dataset(single_ds, path)
+        blob = bytearray(path.read_bytes())
+        blob[len(ds.MAGIC): len(ds.MAGIC) + 4] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ds.IncompatibleDatasetError, match="version 1"):
+            ds.load_dataset(path)
+
+    def test_corrupt_family_and_meta_refused(self, single_ds, tmp_path):
+        path = tmp_path / "bad.mad"
+        ds.save_dataset(single_ds, path)
+        blob = path.read_bytes()
+        family = len(ds.MAGIC) + 4
+        meta = len(ds.MAGIC) + ds._HEADER.size + 8
+        for at, patch in ((family, struct.pack("<I", 7)), (meta, b"\xff")):
+            path.write_bytes(blob[:at] + patch + blob[at + len(patch):])
+            with pytest.raises(ds.IncompatibleDatasetError):
+                ds.load_dataset(path)
+
+    def test_truncated_dataset_refused(self, single_ds, tmp_path):
+        path = tmp_path / "cut.mad"
+        ds.save_dataset(single_ds, path)
+        blob = path.read_bytes()
+        for cut in (len(ds.MAGIC) + 3, len(blob) - 4):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ds.IncompatibleDatasetError):
+                ds.load_dataset(path)

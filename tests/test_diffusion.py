@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -357,6 +359,16 @@ class TestCheckpoint:
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(dif.IncompatibleCheckpointError):
+            dif.load_checkpoint(path)
+
+    def test_version_one_checkpoint_refused(self, rng, tmp_path):
+        # Version-1 models were trained on world-frame features.
+        path = tmp_path / "a.ckpt"
+        dif.save_checkpoint(self.make_policy(rng), path)
+        blob = bytearray(path.read_bytes())
+        blob[len(dif.CKPT_MAGIC): len(dif.CKPT_MAGIC) + 4] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(dif.IncompatibleCheckpointError, match="version 1"):
             dif.load_checkpoint(path)
 
     def test_non_finite_weight_rejected_despite_valid_checksum(self, rng, tmp_path):

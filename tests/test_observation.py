@@ -6,7 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from multiarm import observation as obs
-from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
+from multiarm.kinematics import (
+    IDENTITY_POSE,
+    BasePose,
+    EEPose,
+    apply_to_points,
+    compose,
+    forward_kinematics,
+    make_arm,
+)
 
 from .conftest import random_arm, random_config
 
@@ -122,7 +130,14 @@ class TestHistory:
         assert obs.build_history(frames, t_o).shape == (t_o, 3)
 
 
+def ego_frame(base, hist):
+    """A world-frame history re-expressed in `base`, one frame at a time."""
+    return np.stack([obs.transform_to_frame(base, IDENTITY_POSE, f) for f in hist])
+
+
 class TestPaired:
+    """The pair model's conditioning: [other ++ ego] rows in the ego frame."""
+
     def make_pair(self, rng, colocated=False):
         base_a = random_pose(rng)
         base_b = base_a if colocated else random_pose(rng)
@@ -136,45 +151,81 @@ class TestPaired:
 
     def test_width(self, rng):
         arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
-        paired = obs.build_paired(hist_a, hist_b, arm_a.base, arm_b.base)
-        assert paired.shape == (2, 40)
+        cond = obs.conditioning([hist_b, hist_a], arm_a.base)
+        assert cond.shape == (80,)
 
     def test_identity_for_colocated_bases(self, rng):
         arm_a, arm_b, hist_a, hist_b = self.make_pair(rng, colocated=True)
-        paired = obs.build_paired(hist_a, hist_b, arm_a.base, arm_b.base)
-        assert paired[:, :20] == pytest.approx(hist_b, abs=1e-12)
-        assert paired[:, 20:] == pytest.approx(hist_a)
+        rows = obs.conditioning([hist_b, hist_a], arm_a.base).reshape(2, 40)
+        # Colocated bases: each block is that arm's own single conditioning.
+        own_b = obs.conditioning([hist_b], arm_b.base).reshape(2, 20)
+        own_a = obs.conditioning([hist_a], arm_a.base).reshape(2, 20)
+        assert rows[:, :20] == pytest.approx(own_b, abs=1e-12)
+        assert rows[:, 20:] == pytest.approx(own_a, abs=1e-12)
 
     def test_other_block_first_then_ego(self, rng):
         arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
-        paired = obs.build_paired(hist_a, hist_b, arm_a.base, arm_b.base)
-        # Ego block is raw; other block is the transformed other history.
-        assert paired[:, 20:] == pytest.approx(hist_a)
-        expect = np.stack([obs.transform_to_frame(arm_a.base, arm_b.base, f)
-                           for f in hist_b])
-        assert paired[:, :20] == pytest.approx(expect)
+        rows = obs.conditioning([hist_b, hist_a], arm_a.base).reshape(2, 40)
+        assert rows[:, :20] == pytest.approx(ego_frame(arm_a.base, hist_b), abs=1e-12)
+        assert rows[:, 20:] == pytest.approx(ego_frame(arm_a.base, hist_a), abs=1e-12)
+        # The ego base sits at the origin of its own frame.
+        assert rows[:, 20:][:, obs.slot(3, "base_pose")] == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_and_transform_back(self, rng):
         arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
-        paired = obs.build_paired(hist_a, hist_b, arm_a.base, arm_b.base)
-        moved = paired[0, :20]
-        back = obs.transform_to_frame(arm_b.base, arm_a.base, moved)
+        moved = obs.conditioning([hist_b, hist_a], arm_a.base)[:20]
+        back = obs.transform_to_frame(IDENTITY_POSE, arm_a.base, moved)
         assert back == pytest.approx(hist_b[0], abs=1e-9)
 
     def test_length_mismatch(self, rng):
         arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
         with pytest.raises(ValueError):
-            obs.build_paired(hist_a, hist_b[:1], arm_a.base, arm_b.base)
+            obs.conditioning([hist_b[:1], hist_a], arm_a.base)
 
 
 class TestFlatten:
     def test_round_trip_and_length(self, rng):
-        hist = rng.normal(size=(2, 20))
-        flat = obs.flatten(hist)
+        arm = random_arm(rng, dof=3)
+        goal = EEPose(np.array([0.4, -0.2]), 0.7)
+        frames = [obs.build_frame(arm, random_config(arm, rng), goal) for _ in range(2)]
+        hist = obs.build_history(frames, 2)
+        flat = obs.conditioning([hist], arm.base)
         assert flat.shape == (40,)
-        assert flat.reshape(2, 20) == pytest.approx(hist)
+        assert flat.reshape(2, 20) == pytest.approx(ego_frame(arm.base, hist), abs=1e-12)
         # Oldest first: the first frame occupies the leading slots.
-        assert flat[:20] == pytest.approx(hist[0])
+        assert flat[:20] == pytest.approx(ego_frame(arm.base, hist[:1])[0], abs=1e-12)
+
+
+class TestConditioningInvariance:
+    def test_stacked_transform_matches_per_frame(self, rng):
+        arm = random_arm(rng, dof=4)
+        goal = EEPose(np.array([0.1, 0.3]), -0.4)
+        stack = np.stack([obs.build_frame(arm, random_config(arm, rng), goal)
+                          for _ in range(6)]).reshape(2, 3, -1)
+        base, source = random_pose(rng), random_pose(rng)
+        got = obs.transform_to_frame(base, source, stack)
+        for idx in np.ndindex(2, 3):
+            assert got[idx] == pytest.approx(
+                obs.transform_to_frame(base, source, stack[idx]), abs=1e-12)
+
+    def test_rigid_motion_of_scene_leaves_conditioning_unchanged(self, rng):
+        for _ in range(20):
+            motion = random_pose(rng)
+            scenes = []
+            bases = [random_pose(rng), random_pose(rng)]
+            configs = [rng.uniform(-math.pi, math.pi, size=3) for _ in range(2)]
+            goals = [EEPose(rng.uniform(-1, 1, size=2), rng.uniform(-3, 3))
+                     for _ in range(2)]
+            for g in (IDENTITY_POSE, motion):
+                arms = [make_arm((0.5, 0.3, 0.2), compose(g, b), 0.1) for b in bases]
+                moved = [EEPose(apply_to_points(g, goal.position),
+                                goal.orientation + g.heading) for goal in goals]
+                hists = [obs.build_history([obs.build_frame(arm, q, goal)], 2)
+                         for arm, q, goal in zip(arms, configs, moved)]
+                scenes.append((obs.conditioning(hists[1:], arms[1].base),
+                               obs.conditioning(hists, arms[1].base)))
+            for before, after in zip(*scenes):
+                assert np.max(np.abs(after - before)) <= 1e-9
 
 
 class TestLayoutTable:
@@ -183,3 +234,4 @@ class TestLayoutTable:
         for name in ("joint_angles", "ee_pose", "goal_pose", "link_endpoints", "base_pose"):
             assert name in table
         assert "20" in table and "40" in table
+        assert "ego arm base" in table

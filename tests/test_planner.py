@@ -139,28 +139,31 @@ class TestNodeCost:
 
 class TestInitPlans:
     def test_sizes_and_determinism(self, cfg):
-        _, _, goals, hists = facing_scene()
+        arms, _, goals, hists = facing_scene()
+        bases = [arm.base for arm in arms]
         policy = ScriptedPolicy(straight_plans)
-        sets_a = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA)
-        sets_b = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA)
+        sets_a = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA, bases=bases)
+        sets_b = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA, bases=bases)
         assert [len(s) for s in sets_a] == [10, 10]
         for sa, sb in zip(sets_a, sets_b):
             for p, q in zip(sa.plans, sb.plans):
                 assert np.array_equal(p, q)
 
     def test_independent_of_team_size(self):
-        _, _, _, hists = facing_scene()
+        arms, _, _, hists = facing_scene()
+        bases = [arm.base for arm in arms]
         policy = ScriptedPolicy(straight_plans)
-        solo = pl.init_plans(policy, hists[:1], 5, seed=9, delta_limit=DELTA)
-        duo = pl.init_plans(policy, hists, 5, seed=9, delta_limit=DELTA)
+        solo = pl.init_plans(policy, hists[:1], 5, seed=9, delta_limit=DELTA,
+                             bases=bases[:1])
+        duo = pl.init_plans(policy, hists, 5, seed=9, delta_limit=DELTA, bases=bases)
         for p, q in zip(solo[0].plans, duo[0].plans):
             assert np.array_equal(p, q)
 
     def test_frozen_arm_gets_single_zero_plan(self):
-        _, _, _, hists = facing_scene()
+        arms, _, _, hists = facing_scene()
         policy = ScriptedPolicy(straight_plans)
         sets = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA,
-                             frozen={1})
+                             bases=[arm.base for arm in arms], frozen={1})
         assert len(sets[0]) == 10
         assert len(sets[1]) == 1
         assert np.all(sets[1].plans[0] == 0.0)
