@@ -4,6 +4,15 @@ Squared-cosine schedule, forward noising, ancestral reverse sampling with
 the lower-bound posterior variance, training with AdamW plus EMA, and
 versioned binary checkpoints (layout in docs/file_formats.md).
 
+Each reverse step predicts the clean sample x0 from the model's noise
+estimate, clips it to the normalized feasible action box, and takes the
+DDPM posterior mean of z_{k-1} given (x0, z_k) (Ho et al., 2020, eq. 7).
+The mean weights z_k by less than one and x0 is bounded, so a chain cannot
+diverge however wrong the noise estimate is. Without the clip the mean
+equals the epsilon form (z_k - beta_k / sqrt(1 - abar_k) eps_hat) /
+sqrt(alpha_k), which multiplies the estimate's error by 1/sqrt(alpha_k),
+about 32 at the last cosine step.
+
 Sampling runs one chain over m stacked conditioning rows with one generator
 per row. Each row's generator draws exactly the blocks a chain of its own
 would, and each row's matrix products keep a solo chain's shapes, so
@@ -83,20 +92,18 @@ def forward_noise(schedule: NoiseSchedule, z0: np.ndarray, k, epsilon: np.ndarra
     return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * epsilon
 
 
-def predict_noise(model: DenoiserMLP, obs: np.ndarray, z_k: np.ndarray, k) -> np.ndarray:
-    """Deterministic denoiser forward pass; output matches z_k's shape."""
-    z_k = np.atleast_2d(np.asarray(z_k, dtype=float))
-    obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    if obs.shape[0] == 1 and z_k.shape[0] > 1:
-        obs = np.broadcast_to(obs, (z_k.shape[0], obs.shape[1]))
-    if z_k.shape[1] != model.action_width or obs.shape[1] != model.obs_dim:
-        raise ValueError("input widths do not match the model")
-    return model.forward(z_k, obs, k)
-
-
 def reverse_step(schedule: NoiseSchedule, model, obs, z_k: np.ndarray, k: int,
-                 rng: np.random.Generator, *, obs_proj=None, emb_proj=None) -> np.ndarray:
-    """One ancestral update; deterministic at k == 1."""
+                 rng: np.random.Generator, box, *, obs_proj=None,
+                 emb_proj=None) -> np.ndarray:
+    """One ancestral update from z_k to z_{k-1}.
+
+    x0_hat = (z_k - sqrt(1 - abar_k) eps_hat) / sqrt(abar_k) is clipped to
+    `box`, a (low, high) pair of bounds in normalized action units, and the
+    step returns the posterior mean
+    sqrt(abar_{k-1}) beta_k / (1 - abar_k) x0_hat
+    + sqrt(alpha_k) (1 - abar_{k-1}) / (1 - abar_k) z_k
+    plus sigma_k noise. At k == 1 it returns the clipped x0_hat itself.
+    """
     if not 1 <= k <= schedule.n_steps:
         raise ValueError("k out of range")
     z_k = np.asarray(z_k, dtype=float)
@@ -104,11 +111,14 @@ def reverse_step(schedule: NoiseSchedule, model, obs, z_k: np.ndarray, k: int,
         eps_hat = model.forward(z_k, obs_proj=obs_proj, emb_proj=emb_proj)
     else:
         eps_hat = model.forward(z_k, obs, k)
-    alpha = schedule.alpha[k]
     abar = schedule.alpha_bar[k]
-    mean = (z_k - (1.0 - alpha) / math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(alpha)
+    x0_hat = (z_k - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
+    x0_hat = np.clip(x0_hat, box[0], box[1])
     if k == 1:
-        return mean
+        return x0_hat
+    abar_prev = schedule.alpha_bar[k - 1]
+    mean = (math.sqrt(abar_prev) * schedule.beta[k] / (1.0 - abar) * x0_hat
+            + math.sqrt(schedule.alpha[k]) * (1.0 - abar_prev) / (1.0 - abar) * z_k)
     sigma = math.sqrt(schedule.posterior_var[k])
     return mean + sigma * rng.standard_normal(z_k.shape)
 
@@ -134,7 +144,9 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     One chain denoises an (m, count, width) stack. Row i draws its noise from
     rngs[i] only (initial block, then one block per step), and every matrix
     product runs per row block with the shapes of a solo chain, so row i is
-    bit-identical to a chain run for that conditioning alone.
+    bit-identical to a chain run for that conditioning alone. Every step
+    clips its x0 estimate to the normalized image of [-delta_limit,
+    delta_limit], the range the plans are clamped to afterwards.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -147,9 +159,11 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     obs_proj = model.obs_projection(norm_obs[:, None, :])
     if emb_proj_table is None:
         emb_proj_table = model.emb_projection_table()
+    box = ((-delta_limit - norm.act_mean) / norm.act_scale,
+           (delta_limit - norm.act_mean) / norm.act_scale)
     z = noise.standard_normal((m, count, model.action_width))
     for k in range(schedule.n_steps, 0, -1):
-        z = reverse_step(schedule, model, None, z, k, noise,
+        z = reverse_step(schedule, model, None, z, k, noise, box,
                          obs_proj=obs_proj, emb_proj=emb_proj_table[k])
     actions = norm.denormalize_act(z).reshape(m, count, pred_horizon, action_dim)
     return np.clip(actions, -delta_limit, delta_limit)

@@ -116,10 +116,6 @@ def make_arm(link_lengths, base: BasePose, collision_radius: float,
     return ArmModel(tuple(link_lengths), tuple(joint_limits), collision_radius, base)
 
 
-def clamp_config(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    return np.clip(q, arm.lower_limits, arm.upper_limits)
-
-
 def _check_dims(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (arm.dof,):

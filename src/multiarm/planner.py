@@ -4,9 +4,10 @@ Each arm starts with a batch of candidate delta-action plans sampled from
 the single-arm model. Nodes pick one plan per arm; the earliest conflict of
 the chosen combination triggers two successor strategies for each involved
 arm: Rebranch swaps in existing alternatives, Repair samples fresh plans
-from the pair-conditioned model. The frontier is ordered by a cost that
-adds path smoothness, terminal goal residuals, and a flat collision
-penalty. Search is deterministic given a seed; the wall-clock timeout is
+from the pair-conditioned model. Both repairs of one expansion are sampled
+in one stacked chain, each from its own substream. The frontier is
+ordered by a cost that adds path smoothness, terminal goal residuals, and
+a flat collision penalty. Search is deterministic given a seed; the wall-clock timeout is
 optional and off by default.
 """
 
@@ -119,7 +120,6 @@ class _Search:
         self.plan_sets = init_plans(single_policy, histories, cfg.planner.batch, seed,
                                     self.delta, [arm.base for arm in self.arms],
                                     self.frozen)
-        self.repair_rng = substream(seed, TAG_PLAN, 1)
         self.heap: list[tuple[float, int, SearchNode]] = []
         self.visited: set[tuple[int, ...]] = set()
         # Tuples ever inserted. Cost depends only on the tuple, so dropping
@@ -128,6 +128,7 @@ class _Search:
         # (arm, plan index) -> PlanRecord, shared by first-conflict search and
         # cost, so each candidate plan is rolled out once.
         self.state_cache: dict = {}
+        self.seed = seed
         self.seq = 0
         self.audit = audit
         self.arm_terms: dict[tuple[int, int], float] = {}
@@ -198,18 +199,40 @@ class _Search:
             b = tuple(m if i == ego else bi for i, bi in enumerate(node.b))
             self.push(b, sets)
 
-    def repair(self, node: SearchNode, ego: int, other: int, kappa: frozenset):
-        if self.dual is None or ego in self.frozen:
+    def sample_repairs(self, pairs) -> list:
+        """Fresh pair-conditioned plans for each (ego, other) pair, or None
+        where the ego arm cannot be repaired, from one stacked chain.
+
+        Repair r of the search (counted in `stats["repairs"]`) draws from
+        substream (seed, TAG_PLAN, 1, r), so its plans do not depend on
+        which other repair shares its chain.
+        """
+        slots = [s for s, (ego, _) in enumerate(pairs)
+                 if self.dual is not None and ego not in self.frozen]
+        out = [None] * len(pairs)
+        if not slots:
+            return out
+        conds, rngs = [], []
+        for s in slots:
+            ego, other = pairs[s]
+            conds.append(obs.conditioning([self.histories[other], self.histories[ego]],
+                                          self.arms[ego].base))
+            rngs.append(substream(self.seed, TAG_PLAN, 1, self.stats["repairs"]))
+            self.stats["repairs"] += 1
+        samples = self.dual.sample_plans_many(np.stack(conds), self.cfg.planner.batch,
+                                              rngs, self.delta)
+        for s, plans in zip(slots, samples):
+            out[s] = plans
+        return out
+
+    def repair(self, node: SearchNode, ego: int, kappa: frozenset, plans):
+        """Append `plans` to the ego arm's set and push one successor each."""
+        if plans is None:
             return
-        self.stats["repairs"] += 1
-        cond = obs.conditioning([self.histories[other], self.histories[ego]],
-                                self.arms[ego].base)
-        samples = self.dual.sample_plans(cond, self.cfg.planner.batch, self.repair_rng,
-                                         self.delta)
         sets = list(node.conflict_sets)
         sets[ego] = kappa
         sets = tuple(sets)
-        for plan in samples:
+        for plan in plans:
             idx = self.plan_sets[ego].update(plan)
             self.stats["repair_plans"] += 1
             b = tuple(idx if i == ego else bi for i, bi in enumerate(node.b))
@@ -252,10 +275,11 @@ class _Search:
             kappa_i = node.conflict_sets[i] | {node.b[i]}
             self.rebranch(node, i, kappa_i)
             if not conflict.is_self:
-                self.repair(node, i, j, kappa_i)
                 kappa_j = node.conflict_sets[j] | {node.b[j]}
+                plans_i, plans_j = self.sample_repairs([(i, j), (j, i)])
+                self.repair(node, i, kappa_i, plans_i)
                 self.rebranch(node, j, kappa_j)
-                self.repair(node, j, i, kappa_j)
+                self.repair(node, j, kappa_j, plans_j)
 
         if result is None:
             result = self._best_effort(horizon)

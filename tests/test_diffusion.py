@@ -107,21 +107,7 @@ class TestForwardNoise:
         assert abs(var - expect) <= 0.02 * expect
 
 
-class TestPredictNoise:
-    def test_deterministic_and_shaped(self, rng):
-        model = tiny_model(rng)
-        z = rng.normal(size=(5, 4))
-        obs = rng.normal(size=(5, 3))
-        a = dif.predict_noise(model, obs, z, np.full(5, 3))
-        b = dif.predict_noise(model, obs, z, np.full(5, 3))
-        assert a.shape == z.shape
-        assert np.array_equal(a, b)
-
-    def test_dim_mismatch(self, rng):
-        model = tiny_model(rng)
-        with pytest.raises(ValueError):
-            dif.predict_noise(model, np.zeros(2), np.zeros((1, 4)), 1)
-
+class TestFastForward:
     def test_fast_path_matches_plain_forward(self, rng):
         model = tiny_model(rng)
         z = rng.normal(size=(6, 4))
@@ -190,14 +176,51 @@ class OracleDenoiser:
         return (z - np.sqrt(abar) * self.z0) / np.sqrt(1 - abar)
 
 
+class ScaledDenoiser:
+    """A real model whose noise estimate is multiplied by `scale`."""
+
+    def __init__(self, model, scale):
+        self.model = model
+        self.scale = scale
+        self.eps_seen = []
+
+    def forward(self, *args, **kwargs):
+        eps = self.scale * self.model.forward(*args, **kwargs)
+        self.eps_seen.append(eps)
+        return eps
+
+
+class _NoNoise:
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+INF_BOX = (-np.inf, np.inf)
+
+
+def eps_form_mean(schedule, z_k, eps_hat, k):
+    """Reference: the epsilon-parameterized DDPM mean, without any clipping."""
+    alpha, abar = schedule.alpha[k], schedule.alpha_bar[k]
+    return (z_k - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
+
+
+def plant_the_noise(sched, z0, box, rng):
+    oracle = OracleDenoiser(sched, z0)
+    z = dif.forward_noise(sched, z0, sched.n_steps, rng.standard_normal(z0.shape))
+    for k in range(sched.n_steps, 0, -1):
+        oracle._k = k
+        z = dif.reverse_step(sched, oracle, None, z, k, _NoNoise(), box)
+    return z
+
+
 class TestReverse:
     def test_k_one_deterministic(self, rng):
         model = tiny_model(rng)
         sched = make_schedule(10)
         z = rng.normal(size=(2, 4))
         obs = rng.normal(size=(2, 3))
-        a = dif.reverse_step(sched, model, obs, z, 1, np.random.default_rng(0))
-        b = dif.reverse_step(sched, model, obs, z, 1, np.random.default_rng(99))
+        a = dif.reverse_step(sched, model, obs, z, 1, np.random.default_rng(0), INF_BOX)
+        b = dif.reverse_step(sched, model, obs, z, 1, np.random.default_rng(99), INF_BOX)
         assert a == pytest.approx(b)
 
     def test_out_of_range_k(self, rng):
@@ -205,19 +228,54 @@ class TestReverse:
         sched = make_schedule(10)
         with pytest.raises(ValueError):
             dif.reverse_step(sched, model, np.zeros((1, 3)), np.zeros((1, 4)), 0,
-                             np.random.default_rng(0))
+                             np.random.default_rng(0), INF_BOX)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_plant_the_noise_recovery(self, rng):
         sched = make_schedule(100)
-        z0 = rng.normal(size=(3, 6))
-        oracle = OracleDenoiser(sched, z0)
-        eps = rng.standard_normal(z0.shape)
-        z = dif.forward_noise(sched, z0, 100, eps)
-        quiet = _NoNoise()
-        for k in range(100, 0, -1):
-            oracle._k = k
-            z = dif.reverse_step(sched, oracle, None, z, k, quiet)
+        box = (np.full(6, -3.0), np.full(6, 3.0))
+        z0 = rng.uniform(-2.9, 2.9, size=(3, 6))
+        z = plant_the_noise(sched, z0, box, rng)
         assert z == pytest.approx(z0, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_plant_the_noise_outside_box_comes_back_clipped(self, rng):
+        sched = make_schedule(100)
+        box = (np.full(6, -1.0), np.linspace(0.5, 2.0, 6))
+        z0 = rng.uniform(-4.0, 4.0, size=(3, 6))
+        assert np.any(z0 < box[0]) and np.any(z0 > box[1])
+        z = plant_the_noise(sched, z0, box, rng)
+        assert z == pytest.approx(np.clip(z0, box[0], box[1]), abs=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_box_mean_equals_eps_form(self, rng):
+        sched = make_schedule(100)
+        model = tiny_model(rng, K=100)
+        obs = rng.normal(size=(5, 3))
+        for k in range(1, 101):
+            z = rng.normal(size=(5, 4))
+            scaled = ScaledDenoiser(model, 1.0)
+            got = dif.reverse_step(sched, scaled, obs, z, k, _NoNoise(), INF_BOX)
+            ref = eps_form_mean(sched, z, scaled.eps_seen[-1], k)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_model_stays_in_box(self, rng):
+        sched = make_schedule(100)
+        model = ScaledDenoiser(tiny_model(rng, K=100), 1e3)
+        obs = rng.normal(size=(5, 3))
+        box = (np.array([-1.0, -2.0, -0.5, -3.0]), np.array([1.0, 0.5, 2.0, 3.0]))
+        z = rng.standard_normal((5, 4))
+        noise = np.random.default_rng(3)
+        for k in range(100, 0, -1):
+            z_prev = z
+            z = dif.reverse_step(sched, model, obs, z, k, noise, box)
+            assert np.all(np.isfinite(z))
+            assert np.max(np.abs(z)) <= 10.0
+        assert np.all(z >= box[0]) and np.all(z <= box[1])
+        abar = sched.alpha_bar[1]
+        x0_hat = (z_prev - np.sqrt(1.0 - abar) * model.eps_seen[-1]) / np.sqrt(abar)
+        assert np.array_equal(z, np.clip(x0_hat, box[0], box[1]))
 
     def test_outputs_finite(self, rng):
         model = tiny_model(rng)
@@ -225,13 +283,8 @@ class TestReverse:
         z = rng.normal(size=(4, 4))
         obs = rng.normal(size=(4, 3))
         for k in range(1, 11):
-            z_next = dif.reverse_step(sched, model, obs, z, k, rng)
+            z_next = dif.reverse_step(sched, model, obs, z, k, rng, INF_BOX)
             assert np.all(np.isfinite(z_next))
-
-
-class _NoNoise:
-    def standard_normal(self, shape):
-        return np.zeros(shape)
 
 
 class TestSampling:

@@ -10,6 +10,7 @@ from multiarm.config import RunConfig, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import build_frame, build_history
 from multiarm.planner import PlanSet, dgmap_search, plan_cost_terms
+from multiarm.seeding import TAG_PLAN, substream
 
 from .test_diffusion import random_policy
 
@@ -217,6 +218,45 @@ class TestStackedSampling:
             assert np.array_equal(p.view(np.uint64), q.view(np.uint64))
 
 
+class RecordingPolicy:
+    """A real policy that records every stacked sampling call."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.calls = []
+
+    def sample_plans_many(self, obs_vecs, count, rngs, delta_limit):
+        out = self.policy.sample_plans_many(obs_vecs, count, rngs, delta_limit)
+        self.calls.append((np.array(obs_vecs), out))
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.policy, name)
+
+
+class TestStackedRepairs:
+    def test_one_chain_per_expansion_on_own_substreams(self, cfg):
+        arms, starts, goals, hists = ring_scene(4)
+        single = random_policy("single", 40, pred_horizon=T_P, seed=1)
+        dual = RecordingPolicy(random_policy("dual", 80, pred_horizon=T_P, seed=2))
+        small = dataclasses.replace(cfg, planner=dataclasses.replace(
+            cfg.planner, batch=4, max_expansions=6))
+        result = dgmap_search(arms, starts, goals, hists, single, dual, small, 13)
+        # No arm is frozen and no conflict here is a self conflict, so every
+        # unsolved expansion made exactly one two-row repair call.
+        unsolved = result.stats["expansions"] - int(result.stats["solved"])
+        assert unsolved >= 2
+        assert len(dual.calls) == unsolved
+        assert result.stats["repairs"] == 2 * unsolved
+        r = 0
+        for conds, plans in dual.calls:
+            assert plans.shape == (2, 4, T_P, 3)
+            for cond, got in zip(conds, plans):
+                solo = dual.policy.sample_plans(cond, 4, substream(13, TAG_PLAN, 1, r), DELTA)
+                assert np.array_equal(got.view(np.uint64), solo.view(np.uint64))
+                r += 1
+
+
 class TestSearch:
     def test_single_arm_free_space_solves_immediately(self, cfg):
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
@@ -340,7 +380,8 @@ class TestRepairDetails:
         search.push(root, (frozenset(), frozenset()))
         node = search.pop()
         before = len(search.plan_sets[0])
-        search.repair(node, 0, 1, frozenset({0}))
+        (plans,) = search.sample_repairs([(0, 1)])
+        search.repair(node, 0, frozenset({0}), plans)
         after = len(search.plan_sets[0])
         assert after - before == cfg.planner.batch
         # New successor nodes reference only fresh indices.
