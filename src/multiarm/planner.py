@@ -5,10 +5,10 @@ the single-arm model. Nodes pick one plan per arm; the earliest conflict of
 the chosen combination triggers two successor strategies for each involved
 arm: Rebranch swaps in existing alternatives, Repair samples fresh plans
 from the pair-conditioned model. Both repairs of one expansion are sampled
-in one stacked chain, each from its own substream. The frontier is
-ordered by a cost that adds path smoothness, terminal goal residuals, and
-a flat collision penalty. Search is deterministic given a seed; the wall-clock timeout is
-optional and off by default.
+in one stacked chain, each from its own substream. The frontier is ordered
+by a cost that adds path smoothness, terminal goal residuals, and a flat
+collision penalty. Search is deterministic given a seed; the wall-clock
+timeout is optional and off by default.
 """
 
 from __future__ import annotations

@@ -230,14 +230,13 @@ class TestRowsMatchInference:
         n = len(path)
         assert len(data) == 2 * n
         cfg = load_config()
-        node = pl.SearchNode((0, 0), (frozenset(), frozenset()), 0.0, 0)
         for t in range(n):
             hists = world_histories(arms, paths, goals, t)
             dual = RecordingPolicy()
             search = pl._Search(arms, [p[t] for p in paths], goals, hists,
                                 RecordingPolicy(), dual, cfg, 0, frozenset())
-            search.repair(node, 0, 1, frozenset())
-            search.repair(node, 1, 0, frozenset())
+            search.sample_repairs([(0, 1), (1, 0)])
+            assert len(dual.conds) == 2
             for ego, cond in enumerate(dual.conds):
                 assert cond.astype(np.float32).tobytes() == \
                     data.observations[ego * n + t].tobytes()
