@@ -16,7 +16,7 @@ import numpy as np
 from multiarm.config import load_config
 from multiarm.controller import make_world, run_episode
 from multiarm.diffusion import load_checkpoint
-from multiarm.kinematics import BasePose, forward_kinematics, make_arm
+from multiarm.kinematics import BasePose, forward_kinematics, link_vertices, make_arm
 
 
 def build_scene(cfg):
@@ -54,7 +54,6 @@ def main():
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
-        from multiarm.kinematics import link_vertices
 
         fig, ax = plt.subplots(figsize=(6, 6))
         lines = (out / "trace.jsonl").read_text().splitlines()

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import WorldBounds, find_first_collision
+from .collision import WorldBounds, find_first_collision, plan_record
 from .config import RunConfig, config_digest, morphology_digest
 from .controller import (
     EpisodeResult,
@@ -46,17 +46,14 @@ METHODS = ("dgmap", "decentralized")
 def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
     """The arm's cheapest candidate, judged on its own: no other arm exists.
 
-    Each candidate is rolled out once: the conflict check leaves its
-    `PlanRecord` in `records`, and the cost reads the final config from it.
+    Each candidate is rolled out once into a `PlanRecord`; the conflict check
+    and the cost (which reads the record's final config) share it.
     """
-    records: dict = {}
     best, best_score = None, None
-    for k, plan in enumerate(plans):
-        conflict = find_first_collision([arm], [q], [plan], plan_indices=(k,),
-                                        delta_limit=cfg.controller.delta_limit,
-                                        bounds=bounds, state_cache=records)
-        score = _cost_terms(arm, records[(0, k)].configs[-1], plan, goal)
-        if conflict is not None:
+    for plan in plans:
+        rec = plan_record(arm, q, plan, cfg.controller.delta_limit)
+        score = _cost_terms(arm, rec.configs[-1], plan, goal)
+        if find_first_collision([arm], [rec], bounds, {}) is not None:
             score += cfg.planner.collision_penalty
         if best_score is None or score < best_score:
             best, best_score = plan, score

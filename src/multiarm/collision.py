@@ -8,32 +8,32 @@ can still touch and leave contact between the two checked states (1 miss
 in 300 max-rate steps that started near contact).
 
 The predicates `states_free` and `states_collide` take (k, d) stacks of
-configurations and answer per row from one vertex build per arm and one
-segment-distance kernel call; the scalar `is_free` and `arms_collide` are
-their one-row case. Every caller reaches the kernel through the same stacked
-helpers, `_trajectory_vertices`, `_verts_free` and `_verts_collide`: the
-planner's first-conflict search, the experts' validity checks, and the
-executor's per-step check (`controller.segment_has_collision`), which the
-resim gate (`bench.resimulate_trajectory`) runs once over a whole recorded
-trajectory.
+configurations and answer per row from one vertex build per arm
+(`kinematics.chain_vertices`) and one segment-distance kernel call; the
+scalar `is_free` and `arms_collide` are their one-row case. Every caller
+reaches the kernel through the same stacked helpers, `_verts_free` and
+`_verts_collide`: the planner's first-conflict search, the experts' validity
+checks, and the executor's per-step check (`controller.segment_has_collision`),
+which the resim gate (`bench.resimulate_trajectory`) runs once over a whole
+recorded trajectory.
 
-First-conflict search has a broad phase. Each (arm, plan) gets one
-`PlanRecord`: its rollout, its checked-state vertex stack and that stack's
-axis-aligned bounds. An arm pair whose bounds are separated on x or y by
-more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot touch at any checked
-state, so it resolves to "no conflict" without the capsule kernel. The
-margin sits far above the kernel's rounding error, so every verdict is the
-one the kernel would give.
+First-conflict search takes one `PlanRecord` per arm: its rollout, its
+checked-state vertex stack and that stack's axis-aligned bounds. It has a
+broad phase: an arm pair whose bounds are separated on x or y by more than
+r_a + r_b + `BROAD_PHASE_MARGIN` cannot touch at any checked state, so it
+resolves to "no conflict" without the capsule kernel. The margin sits far
+above the kernel's rounding error, so every verdict is the one the kernel
+would give. Verdicts go into a caller-owned memo keyed by the records
+themselves, so a search that reuses its records never checks a pair twice.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ArmModel, DimensionError
+from .kinematics import ArmModel, chain_vertices
 
 
 @dataclass(frozen=True)
@@ -74,48 +74,6 @@ class Conflict:
     @property
     def is_self(self) -> bool:
         return self.arm_i == self.arm_j
-
-    def key(self) -> tuple[int, int, int]:
-        return (self.time, self.arm_i, self.arm_j)
-
-
-class CollisionCache:
-    """Memoizes per-pair (and per-arm) earliest-conflict times.
-
-    Keys are (arm_i, plan_index_i, arm_j, plan_index_j, start_digest) with
-    i <= j; i == j keys memoize single-arm feasibility. Values are the
-    earliest conflicting step for that pair alone, or None. Insertion is
-    idempotent, so concurrent readers can race inserts safely.
-    """
-
-    def __init__(self):
-        self._table: dict = {}
-        self.hits = 0
-        self.evals = 0
-
-    @staticmethod
-    def _normalize(arm_i, idx_i, arm_j, idx_j, digest):
-        if arm_j < arm_i:
-            arm_i, idx_i, arm_j, idx_j = arm_j, idx_j, arm_i, idx_i
-        return (arm_i, idx_i, arm_j, idx_j, digest)
-
-    def lookup(self, arm_i, idx_i, arm_j, idx_j, digest):
-        key = self._normalize(arm_i, idx_i, arm_j, idx_j, digest)
-        if key in self._table:
-            self.hits += 1
-            return True, self._table[key]
-        return False, None
-
-    def store(self, arm_i, idx_i, arm_j, idx_j, digest, value):
-        self.evals += 1
-        self._table[self._normalize(arm_i, idx_i, arm_j, idx_j, digest)] = value
-
-
-def start_configs_digest(start_configs) -> bytes:
-    h = hashlib.sha256()
-    for q in start_configs:
-        h.update(np.ascontiguousarray(q, dtype="<f8").tobytes())
-    return h.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -190,23 +148,6 @@ def _self_clear(verts: np.ndarray, radius: float) -> np.ndarray:
     return np.all(clear, axis=(-2, -1))
 
 
-def _check_stack(arm: ArmModel, qs) -> np.ndarray:
-    qs = np.asarray(qs, dtype=float)
-    if qs.ndim != 2 or qs.shape[1] != arm.dof:
-        raise DimensionError(f"config stack shape {qs.shape} does not match (k, {arm.dof})")
-    return qs
-
-
-def _trajectory_vertices(arm: ArmModel, states: np.ndarray) -> np.ndarray:
-    """Vertex stacks for a batch of configs, shape (n, d+1, 2)."""
-    cum = arm.base.heading + np.cumsum(states, axis=1)
-    steps = np.asarray(arm.link_lengths)[None, :, None] * np.stack([np.cos(cum), np.sin(cum)], axis=2)
-    verts = np.empty((len(states), arm.dof + 1, 2))
-    verts[:, 0] = arm.base.xy
-    verts[:, 1:] = arm.base.xy + np.cumsum(steps, axis=1)
-    return verts
-
-
 def _verts_free(arm: ArmModel, verts: np.ndarray, bounds: WorldBounds) -> np.ndarray:
     return _verts_in_bounds(verts, arm.collision_radius, bounds) & _self_clear(verts, arm.collision_radius)
 
@@ -221,15 +162,13 @@ def _verts_collide(a: ArmModel, va: np.ndarray, b: ArmModel, vb: np.ndarray) -> 
 def states_free(arm: ArmModel, qs, bounds: WorldBounds = DEFAULT_BOUNDS) -> np.ndarray:
     """Per row of a (k, d) config stack: self-collision-free and fully inside
     the world rectangle. Returns (k,) bools."""
-    return _verts_free(arm, _trajectory_vertices(arm, _check_stack(arm, qs)), bounds)
+    return _verts_free(arm, chain_vertices(arm, qs), bounds)
 
 
 def states_collide(a: ArmModel, qa, b: ArmModel, qb) -> np.ndarray:
     """Per row: True if any link capsule of arm a at qa[r] touches any link
     capsule of arm b at qb[r]. qa is (k, d_a), qb is (k, d_b)."""
-    va = _trajectory_vertices(a, _check_stack(a, qa))
-    vb = _trajectory_vertices(b, _check_stack(b, qb))
-    return _verts_collide(a, va, b, vb)
+    return _verts_collide(a, chain_vertices(a, qa), b, chain_vertices(b, qb))
 
 
 def is_free(arm: ArmModel, q: np.ndarray, bounds: WorldBounds = DEFAULT_BOUNDS) -> bool:
@@ -273,7 +212,7 @@ def _checked_states(configs: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanRecord:
     """One arm's rolled-out plan as first-conflict search sees it.
 
@@ -281,7 +220,8 @@ class PlanRecord:
     checked states (2T, d + 1, 2), and (x_lo, y_lo, x_hi, y_hi) the
     axis-aligned bounds of every vertex in `verts`. The bounds come from
     numpy min/max, so a NaN vertex makes them NaN and the broad phase never
-    prunes on it.
+    prunes on it. Records compare and hash by identity, so they key the
+    first-conflict memo directly.
     """
 
     configs: np.ndarray
@@ -295,7 +235,7 @@ class PlanRecord:
 def plan_record(arm: ArmModel, q0: np.ndarray, plan: np.ndarray,
                 delta_limit: float) -> PlanRecord:
     configs = rollout(arm, q0, plan, delta_limit)
-    verts = _trajectory_vertices(arm, _checked_states(configs))
+    verts = chain_vertices(arm, _checked_states(configs))
     lo = np.min(verts, axis=(0, 1))
     hi = np.max(verts, axis=(0, 1))
     return PlanRecord(configs, verts, float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
@@ -328,71 +268,32 @@ def _first_pair_collision(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanReco
     return int(bad[0]) // 2 if len(bad) else None
 
 
-def find_first_collision(arms, start_configs, plans, cache: CollisionCache | None = None,
-                         plan_indices=None, delta_limit: float = 0.1,
-                         bounds: WorldBounds = DEFAULT_BOUNDS,
-                         state_cache: dict | None = None) -> Conflict | None:
+def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conflict | None:
     """Earliest conflict across all arms and arm pairs over the horizon.
 
-    Per-arm infeasibility surfaces as a self conflict (arm_i == arm_j).
-    Ties in time break toward the lexicographically smallest (i, j). With a
-    cache and per-arm plan indices, pairwise results are memoized under the
-    digest of the start configurations; a pair the broad phase prunes is
-    stored like any other. `state_cache` additionally memoizes each arm's
-    `PlanRecord` across calls, keyed by (arm, plan index); it must be reset
-    whenever start configurations change.
+    `records[i]` is arm i's `PlanRecord` (see `plan_record`). Per-arm
+    infeasibility surfaces as a self conflict (arm_i == arm_j). Ties in time
+    break toward the lexicographically smallest (i, j).
+
+    `memo` maps a record (self check) or a record pair (i < j) to that check's
+    earliest conflicting step, or None; a pair the broad phase prunes is
+    stored like any other. Every call reads and writes it, so a caller that
+    reuses records across calls reuses their verdicts; a one-off call passes
+    `{}`. One memo must serve one set of arms and bounds.
     """
-    n = len(arms)
-    horizons = {np.asarray(p).shape[0] for p in plans}
-    if len(horizons) != 1:
+    if len({len(rec.configs) for rec in records}) != 1:
         raise ValueError("all plans must share one horizon")
-    digest = start_configs_digest(start_configs) if cache is not None else None
-    use_cache = cache is not None and plan_indices is not None
-
-    records = [None] * n
-
-    def record(i):
-        if records[i] is None:
-            key = (i, plan_indices[i]) if (state_cache is not None and plan_indices is not None) else None
-            if key is not None and key in state_cache:
-                records[i] = state_cache[key]
-                return records[i]
-            records[i] = plan_record(arms[i], start_configs[i], plans[i], delta_limit)
-            if key is not None:
-                state_cache[key] = records[i]
-        return records[i]
-
+    n = len(arms)
     best: tuple[int, int, int] | None = None
-
-    def consider(t, i, j):
-        nonlocal best
-        if t is None:
-            return
-        key = (t, i, j)
-        if best is None or key < best:
-            best = key
-
     for i in range(n):
-        if use_cache:
-            found, value = cache.lookup(i, plan_indices[i], i, plan_indices[i], digest)
-            if not found:
-                value = _first_self_violation(arms[i], record(i).verts, bounds)
-                cache.store(i, plan_indices[i], i, plan_indices[i], digest, value)
-        else:
-            value = _first_self_violation(arms[i], record(i).verts, bounds)
-        consider(value, i, i)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if use_cache:
-                found, value = cache.lookup(i, plan_indices[i], j, plan_indices[j], digest)
-                if not found:
-                    value = _first_pair_collision(arms[i], record(i), arms[j], record(j))
-                    cache.store(i, plan_indices[i], j, plan_indices[j], digest, value)
-            else:
-                value = _first_pair_collision(arms[i], record(i), arms[j], record(j))
-            consider(value, i, j)
-
+        for j in range(i, n):
+            key = records[i] if i == j else (records[i], records[j])
+            if key not in memo:
+                memo[key] = (_first_self_violation(arms[i], records[i].verts, bounds) if i == j
+                             else _first_pair_collision(arms[i], records[i], arms[j], records[j]))
+            t = memo[key]
+            if t is not None and (best is None or (t, i, j) < best):
+                best = (t, i, j)
     if best is None:
         return None
     t, i, j = best

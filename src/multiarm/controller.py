@@ -20,16 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import (
-    WorldBounds,
-    _check_stack,
-    _trajectory_vertices,
-    _verts_collide,
-    _verts_free,
-)
+from .collision import WorldBounds, _verts_collide, _verts_free
 from .config import RunConfig
 from .diffusion import Policy
-from .kinematics import EEPose, forward_kinematics, pos_distance, rot_distance
+from .kinematics import (
+    EEPose,
+    chain_vertices,
+    config_stack,
+    forward_kinematics,
+    pos_distance,
+    rot_distance,
+)
 from .planner import dgmap_search
 from .seeding import TAG_CYCLE, substream
 
@@ -115,10 +116,9 @@ def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
     taus = np.arange(1, subsamples + 1) / subsamples
     verts = []
     for arm, p, q in zip(arms, prev_configs, new_configs):
-        p = _check_stack(arm, np.atleast_2d(p))
-        q = _check_stack(arm, np.atleast_2d(q))
-        states = (p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof)
-        v = _trajectory_vertices(arm, states)
+        p = config_stack(arm, np.atleast_2d(p))
+        q = config_stack(arm, np.atleast_2d(q))
+        v = chain_vertices(arm, (p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof))
         if not np.all(_verts_free(arm, v, bounds)):
             return True
         verts.append(v)

@@ -328,6 +328,14 @@ def load_dataset(path: str | Path) -> Dataset:
     off += 4
     (meta_len,) = struct.unpack_from("<I", blob, off)
     off += 4
+    family = FAMILY_NAMES[family_id]
+    if t_p < 1 or act_width % t_p:
+        raise IncompatibleDatasetError(
+            f"action width {act_width} does not split into t_p = {t_p} steps")
+    frames = t_o * (2 if family == "dual" else 1)
+    if obs_width != frames * frame_w:
+        raise IncompatibleDatasetError(
+            f"observation width {obs_width} is not {frames} frames of width {frame_w}")
     body = 16 * (obs_width + act_width) + 4 * n_records * (obs_width + act_width)
     if len(blob) != off + meta_len + body:
         raise IncompatibleDatasetError("dataset size does not match its header")
@@ -350,7 +358,5 @@ def load_dataset(path: str | Path) -> Dataset:
     off += 4 * n_records * obs_width
     actions = np.frombuffer(blob, dtype="<f4", count=n_records * act_width,
                             offset=off).copy().reshape(n_records, act_width)
-    family = FAMILY_NAMES[family_id]
-    action_dim = act_width // t_p
-    return Dataset(family, t_o, t_p, frame_w, action_dim, observations, actions,
+    return Dataset(family, t_o, t_p, frame_w, act_width // t_p, observations, actions,
                    norm, meta)

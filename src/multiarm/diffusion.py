@@ -59,6 +59,15 @@ class NoiseSchedule:
             if getattr(self, name).shape != (k + 1,):
                 raise ValueError(f"{name} must have length K + 1")
 
+    @classmethod
+    def from_alphas(cls, alpha: np.ndarray, alpha_bar: np.ndarray) -> NoiseSchedule:
+        """The schedule whose per-step and cumulative retentions are these;
+        beta and the posterior variance follow from them."""
+        beta = 1.0 - alpha
+        posterior_var = np.zeros(len(alpha))
+        posterior_var[1:] = beta[1:] * (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:])
+        return cls(len(alpha) - 1, alpha, alpha_bar, beta, posterior_var)
+
 
 def cosine_schedule(n_steps: int) -> NoiseSchedule:
     """Squared-cosine cumulative schedule with per-step beta capped at 0.999."""
@@ -71,10 +80,7 @@ def cosine_schedule(n_steps: int) -> NoiseSchedule:
     alpha[1:] = np.clip(raw_bar[1:] / raw_bar[:-1], 1.0 - MAX_BETA, 1.0)
     alpha_bar = np.ones(n_steps + 1)
     alpha_bar[1:] = np.cumprod(alpha[1:])
-    beta = 1.0 - alpha
-    posterior_var = np.zeros(n_steps + 1)
-    posterior_var[1:] = beta[1:] * (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:])
-    return NoiseSchedule(n_steps, alpha, alpha_bar, beta, posterior_var)
+    return NoiseSchedule.from_alphas(alpha, alpha_bar)
 
 
 def forward_noise(schedule: NoiseSchedule, z0: np.ndarray, k, epsilon: np.ndarray) -> np.ndarray:
@@ -346,6 +352,8 @@ def load_checkpoint(path: str | Path, expect_morphology: str | None = None) -> P
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
         raise IncompatibleCheckpointError("not a checkpoint file")
     off = len(CKPT_MAGIC)
+    if len(blob) < off + 4 + 32:
+        raise IncompatibleCheckpointError("checkpoint is truncated")
     (version,) = struct.unpack_from("<I", blob, off)
     off += 4
     if version != CKPT_VERSION:
@@ -373,10 +381,9 @@ def load_checkpoint(path: str | Path, expect_morphology: str | None = None) -> P
     off += mlen
     alpha, off = _unpack_array(blob, off)
     alpha_bar, off = _unpack_array(blob, off)
-    beta = 1.0 - alpha
-    posterior = np.zeros(n_steps + 1)
-    posterior[1:] = beta[1:] * (1.0 - alpha_bar[:-1]) / (1.0 - alpha_bar[1:])
-    schedule = NoiseSchedule(n_steps, alpha, alpha_bar, beta, posterior)
+    if alpha.shape != alpha_bar.shape or alpha.shape != (n_steps + 1,):
+        raise IncompatibleCheckpointError("checkpoint schedule does not match its header")
+    schedule = NoiseSchedule.from_alphas(alpha, alpha_bar)
     arrays = []
     for _ in range(4):
         arr, off = _unpack_array(blob, off)

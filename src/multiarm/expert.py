@@ -22,16 +22,14 @@ import numpy as np
 from .collision import (  # noqa: F401
     DEFAULT_BOUNDS,
     WorldBounds,
-    _check_stack,
     _checked_states,
-    _trajectory_vertices,
     _verts_collide,
     _verts_free,
     arms_collide,
     is_free,
     states_free,
 )
-from .kinematics import ArmModel, EEPose, wrap_angle
+from .kinematics import ArmModel, EEPose, chain_vertices, wrap_angle
 
 
 def steps_between(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray:
@@ -178,8 +176,8 @@ def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds = DE
 
     def valid(qs):
         qs = np.asarray(qs, dtype=float)
-        va = _trajectory_vertices(arm_a, _check_stack(arm_a, qs[:, :da]))
-        vb = _trajectory_vertices(arm_b, _check_stack(arm_b, qs[:, da:]))
+        va = chain_vertices(arm_a, qs[:, :da])
+        vb = chain_vertices(arm_b, qs[:, da:])
         return (_verts_free(arm_a, va, bounds) & _verts_free(arm_b, vb, bounds)
                 & ~_verts_collide(arm_a, va, arm_b, vb))
 
@@ -236,7 +234,7 @@ def sample_goal_config(arm: ArmModel, goal_pose: EEPose, rng: np.random.Generato
     for _ in range(iters):
         if not len(rows):
             break
-        verts = _trajectory_vertices(arm, q)
+        verts = chain_vertices(arm, q)
         r_pos = goal_pose.position - verts[:, -1]
         r_rot = wrap_angle(goal_pose.orientation
                            - wrap_angle(arm.base.heading + np.sum(q, axis=1)))

@@ -116,22 +116,29 @@ def make_arm(link_lengths, base: BasePose, collision_radius: float,
     return ArmModel(tuple(link_lengths), tuple(joint_limits), collision_radius, base)
 
 
-def _check_dims(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (arm.dof,):
-        raise DimensionError(f"config shape {q.shape} does not match {arm.dof}-dof arm")
-    return q
+def config_stack(arm: ArmModel, qs) -> np.ndarray:
+    """qs as a float (k, d) stack of configurations for this arm."""
+    qs = np.asarray(qs, dtype=float)
+    if qs.ndim != 2 or qs.shape[1] != arm.dof:
+        raise DimensionError(f"config stack shape {qs.shape} does not match (k, {arm.dof})")
+    return qs
+
+
+def chain_vertices(arm: ArmModel, qs) -> np.ndarray:
+    """Chain vertices of a (k, d) config stack, shape (k, d + 1, 2): per row
+    the base point plus one tip per link."""
+    qs = config_stack(arm, qs)
+    cum = arm.base.heading + np.cumsum(qs, axis=1)
+    steps = np.asarray(arm.link_lengths)[None, :, None] * np.stack([np.cos(cum), np.sin(cum)], axis=2)
+    verts = np.empty((len(qs), arm.dof + 1, 2))
+    verts[:, 0] = arm.base.xy
+    verts[:, 1:] = arm.base.xy + np.cumsum(steps, axis=1)
+    return verts
 
 
 def link_vertices(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Chain vertices, shape (d + 1, 2): base point plus one tip per link."""
-    q = _check_dims(arm, q)
-    cum = arm.base.heading + np.cumsum(q)
-    steps = np.asarray(arm.link_lengths)[:, None] * np.stack([np.cos(cum), np.sin(cum)], axis=1)
-    verts = np.empty((arm.dof + 1, 2))
-    verts[0] = arm.base.xy
-    verts[1:] = arm.base.xy + np.cumsum(steps, axis=0)
-    return verts
+    """Chain vertices of one config (d,), shape (d + 1, 2)."""
+    return chain_vertices(arm, np.asarray(q, dtype=float)[None])[0]
 
 
 def link_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
@@ -142,9 +149,8 @@ def link_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
 
 def forward_kinematics(arm: ArmModel, q: np.ndarray) -> EEPose:
     """End-effector pose of the chain under planar composition."""
-    q = _check_dims(arm, q)
-    verts = link_vertices(arm, q)
-    return EEPose(verts[-1], arm.base.heading + float(np.sum(q)))
+    q = np.asarray(q, dtype=float)
+    return EEPose(link_vertices(arm, q)[-1], arm.base.heading + float(np.sum(q)))
 
 
 def pos_distance(a: EEPose, b: EEPose) -> float:

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import observation as obs
 from .collision import (
-    CollisionCache,
     Conflict,
     PlanRecord,
     WorldBounds,
@@ -116,7 +115,6 @@ class _Search:
         self.delta = cfg.controller.delta_limit
         self.bounds = WorldBounds.from_world(cfg.world)
         self.penalty = cfg.planner.collision_penalty
-        self.cache = CollisionCache()
         self.plan_sets = init_plans(single_policy, histories, cfg.planner.batch, seed,
                                     self.delta, [arm.base for arm in self.arms],
                                     self.frozen)
@@ -127,7 +125,12 @@ class _Search:
         self.pushed: set[tuple[int, ...]] = set()
         # (arm, plan index) -> PlanRecord, shared by first-conflict search and
         # cost, so each candidate plan is rolled out once.
-        self.state_cache: dict = {}
+        self.records: dict[tuple[int, int], PlanRecord] = {}
+        # First-conflict verdicts for this replan's fixed starts, keyed by
+        # record (see `find_first_collision`). Each call looks up n(n+1)/2
+        # keys, so the hits are calls * n(n+1)/2 - len(memo).
+        self.memo: dict = {}
+        self.conflict_calls = 0
         self.seed = seed
         self.seq = 0
         self.audit = audit
@@ -145,15 +148,14 @@ class _Search:
         return tuple(self.plan_sets[i].plans[bi] for i, bi in enumerate(b))
 
     def conflict_for(self, b) -> Conflict | None:
-        return find_first_collision(self.arms, self.starts, self.plans_for(b),
-                                    cache=self.cache, plan_indices=b,
-                                    delta_limit=self.delta, bounds=self.bounds,
-                                    state_cache=self.state_cache)
+        self.conflict_calls += 1
+        return find_first_collision(self.arms, [self.record(i, bi) for i, bi in enumerate(b)],
+                                    self.bounds, self.memo)
 
     def record(self, i: int, bi: int) -> PlanRecord:
-        rec = self.state_cache.get((i, bi))
+        rec = self.records.get((i, bi))
         if rec is None:
-            rec = self.state_cache[(i, bi)] = plan_record(
+            rec = self.records[(i, bi)] = plan_record(
                 self.arms[i], self.starts[i], self.plan_sets[i].plans[bi], self.delta)
         return rec
 
@@ -284,8 +286,9 @@ class _Search:
         if result is None:
             result = self._best_effort(horizon)
         result.stats = dict(self.stats)
-        result.stats["cache_hits"] = self.cache.hits
-        result.stats["cache_evals"] = self.cache.evals
+        result.stats["cache_hits"] = (self.conflict_calls * self.n * (self.n + 1) // 2
+                                      - len(self.memo))
+        result.stats["cache_evals"] = len(self.memo)
         result.stats["plan_set_sizes"] = [len(ps) for ps in self.plan_sets]
         return result
 

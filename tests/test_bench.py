@@ -11,6 +11,7 @@ from multiarm.config import load_config
 from multiarm.controller import make_world
 from multiarm.kinematics import BasePose, forward_kinematics, make_arm
 
+from .test_collision import first_conflict
 from .test_diffusion import random_policy
 from .test_planner import (PerRowReference, PerRowSampling, ScriptedPolicy, dodge_plans,
                            facing_scene, ring_scene, straight_plans)
@@ -122,9 +123,8 @@ class TestBaseline:
             # Conflict check and cost each roll the plan out themselves.
             best, best_score = None, None
             for plan in plans:
-                conflict = bn.find_first_collision([arm], [q], [plan],
-                                                   delta_limit=cfg.controller.delta_limit,
-                                                   bounds=bounds)
+                conflict = first_conflict([arm], [q], [plan], cfg.controller.delta_limit,
+                                          bounds)
                 score = pl.plan_cost_terms(arm, q, plan, goal, cfg.controller.delta_limit)
                 if conflict is not None:
                     score += cfg.planner.collision_penalty
@@ -146,8 +146,7 @@ class TestBaseline:
         ref, ref_score = reference()
         assert got is ref
         # Some candidates leave the bounds, so the penalty takes part.
-        conflicts = [bn.find_first_collision([arm], [q], [p], delta_limit=0.1,
-                                             bounds=bounds) is not None for p in plans]
+        conflicts = [first_conflict([arm], [q], [p], 0.1, bounds) is not None for p in plans]
         assert any(conflicts) and not all(conflicts)
 
 

@@ -186,6 +186,20 @@ class TestChecks:
         assert "epoch=" not in stdout
         assert not out.exists()
 
+    def test_zero_horizon_dataset_refused(self, tmp_path, small_cfg_file, tiny_dataset,
+                                          capsys):
+        blob = bytearray(Path(tiny_dataset).read_bytes())
+        at = len(dsets.MAGIC) + 12  # header field 3: t_p
+        blob[at: at + 4] = struct.pack("<I", 0)
+        bad = tmp_path / "bad.mad"
+        bad.write_bytes(bytes(blob))
+        out = tmp_path / "model.ckpt"
+        code, stdout, err = run_cli(["train", "--config", small_cfg_file, "--family",
+                                     "single", "--data", str(bad), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error=incompatible-dataset detail=")
+        assert not out.exists()
+
     def test_version_one_checkpoint_refused(self, tmp_path, small_cfg_file,
                                             tiny_checkpoint, capsys):
         old = as_version_one(tiny_checkpoint, tmp_path / "old.ckpt", dif.CKPT_MAGIC)

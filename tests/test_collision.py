@@ -5,7 +5,6 @@ import pytest
 
 from multiarm import collision as col
 from multiarm.collision import (
-    CollisionCache,
     Conflict,
     WorldBounds,
     arms_collide,
@@ -48,8 +47,14 @@ def dense_min_distance(seg_a, seg_b, grid=1000, refine_rounds=6):
     return best
 
 
+def first_conflict(arms, starts, plans, delta=DELTA, bounds=col.DEFAULT_BOUNDS):
+    """`find_first_collision` on fresh records and an empty memo."""
+    records = [col.plan_record(a, q, p, delta) for a, q, p in zip(arms, starts, plans)]
+    return find_first_collision(arms, records, bounds, {})
+
+
 def brute_first_conflict(arms, starts, plans, delta=DELTA, bounds=col.DEFAULT_BOUNDS):
-    """Exhaustive per-step scan, written independently of the cache path."""
+    """Exhaustive per-step scan, written independently of first-conflict search."""
     trajs = [rollout(a, q, p, delta) for a, q, p in zip(arms, starts, plans)]
     horizon = len(plans[0])
     for t in range(horizon):
@@ -181,7 +186,7 @@ class TestFindFirstCollision:
         b = make_arm((0.4, 0.3), BasePose(2.0, 0, 0), 0.08)
         plans = rng.uniform(-DELTA, DELTA, size=(2, 16, 2))
         starts = [np.zeros(2), np.zeros(2)]
-        assert find_first_collision([a, b], starts, list(plans)) is None
+        assert first_conflict([a, b], starts, list(plans)) is None
 
     def test_head_on_matches_brute_force(self):
         a, b = facing_pair()
@@ -189,7 +194,7 @@ class TestFindFirstCollision:
         plans = [np.zeros((16, 3)), np.zeros((16, 3))]
         # Drive both arms' first joints toward each other slowly via straight
         # reach: tips start 0.6 apart and close at 0.1 per joint step.
-        conflict = find_first_collision([a, b], starts, plans)
+        conflict = first_conflict([a, b], starts, plans)
         expect = brute_first_conflict([a, b], starts, plans)
         assert conflict == expect
 
@@ -198,63 +203,51 @@ class TestFindFirstCollision:
             arms = [random_arm(rng, dof=3, base_scale=0.8) for _ in range(3)]
             starts = [random_config(a, rng) for a in arms]
             plans = [rng.uniform(-DELTA, DELTA, size=(8, 3)) for _ in arms]
-            got = find_first_collision(arms, starts, plans)
+            got = first_conflict(arms, starts, plans)
             expect = brute_first_conflict(arms, starts, plans, delta=DELTA)
             assert got == expect, f"trial {trial}"
 
     def test_horizon_mismatch(self, arm3):
         with pytest.raises(ValueError):
-            find_first_collision([arm3, arm3], [np.zeros(3), np.zeros(3)],
-                                 [np.zeros((4, 3)), np.zeros((5, 3))])
+            first_conflict([arm3, arm3], [np.zeros(3), np.zeros(3)],
+                           [np.zeros((4, 3)), np.zeros((5, 3))])
 
     def test_cache_coherence(self):
         a, b = facing_pair()
-        starts = [np.zeros(3), np.zeros(3)]
-        plans = [np.zeros((16, 3)), np.zeros((16, 3))]
-        cache = CollisionCache()
-        first = find_first_collision([a, b], starts, plans, cache=cache, plan_indices=(0, 0))
-        evals_after_first = cache.evals
-        second = find_first_collision([a, b], starts, plans, cache=cache, plan_indices=(0, 0))
+        records = [col.plan_record(arm, np.zeros(3), np.zeros((16, 3)), DELTA) for arm in (a, b)]
+        memo = {}
+        first = find_first_collision([a, b], records, col.DEFAULT_BOUNDS, memo)
+        assert len(memo) == 3  # two self checks plus the pair
+        second = find_first_collision([a, b], records, col.DEFAULT_BOUNDS, memo)
         assert first == second
-        assert cache.evals == evals_after_first
-        assert cache.hits >= 3  # two self checks plus the pair
+        assert len(memo) == 3
 
     def test_cache_transparency(self, rng):
         for _ in range(200):
             arms = [random_arm(rng, dof=2, base_scale=0.7) for _ in range(2)]
             starts = [random_config(a, rng) for a in arms]
             plans = [rng.uniform(-DELTA, DELTA, size=(6, 2)) for _ in arms]
-            cache = CollisionCache()
-            with_cache = find_first_collision(arms, starts, plans, cache=cache,
-                                              plan_indices=(0, 1))
-            without = find_first_collision(arms, starts, plans)
-            assert with_cache == without
-
-    def test_cache_distinguishes_starts(self, rng):
-        a, b = facing_pair()
-        plans = [np.zeros((16, 3)), np.zeros((16, 3))]
-        cache = CollisionCache()
-        r1 = find_first_collision([a, b], [np.zeros(3), np.zeros(3)], plans,
-                                  cache=cache, plan_indices=(0, 0))
-        far = [np.array([2.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0])]
-        r2 = find_first_collision([a, b], far, plans, cache=cache, plan_indices=(0, 0))
-        assert r1 != r2 or cache.evals > 3
+            records = [col.plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
+            memo = {}
+            find_first_collision(arms, records, col.DEFAULT_BOUNDS, memo)
+            # The second call answers from the memo alone.
+            with_memo = find_first_collision(arms, records, col.DEFAULT_BOUNDS, memo)
+            assert with_memo == first_conflict(arms, starts, plans)
 
     def test_self_conflict_reported(self):
         bounds = WorldBounds(-1.0, 1.0, -1.0, 1.0)
         arm = make_arm((0.6, 0.5), BasePose(0.2, 0.0, 0.0), 0.05)
         # Straight at the wall: infeasible from the first checked state.
-        conflict = find_first_collision([arm], [np.zeros(2)], [np.zeros((4, 2))],
-                                        bounds=bounds)
+        conflict = first_conflict([arm], [np.zeros(2)], [np.zeros((4, 2))], bounds=bounds)
         assert conflict == Conflict(0, 0, 0)
 
     def test_determinism(self, rng):
         arms = [random_arm(rng, dof=3, base_scale=0.6) for _ in range(3)]
         starts = [random_config(a, rng) for a in arms]
         plans = [rng.uniform(-DELTA, DELTA, size=(8, 3)) for _ in arms]
-        first = find_first_collision(arms, starts, plans)
+        first = first_conflict(arms, starts, plans)
         for _ in range(5):
-            assert find_first_collision(arms, starts, plans) == first
+            assert first_conflict(arms, starts, plans) == first
 
 
 def scalar_free(arm, q, bounds):
@@ -376,7 +369,7 @@ class TestBroadPhase:
             expect = brute_first_conflict(arms, starts, plans)
             assert (expect is not None) == (eps < 0)
             spy.calls.clear()
-            assert find_first_collision(arms, starts, plans) == expect
+            assert first_conflict(arms, starts, plans) == expect
             # Only a gap clear of the margin is pruned; the rest reach the kernel.
             assert len(spy.calls) == (0 if eps > 1e-9 else 1)
 
@@ -388,15 +381,15 @@ class TestBroadPhase:
             starts = [random_config(a, rng) for a in arms]
             candidates = [[rng.uniform(-DELTA, DELTA, size=(8, a.dof)) for _ in range(3)]
                           for a in arms]
-            cache, state_cache = CollisionCache(), {}
+            records = [[col.plan_record(arm, q, c, DELTA) for c in cands]
+                       for arm, q, cands in zip(arms, starts, candidates)]
+            memo = {}
             for _ in range(6):
                 b = tuple(int(k) for k in rng.integers(0, 3, size=n))
                 plans = [candidates[i][k] for i, k in enumerate(b)]
-                got = find_first_collision(arms, starts, plans, cache=cache, plan_indices=b,
-                                           state_cache=state_cache)
+                got = find_first_collision(arms, [records[i][k] for i, k in enumerate(b)],
+                                           col.DEFAULT_BOUNDS, memo)
                 assert got == brute_first_conflict(arms, starts, plans), f"trial {trial}"
-            records = {i: [state_cache[key] for key in state_cache if key[0] == i]
-                       for i in range(n)}
             for i in range(n):
                 for j in range(i + 1, n):
                     for ri in records[i]:
@@ -415,15 +408,16 @@ class TestBroadPhase:
                 make_arm((0.4, 0.3), BasePose(2.6, 0.0, 0.0), 0.08)]
         starts = [np.zeros(2)] * 3
         plans = [rng.uniform(-DELTA, DELTA, size=(16, 2)) for _ in arms]
-        cache = CollisionCache()
         expect = brute_first_conflict(arms, starts, plans)
+        records = [col.plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
         spy.calls.clear()
-        got = find_first_collision(arms, starts, plans, cache=cache, plan_indices=(0, 0, 0))
+        memo = {}
+        got = find_first_collision(arms, records, col.DEFAULT_BOUNDS, memo)
         assert got == expect
         # Two-link arms need no self kernel, so the one call is the 0-1 pair.
         assert spy.calls == [(32, 2, 2)]
-        # Pruned pairs are still stored, so the cache counts stay as before.
-        assert (cache.evals, cache.hits) == (6, 0)
+        # Pruned pairs are still stored, so the evaluation count stays as before.
+        assert len(memo) == 6
 
     def test_nan_bounds_fall_through(self):
         a, b = one_link_pair(2.0, 0)

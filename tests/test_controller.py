@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multiarm import controller as ctl
-from multiarm.collision import WorldBounds, arms_collide, find_first_collision, is_free
+from multiarm.collision import WorldBounds, arms_collide, is_free
 from multiarm.config import load_config
 from multiarm.controller import goal_reached, make_world, run_episode, run_loop
 from multiarm.kinematics import BasePose, DimensionError, EEPose, forward_kinematics, make_arm

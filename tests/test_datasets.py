@@ -271,3 +271,42 @@ class TestVersionRefusal:
             path.write_bytes(blob[:cut])
             with pytest.raises(ds.IncompatibleDatasetError):
                 ds.load_dataset(path)
+
+    @staticmethod
+    def with_header_field(src_path, dst_path, index, value):
+        """Copy a dataset with header field `index` (0 = version, 2 = t_o,
+        3 = t_p, 4 = frame width) rewritten."""
+        blob = bytearray(src_path.read_bytes())
+        at = len(ds.MAGIC) + 4 * index
+        blob[at: at + 4] = struct.pack("<I", value)
+        dst_path.write_bytes(bytes(blob))
+        return dst_path
+
+    def test_zero_horizon_refused(self, single_ds, tmp_path):
+        ds.save_dataset(single_ds, tmp_path / "a.mad")
+        bad = self.with_header_field(tmp_path / "a.mad", tmp_path / "b.mad", 3, 0)
+        with pytest.raises(ds.IncompatibleDatasetError, match="t_p = 0"):
+            ds.load_dataset(bad)
+
+    def test_horizon_not_dividing_action_width_refused(self, single_ds, tmp_path):
+        # 48 action columns (16 steps x 3 joints) would load as 32 steps of
+        # one joint's worth and a remainder.
+        ds.save_dataset(single_ds, tmp_path / "a.mad")
+        bad = self.with_header_field(tmp_path / "a.mad", tmp_path / "b.mad", 3, 32)
+        with pytest.raises(ds.IncompatibleDatasetError, match="does not split"):
+            ds.load_dataset(bad)
+
+    @pytest.mark.parametrize("index,value", [(2, T_O + 1), (4, 41)])
+    def test_observation_width_mismatch_refused(self, single_ds, tmp_path, index, value):
+        ds.save_dataset(single_ds, tmp_path / "a.mad")
+        bad = self.with_header_field(tmp_path / "a.mad", tmp_path / "b.mad", index, value)
+        with pytest.raises(ds.IncompatibleDatasetError, match="observation width"):
+            ds.load_dataset(bad)
+
+    def test_dual_rows_hold_two_histories(self, tmp_path):
+        dual = ds.generate_dual_dataset(spaced_pair_sampler, 1, seed=5, t_o=T_O,
+                                        t_p=T_P, resolution=RES)
+        ds.save_dataset(dual, tmp_path / "dual.mad")
+        loaded = ds.load_dataset(tmp_path / "dual.mad")
+        assert (loaded.family, loaded.obs_width) == ("dual", 2 * T_O * loaded.frame_width)
+

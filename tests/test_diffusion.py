@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -423,6 +424,39 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(dif.IncompatibleCheckpointError, match="version 1"):
             dif.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail", [b"\x02", struct.pack("<I", 2) + bytes(31)],
+                             ids=["one-byte", "no-checksum"])
+    def test_truncated_checkpoint_refused(self, tmp_path, tail):
+        # Shorter than magic + version + checksum.
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(dif.CKPT_MAGIC + tail)
+        with pytest.raises(dif.IncompatibleCheckpointError, match="truncated"):
+            dif.load_checkpoint(path)
+
+    def test_schedule_length_must_match_header(self, rng, tmp_path):
+        # A consistent checksum over a header that claims one more step.
+        path = tmp_path / "a.ckpt"
+        dif.save_checkpoint(self.make_policy(rng), path)
+        blob = bytearray(path.read_bytes())
+        at = len(dif.CKPT_MAGIC) + 8  # after the version and the family id
+        (n_steps,) = struct.unpack_from("<I", blob, at)
+        blob[at: at + 4] = struct.pack("<I", n_steps + 1)
+        blob[-32:] = hashlib.sha256(bytes(blob[len(dif.CKPT_MAGIC) + 4: -32])).digest()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(dif.IncompatibleCheckpointError, match="schedule"):
+            dif.load_checkpoint(path)
+
+    def test_schedule_round_trip_is_cosine_schedule(self, rng, tmp_path):
+        policy = self.make_policy(rng)
+        path = tmp_path / "a.ckpt"
+        dif.save_checkpoint(policy, path)
+        loaded = dif.load_checkpoint(path).schedule
+        fresh = dif.cosine_schedule(policy.schedule.n_steps)
+        assert loaded.n_steps == fresh.n_steps
+        for name in ("alpha", "alpha_bar", "beta", "posterior_var"):
+            got, want = getattr(loaded, name), getattr(fresh, name)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
 
     def test_non_finite_weight_rejected_despite_valid_checksum(self, rng, tmp_path):
         policy = self.make_policy(rng)

@@ -235,8 +235,8 @@ class TestBatchedValidity:
         expect = [is_free(a, q[:3]) and is_free(b, q[3:]) and not arms_collide(a, q[:3], b, q[3:])
                   for q in qs]
         builds = []
-        real = expert._trajectory_vertices
-        monkeypatch.setattr(expert, "_trajectory_vertices",
+        real = expert.chain_vertices
+        monkeypatch.setattr(expert, "chain_vertices",
                             lambda arm, states: builds.append(arm) or real(arm, states))
         assert expert.dual_arm_validity(a, b)(qs).tolist() == expect
         assert builds == [a, b]

@@ -227,3 +227,41 @@ class TestValidation:
 
     def test_vertices_count(self, arm3):
         assert link_vertices(arm3, np.zeros(3)).shape == (4, 2)
+
+
+def one_config_vertices(arm, q):
+    """The chain for one (d,) config, written with 1-D cumulative sums."""
+    cum = arm.base.heading + np.cumsum(q)
+    steps = np.asarray(arm.link_lengths)[:, None] * np.stack([np.cos(cum), np.sin(cum)], axis=1)
+    verts = np.empty((arm.dof + 1, 2))
+    verts[0] = arm.base.xy
+    verts[1:] = arm.base.xy + np.cumsum(steps, axis=0)
+    return verts
+
+
+class TestChainVertices:
+    def test_rows_match_one_config_chain_bitwise(self):
+        # Collision checks build stacks, FK and observations one config at a
+        # time; both must see the same vertices to the last bit.
+        rng = np.random.default_rng(20)
+        for _ in range(400):
+            dof = int(rng.integers(1, 7))
+            arm = random_arm(rng, dof=dof)
+            qs = rng.uniform(-4.0, 4.0, size=(int(rng.integers(1, 40)), dof))
+            stacked = kin.chain_vertices(arm, qs)
+            assert stacked.shape == (len(qs), dof + 1, 2)
+            for q, row in zip(qs, stacked):
+                ref = one_config_vertices(arm, q).view(np.uint64)
+                assert np.array_equal(row.view(np.uint64), ref)
+                assert np.array_equal(link_vertices(arm, q).view(np.uint64), ref)
+
+    @pytest.mark.parametrize("shape", [(3,), (5, 4), (1, 2, 3), ()])
+    def test_stack_shape_checked(self, arm3, shape):
+        with pytest.raises(DimensionError):
+            kin.chain_vertices(arm3, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 3), ()])
+    def test_one_config_shape_checked(self, arm3, shape):
+        with pytest.raises(DimensionError):
+            link_vertices(arm3, np.zeros(shape))
+

@@ -1,17 +1,18 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from multiarm import planner as pl
-from multiarm.collision import CollisionCache, find_first_collision
 from multiarm.config import RunConfig, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import build_frame, build_history
 from multiarm.planner import PlanSet, dgmap_search, plan_cost_terms
 from multiarm.seeding import TAG_PLAN, substream
 
+from .test_collision import first_conflict
 from .test_diffusion import random_policy
 
 T_P = 16
@@ -278,8 +279,7 @@ class TestSearch:
         assert result.solved
         assert result.stats["repairs"] >= 1
         # Validate the returned combination with a fresh, cache-free check.
-        conflict = find_first_collision(arms, starts, list(result.plans),
-                                        delta_limit=DELTA)
+        conflict = first_conflict(arms, starts, list(result.plans), DELTA)
         assert conflict is None
 
     def test_no_duplicate_expansions(self, cfg):
@@ -415,8 +415,7 @@ class TestCacheIntegration:
                             frozenset())
         result = search.run()
         # Recompute the returned node's cost from scratch.
-        conflict = find_first_collision(arms, starts, list(result.plans),
-                                        delta_limit=DELTA)
+        conflict = first_conflict(arms, starts, list(result.plans), DELTA)
         recomputed = sum(plan_cost_terms(arm, q0, plan, goal, DELTA)
                          for arm, q0, plan, goal in zip(arms, starts, result.plans, goals))
         if conflict is not None:
@@ -442,10 +441,10 @@ class TestPlanRecords:
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
         result = search.run()
         assert result.stats["repairs"] >= 1
-        assert len(rolled) == len(set(rolled)) == len(search.state_cache)
+        assert len(rolled) == len(set(rolled)) == len(search.records)
         # Every generated node's arms were costed, so every candidate in a
         # generated tuple has its one record.
-        assert len(search.arm_terms) == len(search.state_cache)
+        assert len(search.arm_terms) == len(search.records)
 
     def test_broad_phase_leaves_search_unchanged(self, cfg, monkeypatch):
         from multiarm import collision
@@ -472,3 +471,50 @@ class TestPlanRecords:
             assert got.stats[key] == ref.stats[key]
         for p, q in zip(got.plans, ref.plans):
             assert np.array_equal(p.view(np.uint64), q.view(np.uint64))
+
+
+def search_digest(result) -> str:
+    """sha256 over t_star, solved, the plans' bytes and every stats value."""
+    h = hashlib.sha256(repr((result.t_star, result.solved)).encode())
+    for p in result.plans:
+        h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    h.update(repr(sorted(result.stats.items())).encode())
+    return h.hexdigest()
+
+
+def pinned_facing(cfg):
+    arms, starts, goals, hists = facing_scene()
+    return dgmap_search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
+                        ScriptedPolicy(dodge_plans), cfg, 11)
+
+
+def pinned_ring(radius):
+    def run(cfg):
+        arms, starts, goals, hists = ring_scene(6, radius=radius)
+        small = dataclasses.replace(cfg, planner=dataclasses.replace(
+            cfg.planner, batch=4, max_expansions=8))
+        return dgmap_search(arms, starts, goals, hists,
+                            random_policy("single", 40, pred_horizon=T_P, seed=3),
+                            random_policy("dual", 80, pred_horizon=T_P, seed=4), small, 5)
+    return run
+
+
+class TestPinnedSearches:
+    """Fixed searches whose whole output is pinned: plans, t_star, solved and
+    every stat, the cache counts and search order included. Changes to
+    first-conflict search or its memo must leave all of it as it is."""
+
+    @pytest.mark.parametrize("run,t_star,solved,hits,evals,digest", [
+        (pinned_facing, 16, True, 44, 79,
+         "f84c291522da940228a93ca33b8f074435d8e236b1f461d4be9bcefc9b545d4c"),
+        (pinned_ring(1.6), 16, True, 21, 21,
+         "06663e88bc032e7f4b1bdedc3bd10690c77bcc15395b5ed4b709d038818268fc"),
+        (pinned_ring(1.0), 1, False, 3439, 551,
+         "d0eded5bc381c33d126d055d4045662912a0457e942895284f787c299fca3212"),
+    ], ids=["facing", "ring-spread", "ring-crowded"])
+    def test_output_unchanged(self, cfg, run, t_star, solved, hits, evals, digest):
+        result = run(cfg)
+        assert (result.t_star, result.solved) == (t_star, solved)
+        assert (result.stats["cache_hits"], result.stats["cache_evals"]) == (hits, evals)
+        assert search_digest(result) == digest
+
