@@ -110,13 +110,6 @@ def segment_distance_batch(p0, p1, q0, q1) -> np.ndarray:
     return np.linalg.norm(closest_p - closest_q, axis=-1)
 
 
-def capsule_distance(seg_a, seg_b) -> float:
-    """Minimum distance between two segments given as (start, end) pairs."""
-    seg_a = np.asarray(seg_a, dtype=float)
-    seg_b = np.asarray(seg_b, dtype=float)
-    return float(segment_distance_batch(seg_a[0], seg_a[1], seg_b[0], seg_b[1]))
-
-
 # ---------------------------------------------------------------------------
 # Arm-level predicates.
 # ---------------------------------------------------------------------------

@@ -94,13 +94,6 @@ class EpisodeResult:
         }
 
 
-def goal_reached(world: WorldState, i: int, pos_tol: float, rot_tol: float) -> bool:
-    """Inclusive tolerance check against arm i's goal."""
-    pose = forward_kinematics(world.arms[i], world.configs[i])
-    return (pos_distance(pose, world.goals[i]) <= pos_tol
-            and rot_distance(pose, world.goals[i]) <= rot_tol)
-
-
 def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
                           subsamples: int) -> bool:
     """True when an interpolated state between consecutive configs leaves the
@@ -173,7 +166,7 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
     n = len(world.arms)
     trace = _TraceWriter(trace_path)
     # Residuals of the current configs, refreshed once per executed step;
-    # the goal tests below are `goal_reached`'s, applied to them.
+    # `at_goal` tests both against their tolerances, inclusively.
     pos, rot = _residuals(world)
     result = EpisodeResult(False, 0, pos, rot)
     best_pos = pos

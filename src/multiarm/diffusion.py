@@ -17,6 +17,12 @@ Sampling runs one chain over m stacked conditioning rows with one generator
 per row. Each row's generator draws exactly the blocks a chain of its own
 would, and each row's matrix products keep a solo chain's shapes, so
 stacking conditionings never changes any row's plans.
+
+A chain runs in its model's dtype. `Policy` samples with a float32 copy of
+its EMA weights: the embedding table, the action box and every noise block
+(drawn in float64, so generator streams do not change) are rounded to
+float32, and plans differ from a float64 chain's by about 1e-7 per step.
+Training, `Policy.model` and checkpoints stay float64.
 """
 
 from __future__ import annotations
@@ -109,24 +115,30 @@ def reverse_step(schedule: NoiseSchedule, model, obs, z_k: np.ndarray, k: int,
     sqrt(abar_{k-1}) beta_k / (1 - abar_k) x0_hat
     + sqrt(alpha_k) (1 - abar_{k-1}) / (1 - abar_k) z_k
     plus sigma_k noise. At k == 1 it returns the clipped x0_hat itself.
+
+    The step keeps z_k's float type: the schedule coefficients enter as
+    Python floats, which never promote an array (a NumPy float64 scalar
+    would lift float32 to float64), and the noise is drawn in float64 and
+    rounded to that type. `box` must already be in it.
     """
     if not 1 <= k <= schedule.n_steps:
         raise ValueError("k out of range")
-    z_k = np.asarray(z_k, dtype=float)
+    z_k = np.asarray(z_k)
     if obs_proj is not None or emb_proj is not None:
         eps_hat = model.forward(z_k, obs_proj=obs_proj, emb_proj=emb_proj)
     else:
         eps_hat = model.forward(z_k, obs, k)
-    abar = schedule.alpha_bar[k]
+    abar = float(schedule.alpha_bar[k])
     x0_hat = (z_k - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
     x0_hat = np.clip(x0_hat, box[0], box[1])
     if k == 1:
         return x0_hat
-    abar_prev = schedule.alpha_bar[k - 1]
-    mean = (math.sqrt(abar_prev) * schedule.beta[k] / (1.0 - abar) * x0_hat
-            + math.sqrt(schedule.alpha[k]) * (1.0 - abar_prev) / (1.0 - abar) * z_k)
+    abar_prev = float(schedule.alpha_bar[k - 1])
+    beta, alpha = float(schedule.beta[k]), float(schedule.alpha[k])
+    mean = (math.sqrt(abar_prev) * beta / (1.0 - abar) * x0_hat
+            + math.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar) * z_k)
     sigma = math.sqrt(schedule.posterior_var[k])
-    return mean + sigma * rng.standard_normal(z_k.shape)
+    return mean + sigma * rng.standard_normal(z_k.shape).astype(z_k.dtype, copy=False)
 
 
 class _RowStreams:
@@ -145,7 +157,8 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
            rngs, norm: NormStats, delta_limit: float, pred_horizon: int, action_dim: int,
            emb_proj_table: np.ndarray | None = None) -> np.ndarray:
     """Draw `count` denormalized, per-step-clamped plans for each of the m
-    conditioning rows of `obs` (shape (m, obs_dim)); returns (m, count, T, d).
+    conditioning rows of `obs` (shape (m, obs_dim)); returns (m, count, T, d)
+    in float64.
 
     One chain denoises an (m, count, width) stack. Row i draws its noise from
     rngs[i] only (initial block, then one block per step), and every matrix
@@ -153,6 +166,11 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     bit-identical to a chain run for that conditioning alone. Every step
     clips its x0 estimate to the normalized image of [-delta_limit,
     delta_limit], the range the plans are clamped to afterwards.
+
+    The chain runs in the model's dtype. The conditioning is normalized in
+    float64 and the action box and every noise block are rounded to the
+    model's dtype, so a float64 model's chain never rounds and a float32
+    one consumes the same generator stream.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -165,9 +183,10 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     obs_proj = model.obs_projection(norm_obs[:, None, :])
     if emb_proj_table is None:
         emb_proj_table = model.emb_projection_table()
-    box = ((-delta_limit - norm.act_mean) / norm.act_scale,
-           (delta_limit - norm.act_mean) / norm.act_scale)
-    z = noise.standard_normal((m, count, model.action_width))
+    dtype = model.dtype
+    box = tuple(((limit - norm.act_mean) / norm.act_scale).astype(dtype, copy=False)
+                for limit in (-delta_limit, delta_limit))
+    z = noise.standard_normal((m, count, model.action_width)).astype(dtype, copy=False)
     for k in range(schedule.n_steps, 0, -1):
         z = reverse_step(schedule, model, None, z, k, noise, box,
                          obs_proj=obs_proj, emb_proj=emb_proj_table[k])
@@ -254,7 +273,12 @@ def train(dataset: Dataset, family: str, cfg: DiffusionConfig, seed: int,
 
 @dataclass
 class Policy:
-    """Frozen sampling bundle: EMA weights, schedule, and normalization."""
+    """Frozen sampling bundle: EMA weights, schedule, and normalization.
+
+    `model` holds the float64 weights that training produced and checkpoints
+    store. Sampling runs on a float32 copy of them, made once here, so set
+    the weights before constructing the bundle.
+    """
 
     family: str
     model: DenoiserMLP
@@ -268,7 +292,8 @@ class Policy:
     meta: dict
 
     def __post_init__(self):
-        self._emb_proj = self.model.emb_projection_table()
+        self._sampler = self.model.astype(np.float32)
+        self._emb_proj = self._sampler.emb_projection_table()
 
     def sample_plans(self, obs_vec: np.ndarray, count: int, rng: np.random.Generator,
                      delta_limit: float) -> np.ndarray:
@@ -279,7 +304,7 @@ class Policy:
     def sample_plans_many(self, obs_vecs, count: int, rngs, delta_limit: float) -> np.ndarray:
         """`count` plans per conditioning row, shape (m, count, T, d), from one
         chain; row i uses rngs[i] only and equals sample_plans(obs_vecs[i], ...)."""
-        return sample(self.schedule, self.model, obs_vecs, count, rngs, self.norm,
+        return sample(self.schedule, self._sampler, obs_vecs, count, rngs, self.norm,
                       delta_limit, self.pred_horizon, self.action_dim,
                       emb_proj_table=self._emb_proj)
 

@@ -141,12 +141,6 @@ def link_vertices(arm: ArmModel, q: np.ndarray) -> np.ndarray:
     return chain_vertices(arm, np.asarray(q, dtype=float)[None])[0]
 
 
-def link_positions(arm: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Link segments, shape (d, 2, 2): segments[m] = (start, end) of link m."""
-    verts = link_vertices(arm, q)
-    return np.stack([verts[:-1], verts[1:]], axis=1)
-
-
 def forward_kinematics(arm: ArmModel, q: np.ndarray) -> EEPose:
     """End-effector pose of the chain under planar composition."""
     q = np.asarray(q, dtype=float)
@@ -216,9 +210,3 @@ def disc_intersection_area(c0: np.ndarray, r0: float, c1: np.ndarray, r1: float)
     a0 = math.acos(max(-1.0, min(1.0, (d * d + r0 * r0 - r1 * r1) / (2 * d * r0))))
     a1 = math.acos(max(-1.0, min(1.0, (d * d + r1 * r1 - r0 * r0) / (2 * d * r1))))
     return (r0 * r0 * (a0 - math.sin(2 * a0) / 2) + r1 * r1 * (a1 - math.sin(2 * a1) / 2))
-
-
-def workspace_intersection(a: ArmModel, b: ArmModel, scale: float) -> float:
-    """Intersection area of the two arms' reach discs."""
-    return disc_intersection_area(a.base.xy, reach_radius(a, scale),
-                                  b.base.xy, reach_radius(b, scale))

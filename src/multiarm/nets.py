@@ -5,6 +5,8 @@ timestep embedding] to a predicted noise of the action-sequence shape. The
 first layer is stored as three blocks (actions / conditioning / embedding)
 so samplers can fold the conditioning and per-timestep contributions once
 per denoising chain; the forward expression is identical either way.
+Training runs in float64; `astype` makes a copy whose forward pass computes
+in another float type (samplers use float32).
 """
 
 from __future__ import annotations
@@ -22,17 +24,22 @@ def sinusoidal_table(max_step: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-# np.exp leaves its vectorised fast path for results near or below the
-# smallest normal double and then runs 10-100x slower. Denoising chains of
-# weakly trained models drive pre-activations far past that range.
+# Float64 np.exp leaves its vectorised fast path for results near or below
+# the smallest normal double (-708.4) and then runs 10-100x slower, also where
+# the result rounds to zero (below -745.1). Denoising chains of weakly
+# trained models drive pre-activations far past that range. Float32 np.exp is
+# slow only where its result is subnormal, in (-103.97, -87.34), and bit-exact
+# results there must come from np.exp anyway, so other dtypes call it
+# directly: a float32 clamp at -87/-104 ran 1.4-4x slower than plain np.exp
+# on arrays that held such arguments.
 _EXP_FAST_MIN = -700.0
 _EXP_ZERO_BELOW = -746.0  # exp(a) rounds to +0.0 for every a below this
 
 
 def _exp_nonpositive(a: np.ndarray) -> np.ndarray:
-    """np.exp(a) for a non-empty array a <= 0, bit for bit, without the slow
-    path for arguments whose result is subnormal or zero."""
-    if not a.min() < _EXP_FAST_MIN:  # also taken when a holds a NaN
+    """np.exp(a) for a non-empty array a <= 0, bit for bit, without float64's
+    slow path for arguments whose result is subnormal or zero."""
+    if a.dtype != np.float64 or not a.min() < _EXP_FAST_MIN:  # also for a NaN
         return np.exp(a)
     e = np.exp(np.maximum(a, _EXP_FAST_MIN))
     low = a < _EXP_FAST_MIN
@@ -72,7 +79,7 @@ class DenoiserMLP:
 
     def __init__(self, family: str, action_width: int, obs_dim: int,
                  hidden_dims: tuple[int, ...], embed_dim: int, n_steps: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, dtype=np.float64):
         if family not in ("single", "dual"):
             raise ValueError(f"unknown family {family!r}")
         if len(hidden_dims) < 1:
@@ -83,12 +90,13 @@ class DenoiserMLP:
         self.hidden_dims = tuple(hidden_dims)
         self.embed_dim = embed_dim
         self.n_steps = n_steps
-        self.embed_table = sinusoidal_table(n_steps, embed_dim)
+        self.embed_table = sinusoidal_table(n_steps, embed_dim).astype(dtype, copy=False)
 
         def init_w(fan_in, rows, fan_out):
             if rng is None:
-                return np.zeros((rows, fan_out))
-            return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(rows, fan_out))
+                return np.zeros((rows, fan_out), dtype)
+            w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(rows, fan_out))
+            return w.astype(dtype, copy=False)
 
         h0 = hidden_dims[0]
         # The three first-layer blocks act as one concatenated layer, so they
@@ -97,15 +105,15 @@ class DenoiserMLP:
         self.w_act = init_w(fan_in0, action_width, h0)
         self.w_obs = init_w(fan_in0, obs_dim, h0)
         self.w_emb = init_w(fan_in0, embed_dim, h0)
-        self.biases = [np.zeros(h0)]
+        self.biases = [np.zeros(h0, dtype)]
         self.hidden_ws = []
         prev = h0
         for h in hidden_dims[1:]:
             self.hidden_ws.append(init_w(prev, prev, h))
-            self.biases.append(np.zeros(h))
+            self.biases.append(np.zeros(h, dtype))
             prev = h
         self.w_out = init_w(prev, prev, action_width)
-        self.b_out = np.zeros(action_width)
+        self.b_out = np.zeros(action_width, dtype)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -131,17 +139,26 @@ class DenoiserMLP:
                 raise ValueError("parameter shape mismatch")
             dst[...] = src
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The float type of the weights, in which forward() computes."""
+        return self.w_act.dtype
+
     def clone(self) -> "DenoiserMLP":
+        return self.astype(self.dtype)
+
+    def astype(self, dtype) -> "DenoiserMLP":
+        """An independent copy whose weights are rounded to `dtype`."""
         twin = DenoiserMLP(self.family, self.action_width, self.obs_dim,
-                           self.hidden_dims, self.embed_dim, self.n_steps)
-        twin.set_parameters([p.copy() for p in self.parameters()])
+                           self.hidden_dims, self.embed_dim, self.n_steps, dtype=dtype)
+        twin.set_parameters(self.parameters())
         return twin
 
     # -- forward / backward -------------------------------------------------
 
     def obs_projection(self, obs: np.ndarray) -> np.ndarray:
         """First-layer contribution of the conditioning vector (plus bias)."""
-        return np.asarray(obs, dtype=float) @ self.w_obs + self.biases[0]
+        return np.asarray(obs, dtype=self.dtype) @ self.w_obs + self.biases[0]
 
     def emb_projection_table(self) -> np.ndarray:
         """First-layer contribution of every timestep embedding."""
@@ -156,7 +173,7 @@ class DenoiserMLP:
         Either (obs, k) or precomputed (obs_proj, emb_proj) must be given.
         Pass a dict as `cache` to collect intermediates for backward().
         """
-        z = np.asarray(z, dtype=float)
+        z = np.asarray(z, dtype=self.dtype)
         if obs_proj is None:
             obs_proj = self.obs_projection(obs)
         if emb_proj is None:

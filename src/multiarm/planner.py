@@ -26,7 +26,6 @@ from .collision import (
     WorldBounds,
     find_first_collision,
     plan_record,
-    rollout,
 )
 from .config import RunConfig
 from .diffusion import Policy
@@ -66,13 +65,9 @@ class PlannerResult:
     stats: dict = field(default_factory=dict)
 
 
-def plan_cost_terms(arm, start, plan, goal: EEPose, delta_limit: float) -> float:
-    """Per-arm cost: summed step magnitudes plus terminal pose residuals."""
-    plan = np.asarray(plan, dtype=float)
-    return _cost_terms(arm, rollout(arm, start, plan, delta_limit)[-1], plan, goal)
-
-
 def _cost_terms(arm, final_config: np.ndarray, plan: np.ndarray, goal: EEPose) -> float:
+    """Per-arm cost: summed step magnitudes plus the terminal pose residuals
+    of `final_config`, the plan's rolled-out end."""
     ee = forward_kinematics(arm, final_config)
     smoothness = float(np.sum(np.linalg.norm(plan, axis=1)))
     return smoothness + pos_distance(ee, goal) + rot_distance(ee, goal)

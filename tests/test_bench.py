@@ -14,7 +14,7 @@ from multiarm.kinematics import BasePose, forward_kinematics, make_arm
 from .test_collision import first_conflict
 from .test_diffusion import random_policy
 from .test_planner import (PerRowReference, PerRowSampling, ScriptedPolicy, dodge_plans,
-                           facing_scene, ring_scene, straight_plans)
+                           facing_scene, plan_cost_terms, ring_scene, straight_plans)
 from .test_controller import TIGHT, config_seeking_plans, random_layout, random_steps
 
 T_P = 16
@@ -112,7 +112,6 @@ class TestBaseline:
 
     def test_each_candidate_rolled_out_once(self, cfg, monkeypatch):
         from multiarm import collision
-        from multiarm import planner as pl
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
         q = np.array([0.2, -0.4, 0.3])
         goal = forward_kinematics(arm, np.array([1.0, 0.2, -0.2]))
@@ -125,7 +124,7 @@ class TestBaseline:
             for plan in plans:
                 conflict = first_conflict([arm], [q], [plan], cfg.controller.delta_limit,
                                           bounds)
-                score = pl.plan_cost_terms(arm, q, plan, goal, cfg.controller.delta_limit)
+                score = plan_cost_terms(arm, q, plan, goal, cfg.controller.delta_limit)
                 if conflict is not None:
                     score += cfg.planner.collision_penalty
                 if best_score is None or score < best_score:
@@ -140,7 +139,6 @@ class TestBaseline:
             return real(arm, q0, plan, delta_limit)
 
         monkeypatch.setattr(collision, "rollout", counting)
-        monkeypatch.setattr(pl, "rollout", counting)
         got = bn._best_own_plan(arm, q, goal, plans, cfg, bounds)
         assert sorted(rolled) == sorted(p.tobytes() for p in plans)
         ref, ref_score = reference()

@@ -8,7 +8,6 @@ from multiarm.collision import (
     Conflict,
     WorldBounds,
     arms_collide,
-    capsule_distance,
     find_first_collision,
     is_free,
     rollout,
@@ -18,6 +17,13 @@ from multiarm.kinematics import BasePose, DimensionError, link_vertices, make_ar
 from .conftest import random_arm, random_config
 
 DELTA = 0.1
+
+
+def capsule_distance(seg_a, seg_b) -> float:
+    """Distance between two segments given as (start, end) pairs, through
+    the batched kernel that every capsule predicate uses."""
+    (p0, p1), (q0, q1) = np.asarray(seg_a, dtype=float), np.asarray(seg_b, dtype=float)
+    return float(col.segment_distance_batch(p0, p1, q0, q1))
 
 
 def dense_min_distance(seg_a, seg_b, grid=1000, refine_rounds=6):

@@ -8,8 +8,9 @@ import pytest
 from multiarm import controller as ctl
 from multiarm.collision import WorldBounds, arms_collide, is_free
 from multiarm.config import load_config
-from multiarm.controller import goal_reached, make_world, run_episode, run_loop
-from multiarm.kinematics import BasePose, DimensionError, EEPose, forward_kinematics, make_arm
+from multiarm.controller import make_world, run_episode, run_loop
+from multiarm.kinematics import (BasePose, DimensionError, EEPose, forward_kinematics,
+                                 make_arm, pos_distance, rot_distance)
 
 from .test_planner import ScriptedPolicy, dodge_plans, facing_scene, straight_plans
 
@@ -37,19 +38,52 @@ def config_seeking_plans(goal_q):
     return fn
 
 
+def goal_reached(world, i, pos_tol, rot_tol):
+    """Reference goal test: arm i's residuals within both tolerances,
+    inclusively."""
+    pose = forward_kinematics(world.arms[i], world.configs[i])
+    return (pos_distance(pose, world.goals[i]) <= pos_tol
+            and rot_distance(pose, world.goals[i]) <= rot_tol)
+
+
+class _Proposed(Exception):
+    pass
+
+
+def loop_sees_goal(world, cfg, pos_tol, rot_tol):
+    """True when run_loop finds every arm at its goal before its first cycle,
+    False when it asks for a proposal."""
+    ctrl = dataclasses.replace(cfg.controller, pos_tol=pos_tol, rot_tol=rot_tol)
+
+    def propose(cycle, frozen):
+        raise _Proposed
+
+    try:
+        result = run_loop(world, dataclasses.replace(cfg, controller=ctrl), propose)
+    except _Proposed:
+        return False
+    assert result.success and result.steps == 0
+    return True
+
+
+def assert_goal_test(world, cfg, pos_tol, rot_tol, expect):
+    assert goal_reached(world, 0, pos_tol, rot_tol) is expect
+    assert loop_sees_goal(world, cfg, pos_tol, rot_tol) is expect
+
+
 class TestGoalReached:
     def test_exact_and_over_tolerance(self, cfg):
         arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
         q = np.array([0.4, -0.1])
         pose = forward_kinematics(arm, q)
         world = make_world([arm], [q], [pose])
-        assert goal_reached(world, 0, 0.03, 0.1)
+        assert_goal_test(world, cfg, 0.03, 0.1, True)
         # Positional residual just over tolerance.
         off = EEPose(pose.position + np.array([0.031, 0.0]), pose.orientation)
         world_off = make_world([arm], [q], [off])
-        assert not goal_reached(world_off, 0, 0.03, 0.1)
+        assert_goal_test(world_off, cfg, 0.03, 0.1, False)
 
-    def test_inclusive_boundary_at_exact_delta(self):
+    def test_inclusive_boundary_at_exact_delta(self, cfg):
         # Dyadic tolerances make the residual arithmetic exact, so this
         # genuinely exercises "<=" at exactly delta.
         arm = make_arm((0.5, 0.5), BasePose(-1.0, 0.0, 0.0), 0.1)
@@ -58,9 +92,9 @@ class TestGoalReached:
         assert pose.position[0] == 0.0 and pose.orientation == 0.0
         goal = EEPose(np.array([0.03125, 0.0]), 0.125)
         world = make_world([arm], [q], [goal])
-        assert goal_reached(world, 0, 0.03125, 0.125)
-        assert not goal_reached(world, 0, 0.03124, 0.125)
-        assert not goal_reached(world, 0, 0.03125, 0.124)
+        assert_goal_test(world, cfg, 0.03125, 0.125, True)
+        assert_goal_test(world, cfg, 0.03124, 0.125, False)
+        assert_goal_test(world, cfg, 0.03125, 0.124, False)
 
 
 class TestRunEpisode:

@@ -322,6 +322,47 @@ class TestSampling:
             solo = policy.sample_plans(obs[i], count, np.random.default_rng(i), 0.1)
             assert np.array_equal(many[i].view(np.uint64), solo.view(np.uint64))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_policy_chain_stays_float32(self, monkeypatch):
+        """Every denoiser call and reverse step of a Policy chain sees float32
+        inputs; a float64 scalar coefficient or noise block would promote the
+        chain to float64 from that step on."""
+        policy = random_policy("single", 40, pred_horizon=16, K=20, seed=2)
+        seen = []
+        forward, step = DenoiserMLP.forward, dif.reverse_step
+
+        def spy_forward(model, z, *args, **kwargs):
+            seen.append(("forward", z.dtype, kwargs["obs_proj"].dtype,
+                         kwargs["emb_proj"].dtype))
+            out = forward(model, z, *args, **kwargs)
+            seen.append(("eps_hat", out.dtype))
+            return out
+
+        def spy_step(schedule, model, obs, z_k, k, rng, box, **kwargs):
+            seen.append(("reverse_step", np.asarray(z_k).dtype, box[0].dtype, box[1].dtype))
+            return step(schedule, model, obs, z_k, k, rng, box, **kwargs)
+
+        monkeypatch.setattr(DenoiserMLP, "forward", spy_forward)
+        monkeypatch.setattr(dif, "reverse_step", spy_step)
+        rngs = [np.random.default_rng(s) for s in range(3)]
+        plans = policy.sample_plans_many(np.zeros((3, 40)), 5, rngs, 0.1)
+        assert [row[0] for row in seen].count("reverse_step") == 20
+        assert [row[0] for row in seen].count("forward") == 20
+        assert all(dtype == np.float32 for row in seen for dtype in row[1:]), seen
+        assert policy.model.dtype == np.float64 and plans.dtype == np.float64
+
+    @pytest.mark.parametrize("family,obs_dim", [("single", 40), ("dual", 80)])
+    def test_float32_chain_matches_float64_chain(self, family, obs_dim):
+        policy = random_policy(family, obs_dim, pred_horizon=16, K=100, seed=7)
+        obs = np.random.default_rng(8).normal(size=(6, obs_dim))
+        got = policy.sample_plans_many(obs, 10, [np.random.default_rng(s) for s in range(6)],
+                                       0.05)
+        want = dif.sample(policy.schedule, policy.model, obs, 10,
+                          [np.random.default_rng(s) for s in range(6)], policy.norm, 0.05,
+                          16, 3)
+        assert got.shape == want.shape == (6, 10, 16, 3)
+        assert np.max(np.abs(got - want)) <= 1e-5
+
     def test_initial_noise_statistics(self):
         rng = np.random.default_rng(0)
         draws = rng.standard_normal((10_000, 4))

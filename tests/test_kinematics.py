@@ -11,18 +11,29 @@ from multiarm.kinematics import (
     DimensionError,
     EEPose,
     forward_kinematics,
-    link_positions,
     link_vertices,
     make_arm,
     pos_distance,
     rot_distance,
-    workspace_intersection,
     wrap_angle,
 )
 
 from .conftest import random_arm, random_config
 
 SCALE = 0.85  # MorphologyConfig.workspace_scale default
+
+
+def link_positions(arm, q):
+    """Link segments from `link_vertices`, shape (d, 2, 2): (start, end) of
+    each link."""
+    verts = link_vertices(arm, q)
+    return np.stack([verts[:-1], verts[1:]], axis=1)
+
+
+def workspace_intersection(a, b, scale):
+    """Overlap of two arms' reach discs, as task generation measures it."""
+    return kin.disc_intersection_area(a.base.xy, kin.reach_radius(a, scale),
+                                      b.base.xy, kin.reach_radius(b, scale))
 
 
 def fk_oracle(arm, q):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiarm.nets import dsilu, sigmoid, silu
+from multiarm.nets import _exp_nonpositive, dsilu, sigmoid, silu
 
 
 def masked_sigmoid(x):
@@ -44,3 +44,30 @@ class TestActivationKernel:
         sig = masked_sigmoid(block)
         assert same_bits(silu(block), block * sig)
         assert same_bits(dsilu(block), sig * (1.0 + block * (1.0 - sig)))
+
+
+# Per dtype: where np.exp's results stop being normal, and below which they
+# round to +0.0.
+EXP_BANDS = {np.float64: (-708.3964185322641, -745.1332191019412),
+             np.float32: (-87.33654, -103.97208)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_exp_nonpositive_equals_np_exp_bitwise(dtype):
+    """Dense grids through normal, subnormal and zero results, with each band
+    edge's neighbours and the signed zeros and -inf."""
+    normal_min, zero_below = (dtype(v) for v in EXP_BANDS[dtype])
+    edges = [np.nextafter(v, d) for v in (normal_min, zero_below)
+             for d in (dtype(-np.inf), dtype(0))]
+    a = np.concatenate([np.linspace(1.05 * zero_below, 0.0, 400_001).astype(dtype),
+                        np.array([normal_min, zero_below, *edges, -0.0, 0.0, -np.inf],
+                                 dtype=dtype)])
+    got, want = _exp_nonpositive(a), np.exp(a)
+    assert got.dtype == want.dtype == dtype
+    bits = f"u{a.itemsize}"
+    assert np.array_equal(got.view(bits), want.view(bits))
+    tiny = np.finfo(dtype).tiny
+    subnormal = (want > 0) & (want < tiny)
+    assert np.all(want[a > normal_min] >= tiny)
+    assert np.all(subnormal[(a < normal_min) & (a > zero_below)])
+    assert np.all(want[a < zero_below] == 0.0)
