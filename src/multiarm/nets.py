@@ -28,18 +28,16 @@ def sinusoidal_table(max_step: int, dim: int) -> np.ndarray:
 # the smallest normal double (-708.4) and then runs 10-100x slower, also where
 # the result rounds to zero (below -745.1). Denoising chains of weakly
 # trained models drive pre-activations far past that range. Float32 np.exp is
-# slow only where its result is subnormal, in (-103.97, -87.34), and bit-exact
-# results there must come from np.exp anyway, so other dtypes call it
-# directly: a float32 clamp at -87/-104 ran 1.4-4x slower than plain np.exp
-# on arrays that held such arguments.
+# slow only for subnormal results, which must come from np.exp to stay
+# bit-exact, so no float32 clamp was added.
 _EXP_FAST_MIN = -700.0
 _EXP_ZERO_BELOW = -746.0  # exp(a) rounds to +0.0 for every a below this
 
 
 def _exp_nonpositive(a: np.ndarray) -> np.ndarray:
-    """np.exp(a) for a non-empty array a <= 0, bit for bit, without float64's
-    slow path for arguments whose result is subnormal or zero."""
-    if a.dtype != np.float64 or not a.min() < _EXP_FAST_MIN:  # also for a NaN
+    """np.exp(a) for a non-empty array a <= 0, bit for bit, without the slow
+    path for arguments whose result is subnormal or zero."""
+    if not a.min() < _EXP_FAST_MIN:  # also for a NaN
         return np.exp(a)
     e = np.exp(np.maximum(a, _EXP_FAST_MIN))
     low = a < _EXP_FAST_MIN

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiarm.nets import _exp_nonpositive, dsilu, sigmoid, silu
+from multiarm.nets import dsilu, sigmoid, silu
 
 
 def masked_sigmoid(x):
@@ -15,7 +15,9 @@ def masked_sigmoid(x):
 
 
 def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    bits = f"u{a.itemsize}"
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(bits), b.view(bits)))
 
 
 EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
@@ -28,9 +30,13 @@ def blocks():
     rng = np.random.default_rng(5)
     # Blocks without NaN that reach |x| > 700, where exp(-|x|) is subnormal or
     # zero, take the kernel's clamped exp path.
-    return [EDGES, EDGES[~np.isnan(EDGES)], rng.standard_normal((10, 256)),
-            40.0 * rng.standard_normal((64, 33)), rng.uniform(-1e3, 1e3, size=1000),
-            np.linspace(-760.0, 760.0, 20001)]
+    float64 = [EDGES, EDGES[~np.isnan(EDGES)], rng.standard_normal((10, 256)),
+               40.0 * rng.standard_normal((64, 33)), rng.uniform(-1e3, 1e3, size=1000),
+               np.linspace(-760.0, 760.0, 20001)]
+    # Float32 copies, which the sampling chains run, plus a grid through
+    # float32's subnormal band of exp(-|x|), |x| in (87.34, 103.97).
+    return float64 + [b.astype(np.float32) for b in float64] + [
+        np.linspace(-105.0, 105.0, 42001, dtype=np.float32)]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -44,30 +50,3 @@ class TestActivationKernel:
         sig = masked_sigmoid(block)
         assert same_bits(silu(block), block * sig)
         assert same_bits(dsilu(block), sig * (1.0 + block * (1.0 - sig)))
-
-
-# Per dtype: where np.exp's results stop being normal, and below which they
-# round to +0.0.
-EXP_BANDS = {np.float64: (-708.3964185322641, -745.1332191019412),
-             np.float32: (-87.33654, -103.97208)}
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_exp_nonpositive_equals_np_exp_bitwise(dtype):
-    """Dense grids through normal, subnormal and zero results, with each band
-    edge's neighbours and the signed zeros and -inf."""
-    normal_min, zero_below = (dtype(v) for v in EXP_BANDS[dtype])
-    edges = [np.nextafter(v, d) for v in (normal_min, zero_below)
-             for d in (dtype(-np.inf), dtype(0))]
-    a = np.concatenate([np.linspace(1.05 * zero_below, 0.0, 400_001).astype(dtype),
-                        np.array([normal_min, zero_below, *edges, -0.0, 0.0, -np.inf],
-                                 dtype=dtype)])
-    got, want = _exp_nonpositive(a), np.exp(a)
-    assert got.dtype == want.dtype == dtype
-    bits = f"u{a.itemsize}"
-    assert np.array_equal(got.view(bits), want.view(bits))
-    tiny = np.finfo(dtype).tiny
-    subnormal = (want > 0) & (want < tiny)
-    assert np.all(want[a > normal_min] >= tiny)
-    assert np.all(subnormal[(a < normal_min) & (a > zero_below)])
-    assert np.all(want[a < zero_below] == 0.0)
