@@ -65,7 +65,6 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
     """Each arm executes its own best sample every cycle, through the same
     executor as DG-MAP: a collision ends the episode as failure."""
     ctrl = cfg.controller
-    bounds = WorldBounds.from_world(cfg.world)
 
     def propose(cycle, frozen):
         plans = [np.zeros((single.pred_horizon, arm.dof)) for arm in world.arms]
@@ -81,7 +80,7 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
                                                ctrl.delta_limit)
             for i, arm_samples in zip(moving, samples):
                 plans[i] = _best_own_plan(world.arms[i], world.configs[i],
-                                          world.goals[i], arm_samples, cfg, bounds)
+                                          world.goals[i], arm_samples, cfg, cfg.world)
         return plans, ctrl.baseline_chunk, {}
 
     return run_loop(world, cfg, propose, trace_path)
@@ -123,10 +122,9 @@ def run_episode_with_resim(task: TaskSpec, method: str, policies, cfg: RunConfig
     recorded = [[np.asarray(js[t]) for js in joint_slices]
                 for t in range(steps_recorded)]
 
-    bounds = WorldBounds.from_world(cfg.world)
     resim_ok = True
     if result.success:
-        resim_ok = resimulate_trajectory(task.arms, recorded, bounds,
+        resim_ok = resimulate_trajectory(task.arms, recorded, cfg.world,
                                          cfg.bench.resim_subsamples)
     return result, resim_ok
 

@@ -19,7 +19,6 @@ from . import datasets as dsets
 from . import diffusion as dif
 from . import observation as obsmod
 from .bench import run_benchmark, toy_pointmass_suite, verify_task_pairing
-from .collision import WorldBounds
 from .config import RunConfig, config_digest, load_config, morphology_digest
 from .controller import make_world, run_episode
 from .seeding import TAG_TASK, substream
@@ -54,9 +53,8 @@ def _out_path(path: str | Path) -> Path:
 def cmd_gen_data(args) -> int:
     cfg = _load_cfg(args)
     digest = morphology_digest(cfg)
-    bounds = WorldBounds.from_world(cfg.world)
     common = dict(t_o=cfg.diffusion.obs_horizon, t_p=cfg.diffusion.pred_horizon,
-                  resolution=cfg.controller.delta_limit, bounds=bounds,
+                  resolution=cfg.controller.delta_limit, bounds=cfg.world,
                   pos_tol=cfg.controller.pos_tol, rot_tol=cfg.controller.rot_tol,
                   max_iters=cfg.data.birrt_max_iters,
                   shortcut_attempts=cfg.data.shortcut_attempts,

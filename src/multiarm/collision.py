@@ -33,27 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import WorldBounds
 from .kinematics import ArmModel, chain_vertices
-
-
-@dataclass(frozen=True)
-class WorldBounds:
-    """Static rectangular workspace that every link must stay inside."""
-
-    x_min: float = -3.0
-    x_max: float = 3.0
-    y_min: float = -3.0
-    y_max: float = 3.0
-
-    def __post_init__(self):
-        if self.x_min >= self.x_max or self.y_min >= self.y_max:
-            raise ValueError("degenerate world bounds")
-
-    @classmethod
-    def from_world(cls, world) -> WorldBounds:
-        """The bounds of a config's `world` section (x_min, x_max, y_min, y_max)."""
-        return cls(world.x_min, world.x_max, world.y_min, world.y_max)
-
 
 DEFAULT_BOUNDS = WorldBounds()
 

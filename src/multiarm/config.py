@@ -31,11 +31,17 @@ class MorphologyConfig:
 
 
 @dataclass(frozen=True)
-class WorldConfig:
+class WorldBounds:
+    """Static rectangular workspace that every link must stay inside."""
+
     x_min: float = -3.0
     x_max: float = 3.0
     y_min: float = -3.0
     y_max: float = 3.0
+
+    def __post_init__(self):
+        if self.x_min >= self.x_max or self.y_min >= self.y_max:
+            raise ConfigError("world bounds must be a proper rectangle")
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class ToyConfig:
 @dataclass(frozen=True)
 class RunConfig:
     morphology: MorphologyConfig = field(default_factory=MorphologyConfig)
-    world: WorldConfig = field(default_factory=WorldConfig)
+    world: WorldBounds = field(default_factory=WorldBounds)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
@@ -156,7 +162,7 @@ def _coerce(value):
 
 _SECTIONS = {
     "morphology": MorphologyConfig,
-    "world": WorldConfig,
+    "world": WorldBounds,
     "diffusion": DiffusionConfig,
     "planner": PlannerConfig,
     "controller": ControllerConfig,
@@ -203,8 +209,6 @@ def validate(cfg: RunConfig) -> None:
         (all(v > 0 for v in m.link_lengths), "link lengths must be positive"),
         (m.collision_radius > 0, "collision radius must be positive"),
         (0 < m.workspace_scale <= 1, "workspace scale in (0, 1]"),
-        (cfg.world.x_min < cfg.world.x_max and cfg.world.y_min < cfg.world.y_max,
-         "world bounds must be a proper rectangle"),
         (d.denoise_steps >= 1, "denoise_steps >= 1"),
         (d.obs_horizon >= 1, "obs_horizon >= 1"),
         (d.pred_horizon >= 1, "pred_horizon >= 1"),

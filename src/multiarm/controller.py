@@ -162,7 +162,6 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
     methods differ only in what they propose.
     """
     ctrl = cfg.controller
-    bounds = WorldBounds.from_world(cfg.world)
     n = len(world.arms)
     trace = _TraceWriter(trace_path)
     # Residuals of the current configs, refreshed once per executed step;
@@ -209,7 +208,7 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
                                            world.arms[i].upper_limits)
             world.step += 1
             executed += 1
-            if segment_has_collision(world.arms, prev, world.configs, bounds,
+            if segment_has_collision(world.arms, prev, world.configs, cfg.world,
                                      ctrl.exec_subsamples):
                 result.collision = True
                 break

@@ -104,10 +104,10 @@ def forward_noise(schedule: NoiseSchedule, z0: np.ndarray, k, epsilon: np.ndarra
     return np.sqrt(abar) * z0 + np.sqrt(1.0 - abar) * epsilon
 
 
-def reverse_step(schedule: NoiseSchedule, model, obs, z_k: np.ndarray, k: int,
-                 rng: np.random.Generator, box, *, obs_proj=None,
-                 emb_proj=None) -> np.ndarray:
-    """One ancestral update from z_k to z_{k-1}.
+def reverse_step(schedule: NoiseSchedule, eps_hat: np.ndarray, z_k: np.ndarray,
+                 k: int, rng: np.random.Generator, box) -> np.ndarray:
+    """One ancestral update from z_k to z_{k-1}, given the model's noise
+    estimate `eps_hat` at (z_k, k).
 
     x0_hat = (z_k - sqrt(1 - abar_k) eps_hat) / sqrt(abar_k) is clipped to
     `box`, a (low, high) pair of bounds in normalized action units, and the
@@ -124,10 +124,6 @@ def reverse_step(schedule: NoiseSchedule, model, obs, z_k: np.ndarray, k: int,
     if not 1 <= k <= schedule.n_steps:
         raise ValueError("k out of range")
     z_k = np.asarray(z_k)
-    if obs_proj is not None or emb_proj is not None:
-        eps_hat = model.forward(z_k, obs_proj=obs_proj, emb_proj=emb_proj)
-    else:
-        eps_hat = model.forward(z_k, obs, k)
     abar = float(schedule.alpha_bar[k])
     x0_hat = (z_k - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
     x0_hat = np.clip(x0_hat, box[0], box[1])
@@ -188,8 +184,8 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
                 for limit in (-delta_limit, delta_limit))
     z = noise.standard_normal((m, count, model.action_width)).astype(dtype, copy=False)
     for k in range(schedule.n_steps, 0, -1):
-        z = reverse_step(schedule, model, None, z, k, noise, box,
-                         obs_proj=obs_proj, emb_proj=emb_proj_table[k])
+        eps_hat = model.forward(z, obs_proj=obs_proj, emb_proj=emb_proj_table[k])
+        z = reverse_step(schedule, eps_hat, z, k, noise, box)
     actions = norm.denormalize_act(z).reshape(m, count, pred_horizon, action_dim)
     return np.clip(actions, -delta_limit, delta_limit)
 

@@ -20,41 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observation as obs
-from .collision import (
-    Conflict,
-    PlanRecord,
-    WorldBounds,
-    find_first_collision,
-    plan_record,
-)
+from .collision import Conflict, PlanRecord, find_first_collision, plan_record
 from .config import RunConfig
 from .diffusion import Policy
 from .kinematics import EEPose, forward_kinematics, pos_distance, rot_distance
 from .seeding import TAG_PLAN, substream
-
-
-class PlanSet:
-    """Growable per-arm candidate plans; indices are stable once assigned."""
-
-    def __init__(self, plans):
-        self.plans = [np.asarray(p, dtype=float) for p in plans]
-        if not self.plans:
-            raise ValueError("initial plan set must not be empty")
-
-    def update(self, plan: np.ndarray) -> int:
-        self.plans.append(np.asarray(plan, dtype=float))
-        return len(self.plans) - 1
-
-    def __len__(self) -> int:
-        return len(self.plans)
-
-
-@dataclass(frozen=True)
-class SearchNode:
-    b: tuple[int, ...]
-    conflict_sets: tuple[frozenset, ...]
-    cost: float
-    seq: int
 
 
 @dataclass
@@ -74,7 +44,7 @@ def _cost_terms(arm, final_config: np.ndarray, plan: np.ndarray, goal: EEPose) -
 
 
 def init_plans(single_policy: Policy, histories, batch: int, seed: int,
-               delta_limit: float, bases, frozen=frozenset()) -> list[PlanSet]:
+               delta_limit: float, bases, frozen=frozenset()) -> list[list[np.ndarray]]:
     """Sample each arm's candidate batch independently of the other arms.
 
     Arm i is conditioned on its world-frame history seen from its base,
@@ -83,21 +53,20 @@ def init_plans(single_policy: Policy, histories, batch: int, seed: int,
     sampled. Frozen arms (already at their goals) hold a single zero plan.
     """
     shape = (single_policy.pred_horizon, single_policy.action_dim)
-    plan_sets = [PlanSet([np.zeros(shape)]) for _ in histories]
+    plan_sets = [[np.zeros(shape)] for _ in histories]
     active = [i for i in range(len(histories)) if i not in frozen]
     if active:
         conds = np.stack([obs.conditioning([histories[i]], bases[i]) for i in active])
         rngs = [substream(seed, TAG_PLAN, 0, i) for i in active]
         samples = single_policy.sample_plans_many(conds, batch, rngs, delta_limit)
         for i, arm_samples in zip(active, samples):
-            plan_sets[i] = PlanSet(list(arm_samples))
+            plan_sets[i] = list(arm_samples)
     return plan_sets
 
 
 class _Search:
     def __init__(self, arms, start_configs, goals, histories, single_policy: Policy,
-                 dual_policy: Policy | None, cfg: RunConfig, seed: int, frozen,
-                 audit: bool = False):
+                 dual_policy: Policy | None, cfg: RunConfig, seed: int, frozen):
         self.arms = list(arms)
         self.starts = [np.asarray(q, dtype=float) for q in start_configs]
         self.goals = list(goals)
@@ -108,93 +77,83 @@ class _Search:
         self.frozen = frozenset(frozen)
         self.n = len(self.arms)
         self.delta = cfg.controller.delta_limit
-        self.bounds = WorldBounds.from_world(cfg.world)
         self.penalty = cfg.planner.collision_penalty
+        # Arm i's candidate plans; repairs append, so indices are stable.
         self.plan_sets = init_plans(single_policy, histories, cfg.planner.batch, seed,
                                     self.delta, [arm.base for arm in self.arms],
                                     self.frozen)
-        self.heap: list[tuple[float, int, SearchNode]] = []
-        self.visited: set[tuple[int, ...]] = set()
+        # Frontier entries (cost, seq, b, conflict_sets). seq is the push
+        # count, so cost ties break in push order.
+        self.heap: list[tuple] = []
         # Tuples ever inserted. Cost depends only on the tuple, so dropping
-        # re-pushes from sibling expansions loses nothing but heap churn.
+        # re-pushes from sibling expansions loses nothing but heap churn, and
+        # no tuple is popped twice.
         self.pushed: set[tuple[int, ...]] = set()
-        # (arm, plan index) -> PlanRecord, shared by first-conflict search and
-        # cost, so each candidate plan is rolled out once.
-        self.records: dict[tuple[int, int], PlanRecord] = {}
+        # (arm, plan index) -> (PlanRecord, cost terms), filled once per
+        # candidate: first-conflict search and cost share its one rollout.
+        self.candidates: dict[tuple[int, int], tuple[PlanRecord, float]] = {}
         # First-conflict verdicts for this replan's fixed starts, keyed by
         # record (see `find_first_collision`). Each call looks up n(n+1)/2
         # keys, so the hits are calls * n(n+1)/2 - len(memo).
         self.memo: dict = {}
         self.conflict_calls = 0
         self.seed = seed
-        self.seq = 0
-        self.audit = audit
-        self.arm_terms: dict[tuple[int, int], float] = {}
         self.stats = {"expansions": 0, "generated": 0, "repairs": 0, "rebranches": 0,
                       "repair_plans": 0, "extraction_costs": [], "expanded_tuples": [],
                       "solved": False}
-        if audit:
-            self.stats["frontier_min_after"] = []
-            self.stats["expanded_kappa"] = []
 
     # -- plumbing -----------------------------------------------------------
 
     def plans_for(self, b):
-        return tuple(self.plan_sets[i].plans[bi] for i, bi in enumerate(b))
+        return tuple(self.plan_sets[i][bi] for i, bi in enumerate(b))
+
+    def candidate(self, i: int, bi: int) -> tuple[PlanRecord, float]:
+        entry = self.candidates.get((i, bi))
+        if entry is None:
+            plan = self.plan_sets[i][bi]
+            rec = plan_record(self.arms[i], self.starts[i], plan, self.delta)
+            entry = self.candidates[(i, bi)] = (
+                rec, _cost_terms(self.arms[i], rec.configs[-1], plan, self.goals[i]))
+        return entry
 
     def conflict_for(self, b) -> Conflict | None:
         self.conflict_calls += 1
-        return find_first_collision(self.arms, [self.record(i, bi) for i, bi in enumerate(b)],
-                                    self.bounds, self.memo)
-
-    def record(self, i: int, bi: int) -> PlanRecord:
-        rec = self.records.get((i, bi))
-        if rec is None:
-            rec = self.records[(i, bi)] = plan_record(
-                self.arms[i], self.starts[i], self.plan_sets[i].plans[bi], self.delta)
-        return rec
+        return find_first_collision(self.arms,
+                                    [self.candidate(i, bi)[0] for i, bi in enumerate(b)],
+                                    self.cfg.world, self.memo)
 
     def cost_for(self, b, collided: bool) -> float:
         total = 0.0
         for i, bi in enumerate(b):
-            key = (i, bi)
-            if key not in self.arm_terms:
-                self.arm_terms[key] = _cost_terms(
-                    self.arms[i], self.record(i, bi).configs[-1],
-                    self.plan_sets[i].plans[bi], self.goals[i])
-            total += self.arm_terms[key]
+            total += self.candidate(i, bi)[1]
         return total + (self.penalty if collided else 0.0)
 
     def push(self, b, conflict_sets):
         if b in self.pushed:
             return
         self.pushed.add(b)
-        conflict = self.conflict_for(b)
-        cost = self.cost_for(b, conflict is not None)
-        node = SearchNode(b, conflict_sets, cost, self.seq)
-        self.seq += 1
+        cost = self.cost_for(b, self.conflict_for(b) is not None)
+        heapq.heappush(self.heap, (cost, self.stats["generated"], b, conflict_sets))
         self.stats["generated"] += 1
-        heapq.heappush(self.heap, (cost, node.seq, node))
 
-    def pop(self) -> SearchNode | None:
-        while self.heap:
-            _, _, node = heapq.heappop(self.heap)
-            if node.b not in self.visited:
-                return node
-        return None
+    def pop(self):
+        """The cheapest frontier entry (cost, seq, b, conflict_sets), or None."""
+        return heapq.heappop(self.heap) if self.heap else None
 
     # -- successor generation -------------------------------------------------
 
-    def rebranch(self, node: SearchNode, ego: int, kappa: frozenset):
+    def branch(self, b, conflict_sets, ego: int, kappa: frozenset, indices):
+        """Push b with the ego arm's plan index set to each of `indices` and
+        its conflict set to `kappa`."""
+        sets = conflict_sets[:ego] + (kappa,) + conflict_sets[ego + 1:]
+        for m in indices:
+            self.push(b[:ego] + (m,) + b[ego + 1:], sets)
+
+    def rebranch(self, b, conflict_sets, ego: int, kappa: frozenset):
+        """Push one successor per existing ego plan outside `kappa`."""
         self.stats["rebranches"] += 1
-        sets = list(node.conflict_sets)
-        sets[ego] = kappa
-        sets = tuple(sets)
-        for m in range(len(self.plan_sets[ego])):
-            if m in kappa:
-                continue
-            b = tuple(m if i == ego else bi for i, bi in enumerate(node.b))
-            self.push(b, sets)
+        self.branch(b, conflict_sets, ego, kappa,
+                    [m for m in range(len(self.plan_sets[ego])) if m not in kappa])
 
     def sample_repairs(self, pairs) -> list:
         """Fresh pair-conditioned plans for each (ego, other) pair, or None
@@ -222,18 +181,14 @@ class _Search:
             out[s] = plans
         return out
 
-    def repair(self, node: SearchNode, ego: int, kappa: frozenset, plans):
+    def repair(self, b, conflict_sets, ego: int, kappa: frozenset, plans):
         """Append `plans` to the ego arm's set and push one successor each."""
         if plans is None:
             return
-        sets = list(node.conflict_sets)
-        sets[ego] = kappa
-        sets = tuple(sets)
-        for plan in plans:
-            idx = self.plan_sets[ego].update(plan)
-            self.stats["repair_plans"] += 1
-            b = tuple(idx if i == ego else bi for i, bi in enumerate(node.b))
-            self.push(b, sets)
+        first = len(self.plan_sets[ego])
+        self.plan_sets[ego].extend(plans)
+        self.stats["repair_plans"] += len(plans)
+        self.branch(b, conflict_sets, ego, kappa, range(first, len(self.plan_sets[ego])))
 
     # -- main loop ------------------------------------------------------------
 
@@ -252,31 +207,24 @@ class _Search:
                 break
             if deadline is not None and time.monotonic() >= deadline:
                 break
-            node = self.pop()
-            if node is None:
-                break
-            self.visited.add(node.b)
+            cost, _, b, sets = self.pop()
             self.stats["expansions"] += 1
-            self.stats["extraction_costs"].append(node.cost)
-            self.stats["expanded_tuples"].append(node.b)
-            if self.audit:
-                rest = [c for c, _, nd in self.heap if nd.b not in self.visited]
-                self.stats["frontier_min_after"].append(min(rest) if rest else None)
-                self.stats["expanded_kappa"].append(node.conflict_sets)
-            conflict = self.conflict_for(node.b)
+            self.stats["extraction_costs"].append(cost)
+            self.stats["expanded_tuples"].append(b)
+            conflict = self.conflict_for(b)
             if conflict is None:
                 self.stats["solved"] = True
-                result = PlannerResult(self.plans_for(node.b), horizon, True)
+                result = PlannerResult(self.plans_for(b), horizon, True)
                 break
-            i, j, t_hat = conflict.arm_i, conflict.arm_j, conflict.time
-            kappa_i = node.conflict_sets[i] | {node.b[i]}
-            self.rebranch(node, i, kappa_i)
+            i, j = conflict.arm_i, conflict.arm_j
+            kappa_i = sets[i] | {b[i]}
+            self.rebranch(b, sets, i, kappa_i)
             if not conflict.is_self:
-                kappa_j = node.conflict_sets[j] | {node.b[j]}
+                kappa_j = sets[j] | {b[j]}
                 plans_i, plans_j = self.sample_repairs([(i, j), (j, i)])
-                self.repair(node, i, kappa_i, plans_i)
-                self.rebranch(node, j, kappa_j)
-                self.repair(node, j, kappa_j, plans_j)
+                self.repair(b, sets, i, kappa_i, plans_i)
+                self.rebranch(b, sets, j, kappa_j)
+                self.repair(b, sets, j, kappa_j, plans_j)
 
         if result is None:
             result = self._best_effort(horizon)
@@ -288,18 +236,17 @@ class _Search:
         return result
 
     def _best_effort(self, horizon: int) -> PlannerResult:
-        """Timeout or exhaustion: return the cheapest known node, with its own
+        """Timeout or exhaustion: return the cheapest known tuple, with its own
         first-conflict time as the safe-execution prefix (floored at one)."""
-        node = self.pop()
-        if node is None:
-            # Frontier exhausted: resort to the cheapest expanded node.
-            best_b = min(self.visited,
-                         key=lambda b: (self.cost_for(b, self.conflict_for(b) is not None), b))
-            conflict = self.conflict_for(best_b)
-            plans = self.plans_for(best_b)
+        entry = self.pop()
+        if entry is not None:
+            b = entry[2]
         else:
-            conflict = self.conflict_for(node.b)
-            plans = self.plans_for(node.b)
+            # Frontier exhausted: resort to the cheapest expanded tuple.
+            b = min(self.stats["expanded_tuples"],
+                    key=lambda b: (self.cost_for(b, self.conflict_for(b) is not None), b))
+        conflict = self.conflict_for(b)
+        plans = self.plans_for(b)
         if conflict is None:
             self.stats["solved"] = True
             return PlannerResult(plans, horizon, True)
@@ -308,8 +255,8 @@ class _Search:
 
 def dgmap_search(arms, start_configs, goals, histories, single_policy: Policy,
                  dual_policy: Policy | None, cfg: RunConfig, seed: int,
-                 frozen=frozenset(), audit: bool = False) -> PlannerResult:
+                 frozen=frozenset()) -> PlannerResult:
     """Plan one horizon for every arm; best-effort on budget exhaustion."""
     search = _Search(arms, start_configs, goals, histories, single_policy,
-                     dual_policy, cfg, seed, frozen, audit)
+                     dual_policy, cfg, seed, frozen)
     return search.run()

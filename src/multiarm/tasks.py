@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench/layers.py patches is_free on this module, so the name stays bound.
-from .collision import WorldBounds, arms_collide, is_free  # noqa: F401
+from .collision import arms_collide, is_free  # noqa: F401
 from .config import MorphologyConfig, RunConfig
 from .datasets import sample_free_config
 from .expert import sample_goal_config
@@ -120,10 +120,7 @@ def _distance_for_fraction(fraction: float, rho: float) -> float:
 
 
 def template_arm(mcfg: MorphologyConfig, base: BasePose) -> ArmModel:
-    limits = mcfg.joint_limits
-    if limits is None:
-        limits = tuple((-math.pi, math.pi) for _ in mcfg.link_lengths)
-    return make_arm(mcfg.link_lengths, base, mcfg.collision_radius, limits)
+    return make_arm(mcfg.link_lengths, base, mcfg.collision_radius, mcfg.joint_limits)
 
 
 def _ring_bases(n: int, target_distance: float, rng: np.random.Generator,
@@ -206,22 +203,21 @@ def generate_task(n_arms: int, difficulty: str, rng: np.random.Generator,
         raise ValueError("n_arms must be >= 1")
     if difficulty not in DIFFICULTIES:
         raise ValueError(f"unknown difficulty {difficulty!r}")
-    bounds = WorldBounds.from_world(cfg.world)
     for _ in range(cfg.bench.task_ring_attempts):
         bases = sample_bases(n_arms, difficulty, rng, cfg)
         if bases is None:
             continue
         arms = [template_arm(cfg.morphology, b) for b in bases]
-        starts = _sample_joint_configs(arms, rng, bounds)
+        starts = _sample_joint_configs(arms, rng, cfg.world)
         if starts is None:
             continue
-        goal_configs = _sample_joint_configs(arms, rng, bounds)
+        goal_configs = _sample_joint_configs(arms, rng, cfg.world)
         if goal_configs is None:
             continue
         goals = [forward_kinematics(arm, q) for arm, q in zip(arms, goal_configs)]
         reachable = all(
             sample_goal_config(arm, goal, rng, cfg.controller.pos_tol,
-                               cfg.controller.rot_tol, bounds) is not None
+                               cfg.controller.rot_tol, cfg.world) is not None
             for arm, goal in zip(arms, goals))
         if not reachable:
             continue

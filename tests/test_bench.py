@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -239,6 +240,25 @@ class TestRunBenchmark:
             successes = [r for r in recs if r["success"]]
             assert cell["episodes"] == len(recs)
             assert cell["success_rate"] == pytest.approx(len(successes) / len(recs))
+
+
+class TestPinnedRun:
+    """A fixed closed-loop benchmark run whose report bytes are pinned: both
+    methods, 2 and 3 arms, easy and hard, one episode per cell. It covers
+    repairs, baseline collisions and stalls. Refactors must leave it as it
+    is; only a change that alters outputs on purpose may re-record the
+    digest, and it must say so in CHANGES.md."""
+
+    DIGEST = "27cf05772dd4f3364ca3817ee1481638571093afa6d170a676a20fd9d947ec28"
+
+    def test_report_bytes_unchanged(self, cfg, tmp_path):
+        small = tiny_bench_cfg(cfg, episodes=1, n_arms=(2, 3),
+                               difficulties=("easy", "hard"))
+        policies = {"single": GoalAwarePolicy(), "dual": ScriptedPolicy(dodge_plans)}
+        bn.run_benchmark(small, policies, ("dgmap", "decentralized"), tmp_path)
+        digest = hashlib.sha256((tmp_path / "report.csv").read_bytes()
+                                + (tmp_path / "episodes.jsonl").read_bytes()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestGates:

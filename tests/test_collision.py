@@ -131,9 +131,12 @@ class TestIsFree:
 
     def test_bounds_from_world_config(self):
         from multiarm.config import load_config
+        # The config's world section is the bounds object itself.
         world = load_config(None, {"world.x_min": -2.5, "world.y_max": 1.5}).world
-        bounds = WorldBounds.from_world(world)
-        assert bounds == WorldBounds(-2.5, world.x_max, world.y_min, 1.5)
+        assert world == WorldBounds(-2.5, 3.0, -3.0, 1.5)
+        arm = make_arm((0.5, 0.4), BasePose(-2.0, 0.0, 0.0), 0.05)
+        assert not is_free(arm, np.array([math.pi, 0.0]), world)
+        assert is_free(arm, np.zeros(2), world)
 
 class TestArmsCollide:
     def test_far_apart(self, rng):

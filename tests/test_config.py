@@ -6,6 +6,7 @@ import pytest
 from multiarm.config import (
     ConfigError,
     RunConfig,
+    WorldBounds,
     as_dict,
     config_digest,
     load_config,
@@ -74,12 +75,20 @@ diffusion:
         "bench: {easy_max_overlap: 0.5, medium_max_overlap: 0.3}",
         "morphology: {collision_radius: 0}",
         "planner: {batch: 0}",
+        "world: {x_min: 1, x_max: 1}",
+        "world: {y_min: 2, y_max: -2}",
     ])
     def test_range_validation(self, tmp_path, snippet):
         path = tmp_path / "bad.yaml"
         path.write_text(snippet + "\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    @pytest.mark.parametrize("bounds", [(1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 0.5, 0.5),
+                                        (2.0, -2.0, -1.0, 1.0)])
+    def test_degenerate_world_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            WorldBounds(*bounds)
 
 
 class TestDigests:

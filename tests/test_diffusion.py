@@ -169,10 +169,8 @@ class OracleDenoiser:
     def __init__(self, schedule, z0):
         self.schedule = schedule
         self.z0 = z0
-        self.k_seen = []
 
-    def forward(self, z, obs=None, k=None, *, obs_proj=None, emb_proj=None, cache=None):
-        k = int(self._k)
+    def forward(self, z, obs, k):
         abar = self.schedule.alpha_bar[k]
         return (z - np.sqrt(abar) * self.z0) / np.sqrt(1 - abar)
 
@@ -209,8 +207,7 @@ def plant_the_noise(sched, z0, box, rng):
     oracle = OracleDenoiser(sched, z0)
     z = dif.forward_noise(sched, z0, sched.n_steps, rng.standard_normal(z0.shape))
     for k in range(sched.n_steps, 0, -1):
-        oracle._k = k
-        z = dif.reverse_step(sched, oracle, None, z, k, _NoNoise(), box)
+        z = dif.reverse_step(sched, oracle.forward(z, None, k), z, k, _NoNoise(), box)
     return z
 
 
@@ -220,16 +217,17 @@ class TestReverse:
         sched = make_schedule(10)
         z = rng.normal(size=(2, 4))
         obs = rng.normal(size=(2, 3))
-        a = dif.reverse_step(sched, model, obs, z, 1, np.random.default_rng(0), INF_BOX)
-        b = dif.reverse_step(sched, model, obs, z, 1, np.random.default_rng(99), INF_BOX)
+        eps_hat = model.forward(z, obs, 1)
+        a = dif.reverse_step(sched, eps_hat, z, 1, np.random.default_rng(0), INF_BOX)
+        b = dif.reverse_step(sched, eps_hat, z, 1, np.random.default_rng(99), INF_BOX)
         assert a == pytest.approx(b)
 
-    def test_out_of_range_k(self, rng):
-        model = tiny_model(rng)
+    def test_out_of_range_k(self):
         sched = make_schedule(10)
-        with pytest.raises(ValueError):
-            dif.reverse_step(sched, model, np.zeros((1, 3)), np.zeros((1, 4)), 0,
-                             np.random.default_rng(0), INF_BOX)
+        for k in (0, 11):
+            with pytest.raises(ValueError):
+                dif.reverse_step(sched, np.zeros((1, 4)), np.zeros((1, 4)), k,
+                                 np.random.default_rng(0), INF_BOX)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_plant_the_noise_recovery(self, rng):
@@ -256,7 +254,8 @@ class TestReverse:
         for k in range(1, 101):
             z = rng.normal(size=(5, 4))
             scaled = ScaledDenoiser(model, 1.0)
-            got = dif.reverse_step(sched, scaled, obs, z, k, _NoNoise(), INF_BOX)
+            got = dif.reverse_step(sched, scaled.forward(z, obs, k), z, k, _NoNoise(),
+                                   INF_BOX)
             ref = eps_form_mean(sched, z, scaled.eps_seen[-1], k)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -270,7 +269,7 @@ class TestReverse:
         noise = np.random.default_rng(3)
         for k in range(100, 0, -1):
             z_prev = z
-            z = dif.reverse_step(sched, model, obs, z, k, noise, box)
+            z = dif.reverse_step(sched, model.forward(z, obs, k), z, k, noise, box)
             assert np.all(np.isfinite(z))
             assert np.max(np.abs(z)) <= 10.0
         assert np.all(z >= box[0]) and np.all(z <= box[1])
@@ -284,7 +283,7 @@ class TestReverse:
         z = rng.normal(size=(4, 4))
         obs = rng.normal(size=(4, 3))
         for k in range(1, 11):
-            z_next = dif.reverse_step(sched, model, obs, z, k, rng, INF_BOX)
+            z_next = dif.reverse_step(sched, model.forward(z, obs, k), z, k, rng, INF_BOX)
             assert np.all(np.isfinite(z_next))
 
 
@@ -338,9 +337,10 @@ class TestSampling:
             seen.append(("eps_hat", out.dtype))
             return out
 
-        def spy_step(schedule, model, obs, z_k, k, rng, box, **kwargs):
-            seen.append(("reverse_step", np.asarray(z_k).dtype, box[0].dtype, box[1].dtype))
-            return step(schedule, model, obs, z_k, k, rng, box, **kwargs)
+        def spy_step(schedule, eps_hat, z_k, k, rng, box):
+            seen.append(("reverse_step", eps_hat.dtype, z_k.dtype, box[0].dtype,
+                         box[1].dtype))
+            return step(schedule, eps_hat, z_k, k, rng, box)
 
         monkeypatch.setattr(DenoiserMLP, "forward", spy_forward)
         monkeypatch.setattr(dif, "reverse_step", spy_step)

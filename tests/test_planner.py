@@ -10,7 +10,7 @@ from multiarm.collision import rollout
 from multiarm.config import RunConfig, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import build_frame, build_history
-from multiarm.planner import PlanSet, dgmap_search
+from multiarm.planner import dgmap_search
 from multiarm.seeding import TAG_PLAN, substream
 
 from .test_collision import first_conflict
@@ -94,18 +94,6 @@ def cfg() -> RunConfig:
     return load_config(None)
 
 
-class TestPlanSet:
-    def test_update_appends_and_returns_index(self):
-        ps = PlanSet([np.zeros((4, 2))])
-        idx = ps.update(np.ones((4, 2)))
-        assert idx == 1 and len(ps) == 2
-        assert ps.update(np.ones((4, 2))) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            PlanSet([])
-
-
 def one_arm_search(cfg, penalty=10.0):
     """A one-arm search whose only candidate plan holds still at the goal."""
     arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
@@ -154,7 +142,7 @@ class TestInitPlans:
         sets_b = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA, bases=bases)
         assert [len(s) for s in sets_a] == [10, 10]
         for sa, sb in zip(sets_a, sets_b):
-            for p, q in zip(sa.plans, sb.plans):
+            for p, q in zip(sa, sb):
                 assert np.array_equal(p, q)
 
     def test_independent_of_team_size(self):
@@ -164,7 +152,7 @@ class TestInitPlans:
         solo = pl.init_plans(policy, hists[:1], 5, seed=9, delta_limit=DELTA,
                              bases=bases[:1])
         duo = pl.init_plans(policy, hists, 5, seed=9, delta_limit=DELTA, bases=bases)
-        for p, q in zip(solo[0].plans, duo[0].plans):
+        for p, q in zip(solo[0], duo[0]):
             assert np.array_equal(p, q)
 
     def test_frozen_arm_gets_single_zero_plan(self):
@@ -174,7 +162,7 @@ class TestInitPlans:
                              bases=[arm.base for arm in arms], frozen={1})
         assert len(sets[0]) == 10
         assert len(sets[1]) == 1
-        assert np.all(sets[1].plans[0] == 0.0)
+        assert np.all(sets[1][0] == 0.0)
 
 
 def ring_scene(n, radius=1.0, q0=0.3):
@@ -206,7 +194,7 @@ class TestStackedSampling:
                             frozenset(frozen))
         for a, b in zip(got, ref):
             assert len(a) == len(b)
-            for p, q in zip(a.plans, b.plans):
+            for p, q in zip(a, b):
                 assert np.array_equal(p.view(np.uint64), q.view(np.uint64))
 
     def test_dgmap_search_matches_per_arm_reference(self, cfg):
@@ -264,6 +252,33 @@ class TestStackedRepairs:
                 r += 1
 
 
+def observed_facing_search(cfg):
+    """Run the facing-scene search with its `pop` observed from outside.
+
+    After each pop, records the lowest cost left on the frontier (None when
+    it is empty) and the popped tuple's conflict sets. Every tuple enters
+    the frontier once, so nothing left on it has been expanded.
+    """
+    arms, starts, goals, hists = facing_scene()
+    search = pl._Search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
+                        ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
+    pops = []
+    pop = search.pop
+
+    def observed():
+        entry = pop()
+        if entry is not None:
+            rest = [cost for cost, *_ in search.heap]
+            pops.append((min(rest) if rest else None, entry[3]))
+        return entry
+
+    search.pop = observed
+    result = search.run()
+    assert result.solved
+    assert len(pops) == result.stats["expansions"]
+    return result, pops
+
+
 class TestSearch:
     def test_single_arm_free_space_solves_immediately(self, cfg):
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
@@ -280,8 +295,7 @@ class TestSearch:
         arms, starts, goals, hists = facing_scene()
         single = ScriptedPolicy(straight_plans)
         dual = ScriptedPolicy(dodge_plans)
-        result = dgmap_search(arms, starts, goals, hists, single, dual, cfg, 11,
-                              audit=True)
+        result = dgmap_search(arms, starts, goals, hists, single, dual, cfg, 11)
         assert result.solved
         assert result.stats["repairs"] >= 1
         # Validate the returned combination with a fresh, cache-free check.
@@ -297,25 +311,17 @@ class TestSearch:
         assert len(tuples) == len(set(tuples))
 
     def test_extractions_are_frontier_minima(self, cfg):
-        arms, starts, goals, hists = facing_scene()
-        single = ScriptedPolicy(straight_plans)
-        dual = ScriptedPolicy(dodge_plans)
-        result = dgmap_search(arms, starts, goals, hists, single, dual, cfg, 11,
-                              audit=True)
+        result, pops = observed_facing_search(cfg)
         costs = result.stats["extraction_costs"]
-        mins = result.stats["frontier_min_after"]
+        mins = [rest_min for rest_min, _ in pops]
         for cost, rest_min in zip(costs, mins):
             if rest_min is not None:
                 assert cost <= rest_min + 1e-12
 
     def test_kappa_exclusion(self, cfg):
-        arms, starts, goals, hists = facing_scene()
-        single = ScriptedPolicy(straight_plans)
-        dual = ScriptedPolicy(dodge_plans)
-        result = dgmap_search(arms, starts, goals, hists, single, dual, cfg, 11,
-                              audit=True)
+        result, pops = observed_facing_search(cfg)
         for b, kappa in zip(result.stats["expanded_tuples"],
-                            result.stats["expanded_kappa"]):
+                            [sets for _, sets in pops]):
             for i, bi in enumerate(b):
                 assert bi not in kappa[i]
 
@@ -384,17 +390,17 @@ class TestRepairDetails:
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
         root = tuple([0, 0])
         search.push(root, (frozenset(), frozenset()))
-        node = search.pop()
+        _, _, b, sets = search.pop()
         before = len(search.plan_sets[0])
         (plans,) = search.sample_repairs([(0, 1)])
-        search.repair(node, 0, frozenset({0}), plans)
+        search.repair(b, sets, 0, frozenset({0}), plans)
         after = len(search.plan_sets[0])
         assert after - before == cfg.planner.batch
         # New successor nodes reference only fresh indices.
         fresh = set(range(before, after))
-        for _, _, nd in search.heap:
-            if nd.b != root:
-                assert nd.b[0] in fresh
+        for _, _, nb, _ in search.heap:
+            if nb != root:
+                assert nb[0] in fresh
 
     def test_rebranch_respects_kappa_and_visited(self, cfg):
         arms, starts, goals, hists = facing_scene()
@@ -402,11 +408,11 @@ class TestRepairDetails:
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
         root = tuple([0, 0])
         search.push(root, (frozenset(), frozenset()))
-        node = search.pop()
-        search.visited.add(root)
+        _, _, b, sets = search.pop()
         kappa = frozenset({0, 3})
-        search.rebranch(node, 0, kappa)
-        bs = [nd.b for _, _, nd in search.heap]
+        # The popped root was pushed once already, so it is not pushed again.
+        search.rebranch(b, sets, 0, kappa)
+        bs = [nb for _, _, nb, _ in search.heap]
         assert root not in bs
         assert all(b[0] not in kappa for b in bs)
         assert len(bs) == cfg.planner.batch - 2  # minus kappa entries
@@ -446,10 +452,9 @@ class TestPlanRecords:
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
         result = search.run()
         assert result.stats["repairs"] >= 1
-        assert len(rolled) == len(set(rolled)) == len(search.records)
-        # Every generated node's arms were costed, so every candidate in a
-        # generated tuple has its one record.
-        assert len(search.arm_terms) == len(search.records)
+        # One candidate table entry per rolled-out plan, record and cost
+        # terms together.
+        assert len(rolled) == len(set(rolled)) == len(search.candidates)
 
     def test_broad_phase_leaves_search_unchanged(self, cfg, monkeypatch):
         from multiarm import collision
