@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end desk pipeline: datasets -> training -> benchmark.
 
-Skips stages whose outputs already exist, so it can resume. With default
-sizes the whole run takes well under an hour on one desktop core, training
-included; pass --episodes-per-cell 100 for the full acceptance-scale matrix.
+Skips stages whose outputs already exist, so it can resume. Pass
+--episodes-per-cell 100 for the full acceptance-scale matrix.
 """
 
 import argparse

@@ -18,21 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import WorldBounds, find_first_collision, plan_record
+from .collision import WorldBounds, find_first_collision, segment_has_collision
 from .config import RunConfig, config_digest, morphology_digest
-from .controller import (
-    EpisodeResult,
-    WorldState,
-    make_world,
-    run_episode,
-    run_loop,
-    segment_has_collision,
-)
+from .controller import EpisodeResult, WorldState, make_world, run_episode, run_loop
 from .datasets import Dataset, compute_norm_stats, episode_windows
 from .diffusion import Policy, load_checkpoint, policy_from_state, train
 from .kinematics import BasePose, forward_kinematics, make_arm, pos_distance
 from .nets import DenoiserMLP
-from .planner import _cost_terms
+from .planner import candidate
 from .seeding import METHOD_IDS, TAG_EPISODE, TAG_TASK, TAG_TOY, substream
 from .tasks import DIFFICULTIES, TaskSpec, generate_task, task_digest
 
@@ -45,19 +38,15 @@ METHODS = ("dgmap", "decentralized")
 
 def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
     """The arm's cheapest candidate, judged on its own: no other arm exists.
+    Ties go to the earliest plan."""
 
-    Each candidate is rolled out once into a `PlanRecord`; the conflict check
-    and the cost (which reads the record's final config) share it.
-    """
-    best, best_score = None, None
-    for plan in plans:
-        rec = plan_record(arm, q, plan, cfg.controller.delta_limit)
-        score = _cost_terms(arm, rec.configs[-1], plan, goal)
+    def score(plan):
+        rec, cost = candidate(arm, q, plan, goal, cfg.controller.delta_limit)
         if find_first_collision([arm], [rec], bounds, {}) is not None:
-            score += cfg.planner.collision_penalty
-        if best_score is None or score < best_score:
-            best, best_score = plan, score
-    return best
+            cost += cfg.planner.collision_penalty
+        return cost
+
+    return min(plans, key=score)
 
 
 def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
@@ -90,14 +79,13 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
 # Dense post-hoc re-simulation.
 # ---------------------------------------------------------------------------
 
-def resimulate_trajectory(arms, configs_per_step, bounds: WorldBounds,
+def resimulate_trajectory(arms, trajectories, bounds: WorldBounds,
                           subsamples: int) -> bool:
     """True when the whole recorded trajectory is collision-free under dense
-    interpolation. `configs_per_step[t][i]` is arm i's config after step t;
-    every step of every arm goes through one `segment_has_collision` call,
-    the executor's own check, as (steps, dof) stacks."""
-    stacks = [np.asarray([step[i] for step in configs_per_step], dtype=float)
-              for i in range(len(arms))]
+    interpolation. `trajectories[i]` is arm i's (steps + 1, dof) config
+    stack; every step of every arm goes through one `segment_has_collision`
+    call, the executor's own check."""
+    stacks = [np.asarray(t, dtype=float) for t in trajectories]
     return not segment_has_collision(arms, [s[:-1] for s in stacks],
                                      [s[1:] for s in stacks], bounds, subsamples)
 
@@ -114,17 +102,13 @@ def run_episode_with_resim(task: TaskSpec, method: str, policies, cfg: RunConfig
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    # The per-arm histories record one frame per executed step (plus the
-    # initial frame); their joint-angle slots reconstruct the trajectory.
-    joint_slices = [[f[: arm.dof] for f in world.histories[i]]
-                    for i, arm in enumerate(task.arms)]
-    steps_recorded = min(len(js) for js in joint_slices)
-    recorded = [[np.asarray(js[t]) for js in joint_slices]
-                for t in range(steps_recorded)]
-
     resim_ok = True
     if result.success:
-        resim_ok = resimulate_trajectory(task.arms, recorded, cfg.world,
+        # Each arm's history holds one frame per executed step plus the
+        # initial frame; their joint-angle slots are its trajectory.
+        trajectories = [np.stack(world.histories[i])[:, :arm.dof]
+                        for i, arm in enumerate(task.arms)]
+        resim_ok = resimulate_trajectory(task.arms, trajectories, cfg.world,
                                          cfg.bench.resim_subsamples)
     return result, resim_ok
 

@@ -22,10 +22,13 @@ from .bench import run_benchmark, toy_pointmass_suite, verify_task_pairing
 from .config import RunConfig, config_digest, load_config, morphology_digest
 from .controller import make_world, run_episode
 from .seeding import TAG_TASK, substream
-from .tasks import TaskSpec, dual_pair_sampler, generate_task, single_arm_sampler, task_digest
+from .tasks import (TaskGenerationError, TaskSpec, dual_pair_sampler, generate_task,
+                    single_arm_sampler, task_digest)
 
 ENV_OUT_DIR = "MULTIARM_OUT_DIR"
 ENV_WORKERS = "MULTIARM_WORKERS"
+# The least value each count option accepts.
+MINIMUMS = {"episodes": 0, "random": 1, "workers": 1}
 
 
 def _load_cfg(args) -> RunConfig:
@@ -242,6 +245,12 @@ def main(argv=None) -> int:
     if args.command == "plan" and not args.task and args.random is None:
         print("error=missing-task provide --task or --random", file=sys.stderr)
         return 2
+    for name, least in MINIMUMS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            print(f"error=out-of-range option=--{name} value={value} minimum={least}",
+                  file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except FileNotFoundError as exc:
@@ -252,6 +261,9 @@ def main(argv=None) -> int:
         return 2
     except dsets.IncompatibleDatasetError as exc:
         print(f"error=incompatible-dataset detail={exc}", file=sys.stderr)
+        return 2
+    except TaskGenerationError as exc:
+        print(f"error=task-generation detail={exc}", file=sys.stderr)
         return 2
 
 

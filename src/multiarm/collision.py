@@ -7,24 +7,24 @@ deltas are clamped small relative to the capsule radii, but a swept link
 can still touch and leave contact between the two checked states (1 miss
 in 300 max-rate steps that started near contact).
 
-The predicates `states_free` and `states_collide` take (k, d) stacks of
-configurations and answer per row from one vertex build per arm
-(`kinematics.chain_vertices`) and one segment-distance kernel call; the
-scalar `is_free` and `arms_collide` are their one-row case. Every caller
-reaches the kernel through the same stacked helpers, `_verts_free` and
-`_verts_collide`: the planner's first-conflict search, the experts' validity
-checks, and the executor's per-step check (`controller.segment_has_collision`),
-which the resim gate (`bench.resimulate_trajectory`) runs once over a whole
-recorded trajectory.
+Every multi-arm "does anything collide" question is one
+`find_first_collision` call over one `PlanRecord` per arm. Every record
+comes from one builder, `state_record`, over a (k, d) state stack, so this
+module alone decides which states are checked: a plan's (`plan_record`) at
+each step's midpoint and endpoint, the executor's (`segment_has_collision`,
+which the resim gate also runs) at tau = s / subsamples of each step.
 
-First-conflict search takes one `PlanRecord` per arm: its rollout, its
-checked-state vertex stack and that stack's axis-aligned bounds. It has a
-broad phase: an arm pair whose bounds are separated on x or y by more than
-r_a + r_b + `BROAD_PHASE_MARGIN` cannot touch at any checked state, so it
-resolves to "no conflict" without the capsule kernel. The margin sits far
-above the kernel's rounding error, so every verdict is the one the kernel
-would give. Verdicts go into a caller-owned memo keyed by the records
-themselves, so a search that reuses its records never checks a pair twice.
+Record bounds give the search a broad phase: an arm pair whose bounds are
+separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
+touch at any checked state, so it resolves to "no conflict" without the
+capsule kernel. The margin sits far above the kernel's rounding error, so
+every verdict is the kernel's own. Verdicts go into a caller-owned memo
+keyed by the records, so a search that reuses them never checks a pair twice.
+
+`states_free` and `states_collide` answer per row of (k, d) stacks; `is_free`
+and `arms_collide` are their one-row case. They, the search and the experts'
+fixed-pair check (`expert.dual_arm_validity`) reach the segment-distance
+kernel through the same stacked helpers, `_verts_free` and `_verts_collide`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import WorldBounds
-from .kinematics import ArmModel, chain_vertices
+from .kinematics import ArmModel, chain_vertices, config_stack
 
 DEFAULT_BOUNDS = WorldBounds()
 
@@ -188,14 +188,14 @@ def _checked_states(configs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PlanRecord:
-    """One arm's rolled-out plan as first-conflict search sees it.
+    """One arm's motion as first-conflict search sees it.
 
-    `configs` is the rollout (T + 1, d), `verts` the vertex stack of its
-    checked states (2T, d + 1, 2), and (x_lo, y_lo, x_hi, y_hi) the
-    axis-aligned bounds of every vertex in `verts`. The bounds come from
-    numpy min/max, so a NaN vertex makes them NaN and the broad phase never
-    prunes on it. Records compare and hash by identity, so they key the
-    first-conflict memo directly.
+    `configs` is a plan's rollout (T + 1, d) or the executor's interpolated
+    states, `verts` the vertex stack of the checked states, and (x_lo, y_lo,
+    x_hi, y_hi) the axis-aligned bounds of every vertex in `verts`. A NaN
+    vertex makes the bounds NaN, which the broad phase never prunes on; an
+    empty stack makes them (inf, inf, -inf, -inf), which it always prunes.
+    Records compare and hash by identity, so they key the memo directly.
     """
 
     configs: np.ndarray
@@ -206,13 +206,40 @@ class PlanRecord:
     y_hi: float
 
 
+def state_record(arm: ArmModel, configs: np.ndarray, states: np.ndarray) -> PlanRecord:
+    """The record of `configs`, checked at the (k, d) state stack `states`."""
+    verts = chain_vertices(arm, states)
+    lo = np.min(verts, axis=(0, 1), initial=np.inf)
+    hi = np.max(verts, axis=(0, 1), initial=-np.inf)
+    return PlanRecord(configs, verts, float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+
+
 def plan_record(arm: ArmModel, q0: np.ndarray, plan: np.ndarray,
                 delta_limit: float) -> PlanRecord:
+    """A plan's rollout, checked at each step's midpoint and endpoint."""
     configs = rollout(arm, q0, plan, delta_limit)
-    verts = chain_vertices(arm, _checked_states(configs))
-    lo = np.min(verts, axis=(0, 1))
-    hi = np.max(verts, axis=(0, 1))
-    return PlanRecord(configs, verts, float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+    return state_record(arm, configs, _checked_states(configs))
+
+
+def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
+                          subsamples: int) -> bool:
+    """The executor's check: True when an interpolated state between
+    consecutive configs leaves the bounds, self-collides or brings an arm pair
+    into capsule contact.
+
+    Arm i moves from prev_configs[i] to new_configs[i]: one config (d,) or a
+    (k, d) stack of k steps. Every step is checked at tau = s / subsamples for
+    s = 1..subsamples, so a (k, d) call answers the OR of its k one-step
+    calls. Each arm's states become one record for `find_first_collision`.
+    """
+    taus = np.arange(1, subsamples + 1) / subsamples
+    records = []
+    for arm, p, q in zip(arms, prev_configs, new_configs):
+        p = config_stack(arm, np.atleast_2d(p))
+        q = config_stack(arm, np.atleast_2d(q))
+        states = (p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof)
+        records.append(state_record(arm, states, states))
+    return find_first_collision(arms, records, bounds, {}) is not None
 
 
 # Slack on the broad-phase gap test. The kernel measures between two points
@@ -245,9 +272,11 @@ def _first_pair_collision(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanReco
 def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conflict | None:
     """Earliest conflict across all arms and arm pairs over the horizon.
 
-    `records[i]` is arm i's `PlanRecord` (see `plan_record`). Per-arm
-    infeasibility surfaces as a self conflict (arm_i == arm_j). Ties in time
-    break toward the lexicographically smallest (i, j).
+    `records[i]` is arm i's `PlanRecord` (see `state_record`); a conflict's
+    time is its earliest checked state's index // 2, which is a plan step for
+    `plan_record`s. Per-arm infeasibility surfaces as a self conflict
+    (arm_i == arm_j). Ties in time break toward the lexicographically
+    smallest (i, j).
 
     `memo` maps a record (self check) or a record pair (i < j) to that check's
     earliest conflicting step, or None; a pair the broad phase prunes is

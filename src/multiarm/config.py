@@ -137,21 +137,10 @@ def _build(cls, data, path):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, f in fields.items():
-        if name not in data:
-            continue
-        value = data[name]
-        if dataclasses.is_dataclass(f.type) or (isinstance(f.type, str) and f.type[0].isupper()):
-            # Nested config blocks are resolved by RunConfig below.
-            kwargs[name] = value
-        else:
-            kwargs[name] = _coerce(value)
-    return cls(**kwargs)
+    return cls(**{name: _coerce(value) for name, value in data.items()})
 
 
 def _coerce(value):

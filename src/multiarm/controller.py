@@ -5,10 +5,10 @@ configurations, executes the proposed prefix (clamped like any rollout), and
 appends executed frames to the observation histories. Execution asserts
 collision-freedom independently of planner claims by subsampling every
 executed step; any violation ends the episode as a recorded failure, never
-an exception. That check, `segment_has_collision`, stacks each arm's
-interpolated states and answers through the same vertex and capsule
-predicates as the planner and the experts. `run_loop` is the executor for
-every method; `run_episode` is DG-MAP's proposer on top of it.
+an exception. That check, `collision.segment_has_collision`, builds one
+record per arm from its interpolated states and asks the planner's own
+first-conflict query. `run_loop` is the executor for every method;
+`run_episode` is DG-MAP's proposer on top of it.
 """
 
 from __future__ import annotations
@@ -20,17 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import WorldBounds, _verts_collide, _verts_free
+from .collision import segment_has_collision
 from .config import RunConfig
 from .diffusion import Policy
-from .kinematics import (
-    EEPose,
-    chain_vertices,
-    config_stack,
-    forward_kinematics,
-    pos_distance,
-    rot_distance,
-)
+from .kinematics import EEPose, forward_kinematics, pos_distance, rot_distance
 from .planner import dgmap_search
 from .seeding import TAG_CYCLE, substream
 
@@ -92,32 +85,6 @@ class EpisodeResult:
             "expansions": int(self.expansions),
             "solved_calls": int(self.solved_calls),
         }
-
-
-def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
-                          subsamples: int) -> bool:
-    """True when an interpolated state between consecutive configs leaves the
-    bounds, self-collides or brings an arm pair into capsule contact.
-
-    Arm i moves from prev_configs[i] to new_configs[i]: one config (d,) or a
-    (k, d) stack of k steps. Every step is checked at tau = s / subsamples for
-    s = 1..subsamples, so a (k, d) call answers the OR of its k one-step
-    calls. Each arm's states form one stack with one vertex build; bounds and
-    self contact take one `_verts_free` call per arm and each arm pair one
-    `_verts_collide` call.
-    """
-    taus = np.arange(1, subsamples + 1) / subsamples
-    verts = []
-    for arm, p, q in zip(arms, prev_configs, new_configs):
-        p = config_stack(arm, np.atleast_2d(p))
-        q = config_stack(arm, np.atleast_2d(q))
-        v = chain_vertices(arm, (p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof))
-        if not np.all(_verts_free(arm, v, bounds)):
-            return True
-        verts.append(v)
-    n = len(verts)
-    return any(np.any(_verts_collide(arms[i], verts[i], arms[j], verts[j]))
-               for i in range(n) for j in range(i + 1, n))
 
 
 class _TraceWriter:

@@ -43,6 +43,14 @@ def _cost_terms(arm, final_config: np.ndarray, plan: np.ndarray, goal: EEPose) -
     return smoothness + pos_distance(ee, goal) + rot_distance(ee, goal)
 
 
+def candidate(arm, q0: np.ndarray, plan: np.ndarray, goal: EEPose,
+              delta_limit: float) -> tuple[PlanRecord, float]:
+    """One candidate plan as the search and the baseline score it: its
+    `PlanRecord` and its cost terms, from one rollout."""
+    rec = plan_record(arm, q0, plan, delta_limit)
+    return rec, _cost_terms(arm, rec.configs[-1], plan, goal)
+
+
 def init_plans(single_policy: Policy, histories, batch: int, seed: int,
                delta_limit: float, bases, frozen=frozenset()) -> list[list[np.ndarray]]:
     """Sample each arm's candidate batch independently of the other arms.
@@ -110,10 +118,8 @@ class _Search:
     def candidate(self, i: int, bi: int) -> tuple[PlanRecord, float]:
         entry = self.candidates.get((i, bi))
         if entry is None:
-            plan = self.plan_sets[i][bi]
-            rec = plan_record(self.arms[i], self.starts[i], plan, self.delta)
-            entry = self.candidates[(i, bi)] = (
-                rec, _cost_terms(self.arms[i], rec.configs[-1], plan, self.goals[i]))
+            entry = self.candidates[(i, bi)] = candidate(
+                self.arms[i], self.starts[i], self.plan_sets[i][bi], self.goals[i], self.delta)
         return entry
 
     def conflict_for(self, b) -> Conflict | None:

@@ -153,10 +153,8 @@ class TestResim:
     def test_detects_planted_collision(self, cfg):
         a = make_arm((1.0,), BasePose(0.0, 0.3, 0.0), 0.1)
         b = make_arm((1.0,), BasePose(0.0, -0.3, 0.0), 0.1)
-        clean = [[np.array([0.5]), np.array([-0.5])],
-                 [np.array([0.4]), np.array([-0.4])]]
-        crossing = [[np.array([0.6]), np.array([-0.6])],
-                    [np.array([-0.6]), np.array([0.6])]]
+        clean = [np.array([[0.5], [0.4]]), np.array([[-0.5], [-0.4]])]
+        crossing = [np.array([[0.6], [-0.6]]), np.array([[-0.6], [0.6]])]
         bounds = bn.WorldBounds()
         assert bn.resimulate_trajectory([a, b], clean, bounds, 10)
         assert not bn.resimulate_trajectory([a, b], crossing, bounds, 10)
@@ -179,7 +177,7 @@ class TestResim:
             trajs = random_steps(rng, arms, k=k, reach=0.1)
             recorded = [[t[s] for t in trajs] for s in range(k + 1)]
             calls.clear()
-            got = bn.resimulate_trajectory(arms, recorded, TIGHT, 10)
+            got = bn.resimulate_trajectory(arms, trajs, TIGHT, 10)
             assert len(calls) == 1
             # The per-step reference: the old loop over consecutive states.
             ref = not any(real(arms, list(prev), list(new), TIGHT, 10)
@@ -193,7 +191,7 @@ class TestResim:
         # The only state collides, but no step is taken, so nothing is checked.
         assert ctl.segment_has_collision(arms, [np.zeros(1)] * 2, [np.zeros(1)] * 2,
                                          bn.WorldBounds(), 10)
-        assert bn.resimulate_trajectory(arms, [[np.zeros(1), np.zeros(1)]],
+        assert bn.resimulate_trajectory(arms, [np.zeros((1, 1))] * 2,
                                         bn.WorldBounds(), 10)
 
 

@@ -218,6 +218,31 @@ class TestChecks:
         assert "incompatible-checkpoint" in err
 
 
+class TestOutOfRangeCounts:
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--family", "single", "--episodes", "-1", "--out", "{out}"],
+        ["plan", "--random", "0", "--single", "{out}"],
+        ["bench", "--single", "{out}", "--out", "{out}", "--workers", "0"],
+    ])
+    def test_rejected_before_any_work(self, tmp_path, argv, capsys):
+        out = tmp_path / "never"
+        code, stdout, err = run_cli([a.format(out=out) for a in argv], capsys)
+        assert code == 2
+        assert err.startswith("error=out-of-range option=--")
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_task_generation_failure_reported(self, tmp_path, small_cfg_file,
+                                              tiny_checkpoint, capsys):
+        cfg = tmp_path / "no_attempts.yaml"
+        cfg.write_text("bench: {task_ring_attempts: 0}\n")
+        code, stdout, err = run_cli(["plan", "--config", str(cfg), "--random", "2",
+                                     "--single", str(tiny_checkpoint)], capsys)
+        assert code == 2
+        assert err.startswith("error=task-generation detail=")
+        assert stdout == ""
+
+
 # One small 2-arm cell: 3 episodes per method give 6 jobs, which the pool
 # hands out one at a time, so both workers run episodes.
 BENCH_CELL = """

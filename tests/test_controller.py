@@ -12,6 +12,7 @@ from multiarm.controller import make_world, run_episode, run_loop
 from multiarm.kinematics import (BasePose, DimensionError, EEPose, forward_kinematics,
                                  make_arm, pos_distance, rot_distance)
 
+from .test_collision import KernelSpy
 from .test_planner import ScriptedPolicy, dodge_plans, facing_scene, straight_plans
 
 T_P = 16
@@ -340,14 +341,14 @@ class TestSegmentCollision:
         prev = [np.array([0.6]), np.array([-0.6])]
         new = [np.array([-0.6]), np.array([0.6])]
         # The arms swap sides: straight-line interpolation must cross.
-        assert ctl.segment_has_collision([a, b], prev, new, ctl.WorldBounds(), 10)
+        assert ctl.segment_has_collision([a, b], prev, new, WorldBounds(), 10)
 
     def test_clear_motion(self, cfg):
         a = make_arm((0.5,), BasePose(-1.5, 0, 0), 0.1)
         b = make_arm((0.5,), BasePose(1.5, 0, 0), 0.1)
         prev = [np.array([0.3]), np.array([0.3])]
         new = [np.array([-0.3]), np.array([-0.3])]
-        assert not ctl.segment_has_collision([a, b], prev, new, ctl.WorldBounds(), 10)
+        assert not ctl.segment_has_collision([a, b], prev, new, WorldBounds(), 10)
 
     def test_wrong_shapes_rejected(self):
         arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
@@ -429,6 +430,16 @@ class TestSegmentCollision:
             assert got == any(steps)
             verdicts.append(got)
         assert 0.2 < np.mean(verdicts) < 0.8
+
+    def test_far_pair_skips_the_kernel(self, monkeypatch):
+        # Two-link arms make no self kernel call, and these two never come
+        # within r_a + r_b of each other, so the broad phase settles the pair.
+        spy = KernelSpy(monkeypatch)
+        arms = [make_arm((0.5, 0.5), BasePose(x, 0.0, 0.0), 0.1) for x in (-1.5, 1.5)]
+        prev = [np.array([0.3, -0.2]), np.array([2.8, 0.1])]
+        new = [np.array([0.4, -0.1]), np.array([2.9, 0.2])]
+        assert not ctl.segment_has_collision(arms, prev, new, WorldBounds(), 10)
+        assert spy.calls == []
 
     def test_empty_step_stack_is_clear(self):
         arms = [make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)] * 2

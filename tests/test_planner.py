@@ -7,7 +7,7 @@ import pytest
 
 from multiarm import planner as pl
 from multiarm.collision import rollout
-from multiarm.config import RunConfig, load_config
+from multiarm.config import RunConfig, WorldBounds, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import build_frame, build_history
 from multiarm.planner import dgmap_search
@@ -252,16 +252,13 @@ class TestStackedRepairs:
                 r += 1
 
 
-def observed_facing_search(cfg):
-    """Run the facing-scene search with its `pop` observed from outside.
+def observe_pops(search):
+    """Run `search` with its `pop` observed from outside.
 
     After each pop, records the lowest cost left on the frontier (None when
     it is empty) and the popped tuple's conflict sets. Every tuple enters
     the frontier once, so nothing left on it has been expanded.
     """
-    arms, starts, goals, hists = facing_scene()
-    search = pl._Search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
-                        ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
     pops = []
     pop = search.pop
 
@@ -274,9 +271,48 @@ def observed_facing_search(cfg):
 
     search.pop = observed
     result = search.run()
-    assert result.solved
     assert len(pops) == result.stats["expansions"]
     return result, pops
+
+
+def observed_facing_search(cfg):
+    """The facing-scene search, observed by `observe_pops`."""
+    arms, starts, goals, hists = facing_scene()
+    search = pl._Search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
+                        ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
+    result, pops = observe_pops(search)
+    assert result.solved
+    return result, pops
+
+
+def floor_scene_search(cfg):
+    """Two far-apart one-link arms reach for goals pointing down, through a
+    floor and ceiling that stop any link turned more than 1 rad from level.
+
+    Each arm gets three constant-rate plans; a faster plan gets closer to
+    the goal, so it costs less, and leaves the bounds sooner. Arm 0's plans
+    all leave them, at steps 10, 12 and 10 (plan 2 turns the wrong way, so
+    it costs most). Arm 1's plan 0 leaves them at step 11; plans 1 and 2 stay
+    inside. The search expands (0, 0), (1, 0) on arm 1's conflict, then
+    (1, 1) on arm 0's, with arm 0's conflict set {0, 1}. Of the rebranch
+    successors, (0, 1) was never pushed and would be the cheapest on the
+    frontier, so only the conflict-set filter keeps it from being popped.
+    """
+    edge = 0.05 + 0.5 * math.sin(1.0)
+    cfg = dataclasses.replace(cfg, world=WorldBounds(-3.0, 3.0, -edge, edge),
+                              planner=dataclasses.replace(cfg.planner, batch=3))
+    arms = [make_arm((0.5,), BasePose(x, 0.0, 0.0), 0.05) for x in (-1.5, 1.5)]
+    starts = [np.zeros(1), np.zeros(1)]
+    goals = [forward_kinematics(arm, np.array([-math.pi / 2])) for arm in arms]
+    hists = [build_history([build_frame(arm, q, g)], 2)
+             for arm, q, g in zip(arms, starts, goals)]
+    # Arms are sampled in order, one call each.
+    rates = iter([(-0.095, -0.078, 0.1), (-0.09, -0.06, -0.05)])
+    single = ScriptedPolicy(
+        lambda obs_vec, count, rng: np.stack([np.full((T_P, 1), r) for r in next(rates)]),
+        action_dim=1)
+    search = pl._Search(arms, starts, goals, hists, single, None, cfg, 0, frozenset())
+    return observe_pops(search)
 
 
 class TestSearch:
@@ -322,6 +358,17 @@ class TestSearch:
         result, pops = observed_facing_search(cfg)
         for b, kappa in zip(result.stats["expanded_tuples"],
                             [sets for _, sets in pops]):
+            for i, bi in enumerate(b):
+                assert bi not in kappa[i]
+
+    def test_kappa_exclusion_where_only_the_filter_holds(self, cfg):
+        # The floor scene expands (1, 1) third, with arm 0's conflict set
+        # {0, 1}; a rebranch that ignored it would push (0, 1), the cheapest
+        # tuple on the frontier, and pop it next.
+        result, pops = floor_scene_search(cfg)
+        expanded = result.stats["expanded_tuples"]
+        assert expanded[:3] == [(0, 0), (1, 0), (1, 1)]
+        for b, (_, kappa) in zip(expanded, pops):
             for i, bi in enumerate(b):
                 assert bi not in kappa[i]
 
