@@ -10,6 +10,7 @@ digest.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -18,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import WorldBounds, find_first_collision, segment_has_collision
+from .collision import WorldBounds, find_first_collision, rollout, segment_has_collision
 from .config import RunConfig, config_digest, morphology_digest
 from .controller import EpisodeResult, WorldState, make_world, run_episode, run_loop
 from .datasets import Dataset, compute_norm_stats, episode_windows
-from .diffusion import Policy, load_checkpoint, policy_from_state, train
-from .kinematics import BasePose, forward_kinematics, make_arm, pos_distance
+from .diffusion import Policy, cosine_schedule, load_checkpoint, policy_from_state, train
+from .kinematics import BasePose, EEPose, forward_kinematics, make_arm, pos_distance
 from .nets import DenoiserMLP
 from .planner import candidate
 from .seeding import METHOD_IDS, TAG_EPISODE, TAG_TASK, TAG_TOY, substream
@@ -357,7 +358,6 @@ def goal_directed_fraction(policy_like, cfg: RunConfig, seed: int,
 
 def dataset_goal_directed_fraction(dataset: Dataset, cfg: RunConfig) -> float:
     """The metric applied to the stored expert windows themselves."""
-    from .kinematics import EEPose
     arm = toy_arm()
     delta = cfg.controller.delta_limit
     slack = cfg.toy.monotone_slack
@@ -376,7 +376,6 @@ def dataset_goal_directed_fraction(dataset: Dataset, cfg: RunConfig) -> float:
 
 
 def _plan_goal_directed(arm, q0, goal_pose, plan, delta, slack, pos_tol) -> bool:
-    from .collision import rollout
     traj = rollout(arm, np.array([q0]), plan, delta)
     dists = [pos_distance(forward_kinematics(arm, q), goal_pose) for q in traj]
     for a, b in zip(dists[:-1], dists[1:]):
@@ -389,7 +388,6 @@ def _plan_goal_directed(arm, q0, goal_pose, plan, delta, slack, pos_tol) -> bool
 
 def _untrained_policy(dataset: Dataset, cfg: RunConfig, seed: int) -> Policy:
     """Fresh random-weight model wrapped with the dataset normalization."""
-    from .diffusion import cosine_schedule
     model = DenoiserMLP("single", dataset.actions.shape[1], dataset.obs_width,
                         cfg.toy.hidden_dims, cfg.diffusion.embed_dim,
                         cfg.diffusion.denoise_steps, substream(seed, TAG_TOY, 77))
@@ -400,7 +398,6 @@ def _untrained_policy(dataset: Dataset, cfg: RunConfig, seed: int) -> Policy:
 
 def toy_pointmass_suite(cfg: RunConfig, seed: int | None = None, log=None) -> dict:
     """Train the tiny single-arm model and report goal-directedness."""
-    import dataclasses
     seed = cfg.seed if seed is None else seed
     dataset = toy_dataset(cfg, seed)
     dcfg = dataclasses.replace(cfg.diffusion, epochs=cfg.toy.epochs,

@@ -8,6 +8,7 @@ key=value lines so scripts can parse it; results are JSON or CSV files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import datasets as dsets
 from . import diffusion as dif
 from . import observation as obsmod
 from .bench import run_benchmark, toy_pointmass_suite, verify_task_pairing
-from .config import RunConfig, config_digest, load_config, morphology_digest
+from .config import ConfigError, RunConfig, config_digest, load_config, morphology_digest
 from .controller import make_world, run_episode
 from .seeding import TAG_TASK, substream
 from .tasks import (TaskGenerationError, TaskSpec, dual_pair_sampler, generate_task,
@@ -34,15 +35,8 @@ MINIMUMS = {"episodes": 0, "random": 1, "workers": 1}
 def _load_cfg(args) -> RunConfig:
     cfg = load_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
-        import dataclasses
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
-
-
-def _workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return args.workers
-    return int(os.environ.get(ENV_WORKERS, "1"))
 
 
 def _out_path(path: str | Path) -> Path:
@@ -149,7 +143,7 @@ def cmd_bench(args) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     policies = _policies_from_args(cfg, args, need_dual="dgmap" in methods)
     out_dir = _out_path(args.out)
-    report = run_benchmark(cfg, policies, methods, out_dir, workers=_workers(args))
+    report = run_benchmark(cfg, policies, methods, out_dir, workers=args.workers)
     if not verify_task_pairing(report, methods):
         print("error=task-pairing-violation", file=sys.stderr)
         return 3
@@ -245,16 +239,29 @@ def main(argv=None) -> int:
     if args.command == "plan" and not args.task and args.random is None:
         print("error=missing-task provide --task or --random", file=sys.stderr)
         return 2
+    sources = {name: f"--{name}" for name in MINIMUMS}
+    if args.command == "bench" and args.workers is None:
+        sources["workers"] = ENV_WORKERS
+        text = os.environ.get(ENV_WORKERS, "1")
+        try:
+            args.workers = int(text)
+        except ValueError:
+            print(f"error=config detail={ENV_WORKERS}={text!r} is not an integer",
+                  file=sys.stderr)
+            return 2
     for name, least in MINIMUMS.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
-            print(f"error=out-of-range option=--{name} value={value} minimum={least}",
-                  file=sys.stderr)
+            print(f"error=out-of-range option={sources[name]} value={value} "
+                  f"minimum={least}", file=sys.stderr)
             return 2
     try:
         return args.fn(args)
     except FileNotFoundError as exc:
         print(f"error=file-not-found detail={exc}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:
+        print(f"error=config detail={' '.join(str(exc).split())}", file=sys.stderr)
         return 2
     except dif.IncompatibleCheckpointError as exc:
         print(f"error=incompatible-checkpoint detail={exc}", file=sys.stderr)

@@ -166,7 +166,10 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     data: dict = {}
     if path is not None:
         text = Path(path).read_text()
-        loaded = yaml.safe_load(text)
+        try:
+            loaded = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -213,6 +216,7 @@ def validate(cfg: RunConfig) -> None:
         (p.timeout_s is None or p.timeout_s >= 0, "timeout must be >= 0 or null"),
         (c.pos_tol > 0 and c.rot_tol > 0, "tolerances must be positive"),
         (c.step_limit >= 1, "step limit >= 1"),
+        (c.stall_window >= 1, "stall window >= 1"),
         (c.delta_limit > 0, "delta limit must be positive"),
         (c.exec_subsamples >= 1, "exec subsamples >= 1"),
         (c.baseline_chunk >= 1, "baseline chunk >= 1"),

@@ -4,19 +4,19 @@ Records pair an ego-frame conditioning vector (`obs.conditioning`) with a
 horizon of delta actions. Episodes convert expert waypoint paths into
 per-step deltas; a window slides over every waypoint, padding history at
 the episode start by repeating the first frame and actions at the end with
-zeros. Files are a
-fixed binary layout (see docs/file_formats.md) plus a JSON sidecar.
+zeros. Files are `artifacts` containers (see docs/file_formats.md) plus a
+JSON sidecar.
 """
 
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from . import observation as obs
 # perfbench/layers.py patches arms_collide on this module, so the name stays bound.
 from .collision import (  # noqa: F401
@@ -36,11 +36,11 @@ from .kinematics import ArmModel, BasePose, forward_kinematics
 from .seeding import TAG_DATA, substream
 
 MAGIC = b"MARMDAT\x01"
-# Version 2: observation rows are ego-frame `obs.conditioning` vectors;
-# version-1 rows held world-frame features and are refused.
-FORMAT_VERSION = 2
+# Version 3: the checksummed `artifacts` container. Version 2 had a fixed
+# binary header and no checksum; version 1 held world-frame features. Both
+# are refused.
+FORMAT_VERSION = 3
 FAMILIES = {"single": 0, "dual": 1}
-FAMILY_NAMES = {v: k for k, v in FAMILIES.items()}
 SCALE_FLOOR = 1e-6
 
 
@@ -65,6 +65,9 @@ class NormStats:
 
     def denormalize_act(self, z):
         return np.asarray(z, dtype=float) * self.act_scale + self.act_mean
+
+
+NORM_NAMES = tuple(f.name for f in fields(NormStats))
 
 
 @dataclass
@@ -269,31 +272,27 @@ def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
 
 
 # ---------------------------------------------------------------------------
-# Binary persistence.
+# Persistence.
 # ---------------------------------------------------------------------------
 
-_HEADER = struct.Struct("<IIIIIIQqII")  # version, family, t_o, t_p, frame_w,
-# obs_width, n_records, seed, episodes, skipped
+def norm_from_arrays(arrays: dict, obs_width: int, act_width: int, error) -> NormStats:
+    """The NormStats stored under `NORM_NAMES` in `arrays`; raises `error`
+    unless each vector is as long as its block is wide."""
+    stats = [arrays.get(name) for name in NORM_NAMES]
+    widths = (obs_width, obs_width, act_width, act_width)
+    for name, vec, width in zip(NORM_NAMES, stats, widths):
+        if vec is None or vec.shape != (width,):
+            raise error(f"norm vector {name} is not stored with length {width}")
+    return NormStats(*stats)
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    path = Path(path)
-    meta_json = json.dumps(ds.meta, sort_keys=True, separators=(",", ":")).encode()
-    digest = str(ds.meta.get("morphology_digest", ""))
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(FORMAT_VERSION, FAMILIES[ds.family], ds.t_o, ds.t_p,
-                              ds.frame_width, ds.obs_width, len(ds),
-                              int(ds.meta.get("seed", 0)),
-                              int(ds.meta.get("episodes", 0)),
-                              int(ds.meta.get("skipped", 0))))
-        fh.write(struct.pack("<I", ds.actions.shape[1]))
-        fh.write(struct.pack("<I", len(meta_json)))
-        fh.write(meta_json)
-        for arr in (ds.norm.obs_mean, ds.norm.obs_scale, ds.norm.act_mean, ds.norm.act_scale):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.observations, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(ds.actions, dtype="<f4").tobytes())
+    header = {"family": ds.family, "t_o": ds.t_o, "t_p": ds.t_p,
+              "frame_width": ds.frame_width, "meta": ds.meta}
+    artifacts.write(path, MAGIC, FORMAT_VERSION, header,
+                    [*((name, "<f8", getattr(ds.norm, name)) for name in NORM_NAMES),
+                     ("observations", "<f4", ds.observations),
+                     ("actions", "<f4", ds.actions)])
     sidecar = dict(ds.meta)
     sidecar.update({
         "format_version": FORMAT_VERSION,
@@ -305,30 +304,24 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         "t_p": ds.t_p,
         "frame_width": ds.frame_width,
         "action_dim": ds.action_dim,
-        "morphology_digest": digest,
+        "morphology_digest": str(ds.meta.get("morphology_digest", "")),
     })
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    blob = Path(path).read_bytes()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise IncompatibleDatasetError("not a dataset file")
-    off = len(MAGIC)
-    if len(blob) < off + _HEADER.size + 8:
-        raise IncompatibleDatasetError("dataset header is truncated")
-    (version, family_id, t_o, t_p, frame_w, obs_width, n_records, seed, episodes,
-     skipped) = _HEADER.unpack_from(blob, off)
-    if version != FORMAT_VERSION:
-        raise IncompatibleDatasetError(f"unsupported dataset format version {version}")
-    if family_id not in FAMILY_NAMES:
-        raise IncompatibleDatasetError(f"unknown dataset family id {family_id}")
-    off += _HEADER.size
-    (act_width,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    (meta_len,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    family = FAMILY_NAMES[family_id]
+    header, arrays = artifacts.read(path, MAGIC, FORMAT_VERSION, IncompatibleDatasetError,
+                                    "dataset")
+    family, t_o, t_p, frame_w, meta = (header.get(key) for key in
+                                       ("family", "t_o", "t_p", "frame_width", "meta"))
+    if (not isinstance(family, str) or family not in FAMILIES or not isinstance(meta, dict)
+            or not all(type(v) is int for v in (t_o, t_p, frame_w)) or min(t_o, frame_w) < 1):
+        raise IncompatibleDatasetError("dataset header is malformed")
+    observations, actions = arrays.get("observations"), arrays.get("actions")
+    if (observations is None or actions is None or observations.ndim != 2
+            or actions.ndim != 2 or len(observations) != len(actions)):
+        raise IncompatibleDatasetError("dataset observation and action rows do not pair up")
+    obs_width, act_width = observations.shape[1], actions.shape[1]
     if t_p < 1 or act_width % t_p:
         raise IncompatibleDatasetError(
             f"action width {act_width} does not split into t_p = {t_p} steps")
@@ -336,27 +329,6 @@ def load_dataset(path: str | Path) -> Dataset:
     if obs_width != frames * frame_w:
         raise IncompatibleDatasetError(
             f"observation width {obs_width} is not {frames} frames of width {frame_w}")
-    body = 16 * (obs_width + act_width) + 4 * n_records * (obs_width + act_width)
-    if len(blob) != off + meta_len + body:
-        raise IncompatibleDatasetError("dataset size does not match its header")
-    try:
-        meta = json.loads(blob[off: off + meta_len].decode())
-    except ValueError as exc:
-        raise IncompatibleDatasetError(f"dataset meta is not JSON: {exc}") from exc
-    off += meta_len
-
-    def take_f8(count):
-        nonlocal off
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        return arr
-
-    norm = NormStats(take_f8(obs_width), take_f8(obs_width), take_f8(act_width),
-                     take_f8(act_width))
-    observations = np.frombuffer(blob, dtype="<f4", count=n_records * obs_width,
-                                 offset=off).copy().reshape(n_records, obs_width)
-    off += 4 * n_records * obs_width
-    actions = np.frombuffer(blob, dtype="<f4", count=n_records * act_width,
-                            offset=off).copy().reshape(n_records, act_width)
+    norm = norm_from_arrays(arrays, obs_width, act_width, IncompatibleDatasetError)
     return Dataset(family, t_o, t_p, frame_w, act_width // t_p, observations, actions,
                    norm, meta)

@@ -2,7 +2,7 @@
 
 Squared-cosine schedule, forward noising, ancestral reverse sampling with
 the lower-bound posterior variance, training with AdamW plus EMA, and
-versioned binary checkpoints (layout in docs/file_formats.md).
+versioned checkpoints in the `artifacts` container (docs/file_formats.md).
 
 Each reverse step predicts the clean sample x0 from the model's noise
 estimate, clips it to the normalized feasible action box, and takes the
@@ -27,17 +27,15 @@ Training, `Policy.model` and checkpoints stay float64.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .config import DiffusionConfig
-from .datasets import FAMILIES, FAMILY_NAMES, Dataset, NormStats
+from .datasets import FAMILIES, NORM_NAMES, Dataset, NormStats, norm_from_arrays
 from .nets import AdamW, DenoiserMLP, ema_update
 from .seeding import TAG_TRAIN, substream
 
@@ -273,7 +271,7 @@ class Policy:
 
     `model` holds the float64 weights that training produced and checkpoints
     store. Sampling runs on a float32 copy of them, made once here, so set
-    the weights before constructing the bundle.
+    the weights before building the bundle.
     """
 
     family: str
@@ -313,120 +311,55 @@ def policy_from_state(state: TrainState, family: str, dataset: Dataset,
 
 
 CKPT_MAGIC = b"MARMCKP\x01"
-# Version 2: models condition on ego-frame `obs.conditioning` vectors;
-# version-1 models saw world-frame features and are refused.
-CKPT_VERSION = 2
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype="<f8")
-    head = struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + arr.tobytes()
-
-
-def _unpack_array(blob: bytes, off: int):
-    (ndim,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    shape = struct.unpack_from(f"<{ndim}I", blob, off)
-    off += 4 * ndim
-    count = int(np.prod(shape)) if ndim else 1
-    arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).copy().reshape(shape)
-    off += 8 * count
-    return arr, off
+# Version 3: the checksummed `artifacts` container. Version 2 used a packed
+# binary layout; version-1 models saw world-frame features. Both are refused.
+CKPT_VERSION = 3
+# The integer header fields, each >= 1.
+_CKPT_DIMS = ("n_steps", "t_o", "t_p", "action_dim", "frame_width", "embed_dim", "obs_dim")
 
 
 def save_checkpoint(policy: Policy, path: str | Path) -> None:
     model = policy.model
-    meta_json = json.dumps(policy.meta, sort_keys=True, separators=(",", ":")).encode()
-    digest_bytes = policy.morphology_digest.encode()
-    body = bytearray()
-    body += struct.pack("<IIIIIII", FAMILIES[policy.family], policy.schedule.n_steps,
-                        policy.obs_horizon, policy.pred_horizon, policy.action_dim,
-                        policy.frame_width, model.embed_dim)
-    body += struct.pack("<I", model.obs_dim)
-    body += struct.pack("<I", len(model.hidden_dims))
-    body += struct.pack(f"<{len(model.hidden_dims)}I", *model.hidden_dims)
-    body += struct.pack("<I", len(digest_bytes)) + digest_bytes
-    body += struct.pack("<I", len(meta_json)) + meta_json
-    body += _pack_array(policy.schedule.alpha)
-    body += _pack_array(policy.schedule.alpha_bar)
-    for arr in (policy.norm.obs_mean, policy.norm.obs_scale, policy.norm.act_mean,
-                policy.norm.act_scale):
-        body += _pack_array(arr)
-    params = model.parameters()
-    body += struct.pack("<I", len(params))
-    for name, p in zip(model.parameter_names(), params):
-        nb = name.encode()
-        body += struct.pack("<I", len(nb)) + nb
-        body += _pack_array(p)
-    payload = bytes(body)
-    checksum = hashlib.sha256(payload).digest()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(payload)
-        fh.write(checksum)
+    dims = (policy.schedule.n_steps, policy.obs_horizon, policy.pred_horizon,
+            policy.action_dim, policy.frame_width, model.embed_dim, model.obs_dim)
+    header = {**dict(zip(_CKPT_DIMS, dims)), "family": policy.family,
+              "hidden_dims": list(model.hidden_dims),
+              "morphology_digest": policy.morphology_digest, "meta": policy.meta}
+    named = [("alpha", policy.schedule.alpha), ("alpha_bar", policy.schedule.alpha_bar),
+             *((name, getattr(policy.norm, name)) for name in NORM_NAMES),
+             *zip(model.parameter_names(), model.parameters())]
+    artifacts.write(path, CKPT_MAGIC, CKPT_VERSION, header,
+                    [(name, "<f8", arr) for name, arr in named])
 
 
 def load_checkpoint(path: str | Path, expect_morphology: str | None = None) -> Policy:
-    blob = Path(path).read_bytes()
-    if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise IncompatibleCheckpointError("not a checkpoint file")
-    off = len(CKPT_MAGIC)
-    if len(blob) < off + 4 + 32:
-        raise IncompatibleCheckpointError("checkpoint is truncated")
-    (version,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if version != CKPT_VERSION:
-        raise IncompatibleCheckpointError(f"unsupported checkpoint version {version}")
-    payload = blob[off:-32]
-    if hashlib.sha256(payload).digest() != blob[-32:]:
-        raise IncompatibleCheckpointError("checkpoint payload checksum mismatch")
-
-    family_id, n_steps, t_o, t_p, action_dim, frame_w, embed_dim = struct.unpack_from(
-        "<IIIIIII", blob, off)
-    off += 28
-    (obs_dim,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    (n_hidden,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    hidden = struct.unpack_from(f"<{n_hidden}I", blob, off)
-    off += 4 * n_hidden
-    (dlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    digest = blob[off: off + dlen].decode()
-    off += dlen
-    (mlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    meta = json.loads(blob[off: off + mlen].decode())
-    off += mlen
-    alpha, off = _unpack_array(blob, off)
-    alpha_bar, off = _unpack_array(blob, off)
-    if alpha.shape != alpha_bar.shape or alpha.shape != (n_steps + 1,):
-        raise IncompatibleCheckpointError("checkpoint schedule does not match its header")
-    schedule = NoiseSchedule.from_alphas(alpha, alpha_bar)
-    arrays = []
-    for _ in range(4):
-        arr, off = _unpack_array(blob, off)
-        arrays.append(arr)
-    norm = NormStats(*arrays)
-    (n_params,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    family = FAMILY_NAMES[family_id]
-    model = DenoiserMLP(family, t_p * action_dim, obs_dim, tuple(hidden), embed_dim,
-                        n_steps)
-    values = []
-    for _ in range(n_params):
-        (nlen,) = struct.unpack_from("<I", blob, off)
-        off += 4 + nlen
-        arr, off = _unpack_array(blob, off)
-        values.append(arr)
-    named = [*zip(("obs_mean", "obs_scale", "act_mean", "act_scale"), arrays),
-             *zip(model.parameter_names(), values)]
-    for name, arr in named:
+    header, arrays = artifacts.read(path, CKPT_MAGIC, CKPT_VERSION,
+                                    IncompatibleCheckpointError, "checkpoint")
+    for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
             raise IncompatibleCheckpointError(f"checkpoint array {name} is not finite")
-    model.set_parameters(values)
+    dims = [header.get(key) for key in _CKPT_DIMS]
+    family, hidden, digest, meta = (header.get(key) for key in
+                                    ("family", "hidden_dims", "morphology_digest", "meta"))
+    if (not isinstance(family, str) or family not in FAMILIES
+            or not isinstance(hidden, list) or not hidden or not isinstance(digest, str)
+            or not isinstance(meta, dict)
+            or not all(type(v) is int and v >= 1 for v in [*dims, *hidden])):
+        raise IncompatibleCheckpointError("checkpoint header is malformed")
+    n_steps, t_o, t_p, action_dim, frame_w, embed_dim, obs_dim = dims
+    alpha, alpha_bar = arrays.get("alpha"), arrays.get("alpha_bar")
+    if alpha is None or alpha_bar is None or not (
+            alpha.shape == alpha_bar.shape == (n_steps + 1,)):
+        raise IncompatibleCheckpointError("checkpoint schedule does not match its header")
+    schedule = NoiseSchedule.from_alphas(alpha, alpha_bar)
+    norm = norm_from_arrays(arrays, obs_dim, t_p * action_dim, IncompatibleCheckpointError)
+    model = DenoiserMLP(family, t_p * action_dim, obs_dim, tuple(hidden), embed_dim,
+                        n_steps)
+    try:
+        model.set_parameters([arrays[name] for name in model.parameter_names()])
+    except (KeyError, ValueError) as exc:
+        raise IncompatibleCheckpointError(
+            f"checkpoint weights do not match its header: {exc}") from exc
     if expect_morphology is not None and digest != expect_morphology:
         raise IncompatibleCheckpointError(
             "checkpoint was trained for a different arm morphology")

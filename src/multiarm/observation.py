@@ -46,7 +46,8 @@ def slot(dof: int, name: str) -> slice:
 
 
 def dof_from_width(width: int) -> int:
-    dof, rem = divmod(width - 11, 3)
+    fixed = frame_width(0)  # every slot's width is affine in dof
+    dof, rem = divmod(width - fixed, frame_width(1) - fixed)
     if rem != 0 or dof < 1:
         raise ValueError(f"{width} is not a valid frame width")
     return dof

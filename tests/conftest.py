@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,3 +35,18 @@ def random_arm(rng, dof=None, base_scale=1.5):
 
 def random_config(arm, rng):
     return rng.uniform(arm.lower_limits, arm.upper_limits)
+
+
+def with_header_key(src, dst, key, value):
+    """Copy an artifact (magic, u32 version, payload, sha256) with one key of
+    its JSON header set to `value` and the checksum recomputed, so that only
+    the loader's own checks can refuse the copy."""
+    blob = Path(src).read_bytes()
+    start = 8 + 4
+    (size,) = struct.unpack_from("<I", blob, start)
+    header = json.loads(blob[start + 4: start + 4 + size])
+    header[key] = value
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = struct.pack("<I", len(text)) + text + blob[start + 4 + size: -32]
+    Path(dst).write_bytes(blob[:start] + payload + hashlib.sha256(payload).digest())
+    return dst

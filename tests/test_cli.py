@@ -13,6 +13,8 @@ from multiarm import datasets as dsets
 from multiarm import diffusion as dif
 from multiarm.config import load_config
 
+from .conftest import with_header_key
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -188,11 +190,7 @@ class TestChecks:
 
     def test_zero_horizon_dataset_refused(self, tmp_path, small_cfg_file, tiny_dataset,
                                           capsys):
-        blob = bytearray(Path(tiny_dataset).read_bytes())
-        at = len(dsets.MAGIC) + 12  # header field 3: t_p
-        blob[at: at + 4] = struct.pack("<I", 0)
-        bad = tmp_path / "bad.mad"
-        bad.write_bytes(bytes(blob))
+        bad = with_header_key(tiny_dataset, tmp_path / "bad.mad", "t_p", 0)
         out = tmp_path / "model.ckpt"
         code, stdout, err = run_cli(["train", "--config", small_cfg_file, "--family",
                                      "single", "--data", str(bad), "--out", str(out)], capsys)
@@ -241,6 +239,34 @@ class TestOutOfRangeCounts:
         assert code == 2
         assert err.startswith("error=task-generation detail=")
         assert stdout == ""
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("text", ["planner: {batch: 0}\n", "planner: {batch: 0\n"],
+                             ids=["out-of-range", "yaml-syntax"])
+    def test_bad_config_is_one_error_line(self, tmp_path, text, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        code, stdout, err = run_cli(["layout", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error=config detail=")
+        assert len(err.splitlines()) == 1
+        assert stdout == ""
+
+    @pytest.mark.parametrize("value,line", [
+        ("x", "error=config detail=MULTIARM_WORKERS"),
+        ("0", "error=out-of-range option=MULTIARM_WORKERS value=0 minimum=1"),
+    ])
+    def test_bad_worker_environment_refused(self, tmp_path, monkeypatch, value, line,
+                                            capsys):
+        monkeypatch.setenv(cli.ENV_WORKERS, value)
+        out = tmp_path / "never"
+        code, stdout, err = run_cli(["bench", "--single", str(out), "--out", str(out)],
+                                    capsys)
+        assert code == 2
+        assert err.startswith(line)
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 # One small 2-arm cell: 3 episodes per method give 6 jobs, which the pool

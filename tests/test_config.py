@@ -72,6 +72,7 @@ diffusion:
         "diffusion: {denoise_steps: 0}",
         "diffusion: {ema_rate: 0.0}",
         "controller: {pos_tol: -1}",
+        "controller: {stall_window: 0}",
         "bench: {easy_max_overlap: 0.5, medium_max_overlap: 0.3}",
         "morphology: {collision_radius: 0}",
         "planner: {batch: 0}",

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import struct
 
 import numpy as np
 import pytest
 
+from multiarm import artifacts
 from multiarm import datasets as ds
 from multiarm import observation as obs
 from multiarm import planner as pl
@@ -11,6 +13,8 @@ from multiarm.config import load_config
 from multiarm.controller import make_world
 from multiarm.kinematics import IDENTITY_POSE, BasePose, make_arm
 from multiarm.seeding import TAG_DATA, substream
+
+from .conftest import with_header_key
 
 RES = 0.1
 T_O, T_P = 2, 16
@@ -146,6 +150,30 @@ class TestPersistence:
         assert sidecar["records"] == len(single_ds)
         assert sidecar["family"] == "single"
 
+    def test_negative_meta_count_round_trips(self, single_ds, tmp_path):
+        data = dataclasses.replace(single_ds, meta={**single_ds.meta, "episodes": -1})
+        ds.save_dataset(data, tmp_path / "a.mad")
+        assert ds.load_dataset(tmp_path / "a.mad").meta == data.meta
+
+    @pytest.mark.parametrize("failure", ["unencodable-meta", "failed-rename"])
+    def test_failed_save_keeps_existing_file(self, single_ds, tmp_path, monkeypatch,
+                                             failure):
+        path = tmp_path / "a.mad"
+        ds.save_dataset(single_ds, path)
+        before = path.read_bytes()
+        if failure == "unencodable-meta":
+            data = dataclasses.replace(single_ds, meta={**single_ds.meta, "x": object()})
+            expected = TypeError
+        else:
+            def refuse(src, dst):
+                raise OSError("rename refused")
+            monkeypatch.setattr(artifacts.os, "replace", refuse)
+            data, expected = single_ds, OSError
+        with pytest.raises(expected):
+            ds.save_dataset(data, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.mad", "a.mad.json"]
+
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.mad"
         bad.write_bytes(b"not a dataset")
@@ -253,15 +281,11 @@ class TestVersionRefusal:
             ds.load_dataset(path)
 
     def test_corrupt_family_and_meta_refused(self, single_ds, tmp_path):
-        path = tmp_path / "bad.mad"
-        ds.save_dataset(single_ds, path)
-        blob = path.read_bytes()
-        family = len(ds.MAGIC) + 4
-        meta = len(ds.MAGIC) + ds._HEADER.size + 8
-        for at, patch in ((family, struct.pack("<I", 7)), (meta, b"\xff")):
-            path.write_bytes(blob[:at] + patch + blob[at + len(patch):])
+        ds.save_dataset(single_ds, tmp_path / "a.mad")
+        for key, value in (("family", 7), ("meta", "\xff")):
+            bad = with_header_key(tmp_path / "a.mad", tmp_path / "b.mad", key, value)
             with pytest.raises(ds.IncompatibleDatasetError):
-                ds.load_dataset(path)
+                ds.load_dataset(bad)
 
     def test_truncated_dataset_refused(self, single_ds, tmp_path):
         path = tmp_path / "cut.mad"
@@ -272,19 +296,9 @@ class TestVersionRefusal:
             with pytest.raises(ds.IncompatibleDatasetError):
                 ds.load_dataset(path)
 
-    @staticmethod
-    def with_header_field(src_path, dst_path, index, value):
-        """Copy a dataset with header field `index` (0 = version, 2 = t_o,
-        3 = t_p, 4 = frame width) rewritten."""
-        blob = bytearray(src_path.read_bytes())
-        at = len(ds.MAGIC) + 4 * index
-        blob[at: at + 4] = struct.pack("<I", value)
-        dst_path.write_bytes(bytes(blob))
-        return dst_path
-
     def test_zero_horizon_refused(self, single_ds, tmp_path):
         ds.save_dataset(single_ds, tmp_path / "a.mad")
-        bad = self.with_header_field(tmp_path / "a.mad", tmp_path / "b.mad", 3, 0)
+        bad = with_header_key(tmp_path / "a.mad", tmp_path / "b.mad", "t_p", 0)
         with pytest.raises(ds.IncompatibleDatasetError, match="t_p = 0"):
             ds.load_dataset(bad)
 
@@ -292,16 +306,33 @@ class TestVersionRefusal:
         # 48 action columns (16 steps x 3 joints) would load as 32 steps of
         # one joint's worth and a remainder.
         ds.save_dataset(single_ds, tmp_path / "a.mad")
-        bad = self.with_header_field(tmp_path / "a.mad", tmp_path / "b.mad", 3, 32)
+        bad = with_header_key(tmp_path / "a.mad", tmp_path / "b.mad", "t_p", 32)
         with pytest.raises(ds.IncompatibleDatasetError, match="does not split"):
             ds.load_dataset(bad)
 
-    @pytest.mark.parametrize("index,value", [(2, T_O + 1), (4, 41)])
-    def test_observation_width_mismatch_refused(self, single_ds, tmp_path, index, value):
+    @pytest.mark.parametrize("key,value", [("t_o", T_O + 1), ("frame_width", 41)])
+    def test_observation_width_mismatch_refused(self, single_ds, tmp_path, key, value):
         ds.save_dataset(single_ds, tmp_path / "a.mad")
-        bad = self.with_header_field(tmp_path / "a.mad", tmp_path / "b.mad", index, value)
+        bad = with_header_key(tmp_path / "a.mad", tmp_path / "b.mad", key, value)
         with pytest.raises(ds.IncompatibleDatasetError, match="observation width"):
             ds.load_dataset(bad)
+
+    def test_norm_vector_of_wrong_length_refused(self, single_ds, tmp_path):
+        norm = dataclasses.replace(single_ds.norm, act_scale=single_ds.norm.act_scale[:-1])
+        ds.save_dataset(dataclasses.replace(single_ds, norm=norm), tmp_path / "a.mad")
+        with pytest.raises(ds.IncompatibleDatasetError, match="norm vector act_scale"):
+            ds.load_dataset(tmp_path / "a.mad")
+
+    def test_flipped_observation_byte_refused(self, single_ds, tmp_path):
+        path = tmp_path / "a.mad"
+        ds.save_dataset(single_ds, path)
+        blob = bytearray(path.read_bytes())
+        # The observation block ends where the action block and the
+        # trailing 32-byte checksum begin.
+        blob[len(blob) - 32 - single_ds.actions.nbytes - 1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ds.IncompatibleDatasetError):
+            ds.load_dataset(path)
 
     def test_dual_rows_hold_two_histories(self, tmp_path):
         dual = ds.generate_dual_dataset(spaced_pair_sampler, 1, seed=5, t_o=T_O,

@@ -1,4 +1,3 @@
-import hashlib
 import struct
 
 import numpy as np
@@ -8,6 +7,8 @@ from multiarm import diffusion as dif
 from multiarm.config import DiffusionConfig
 from multiarm.datasets import Dataset, NormStats, compute_norm_stats
 from multiarm.nets import AdamW, DenoiserMLP, ema_update, sinusoidal_table
+
+from .conftest import with_header_key
 
 
 def make_schedule(K=100):
@@ -477,16 +478,23 @@ class TestCheckpoint:
 
     def test_schedule_length_must_match_header(self, rng, tmp_path):
         # A consistent checksum over a header that claims one more step.
-        path = tmp_path / "a.ckpt"
-        dif.save_checkpoint(self.make_policy(rng), path)
-        blob = bytearray(path.read_bytes())
-        at = len(dif.CKPT_MAGIC) + 8  # after the version and the family id
-        (n_steps,) = struct.unpack_from("<I", blob, at)
-        blob[at: at + 4] = struct.pack("<I", n_steps + 1)
-        blob[-32:] = hashlib.sha256(bytes(blob[len(dif.CKPT_MAGIC) + 4: -32])).digest()
-        path.write_bytes(bytes(blob))
+        policy = self.make_policy(rng)
+        dif.save_checkpoint(policy, tmp_path / "a.ckpt")
+        bad = with_header_key(tmp_path / "a.ckpt", tmp_path / "b.ckpt", "n_steps",
+                              policy.schedule.n_steps + 1)
         with pytest.raises(dif.IncompatibleCheckpointError, match="schedule"):
-            dif.load_checkpoint(path)
+            dif.load_checkpoint(bad)
+
+    @pytest.mark.parametrize("key,value", [
+        ("family", "triple"), ("embed_dim", "6"), ("meta", None), ("t_p", 0),
+        ("hidden_dims", [8, 9]), ("obs_dim", 7), ("action_dim", 3),
+    ])
+    def test_malformed_header_refused(self, rng, tmp_path, key, value):
+        # The last three disagree with the stored weight or norm shapes.
+        dif.save_checkpoint(self.make_policy(rng), tmp_path / "a.ckpt")
+        bad = with_header_key(tmp_path / "a.ckpt", tmp_path / "b.ckpt", key, value)
+        with pytest.raises(dif.IncompatibleCheckpointError):
+            dif.load_checkpoint(bad)
 
     def test_schedule_round_trip_is_cosine_schedule(self, rng, tmp_path):
         policy = self.make_policy(rng)
