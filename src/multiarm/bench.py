@@ -23,14 +23,14 @@ from .collision import WorldBounds, find_first_collision, rollout, segment_has_c
 from .config import RunConfig, config_digest, morphology_digest
 from .controller import EpisodeResult, WorldState, make_world, run_episode, run_loop
 from .datasets import Dataset, compute_norm_stats, episode_windows
-from .diffusion import Policy, cosine_schedule, load_checkpoint, policy_from_state, train
+from .diffusion import Policy, cosine_schedule, policy_from_state, train
 from .kinematics import BasePose, EEPose, forward_kinematics, make_arm, pos_distance
 from .nets import DenoiserMLP
-from .planner import candidate
+from .planner import candidate, init_plans
 from .seeding import METHOD_IDS, TAG_EPISODE, TAG_TASK, TAG_TOY, substream
-from .tasks import DIFFICULTIES, TaskSpec, generate_task, task_digest
+from .tasks import DIFFICULTIES, generate_task, task_digest
 
-METHODS = ("dgmap", "decentralized")
+METHODS = tuple(METHOD_IDS)
 
 
 # ---------------------------------------------------------------------------
@@ -53,24 +53,18 @@ def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
 def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
                            seed: int, trace_path=None) -> EpisodeResult:
     """Each arm executes its own best sample every cycle, through the same
-    executor as DG-MAP: a collision ends the episode as failure."""
+    sampler and executor as DG-MAP: a collision ends the episode as failure."""
     ctrl = cfg.controller
 
     def propose(cycle, frozen):
-        plans = [np.zeros((single.pred_horizon, arm.dof)) for arm in world.arms]
-        moving = [i for i in range(len(world.arms)) if i not in frozen]
-        if moving:
-            # One sampling chain for every unfinished arm; arm i keeps its
-            # own generator, so its samples match a chain of its own.
-            conds = np.stack([obs.conditioning(
-                [obs.build_history(world.histories[i], single.obs_horizon)],
-                world.arms[i].base) for i in moving])
-            rngs = [substream(seed, TAG_EPISODE, cycle, i) for i in moving]
-            samples = single.sample_plans_many(conds, cfg.planner.batch, rngs,
-                                               ctrl.delta_limit)
-            for i, arm_samples in zip(moving, samples):
-                plans[i] = _best_own_plan(world.arms[i], world.configs[i],
-                                          world.goals[i], arm_samples, cfg, cfg.world)
+        plan_sets = init_plans(single, [obs.build_history(h, single.obs_horizon)
+                                        for h in world.histories],
+                               cfg.planner.batch, (seed, TAG_EPISODE, cycle),
+                               ctrl.delta_limit, [arm.base for arm in world.arms], frozen)
+        plans = [own[0] if i in frozen else
+                 _best_own_plan(world.arms[i], world.configs[i], world.goals[i], own,
+                                cfg, cfg.world)
+                 for i, own in enumerate(plan_sets)]
         return plans, ctrl.baseline_chunk, {}
 
     return run_loop(world, cfg, propose, trace_path)
@@ -89,29 +83,6 @@ def resimulate_trajectory(arms, trajectories, bounds: WorldBounds,
     stacks = [np.asarray(t, dtype=float) for t in trajectories]
     return not segment_has_collision(arms, [s[:-1] for s in stacks],
                                      [s[1:] for s in stacks], bounds, subsamples)
-
-
-def run_episode_with_resim(task: TaskSpec, method: str, policies, cfg: RunConfig,
-                           seed: int, trace_path=None):
-    world = make_world(task.arms, task.starts, task.goals)
-    if method == "dgmap":
-        result = run_episode(world, policies["single"], policies.get("dual"), cfg,
-                             seed, trace_path)
-    elif method == "decentralized":
-        result = baseline_decentralized(world, policies["single"], cfg, seed,
-                                        trace_path)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    resim_ok = True
-    if result.success:
-        # Each arm's history holds one frame per executed step plus the
-        # initial frame; their joint-angle slots are its trajectory.
-        trajectories = [np.stack(world.histories[i])[:, :arm.dof]
-                        for i, arm in enumerate(task.arms)]
-        resim_ok = resimulate_trajectory(task.arms, trajectories, cfg.world,
-                                         cfg.bench.resim_subsamples)
-    return result, resim_ok
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +105,9 @@ class BenchReport:
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(cfg, single_path, dual_path):
+def _worker_init(cfg, policies):
     _WORKER_STATE["cfg"] = cfg
-    _WORKER_STATE["policies"] = {
-        "single": load_checkpoint(single_path),
-        "dual": load_checkpoint(dual_path) if dual_path else None,
-    }
+    _WORKER_STATE["policies"] = policies
 
 
 def _worker_episode(job):
@@ -155,7 +123,19 @@ def _run_one(method, n_arms, difficulty, episode, master_seed, cfg, policies):
     task = generate_task(n_arms, difficulty, task_rng, cfg, seed=episode)
     ep_seed = int(substream(master_seed, TAG_EPISODE, METHOD_IDS[method], n_arms,
                             diff_idx, episode).integers(0, 2 ** 62))
-    result, resim_ok = run_episode_with_resim(task, method, policies, cfg, ep_seed)
+    world = make_world(task.arms, task.starts, task.goals)
+    if method == "dgmap":
+        result = run_episode(world, policies["single"], policies.get("dual"), cfg, ep_seed)
+    else:
+        result = baseline_decentralized(world, policies["single"], cfg, ep_seed)
+    resim_ok = True
+    if result.success:
+        # Each arm's history holds one frame per executed step plus the
+        # initial frame; their joint-angle slots are its trajectory.
+        trajectories = [np.stack(world.histories[i])[:, :arm.dof]
+                        for i, arm in enumerate(task.arms)]
+        resim_ok = resimulate_trajectory(task.arms, trajectories, cfg.world,
+                                         cfg.bench.resim_subsamples)
     record = {
         "method": method,
         "n_arms": n_arms,
@@ -185,11 +165,11 @@ def run_benchmark(cfg: RunConfig, policies, methods, out_dir: str | Path,
             for diff in cfg.bench.difficulties
             for ep in range(cfg.bench.episodes_per_cell)]
 
-    if workers > 1 and policies.get("paths"):
-        # RunConfig is a frozen dataclass tree, so it pickles as is.
+    if workers > 1:
+        # RunConfig is a frozen dataclass tree and Policy a dataclass of
+        # arrays, so both pickle as they are.
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=(cfg, policies["paths"]["single"],
-                                           policies["paths"].get("dual"))) as pool:
+                                 initargs=(cfg, policies)) as pool:
             records = list(pool.map(_worker_episode, jobs))
     else:
         records = [_run_one(m, n, d, e, s, cfg, policies) for m, n, d, e, s in jobs]

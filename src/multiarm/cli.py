@@ -115,8 +115,7 @@ def _policies_from_args(cfg, args, need_dual: bool):
         dual = dif.load_checkpoint(args.dual, expect_morphology=expected)
     elif need_dual:
         raise FileNotFoundError("a dual checkpoint is required")
-    return {"single": single, "dual": dual,
-            "paths": {"single": args.single, "dual": getattr(args, "dual", None)}}
+    return {"single": single, "dual": dual}
 
 
 def cmd_plan(args) -> int:

@@ -1,8 +1,9 @@
 """Run configuration: defaults, YAML loading, validation, canonical digest.
 
 An empty file (or no file) loads the full default configuration. Every
-field is range-checked at load time, and the resolved config has a stable
-digest that is embedded in datasets, checkpoints, and benchmark reports.
+field is type- and range-checked at load time, and the resolved config has
+a stable digest that is embedded in datasets, checkpoints, and benchmark
+reports.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -140,12 +143,36 @@ def _build(cls, data, path):
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    return cls(**{name: _coerce(value) for name, value in data.items()})
+    hints = get_type_hints(cls)
+    return cls(**{name: _typed(value, hints[name], f"{path}.{name}")
+                  for name, value in data.items()})
 
 
-def _coerce(value):
-    if isinstance(value, list):
-        return tuple(_coerce(v) for v in value)
+def _typed(value, hint, where: str):
+    """`value` checked against the field type `hint`, with lists as tuples.
+
+    Ints are not bools, floats take ints unconverted (so a config's digest
+    does not depend on how a number was written), and None passes only where
+    the type allows it. Anything else raises `ConfigError`.
+    """
+    args = get_args(hint)
+    if isinstance(hint, UnionType):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _typed(value, hint, where)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} items, got {value!r}")
+        return tuple(_typed(v, a, f"{where}[{k}]") for k, (v, a) in
+                     enumerate(zip(value, args)))
+    ok = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}[hint]
+    if not isinstance(value, ok) or (hint is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
     return value
 
 
@@ -189,7 +216,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     kwargs = {}
     for name, cls in _SECTIONS.items():
         kwargs[name] = _build(cls, data.get(name), name)
-    cfg = RunConfig(seed=int(data.get("seed", 0)), **kwargs)
+    cfg = RunConfig(seed=_typed(data.get("seed", 0), int, "seed"), **kwargs)
     validate(cfg)
     return cfg
 

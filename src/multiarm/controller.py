@@ -14,13 +14,14 @@ first-conflict query. `run_loop` is the executor for every method;
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import observation as obs
-from .collision import segment_has_collision
+from .collision import rollout, segment_has_collision
 from .config import RunConfig
 from .diffusion import Policy
 from .kinematics import EEPose, forward_kinematics, pos_distance, rot_distance
@@ -87,25 +88,14 @@ class EpisodeResult:
         }
 
 
-class _TraceWriter:
-    def __init__(self, path):
-        self.fh = open(path, "w") if path is not None else None
-
-    def record(self, world: WorldState):
-        if self.fh is None:
-            return
-        entry = {
-            "step": world.step,
-            "configs": [[round(float(v), 9) for v in q] for q in world.configs],
-            "ee": [[round(float(v), 9) for v in
-                    forward_kinematics(arm, q).as_array()]
-                   for arm, q in zip(world.arms, world.configs)],
-        }
-        self.fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    def close(self):
-        if self.fh is not None:
-            self.fh.close()
+def _trace_line(world: WorldState) -> str:
+    """One `--dump` JSONL line: the step, every arm's config and end-effector pose."""
+    return json.dumps({
+        "step": world.step,
+        "configs": [[round(float(v), 9) for v in q] for q in world.configs],
+        "ee": [[round(float(v), 9) for v in forward_kinematics(arm, q).as_array()]
+               for arm, q in zip(world.arms, world.configs)],
+    }, sort_keys=True) + "\n"
 
 
 def _residuals(world: WorldState):
@@ -130,7 +120,6 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
     """
     ctrl = cfg.controller
     n = len(world.arms)
-    trace = _TraceWriter(trace_path)
     # Residuals of the current configs, refreshed once per executed step;
     # `at_goal` tests both against their tolerances, inclusively.
     pos, rot = _residuals(world)
@@ -145,61 +134,61 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
         result.success = success
         result.residual_pos, result.residual_rot = _residuals(world)
         result.steps = world.step
-        trace.close()
         return result
 
-    if all(at_goal(i) for i in range(n)):
-        return finish(True)
+    # The trace file closes on every exit, a proposer's exception included.
+    with open(trace_path, "w") if trace_path is not None else nullcontext() as trace:
+        if all(at_goal(i) for i in range(n)):
+            return finish(True)
 
-    cycle = 0
-    while world.step < ctrl.step_limit:
-        frozen = frozenset(i for i in range(n) if at_goal(i))
-        plans, horizon, stats = propose(cycle, frozen)
-        result.planner_calls += 1
-        result.repairs += stats.get("repairs", 0)
-        result.expansions += stats.get("expansions", 0)
-        result.solved_calls += int(stats.get("solved", False))
-        cycle += 1
+        cycle = 0
+        while world.step < ctrl.step_limit:
+            frozen = frozenset(i for i in range(n) if at_goal(i))
+            plans, horizon, stats = propose(cycle, frozen)
+            result.planner_calls += 1
+            result.repairs += stats.get("repairs", 0)
+            result.expansions += stats.get("expansions", 0)
+            result.solved_calls += int(stats.get("solved", False))
+            cycle += 1
 
-        if horizon < 1:
-            raise ValueError(f"proposer returned horizon {horizon}; it must be >= 1")
-        chunk = min(horizon, ctrl.step_limit - world.step)
-        executed = 0
-        success = False
-        for s in range(chunk):
-            prev = [q.copy() for q in world.configs]
-            for i in range(n):
-                delta = np.clip(plans[i][s], -ctrl.delta_limit, ctrl.delta_limit)
-                world.configs[i] = np.clip(world.configs[i] + delta,
-                                           world.arms[i].lower_limits,
-                                           world.arms[i].upper_limits)
-            world.step += 1
-            executed += 1
-            if segment_has_collision(world.arms, prev, world.configs, cfg.world,
-                                     ctrl.exec_subsamples):
-                result.collision = True
-                break
-            for i in range(n):
-                world.histories[i].append(
-                    obs.build_frame(world.arms[i], world.configs[i], world.goals[i]))
-            trace.record(world)
+            if horizon < 1:
+                raise ValueError(f"proposer returned horizon {horizon}; it must be >= 1")
+            chunk = min(horizon, ctrl.step_limit - world.step)
+            # Each arm's executed configs, clamped as every rollout is.
+            trajs = [rollout(arm, q, plan[:chunk], ctrl.delta_limit)
+                     for arm, q, plan in zip(world.arms, world.configs, plans, strict=True)]
+            executed = 0
+            success = False
+            for s in range(chunk):
+                world.configs[:] = [t[s + 1] for t in trajs]
+                world.step += 1
+                executed += 1
+                if segment_has_collision(world.arms, [t[s] for t in trajs], world.configs,
+                                         cfg.world, ctrl.exec_subsamples):
+                    result.collision = True
+                    break
+                for i in range(n):
+                    world.histories[i].append(
+                        obs.build_frame(world.arms[i], world.configs[i], world.goals[i]))
+                if trace is not None:
+                    trace.write(_trace_line(world))
 
-            pos, rot = _residuals(world)
-            progressed = any(best_pos[i] - pos[i] >= ctrl.stall_eps
-                             for i in range(n))
-            best_pos = [min(b, p) for b, p in zip(best_pos, pos)]
-            no_progress = 0 if progressed else no_progress + 1
+                pos, rot = _residuals(world)
+                progressed = any(best_pos[i] - pos[i] >= ctrl.stall_eps
+                                 for i in range(n))
+                best_pos = [min(b, p) for b, p in zip(best_pos, pos)]
+                no_progress = 0 if progressed else no_progress + 1
 
-            success = all(at_goal(i) for i in range(n))
-            if success:
-                break
-            if no_progress >= ctrl.stall_window:
-                result.stall = True
-                break
-        result.chunks.append(executed)
-        if success or result.collision or result.stall:
-            return finish(success)
-    return finish(False)
+                success = all(at_goal(i) for i in range(n))
+                if success:
+                    break
+                if no_progress >= ctrl.stall_window:
+                    result.stall = True
+                    break
+            result.chunks.append(executed)
+            if success or result.collision or result.stall:
+                return finish(success)
+        return finish(False)
 
 
 def run_episode(world: WorldState, single: Policy, dual: Policy | None,

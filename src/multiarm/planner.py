@@ -51,21 +51,24 @@ def candidate(arm, q0: np.ndarray, plan: np.ndarray, goal: EEPose,
     return rec, _cost_terms(arm, rec.configs[-1], plan, goal)
 
 
-def init_plans(single_policy: Policy, histories, batch: int, seed: int,
+def init_plans(single_policy: Policy, histories, batch: int, stream: tuple,
                delta_limit: float, bases, frozen=frozenset()) -> list[list[np.ndarray]]:
     """Sample each arm's candidate batch independently of the other arms.
 
-    Arm i is conditioned on its world-frame history seen from its base,
-    `bases[i]`. All non-frozen arms share one sampling chain; arm i keeps its
-    own generator, so its plans do not depend on which other arms are
-    sampled. Frozen arms (already at their goals) hold a single zero plan.
+    This is every method's sampler: the search passes the substream prefix
+    `(seed, TAG_PLAN, 0)`, the decentralized baseline `(seed, TAG_EPISODE,
+    cycle)`. Arm i is conditioned on its world-frame history seen from its
+    base, `bases[i]`. All non-frozen arms share one sampling chain; arm i
+    draws from its own substream `(*stream, i)`, so its plans do not depend
+    on which other arms are sampled. Frozen arms (already at their goals)
+    hold a single zero plan.
     """
     shape = (single_policy.pred_horizon, single_policy.action_dim)
     plan_sets = [[np.zeros(shape)] for _ in histories]
     active = [i for i in range(len(histories)) if i not in frozen]
     if active:
         conds = np.stack([obs.conditioning([histories[i]], bases[i]) for i in active])
-        rngs = [substream(seed, TAG_PLAN, 0, i) for i in active]
+        rngs = [substream(*stream, i) for i in active]
         samples = single_policy.sample_plans_many(conds, batch, rngs, delta_limit)
         for i, arm_samples in zip(active, samples):
             plan_sets[i] = list(arm_samples)
@@ -87,9 +90,9 @@ class _Search:
         self.delta = cfg.controller.delta_limit
         self.penalty = cfg.planner.collision_penalty
         # Arm i's candidate plans; repairs append, so indices are stable.
-        self.plan_sets = init_plans(single_policy, histories, cfg.planner.batch, seed,
-                                    self.delta, [arm.base for arm in self.arms],
-                                    self.frozen)
+        self.plan_sets = init_plans(single_policy, histories, cfg.planner.batch,
+                                    (seed, TAG_PLAN, 0), self.delta,
+                                    [arm.base for arm in self.arms], self.frozen)
         # Frontier entries (cost, seq, b, conflict_sets). seq is the push
         # count, so cost ties break in push order.
         self.heap: list[tuple] = []
@@ -242,7 +245,8 @@ class _Search:
         return result
 
     def _best_effort(self, horizon: int) -> PlannerResult:
-        """Timeout or exhaustion: return the cheapest known tuple, with its own
+        """Timeout or exhaustion: return the cheapest frontier tuple (the
+        cheapest expanded one if the frontier is empty), with its own
         first-conflict time as the safe-execution prefix (floored at one)."""
         entry = self.pop()
         if entry is not None:

@@ -240,6 +240,31 @@ class TestRunBenchmark:
             assert cell["success_rate"] == pytest.approx(len(successes) / len(recs))
 
 
+class TestWorkerPool:
+    def test_loaded_policies_run_on_a_pool(self, cfg, tmp_path, monkeypatch):
+        small = tiny_bench_cfg(dataclasses.replace(
+            cfg, planner=dataclasses.replace(cfg.planner, batch=4, max_expansions=4),
+            controller=dataclasses.replace(cfg.controller, step_limit=24)),
+            episodes=2, n_arms=(2,))
+        policies = {"single": random_policy("single", 40, pred_horizon=T_P, seed=3),
+                    "dual": random_policy("dual", 80, pred_horizon=T_P, seed=4)}
+        pools = []
+
+        class RecordingPool(bn.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(bn, "ProcessPoolExecutor", RecordingPool)
+        for workers in (1, 2):
+            bn.run_benchmark(small, policies, bn.METHODS, tmp_path / f"w{workers}",
+                             workers=workers)
+        assert pools == [2]
+        for name in ("report.csv", "episodes.jsonl"):
+            assert ((tmp_path / "w1" / name).read_bytes()
+                    == (tmp_path / "w2" / name).read_bytes())
+
+
 class TestPinnedRun:
     """A fixed closed-loop benchmark run whose report bytes are pinned: both
     methods, 2 and 3 arms, easy and hard, one episode per cell. It covers

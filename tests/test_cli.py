@@ -76,8 +76,7 @@ class TestGenData:
         assert len(loaded) == 0
 
     def test_sidecar_matches_header(self, tiny_dataset):
-        sidecar = json.loads((str(tiny_dataset) + ".json")
-                             and open(str(tiny_dataset) + ".json").read())
+        sidecar = json.loads(Path(str(tiny_dataset) + ".json").read_text())
         loaded = dsets.load_dataset(tiny_dataset)
         assert sidecar["records"] == len(loaded)
         assert sidecar["family"] == "single"
@@ -242,8 +241,9 @@ class TestOutOfRangeCounts:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("text", ["planner: {batch: 0}\n", "planner: {batch: 0\n"],
-                             ids=["out-of-range", "yaml-syntax"])
+    @pytest.mark.parametrize("text", ["planner: {batch: 0}\n", "planner: {batch: 0\n",
+                                      'planner: {batch: "x"}\n'],
+                             ids=["out-of-range", "yaml-syntax", "wrong-type"])
     def test_bad_config_is_one_error_line(self, tmp_path, text, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)

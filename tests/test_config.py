@@ -85,6 +85,36 @@ diffusion:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("snippet", [
+        'planner: {batch: "x"}',
+        'bench: {n_arms: [2, "x"]}',
+        "seed: abc",
+        "seed: 2.7",
+        "seed: true",
+        "controller: {stall_window: 2.5}",
+        "planner: {max_expansions: true}",
+        "planner: {batch: null}",
+        "bench: {gate_soundness: 1}",
+        "bench: {difficulties: [easy, 3]}",
+        "diffusion: {hidden_dims: 64}",
+        "morphology: {joint_limits: [[-1, 1, 0], [-1, 1], [-1, 1]]}",
+        "world: {x_min: low}",
+    ])
+    def test_type_validation(self, tmp_path, snippet):
+        path = tmp_path / "bad.yaml"
+        path.write_text(snippet + "\n")
+        with pytest.raises(ConfigError):
+            load_config(path)
+
+    def test_floats_take_ints_unconverted(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("planner: {collision_penalty: 10, timeout_s: null}\n"
+                        "morphology: {joint_limits: [[-3, 3], [-2, 2.5], [-1, 1]]}\n")
+        cfg = load_config(path)
+        assert type(cfg.planner.collision_penalty) is int
+        assert cfg.planner.timeout_s is None
+        assert cfg.morphology.joint_limits == ((-3, 3), (-2, 2.5), (-1, 1))
+
     @pytest.mark.parametrize("bounds", [(1.0, 1.0, -1.0, 1.0), (-1.0, 1.0, 0.5, 0.5),
                                         (2.0, -2.0, -1.0, 1.0)])
     def test_degenerate_world_bounds_rejected(self, bounds):

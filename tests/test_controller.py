@@ -242,9 +242,24 @@ class TestRunLoop:
         assert result.collision and not result.success
         assert result.to_json()["end_reason"] == "collision"
 
-    def test_zero_horizon_rejected(self, cfg):
+    def test_zero_horizon_rejected(self, cfg, tmp_path, monkeypatch):
+        # The proposer's answer raises while the trace file is open; the file
+        # must still be closed.
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(ctl, "open", recording_open, raising=False)
         with pytest.raises(ValueError, match="horizon"):
-            run_loop(two_apart_arms(), cfg, ScriptedProposer([np.zeros((T_P, 3))] * 2, 0))
+            run_loop(two_apart_arms(), cfg, ScriptedProposer([np.zeros((T_P, 3))] * 2, 0),
+                     tmp_path / "trace.jsonl")
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_one_plan_per_arm_required(self, cfg):
+        with pytest.raises(ValueError):
+            run_loop(two_apart_arms(), cfg, ScriptedProposer([np.zeros((T_P, 3))], 1))
 
     def test_frozen_is_arms_at_goals(self, cfg):
         world = two_apart_arms()

@@ -243,7 +243,7 @@ class TestRowsMatchInference:
         policy = RecordingPolicy()
         for t in range(len(path)):
             hists = world_histories([arm], [path], [goal], t)
-            pl.init_plans(policy, hists, 1, seed=0, delta_limit=RES, bases=[arm.base])
+            pl.init_plans(policy, hists, 1, stream=(0,), delta_limit=RES, bases=[arm.base])
             assert policy.conds[-1].astype(np.float32).tobytes() == \
                 data.observations[t].tobytes()
 

@@ -1,3 +1,4 @@
+import pickle
 import struct
 
 import numpy as np
@@ -428,6 +429,18 @@ class TestCheckpoint:
         state = dif.train(ds, "single", cfg, seed=1)
         return dif.policy_from_state(state, "single", ds, "deadbeef" * 8,
                                      {"epochs": 2})
+
+    def test_pickle_round_trip_bit_exact(self, rng):
+        # Benchmark workers receive the policies pickled, as the spawn and
+        # forkserver start methods pickle pool initializer arguments.
+        policy = self.make_policy(rng)
+        back = pickle.loads(pickle.dumps(policy))
+        for a, b in zip(policy.model.parameters(), back.model.parameters()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        obs = policy.norm.obs_mean + rng.normal(size=policy.norm.obs_mean.shape)
+        plans = [p.sample_plans(obs, 4, np.random.default_rng(1234), 0.1)
+                 for p in (policy, back)]
+        assert plans[0].tobytes() == plans[1].tobytes()
 
     def test_round_trip_bit_exact(self, rng, tmp_path):
         policy = self.make_policy(rng)

@@ -138,8 +138,8 @@ class TestInitPlans:
         arms, _, goals, hists = facing_scene()
         bases = [arm.base for arm in arms]
         policy = ScriptedPolicy(straight_plans)
-        sets_a = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA, bases=bases)
-        sets_b = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA, bases=bases)
+        sets_a = pl.init_plans(policy, hists, 10, stream=(4,), delta_limit=DELTA, bases=bases)
+        sets_b = pl.init_plans(policy, hists, 10, stream=(4,), delta_limit=DELTA, bases=bases)
         assert [len(s) for s in sets_a] == [10, 10]
         for sa, sb in zip(sets_a, sets_b):
             for p, q in zip(sa, sb):
@@ -149,16 +149,16 @@ class TestInitPlans:
         arms, _, _, hists = facing_scene()
         bases = [arm.base for arm in arms]
         policy = ScriptedPolicy(straight_plans)
-        solo = pl.init_plans(policy, hists[:1], 5, seed=9, delta_limit=DELTA,
+        solo = pl.init_plans(policy, hists[:1], 5, stream=(9,), delta_limit=DELTA,
                              bases=bases[:1])
-        duo = pl.init_plans(policy, hists, 5, seed=9, delta_limit=DELTA, bases=bases)
+        duo = pl.init_plans(policy, hists, 5, stream=(9,), delta_limit=DELTA, bases=bases)
         for p, q in zip(solo[0], duo[0]):
             assert np.array_equal(p, q)
 
     def test_frozen_arm_gets_single_zero_plan(self):
         arms, _, _, hists = facing_scene()
         policy = ScriptedPolicy(straight_plans)
-        sets = pl.init_plans(policy, hists, 10, seed=4, delta_limit=DELTA,
+        sets = pl.init_plans(policy, hists, 10, stream=(4,), delta_limit=DELTA,
                              bases=[arm.base for arm in arms], frozen={1})
         assert len(sets[0]) == 10
         assert len(sets[1]) == 1
@@ -189,8 +189,8 @@ class TestStackedSampling:
         arms, _, _, hists = ring_scene(n)
         single = random_policy("single", 40, pred_horizon=T_P)
         bases = [arm.base for arm in arms]
-        got = pl.init_plans(single, hists, 5, 8, DELTA, bases, frozenset(frozen))
-        ref = pl.init_plans(PerRowReference(single), hists, 5, 8, DELTA, bases,
+        got = pl.init_plans(single, hists, 5, (8,), DELTA, bases, frozenset(frozen))
+        ref = pl.init_plans(PerRowReference(single), hists, 5, (8,), DELTA, bases,
                             frozenset(frozen))
         for a, b in zip(got, ref):
             assert len(a) == len(b)
