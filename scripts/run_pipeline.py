@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end desk pipeline: datasets -> training -> benchmark.
 
-Skips stages whose outputs already exist, so it can resume. Pass
---episodes-per-cell 100 for the full acceptance-scale matrix.
+Skips stages whose outputs already exist, so it can resume. Dataset sizes
+come from the config's `data.single_episodes` and `data.dual_episodes`;
+each gen-data stage prints the count it ran. Pass --episodes-per-cell 100
+for the full acceptance-scale matrix.
 """
 
 import argparse
@@ -25,8 +27,6 @@ def main():
     parser.add_argument("--workdir", default="runs/desk")
     parser.add_argument("--config", default=str(REPO / "configs" / "desk.yaml"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--single-episodes", type=int, default=1500)
-    parser.add_argument("--dual-episodes", type=int, default=600)
     parser.add_argument("--episodes-per-cell", type=int, default=None,
                         help="override bench cell size (default from config)")
     parser.add_argument("--methods", default="dgmap,decentralized")
@@ -48,12 +48,10 @@ def main():
         cfg.write_text(yaml.safe_dump(base))
 
     if not single_data.exists():
-        sh("gen-data", "--config", cfg, "--family", "single",
-           "--episodes", args.single_episodes, "--out", single_data,
+        sh("gen-data", "--config", cfg, "--family", "single", "--out", single_data,
            "--seed", args.seed)
     if not dual_data.exists():
-        sh("gen-data", "--config", cfg, "--family", "dual",
-           "--episodes", args.dual_episodes, "--out", dual_data,
+        sh("gen-data", "--config", cfg, "--family", "dual", "--out", dual_data,
            "--seed", args.seed)
     if not single_ckpt.exists():
         sh("train", "--config", cfg, "--family", "single", "--data", single_data,

@@ -22,7 +22,7 @@ from . import observation as obs
 from .collision import WorldBounds, find_first_collision, rollout, segment_has_collision
 from .config import RunConfig, config_digest, morphology_digest
 from .controller import EpisodeResult, WorldState, make_world, run_episode, run_loop
-from .datasets import Dataset, compute_norm_stats, episode_windows
+from .datasets import Dataset, episode_windows, generate_dataset, path_to_deltas
 from .diffusion import Policy, cosine_schedule, policy_from_state, train
 from .kinematics import BasePose, EEPose, forward_kinematics, make_arm, pos_distance
 from .nets import DenoiserMLP
@@ -57,8 +57,7 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
     ctrl = cfg.controller
 
     def propose(cycle, frozen):
-        plan_sets = init_plans(single, [obs.build_history(h, single.obs_horizon)
-                                        for h in world.histories],
+        plan_sets = init_plans(single, world.histories(single.obs_horizon),
                                cfg.planner.batch, (seed, TAG_EPISODE, cycle),
                                ctrl.delta_limit, [arm.base for arm in world.arms], frozen)
         plans = [own[0] if i in frozen else
@@ -130,11 +129,7 @@ def _run_one(method, n_arms, difficulty, episode, master_seed, cfg, policies):
         result = baseline_decentralized(world, policies["single"], cfg, ep_seed)
     resim_ok = True
     if result.success:
-        # Each arm's history holds one frame per executed step plus the
-        # initial frame; their joint-angle slots are its trajectory.
-        trajectories = [np.stack(world.histories[i])[:, :arm.dof]
-                        for i, arm in enumerate(task.arms)]
-        resim_ok = resimulate_trajectory(task.arms, trajectories, cfg.world,
+        resim_ok = resimulate_trajectory(task.arms, world.trajectories, cfg.world,
                                          cfg.bench.resim_subsamples)
     record = {
         "method": method,
@@ -289,27 +284,20 @@ def _toy_endpoints(rng):
     return float(rng.uniform(lo, hi)), float(goal_q)
 
 
+def _toy_episode(arms, rng, *, t_o, t_p, delta):
+    (arm,) = arms
+    q0, goal_q = _toy_endpoints(rng)
+    path = toy_expert_path(q0, goal_q, delta)
+    goal_pose = forward_kinematics(arm, np.array([goal_q]))
+    frames = [obs.build_frame(arm, q, goal_pose) for q in path]
+    return list(episode_windows([frames], path_to_deltas(path), t_o, t_p, 1, arm.base))
+
+
 def toy_dataset(cfg: RunConfig, seed: int) -> Dataset:
     arm = toy_arm()
-    delta = cfg.controller.delta_limit
-    t_o, t_p = cfg.diffusion.obs_horizon, cfg.diffusion.pred_horizon
-    obs_rows, act_rows = [], []
-    for ep in range(cfg.toy.episodes):
-        rng = substream(seed, TAG_TOY, ep)
-        q0, goal_q = _toy_endpoints(rng)
-        path = toy_expert_path(float(q0), float(goal_q), delta)
-        goal_pose = forward_kinematics(arm, np.array([goal_q]))
-        frames = [obs.build_frame(arm, q, goal_pose) for q in path]
-        deltas = np.diff(path, axis=0)
-        for o, a in episode_windows([frames], deltas, t_o, t_p, 1, arm.base):
-            obs_rows.append(o)
-            act_rows.append(a)
-    observations = np.stack(obs_rows).astype(np.float32)
-    actions = np.stack(act_rows).astype(np.float32)
-    norm = compute_norm_stats(observations, actions)
-    return Dataset("single", t_o, t_p, obs.frame_width(1), 1, observations, actions,
-                   norm, {"seed": seed, "episodes": cfg.toy.episodes, "skipped": 0,
-                          "morphology_digest": "toy"})
+    return generate_dataset("single", lambda rng: (arm,), _toy_episode, cfg.toy.episodes,
+                            (seed, TAG_TOY), "toy", t_o=cfg.diffusion.obs_horizon,
+                            t_p=cfg.diffusion.pred_horizon, delta=cfg.controller.delta_limit)
 
 
 def goal_directed_fraction(policy_like, cfg: RunConfig, seed: int,
@@ -382,9 +370,9 @@ def toy_pointmass_suite(cfg: RunConfig, seed: int | None = None, log=None) -> di
     dataset = toy_dataset(cfg, seed)
     dcfg = dataclasses.replace(cfg.diffusion, epochs=cfg.toy.epochs,
                                batch_size=cfg.toy.batch_size,
-                               learning_rate=cfg.toy.learning_rate)
-    state = train(dataset, "single", dcfg, seed, hidden_dims=cfg.toy.hidden_dims,
-                  log=log)
+                               learning_rate=cfg.toy.learning_rate,
+                               hidden_dims=cfg.toy.hidden_dims)
+    state = train(dataset, "single", dcfg, seed, log=log)
     policy = policy_from_state(state, "single", dataset, "toy", {"suite": "toy"})
     return {
         "expert_fraction": dataset_goal_directed_fraction(dataset, cfg),

@@ -56,22 +56,19 @@ def cmd_gen_data(args) -> int:
                   max_iters=cfg.data.birrt_max_iters,
                   shortcut_attempts=cfg.data.shortcut_attempts,
                   morphology_digest=digest)
-    if args.family == "single":
-        ds = dsets.generate_single_dataset(single_arm_sampler(cfg), args.episodes,
-                                           cfg.seed, **common)
-    elif args.family == "dual":
-        ds = dsets.generate_dual_dataset(dual_pair_sampler(cfg), args.episodes,
-                                         cfg.seed, **common)
-    else:
-        print(f"error=unknown-family family={args.family}", file=sys.stderr)
-        return 2
+    generate, sampler, default_episodes = {
+        "single": (dsets.generate_single_dataset, single_arm_sampler, cfg.data.single_episodes),
+        "dual": (dsets.generate_dual_dataset, dual_pair_sampler, cfg.data.dual_episodes),
+    }[args.family]
+    episodes = default_episodes if args.episodes is None else args.episodes
+    ds = generate(sampler(cfg), episodes, cfg.seed, **common)
     out = _out_path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     ds.meta["config_digest"] = config_digest(cfg)
     dsets.save_dataset(ds, out)
-    if args.episodes == 0:
+    if episodes == 0:
         print("warning=empty-dataset")
-    print(f"family={args.family} episodes={args.episodes} "
+    print(f"family={args.family} episodes={episodes} "
           f"skipped={ds.meta['skipped']} records={len(ds)} path={out}")
     return 0
 
@@ -107,12 +104,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _load_policy(path, family: str, cfg) -> dif.Policy:
+    """The checkpoint at `path`, refused unless it holds a `family` model."""
+    policy = dif.load_checkpoint(path, expect_morphology=morphology_digest(cfg))
+    if policy.family != family:
+        raise dif.IncompatibleCheckpointError(
+            f"--{family} needs a {family} checkpoint; {path} holds a {policy.family} model")
+    return policy
+
+
 def _policies_from_args(cfg, args, need_dual: bool):
-    expected = morphology_digest(cfg)
-    single = dif.load_checkpoint(args.single, expect_morphology=expected)
+    single = _load_policy(args.single, "single", cfg)
     dual = None
     if getattr(args, "dual", None):
-        dual = dif.load_checkpoint(args.dual, expect_morphology=expected)
+        dual = _load_policy(args.dual, "dual", cfg)
     elif need_dual:
         raise FileNotFoundError("a dual checkpoint is required")
     return {"single": single, "dual": dual}
@@ -192,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate expert demonstration datasets")
     common(p)
     p.add_argument("--family", required=True, choices=("single", "dual"))
-    p.add_argument("--episodes", type=int, required=True)
+    p.add_argument("--episodes", type=int, default=None,
+                   help="expert episodes (default: the config's data.<family>_episodes)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_data)
 

@@ -12,7 +12,8 @@ Every multi-arm "does anything collide" question is one
 comes from one builder, `state_record`, over a (k, d) state stack, so this
 module alone decides which states are checked: a plan's (`plan_record`) at
 each step's midpoint and endpoint, the executor's (`segment_has_collision`,
-which the resim gate also runs) at tau = s / subsamples of each step.
+which the resim gate also runs) at tau = s / subsamples of each step. It and
+the experts' validity predicates ask `states_conflict` over given stacks.
 
 Record bounds give the search a broad phase: an arm pair whose bounds are
 separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
@@ -22,9 +23,9 @@ every verdict is the kernel's own. Verdicts go into a caller-owned memo
 keyed by the records, so a search that reuses them never checks a pair twice.
 
 `states_free` and `states_collide` answer per row of (k, d) stacks; `is_free`
-and `arms_collide` are their one-row case. They, the search and the experts'
-fixed-pair check (`expert.dual_arm_validity`) reach the segment-distance
-kernel through the same stacked helpers, `_verts_free` and `_verts_collide`.
+and `arms_collide` are their one-row case. They and the search reach the
+segment-distance kernel through the same stacked helpers, `_verts_free` and
+`_verts_collide`, which no other module calls.
 """
 
 from __future__ import annotations
@@ -221,6 +222,13 @@ def plan_record(arm: ArmModel, q0: np.ndarray, plan: np.ndarray,
     return state_record(arm, configs, _checked_states(configs))
 
 
+def states_conflict(arms, stacks, bounds: WorldBounds) -> bool:
+    """True when a row of an arm's (k, d) state stack leaves the bounds or
+    self-collides, or row r of two arms' stacks puts them in capsule contact."""
+    records = [state_record(arm, states, states) for arm, states in zip(arms, stacks)]
+    return find_first_collision(arms, records, bounds, {}) is not None
+
+
 def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
                           subsamples: int) -> bool:
     """The executor's check: True when an interpolated state between
@@ -229,17 +237,15 @@ def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
 
     Arm i moves from prev_configs[i] to new_configs[i]: one config (d,) or a
     (k, d) stack of k steps. Every step is checked at tau = s / subsamples for
-    s = 1..subsamples, so a (k, d) call answers the OR of its k one-step
-    calls. Each arm's states become one record for `find_first_collision`.
+    s = 1..subsamples, so a (k, d) call answers the OR of its k one-step calls.
     """
     taus = np.arange(1, subsamples + 1) / subsamples
-    records = []
+    stacks = []
     for arm, p, q in zip(arms, prev_configs, new_configs):
         p = config_stack(arm, np.atleast_2d(p))
         q = config_stack(arm, np.atleast_2d(q))
-        states = (p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof)
-        records.append(state_record(arm, states, states))
-    return find_first_collision(arms, records, bounds, {}) is not None
+        stacks.append((p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof))
+    return states_conflict(arms, stacks, bounds)
 
 
 # Slack on the broad-phase gap test. The kernel measures between two points

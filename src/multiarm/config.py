@@ -247,6 +247,8 @@ def validate(cfg: RunConfig) -> None:
         (c.delta_limit > 0, "delta limit must be positive"),
         (c.exec_subsamples >= 1, "exec subsamples >= 1"),
         (c.baseline_chunk >= 1, "baseline chunk >= 1"),
+        (min(cfg.data.single_episodes, cfg.data.dual_episodes) >= 0,
+         "data episode counts >= 0"),
         (all(n >= 1 for n in b.n_arms), "bench n_arms >= 1"),
         (all(x in ("easy", "medium", "hard") for x in b.difficulties), "unknown difficulty"),
         (b.episodes_per_cell >= 0, "episodes per cell >= 0"),

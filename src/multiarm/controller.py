@@ -2,10 +2,11 @@
 
 Each cycle asks a method's proposer for plans from the current
 configurations, executes the proposed prefix (clamped like any rollout), and
-appends executed frames to the observation histories. Execution asserts
-collision-freedom independently of planner claims by subsampling every
-executed step; any violation ends the episode as a recorded failure, never
-an exception. That check, `collision.segment_has_collision`, builds one
+appends the executed configs to each arm's trajectory; proposers build
+frames for the last T_o of them only (`WorldState.histories`). Execution
+asserts collision-freedom independently of planner claims by subsampling
+every executed step; any violation ends the episode as a recorded failure,
+never an exception. That check, `collision.segment_has_collision`, builds one
 record per arm from its interpolated states and asks the planner's own
 first-conflict query. `run_loop` is the executor for every method;
 `run_episode` is DG-MAP's proposer on top of it.
@@ -31,21 +32,24 @@ from .seeding import TAG_CYCLE, substream
 
 @dataclass
 class WorldState:
-    """Mutable episode state: one configuration and history per arm."""
+    """Mutable episode state: per arm its config, goal and trajectory (start first)."""
 
     arms: list
     configs: list
     goals: list[EEPose]
-    histories: list
+    trajectories: list
     step: int = 0
+
+    def histories(self, t_o: int) -> list[np.ndarray]:
+        """Each arm's (t_o, w) observation history: frames of its last t_o
+        configurations, front-padded by repeating the start."""
+        return [obs.build_history([obs.build_frame(arm, q, goal) for q in traj[-t_o:]], t_o)
+                for arm, goal, traj in zip(self.arms, self.goals, self.trajectories)]
 
 
 def make_world(arms, start_configs, goals) -> WorldState:
-    arms = list(arms)
     configs = [np.asarray(q, dtype=float).copy() for q in start_configs]
-    histories = [[obs.build_frame(arm, q, goal)]
-                 for arm, q, goal in zip(arms, configs, goals)]
-    return WorldState(arms, configs, list(goals), histories)
+    return WorldState(list(arms), configs, list(goals), [[q] for q in configs])
 
 
 @dataclass
@@ -161,15 +165,14 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
             success = False
             for s in range(chunk):
                 world.configs[:] = [t[s + 1] for t in trajs]
+                for traj, q in zip(world.trajectories, world.configs):
+                    traj.append(q)
                 world.step += 1
                 executed += 1
                 if segment_has_collision(world.arms, [t[s] for t in trajs], world.configs,
                                          cfg.world, ctrl.exec_subsamples):
                     result.collision = True
                     break
-                for i in range(n):
-                    world.histories[i].append(
-                        obs.build_frame(world.arms[i], world.configs[i], world.goals[i]))
                 if trace is not None:
                     trace.write(_trace_line(world))
 
@@ -198,8 +201,8 @@ def run_episode(world: WorldState, single: Policy, dual: Policy | None,
     def propose(cycle, frozen):
         cycle_seed = int(substream(seed, TAG_CYCLE, cycle).integers(0, 2 ** 62))
         plan = dgmap_search(world.arms, world.configs, world.goals,
-                            [obs.build_history(h, single.obs_horizon) for h in world.histories],
-                            single, dual, cfg, cycle_seed, frozen)
+                            world.histories(single.obs_horizon), single, dual, cfg,
+                            cycle_seed, frozen)
         return plan.plans, plan.t_star, plan.stats
 
     return run_loop(world, cfg, propose, trace_path)

@@ -4,8 +4,9 @@ Records pair an ego-frame conditioning vector (`obs.conditioning`) with a
 horizon of delta actions. Episodes convert expert waypoint paths into
 per-step deltas; a window slides over every waypoint, padding history at
 the episode start by repeating the first frame and actions at the end with
-zeros. Files are `artifacts` containers (see docs/file_formats.md) plus a
-JSON sidecar.
+zeros. Every dataset, the toy suite's too, runs one episode loop,
+`generate_dataset`. Files are `artifacts` containers (see
+docs/file_formats.md) plus a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -137,12 +138,12 @@ def sample_free_config(arm: ArmModel, rng: np.random.Generator,
     return None
 
 
-def _generate(family: str, draw_arms, episode, n_episodes: int, seed: int,
-              morphology_digest: str, **settings) -> Dataset:
-    """The episode loop both families share.
+def generate_dataset(family: str, draw_arms, episode, n_episodes: int, stream,
+                     morphology_digest: str = "", **settings) -> Dataset:
+    """The episode loop every dataset runs.
 
-    Episode ep draws its arms with `draw_arms(rng)` from its own substream;
-    the first arm's dof sets the action width. `episode(arms, rng,
+    Episode ep draws its arms with `draw_arms(rng)` from `substream(*stream,
+    ep)`; the first arm's dof sets the action width. `episode(arms, rng,
     **settings)` returns the episode's (observation, action) rows, or None
     when the expert gives up and the episode is skipped.
     """
@@ -151,7 +152,7 @@ def _generate(family: str, draw_arms, episode, n_episodes: int, seed: int,
     skipped = 0
     dof = None
     for ep in range(n_episodes):
-        rng = substream(seed, TAG_DATA, FAMILIES[family], ep)
+        rng = substream(*stream, ep)
         arms = draw_arms(rng)
         dof = arms[0].dof
         got = episode(arms, rng, **settings)
@@ -160,7 +161,7 @@ def _generate(family: str, draw_arms, episode, n_episodes: int, seed: int,
             continue
         rows.extend(got)
     if dof is None:
-        dof = draw_arms(substream(seed, TAG_DATA, FAMILIES[family], 0))[0].dof
+        dof = draw_arms(substream(*stream, 0))[0].dof
     frame_width = obs.frame_width(dof)
     obs_width = t_o * frame_width * (2 if family == "dual" else 1)
     observations = (np.stack([o for o, _ in rows]).astype(np.float32) if rows
@@ -170,7 +171,7 @@ def _generate(family: str, draw_arms, episode, n_episodes: int, seed: int,
     meta = {
         "episodes": n_episodes,
         "skipped": skipped,
-        "seed": seed,
+        "seed": stream[0],
         "morphology_digest": morphology_digest,
     }
     return Dataset(family, t_o, t_p, frame_width, dof, observations, actions,
@@ -184,11 +185,11 @@ def generate_single_dataset(arm_sampler, n_episodes: int, seed: int, *, t_o: int
                             max_iters: int = 4000, shortcut_attempts: int = 100,
                             morphology_digest: str = "") -> Dataset:
     """Single-arm demonstrations: BiRRT to a sampled reachable goal pose."""
-    return _generate("single", lambda rng: (arm_sampler(rng),), _single_episode,
-                     n_episodes, seed, morphology_digest, t_o=t_o, t_p=t_p,
-                     resolution=resolution, bounds=bounds, pos_tol=pos_tol,
-                     rot_tol=rot_tol, max_iters=max_iters,
-                     shortcut_attempts=shortcut_attempts)
+    return generate_dataset("single", lambda rng: (arm_sampler(rng),), _single_episode,
+                            n_episodes, (seed, TAG_DATA, FAMILIES["single"]),
+                            morphology_digest, t_o=t_o, t_p=t_p, resolution=resolution,
+                            bounds=bounds, pos_tol=pos_tol, rot_tol=rot_tol,
+                            max_iters=max_iters, shortcut_attempts=shortcut_attempts)
 
 
 def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
@@ -198,10 +199,11 @@ def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
                           max_iters: int = 4000, shortcut_attempts: int = 100,
                           morphology_digest: str = "") -> Dataset:
     """Dual-arm demonstrations: joint-space BiRRT, two ego records per window."""
-    return _generate("dual", pair_sampler, _dual_episode, n_episodes, seed,
-                     morphology_digest, t_o=t_o, t_p=t_p, resolution=resolution,
-                     bounds=bounds, pos_tol=pos_tol, rot_tol=rot_tol,
-                     max_iters=max_iters, shortcut_attempts=shortcut_attempts)
+    return generate_dataset("dual", pair_sampler, _dual_episode, n_episodes,
+                            (seed, TAG_DATA, FAMILIES["dual"]), morphology_digest,
+                            t_o=t_o, t_p=t_p, resolution=resolution, bounds=bounds,
+                            pos_tol=pos_tol, rot_tol=rot_tol, max_iters=max_iters,
+                            shortcut_attempts=shortcut_attempts)
 
 
 def _single_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
@@ -233,7 +235,7 @@ def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
     for _ in range(100):
         qa = sample_free_config(arm_a, rng, bounds)
         qb = sample_free_config(arm_b, rng, bounds)
-        if qa is not None and qb is not None and valid(np.concatenate([qa, qb])[None])[0]:
+        if qa is not None and qb is not None and valid(np.concatenate([qa, qb])[None]):
             starts = (qa, qb)
             break
     if starts is None:
@@ -249,7 +251,7 @@ def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
         pose_b = forward_kinematics(arm_b, gb_seed)
         ta = sample_goal_config(arm_a, pose_a, rng, pos_tol, rot_tol, bounds)
         tb = sample_goal_config(arm_b, pose_b, rng, pos_tol, rot_tol, bounds)
-        if ta is None or tb is None or not valid(np.concatenate([ta, tb])[None])[0]:
+        if ta is None or tb is None or not valid(np.concatenate([ta, tb])[None]):
             continue
         goals = (ta, tb, pose_a, pose_b)
         break

@@ -220,17 +220,15 @@ def training_loss_and_grads(model: DenoiserMLP, schedule: NoiseSchedule,
     return loss, grads
 
 
-def train(dataset: Dataset, family: str, cfg: DiffusionConfig, seed: int,
-          hidden_dims: tuple[int, ...] | None = None, log=None) -> TrainState:
+def train(dataset: Dataset, family: str, cfg: DiffusionConfig, seed: int, log=None) -> TrainState:
     """Minibatch denoising-loss training with EMA tracking."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     if dataset.family != family:
         raise ValueError(f"dataset family {dataset.family!r} != requested {family!r}")
-    hidden = tuple(hidden_dims) if hidden_dims is not None else tuple(cfg.hidden_dims)
     schedule = cosine_schedule(cfg.denoise_steps)
     rng = substream(seed, TAG_TRAIN, FAMILIES[family])
-    model = DenoiserMLP(family, dataset.actions.shape[1], dataset.obs_width, hidden,
+    model = DenoiserMLP(family, dataset.actions.shape[1], dataset.obs_width, cfg.hidden_dims,
                         cfg.embed_dim, cfg.denoise_steps, rng)
     ema_model = model.clone()
     optimizer = AdamW(model.parameters(), cfg.learning_rate, cfg.weight_decay,

@@ -7,8 +7,10 @@ waypoints whose consecutive rows differ by at most `resolution` per joint,
 so expert steps convert to clamp-free delta actions.
 
 Validity predicates are batch-only: `is_valid(qs)` takes a (k, d) stack of
-configurations and returns (k,) bools, so a steer step, both endpoints or a
-whole shortcut segment is checked in one call.
+configurations and answers one bool, "every row is valid", so a steer step,
+both endpoints or a whole shortcut segment is checked in one call. Both
+predicates are one `collision.states_conflict` call, the executor's own
+feasibility query.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ from .collision import (  # noqa: F401
     DEFAULT_BOUNDS,
     WorldBounds,
     _checked_states,
-    _verts_collide,
-    _verts_free,
     arms_collide,
     is_free,
+    states_conflict,
     states_free,
 )
 from .kinematics import ArmModel, EEPose, chain_vertices, wrap_angle
@@ -43,7 +44,7 @@ def steps_between(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray
 def _segment_valid(a: np.ndarray, b: np.ndarray, is_valid, resolution: float) -> bool:
     """Every waypoint from a to b and every step midpoint, in one call."""
     configs = np.concatenate([a[None, :], steps_between(a, b, resolution)])
-    return bool(np.all(is_valid(_checked_states(configs))))
+    return is_valid(_checked_states(configs))
 
 
 class _Tree:
@@ -92,7 +93,7 @@ def _extend(tree: _Tree, target: np.ndarray, is_valid, resolution: float):
         return "reached", near_idx
     scale = min(1.0, resolution / gap)
     new = near + scale * diff
-    if not np.all(is_valid(_checked_states(np.stack([near, new])))):
+    if not is_valid(_checked_states(np.stack([near, new]))):
         return "trapped", near_idx
     idx = tree.add(new, near_idx)
     return ("reached" if scale >= 1.0 else "advanced"), idx
@@ -141,7 +142,7 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    if not np.all(is_valid(np.stack([start, goal]))):
+    if not is_valid(np.stack([start, goal])):
         raise ValueError("birrt endpoints must satisfy the validity predicate")
     if float(np.max(np.abs(goal - start))) <= 1e-12:
         return start[None, :]
@@ -166,22 +167,15 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
 
 
 def single_arm_validity(arm: ArmModel, bounds: WorldBounds = DEFAULT_BOUNDS):
-    """Batch predicate: (k, d) configs -> (k,) bools."""
-    return lambda qs: states_free(arm, qs, bounds)
+    """Batch predicate: True when every row of a (k, d) config stack is free."""
+    return lambda qs: not states_conflict([arm], [qs], bounds)
 
 
 def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds = DEFAULT_BOUNDS):
-    """Batch predicate over stacked [q_a | q_b] rows: (k, d_a + d_b) -> (k,) bools."""
+    """Batch predicate over stacked [q_a | q_b] rows: True when every row is
+    free for both arms and keeps them apart."""
     da = arm_a.dof
-
-    def valid(qs):
-        qs = np.asarray(qs, dtype=float)
-        va = chain_vertices(arm_a, qs[:, :da])
-        vb = chain_vertices(arm_b, qs[:, da:])
-        return (_verts_free(arm_a, va, bounds) & _verts_free(arm_b, vb, bounds)
-                & ~_verts_collide(arm_a, va, arm_b, vb))
-
-    return valid
+    return lambda qs: not states_conflict([arm_a, arm_b], [qs[:, :da], qs[:, da:]], bounds)
 
 
 def dual_birrt_plan(arm_a: ArmModel, arm_b: ArmModel, starts, goals,

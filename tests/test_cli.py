@@ -54,6 +54,17 @@ def tiny_checkpoint(tmp_path_factory, small_cfg_file, tiny_dataset):
     return out
 
 
+@pytest.fixture(scope="module")
+def tiny_dual_checkpoint(tmp_path_factory, small_cfg_file):
+    work = tmp_path_factory.mktemp("dual")
+    data, out = work / "dual.mad", work / "dual.ckpt"
+    assert cli.main(["gen-data", "--config", small_cfg_file, "--family", "dual",
+                     "--episodes", "1", "--out", str(data), "--seed", "1"]) == 0
+    assert cli.main(["train", "--config", small_cfg_file, "--family", "dual",
+                     "--data", str(data), "--out", str(out), "--seed", "3"]) == 0
+    return out
+
+
 class TestGenData:
     def test_deterministic_output(self, tmp_path, small_cfg_file, capsys):
         a, b = tmp_path / "a.mad", tmp_path / "b.mad"
@@ -74,6 +85,29 @@ class TestGenData:
         assert "warning=empty-dataset" in stdout
         loaded = dsets.load_dataset(out)
         assert len(loaded) == 0
+
+    def test_episodes_default_to_config(self, tmp_path, capsys):
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text("data: {single_episodes: 2, birrt_max_iters: 2000}\n")
+        outs = []
+        for extra in ([], ["--episodes", "2"]):
+            out = tmp_path / f"single{len(extra)}.mad"
+            code, stdout, _ = run_cli(["gen-data", "--config", str(cfg), "--family",
+                                       "single", "--out", str(out), *extra], capsys)
+            assert code == 0
+            assert "episodes=2 " in stdout
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_negative_config_episodes_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "negative.yaml"
+        cfg.write_text("data: {dual_episodes: -3}\n")
+        out = tmp_path / "dual.mad"
+        code, stdout, err = run_cli(["gen-data", "--config", str(cfg), "--family", "dual",
+                                     "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error=config detail=data episode counts")
+        assert stdout == "" and not out.exists()
 
     def test_sidecar_matches_header(self, tiny_dataset):
         sidecar = json.loads(Path(str(tiny_dataset) + ".json").read_text())
@@ -213,6 +247,32 @@ class TestChecks:
                                 "--single", str(tiny_checkpoint)], capsys)
         assert code == 2
         assert "incompatible-checkpoint" in err
+
+
+class TestWrongFamilyCheckpoint:
+    """A checkpoint in the other family's slot is refused before any episode
+    runs."""
+
+    def test_plan_refuses_dual_as_single(self, small_cfg_file, tiny_dual_checkpoint, capsys):
+        code, stdout, err = run_cli(["plan", "--config", small_cfg_file, "--random", "2",
+                                     "--single", str(tiny_dual_checkpoint)], capsys)
+        assert code == 2
+        assert err.startswith("error=incompatible-checkpoint detail=--single ")
+        assert stdout == ""
+
+    @pytest.mark.parametrize("swap", [True, False], ids=["swapped", "single-as-dual"])
+    def test_bench_refuses_wrong_slot(self, tmp_path, small_cfg_file, tiny_checkpoint,
+                                      tiny_dual_checkpoint, swap, capsys):
+        single, dual = ((tiny_dual_checkpoint, tiny_checkpoint) if swap
+                        else (tiny_checkpoint, tiny_checkpoint))
+        out = tmp_path / "bench"
+        code, stdout, err = run_cli(["bench", "--config", small_cfg_file, "--single",
+                                     str(single), "--dual", str(dual), "--out", str(out)],
+                                    capsys)
+        assert code == 2
+        assert err.startswith("error=incompatible-checkpoint detail=")
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestOutOfRangeCounts:

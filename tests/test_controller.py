@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from multiarm import controller as ctl
-from multiarm.collision import WorldBounds, arms_collide, is_free
+from multiarm import observation as obs
+from multiarm.collision import WorldBounds, arms_collide, is_free, rollout
 from multiarm.config import load_config
 from multiarm.controller import make_world, run_episode, run_loop
 from multiarm.kinematics import (BasePose, DimensionError, EEPose, forward_kinematics,
@@ -306,6 +307,34 @@ class TestRunLoop:
         empty = run_loop(two_apart_arms(), limited(cfg, 9), ScriptedProposer(plans, 3))
         assert (empty.repairs, empty.expansions, empty.solved_calls) == (0, 0, 0)
         assert empty.planner_calls == 3
+
+    def test_trajectories_record_executed_configs(self, cfg):
+        # Every cycle, each arm's history is the one the executor's old
+        # per-step frame log gave: frames of the whole trajectory, windowed.
+        world = two_apart_arms()
+        rng = np.random.default_rng(5)
+        plans = [rng.uniform(-0.15, 0.15, (T_P, 3)) for _ in world.arms]
+        starts = [q.copy() for q in world.configs]
+        cycles = []
+
+        def propose(cycle, frozen):
+            cycles.append(cycle)
+            for t_o in (1, 2, 5):
+                for arm, goal, traj, hist in zip(world.arms, world.goals, world.trajectories,
+                                                 world.histories(t_o)):
+                    frames = [obs.build_frame(arm, q, goal) for q in traj]
+                    assert hist.tobytes() == obs.build_history(frames, t_o).tobytes()
+            return plans, 4, {}
+
+        result = run_loop(world, limited(cfg, 9), propose)
+        assert result.chunks == [4, 4, 1] and len(cycles) == 3
+        delta = cfg.controller.delta_limit
+        for arm, q0, plan, traj in zip(world.arms, starts, plans, world.trajectories):
+            expect = [q0]
+            for chunk in result.chunks:
+                expect.extend(rollout(arm, expect[-1], plan[:chunk], delta)[1:])
+            assert np.stack(traj).tobytes() == np.stack(expect).tobytes()
+        assert all(t[-1] is q for t, q in zip(world.trajectories, world.configs))
 
 
 def scalar_segment_has_collision(arms, prev_configs, new_configs, bounds, subsamples):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import struct
 
@@ -7,12 +8,13 @@ import pytest
 
 from multiarm import artifacts
 from multiarm import datasets as ds
-from multiarm import observation as obs
 from multiarm import planner as pl
+from multiarm.bench import toy_dataset
 from multiarm.config import load_config
 from multiarm.controller import make_world
 from multiarm.kinematics import IDENTITY_POSE, BasePose, make_arm
 from multiarm.seeding import TAG_DATA, substream
+from multiarm.tasks import dual_pair_sampler, single_arm_sampler
 
 from .conftest import with_header_key
 
@@ -220,13 +222,12 @@ def record_expert(monkeypatch, planner_name):
 
 
 def world_histories(arms, paths, goals, t):
-    """Per-arm planner histories after t executed steps along the paths, with
-    frames appended as the executor appends them."""
+    """Per-arm planner histories after t executed steps along the paths, read
+    from the world as the proposers read them."""
     world = make_world(arms, [p[0] for p in paths], goals)
-    for s in range(1, t + 1):
-        for i, arm in enumerate(arms):
-            world.histories[i].append(obs.build_frame(arm, paths[i][s], goals[i]))
-    return [obs.build_history(h, T_O) for h in world.histories]
+    for traj, path in zip(world.trajectories, paths):
+        traj.extend(path[1:t + 1])
+    return world.histories(T_O)
 
 
 class TestRowsMatchInference:
@@ -341,3 +342,37 @@ class TestVersionRefusal:
         loaded = ds.load_dataset(tmp_path / "dual.mad")
         assert (loaded.family, loaded.obs_width) == ("dual", 2 * T_O * loaded.frame_width)
 
+
+def saved_sha256(dataset, tmp_path) -> str:
+    ds.save_dataset(dataset, tmp_path / "pinned.mad")
+    return hashlib.sha256((tmp_path / "pinned.mad").read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """Seeded datasets keep their exact saved bytes. The digests were recorded
+    from the code that ran each family's episode loop on its own, so a shared
+    loop or a changed expert predicate must reproduce them bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return load_config()
+
+    def settings(self, cfg):
+        return dict(t_o=T_O, t_p=T_P, resolution=cfg.controller.delta_limit,
+                    bounds=cfg.world, morphology_digest="y" * 64)
+
+    def test_single(self, cfg, tmp_path):
+        data = ds.generate_single_dataset(single_arm_sampler(cfg), 6, 0, **self.settings(cfg))
+        assert (len(data), saved_sha256(data, tmp_path)) == (
+            172, "4a65a5e02eac600893d07d63e93ad79704afbb3fd25da542de01dec935116261")
+
+    def test_dual(self, cfg, tmp_path):
+        data = ds.generate_dual_dataset(dual_pair_sampler(cfg), 3, 1, **self.settings(cfg))
+        assert (len(data), saved_sha256(data, tmp_path)) == (
+            158, "58256c10d0d00a642c2b246d9c6485e057cbda8563b36cdbc0ace89c9b9f83d4")
+
+    def test_toy(self, cfg, tmp_path):
+        small = dataclasses.replace(cfg, toy=dataclasses.replace(cfg.toy, episodes=6))
+        data = toy_dataset(small, 3)
+        assert (len(data), saved_sha256(data, tmp_path)) == (
+            82, "f52447b7b0e824103ac9255cda29369e26fc6f6082dcff9b8f0b467885236398")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from multiarm import expert
+from multiarm import collision, expert
 from multiarm.collision import DEFAULT_BOUNDS, WorldBounds, arms_collide, is_free
 from multiarm.expert import birrt_plan, dual_birrt_plan, sample_goal_config, steps_between
 from multiarm.kinematics import (
@@ -21,7 +21,7 @@ RES = 0.1
 
 
 def always_valid(qs):
-    return np.ones(len(qs), dtype=bool)
+    return True
 
 
 def validate_path(path, is_valid, resolution):
@@ -29,9 +29,9 @@ def validate_path(path, is_valid, resolution):
     and midpoints."""
     for a, b in zip(path[:-1], path[1:]):
         assert float(np.max(np.abs(b - a))) <= resolution + 1e-9
-        assert is_valid((0.5 * (a + b))[None, :])[0]
+        assert is_valid((0.5 * (a + b))[None, :])
     for w in path:
-        assert is_valid(w[None, :])[0]
+        assert is_valid(w[None, :])
 
 
 class TestTree:
@@ -88,8 +88,8 @@ class TestBirrt:
         valid = expert.dual_arm_validity(a, b)
         starts = (np.array([0.6, 0.0, 0.0]), np.array([0.6, 0.0, 0.0]))
         goals = (np.array([-0.6, 0.0, 0.0]), np.array([-0.6, 0.0, 0.0]))
-        assert valid(np.concatenate([starts[0], starts[1]])[None, :])[0]
-        assert valid(np.concatenate([goals[0], goals[1]])[None, :])[0]
+        assert valid(np.concatenate([starts[0], starts[1]])[None, :])
+        assert valid(np.concatenate([goals[0], goals[1]])[None, :])
         path = dual_birrt_plan(a, b, starts, goals, rng, RES, max_iters=8000)
         assert path is not None
         validate_path(path, valid, RES)
@@ -148,7 +148,7 @@ class TestSampleGoalConfig:
 
 def one_at_a_time(is_valid):
     """Scalar view of a batch predicate: one config per call."""
-    return lambda q: bool(is_valid(q[None, :])[0])
+    return lambda q: is_valid(q[None, :])
 
 
 def scalar_segment_valid(a, b, valid, resolution):
@@ -226,20 +226,29 @@ class TestBatchedValidity:
 
     def test_single_arm_validity_is_batched(self, arm3, rng):
         qs = rng.uniform(-math.pi, math.pi, size=(40, 3))
-        got = expert.single_arm_validity(arm3)(qs)
-        assert got.tolist() == [is_free(arm3, q) for q in qs]
+        valid = expert.single_arm_validity(arm3)
+        expect = [is_free(arm3, q) for q in qs]
+        assert [valid(q[None]) for q in qs] == expect
+        # A stack is valid exactly when each of its rows is.
+        for k in range(0, len(qs), 4):
+            assert valid(qs[k:k + 4]) == all(expect[k:k + 4])
+        assert valid(qs[np.array(expect)])
+        assert 0 < sum(expect) < len(expect)
 
     def test_dual_arm_validity_builds_vertices_once(self, head_on_pair, rng, monkeypatch):
         a, b = head_on_pair
         qs = rng.uniform(-math.pi, math.pi, size=(200, 6))
         expect = [is_free(a, q[:3]) and is_free(b, q[3:]) and not arms_collide(a, q[:3], b, q[3:])
                   for q in qs]
+        valid = expert.dual_arm_validity(a, b)
+        assert [valid(q[None]) for q in qs] == expect
         builds = []
-        real = expert.chain_vertices
-        monkeypatch.setattr(expert, "chain_vertices",
+        real = collision.chain_vertices
+        monkeypatch.setattr(collision, "chain_vertices",
                             lambda arm, states: builds.append(arm) or real(arm, states))
-        assert expert.dual_arm_validity(a, b)(qs).tolist() == expect
+        assert valid(qs[np.array(expect)])
         assert builds == [a, b]
+        assert not valid(qs)
         assert 0 < sum(expect) < len(expect)
 
 
