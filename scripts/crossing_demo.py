@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Head-on crossing demo: two facing arms whose straight plans all collide.
 
-Runs one closed-loop episode with trained checkpoints and writes the
-executed trajectory to a JSONL dump plus (if matplotlib is available) a
+Runs one closed-loop episode with trained checkpoints, refused unless they
+match the config's morphology and their flags' model families, and writes
+the executed trajectory to a JSONL dump plus (if matplotlib is available) a
 quick overhead plot of the swept arm segments.
 """
 
@@ -14,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from multiarm.config import load_config
-from multiarm.controller import make_world, run_episode
-from multiarm.diffusion import load_checkpoint
+from multiarm.cli import load_policy
+from multiarm.controller import make_world, run_episode, write_trace
 from multiarm.kinematics import BasePose, forward_kinematics, link_vertices, make_arm
 
 
@@ -40,14 +41,14 @@ def main():
 
     cfg = load_config(args.config)
     arms, starts, goals = build_scene(cfg)
-    single = load_checkpoint(args.single)
-    dual = load_checkpoint(args.dual)
+    single = load_policy(args.single, "single", cfg)
+    dual = load_policy(args.dual, "dual", cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     world = make_world(arms, starts, goals)
-    result = run_episode(world, single, dual, cfg, args.seed,
-                         trace_path=out / "trace.jsonl")
+    result = run_episode(world, single, dual, cfg, args.seed)
+    write_trace(world, out / "trace.jsonl")
     print(json.dumps(result.to_json(), sort_keys=True, indent=2))
 
     try:
@@ -56,12 +57,11 @@ def main():
         import matplotlib.pyplot as plt
 
         fig, ax = plt.subplots(figsize=(6, 6))
-        lines = (out / "trace.jsonl").read_text().splitlines()
-        for k, line in enumerate(lines):
-            rec = json.loads(line)
-            alpha = 0.15 + 0.85 * k / max(1, len(lines) - 1)
+        steps = list(zip(*world.trajectories))
+        for k, configs in enumerate(steps):
+            alpha = 0.15 + 0.85 * k / max(1, len(steps) - 1)
             for i, arm in enumerate(arms):
-                verts = link_vertices(arm, np.array(rec["configs"][i]))
+                verts = link_vertices(arm, configs[i])
                 ax.plot(verts[:, 0], verts[:, 1], "-o", markersize=2,
                         color=f"C{i}", alpha=alpha, linewidth=1)
         for goal in goals:

@@ -1,10 +1,10 @@
 """Benchmark harness: baseline policy, paired-seed matrix runs, reports.
 
-Every method sees byte-identical tasks per (n_arms, difficulty, episode)
-cell. Episodes marked successful are re-simulated densely afterwards; a
-single re-simulation violation fails the soundness gate. Reports are a
-fixed-column CSV plus JSON-lines episode records, both carrying the config
-digest.
+Each task is drawn once per (n_arms, difficulty, episode) and run by every
+method, so the methods see byte-identical tasks. Episodes marked successful
+are re-simulated densely afterwards; a single re-simulation violation fails
+the soundness gate. Reports are a fixed-column CSV plus JSON-lines episode
+records, both carrying the config digest.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
 
 
 def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
-                           seed: int, trace_path=None) -> EpisodeResult:
+                           seed: int) -> EpisodeResult:
     """Each arm executes its own best sample every cycle, through the same
     sampler and executor as DG-MAP: a collision ends the episode as failure."""
     ctrl = cfg.controller
@@ -66,7 +66,7 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
                  for i, own in enumerate(plan_sets)]
         return plans, ctrl.baseline_chunk, {}
 
-    return run_loop(world, cfg, propose, trace_path)
+    return run_loop(world, cfg, propose)
 
 
 # ---------------------------------------------------------------------------
@@ -109,38 +109,41 @@ def _worker_init(cfg, policies):
     _WORKER_STATE["policies"] = policies
 
 
-def _worker_episode(job):
-    method, n_arms, difficulty, episode, master_seed = job
-    cfg = _WORKER_STATE["cfg"]
-    policies = _WORKER_STATE["policies"]
-    return _run_one(method, n_arms, difficulty, episode, master_seed, cfg, policies)
+def _worker_task(job):
+    return _run_task(*job, _WORKER_STATE["cfg"], _WORKER_STATE["policies"])
 
 
-def _run_one(method, n_arms, difficulty, episode, master_seed, cfg, policies):
+def _run_task(n_arms, difficulty, episode, methods, master_seed, cfg, policies):
+    """One paired episode: the task is drawn once and every method in
+    `methods` runs it on a fresh world. Returns one record per method."""
     diff_idx = DIFFICULTIES.index(difficulty)
     task_rng = substream(master_seed, TAG_TASK, n_arms, diff_idx, episode)
     task = generate_task(n_arms, difficulty, task_rng, cfg, seed=episode)
-    ep_seed = int(substream(master_seed, TAG_EPISODE, METHOD_IDS[method], n_arms,
-                            diff_idx, episode).integers(0, 2 ** 62))
-    world = make_world(task.arms, task.starts, task.goals)
-    if method == "dgmap":
-        result = run_episode(world, policies["single"], policies.get("dual"), cfg, ep_seed)
-    else:
-        result = baseline_decentralized(world, policies["single"], cfg, ep_seed)
-    resim_ok = True
-    if result.success:
-        resim_ok = resimulate_trajectory(task.arms, world.trajectories, cfg.world,
-                                         cfg.bench.resim_subsamples)
-    record = {
-        "method": method,
-        "n_arms": n_arms,
-        "difficulty": difficulty,
-        "episode": episode,
-        "task_digest": task_digest(task),
-        "resim_ok": bool(resim_ok),
-    }
-    record.update(result.to_json())
-    return record
+    digest = task_digest(task)
+    records = []
+    for method in methods:
+        ep_seed = int(substream(master_seed, TAG_EPISODE, METHOD_IDS[method], n_arms,
+                                diff_idx, episode).integers(0, 2 ** 62))
+        world = make_world(task.arms, task.starts, task.goals)
+        if method == "dgmap":
+            result = run_episode(world, policies["single"], policies.get("dual"), cfg, ep_seed)
+        else:
+            result = baseline_decentralized(world, policies["single"], cfg, ep_seed)
+        resim_ok = True
+        if result.success:
+            resim_ok = resimulate_trajectory(task.arms, world.trajectories, cfg.world,
+                                             cfg.bench.resim_subsamples)
+        record = {
+            "method": method,
+            "n_arms": n_arms,
+            "difficulty": difficulty,
+            "episode": episode,
+            "task_digest": digest,
+            "resim_ok": bool(resim_ok),
+        }
+        record.update(result.to_json())
+        records.append(record)
+    return records
 
 
 def run_benchmark(cfg: RunConfig, policies, methods, out_dir: str | Path,
@@ -154,8 +157,7 @@ def run_benchmark(cfg: RunConfig, policies, methods, out_dir: str | Path,
     digest = config_digest(cfg)
     master_seed = cfg.seed
 
-    jobs = [(method, n, diff, ep, master_seed)
-            for method in methods
+    jobs = [(n, diff, ep, tuple(methods), master_seed)
             for n in cfg.bench.n_arms
             for diff in cfg.bench.difficulties
             for ep in range(cfg.bench.episodes_per_cell)]
@@ -165,9 +167,10 @@ def run_benchmark(cfg: RunConfig, policies, methods, out_dir: str | Path,
         # arrays, so both pickle as they are.
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=(cfg, policies)) as pool:
-            records = list(pool.map(_worker_episode, jobs))
+            per_task = list(pool.map(_worker_task, jobs))
     else:
-        records = [_run_one(m, n, d, e, s, cfg, policies) for m, n, d, e, s in jobs]
+        per_task = [_run_task(*job, cfg, policies) for job in jobs]
+    records = [rec for recs in per_task for rec in recs]
 
     records.sort(key=lambda r: (r["method"], r["n_arms"],
                                 DIFFICULTIES.index(r["difficulty"]), r["episode"]))

@@ -21,7 +21,7 @@ from . import diffusion as dif
 from . import observation as obsmod
 from .bench import run_benchmark, toy_pointmass_suite, verify_task_pairing
 from .config import ConfigError, RunConfig, config_digest, load_config, morphology_digest
-from .controller import make_world, run_episode
+from .controller import make_world, run_episode, write_trace
 from .seeding import TAG_TASK, substream
 from .tasks import (TaskGenerationError, TaskSpec, dual_pair_sampler, generate_task,
                     single_arm_sampler, task_digest)
@@ -104,7 +104,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_policy(path, family: str, cfg) -> dif.Policy:
+def load_policy(path, family: str, cfg) -> dif.Policy:
     """The checkpoint at `path`, refused unless it holds a `family` model."""
     policy = dif.load_checkpoint(path, expect_morphology=morphology_digest(cfg))
     if policy.family != family:
@@ -114,10 +114,10 @@ def _load_policy(path, family: str, cfg) -> dif.Policy:
 
 
 def _policies_from_args(cfg, args, need_dual: bool):
-    single = _load_policy(args.single, "single", cfg)
+    single = load_policy(args.single, "single", cfg)
     dual = None
     if getattr(args, "dual", None):
-        dual = _load_policy(args.dual, "dual", cfg)
+        dual = load_policy(args.dual, "dual", cfg)
     elif need_dual:
         raise FileNotFoundError("a dual checkpoint is required")
     return {"single": single, "dual": dual}
@@ -132,9 +132,9 @@ def cmd_plan(args) -> int:
         rng = substream(cfg.seed, TAG_TASK, args.random, 0, 0)
         task = generate_task(args.random, args.difficulty, rng, cfg, seed=cfg.seed)
     world = make_world(task.arms, task.starts, task.goals)
-    trace = _out_path(args.dump) if args.dump else None
-    result = run_episode(world, policies["single"], policies["dual"], cfg, cfg.seed,
-                         trace_path=trace)
+    result = run_episode(world, policies["single"], policies["dual"], cfg, cfg.seed)
+    if args.dump:
+        write_trace(world, _out_path(args.dump))
     payload = result.to_json()
     payload["task_digest"] = task_digest(task)
     payload["config_digest"] = config_digest(cfg)

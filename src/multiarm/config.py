@@ -249,6 +249,8 @@ def validate(cfg: RunConfig) -> None:
         (c.baseline_chunk >= 1, "baseline chunk >= 1"),
         (min(cfg.data.single_episodes, cfg.data.dual_episodes) >= 0,
          "data episode counts >= 0"),
+        (cfg.data.birrt_max_iters >= 1, "birrt max iters >= 1"),
+        (cfg.data.shortcut_attempts >= 0, "shortcut attempts >= 0"),
         (all(n >= 1 for n in b.n_arms), "bench n_arms >= 1"),
         (all(x in ("easy", "medium", "hard") for x in b.difficulties), "unknown difficulty"),
         (b.episodes_per_cell >= 0, "episodes per cell >= 0"),

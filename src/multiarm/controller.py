@@ -9,13 +9,13 @@ every executed step; any violation ends the episode as a recorded failure,
 never an exception. That check, `collision.segment_has_collision`, builds one
 record per arm from its interpolated states and asks the planner's own
 first-conflict query. `run_loop` is the executor for every method;
-`run_episode` is DG-MAP's proposer on top of it.
+`run_episode` is DG-MAP's proposer on top of it. The loop writes no file;
+`write_trace` writes the `--dump` trace from the trajectories afterwards.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +38,6 @@ class WorldState:
     configs: list
     goals: list[EEPose]
     trajectories: list
-    step: int = 0
 
     def histories(self, t_o: int) -> list[np.ndarray]:
         """Each arm's (t_o, w) observation history: frames of its last t_o
@@ -92,16 +91,6 @@ class EpisodeResult:
         }
 
 
-def _trace_line(world: WorldState) -> str:
-    """One `--dump` JSONL line: the step, every arm's config and end-effector pose."""
-    return json.dumps({
-        "step": world.step,
-        "configs": [[round(float(v), 9) for v in q] for q in world.configs],
-        "ee": [[round(float(v), 9) for v in forward_kinematics(arm, q).as_array()]
-               for arm, q in zip(world.arms, world.configs)],
-    }, sort_keys=True) + "\n"
-
-
 def _residuals(world: WorldState):
     pos, rot = [], []
     for arm, q, goal in zip(world.arms, world.configs, world.goals):
@@ -111,8 +100,7 @@ def _residuals(world: WorldState):
     return pos, rot
 
 
-def run_loop(world: WorldState, cfg: RunConfig, propose,
-             trace_path: str | Path | None = None) -> EpisodeResult:
+def run_loop(world: WorldState, cfg: RunConfig, propose) -> EpisodeResult:
     """Execute proposals until success, collision, stall or the step limit.
 
     Every cycle calls `propose(cycle, frozen)`, where `frozen` holds the arms
@@ -137,65 +125,72 @@ def run_loop(world: WorldState, cfg: RunConfig, propose,
     def finish(success: bool) -> EpisodeResult:
         result.success = success
         result.residual_pos, result.residual_rot = _residuals(world)
-        result.steps = world.step
         return result
 
-    # The trace file closes on every exit, a proposer's exception included.
-    with open(trace_path, "w") if trace_path is not None else nullcontext() as trace:
-        if all(at_goal(i) for i in range(n)):
-            return finish(True)
+    if all(at_goal(i) for i in range(n)):
+        return finish(True)
 
-        cycle = 0
-        while world.step < ctrl.step_limit:
-            frozen = frozenset(i for i in range(n) if at_goal(i))
-            plans, horizon, stats = propose(cycle, frozen)
-            result.planner_calls += 1
-            result.repairs += stats.get("repairs", 0)
-            result.expansions += stats.get("expansions", 0)
-            result.solved_calls += int(stats.get("solved", False))
-            cycle += 1
+    cycle = 0
+    while result.steps < ctrl.step_limit:
+        frozen = frozenset(i for i in range(n) if at_goal(i))
+        plans, horizon, stats = propose(cycle, frozen)
+        result.planner_calls += 1
+        result.repairs += stats.get("repairs", 0)
+        result.expansions += stats.get("expansions", 0)
+        result.solved_calls += int(stats.get("solved", False))
+        cycle += 1
 
-            if horizon < 1:
-                raise ValueError(f"proposer returned horizon {horizon}; it must be >= 1")
-            chunk = min(horizon, ctrl.step_limit - world.step)
-            # Each arm's executed configs, clamped as every rollout is.
-            trajs = [rollout(arm, q, plan[:chunk], ctrl.delta_limit)
-                     for arm, q, plan in zip(world.arms, world.configs, plans, strict=True)]
-            executed = 0
-            success = False
-            for s in range(chunk):
-                world.configs[:] = [t[s + 1] for t in trajs]
-                for traj, q in zip(world.trajectories, world.configs):
-                    traj.append(q)
-                world.step += 1
-                executed += 1
-                if segment_has_collision(world.arms, [t[s] for t in trajs], world.configs,
-                                         cfg.world, ctrl.exec_subsamples):
-                    result.collision = True
-                    break
-                if trace is not None:
-                    trace.write(_trace_line(world))
+        if horizon < 1:
+            raise ValueError(f"proposer returned horizon {horizon}; it must be >= 1")
+        chunk = min(horizon, ctrl.step_limit - result.steps)
+        # Each arm's executed configs, clamped as every rollout is.
+        trajs = [rollout(arm, q, plan[:chunk], ctrl.delta_limit)
+                 for arm, q, plan in zip(world.arms, world.configs, plans, strict=True)]
+        success = False
+        for s in range(1, chunk + 1):
+            world.configs[:] = [t[s] for t in trajs]
+            for traj, q in zip(world.trajectories, world.configs):
+                traj.append(q)
+            result.steps += 1
+            if segment_has_collision(world.arms, [t[s - 1] for t in trajs], world.configs,
+                                     cfg.world, ctrl.exec_subsamples):
+                result.collision = True
+                break
 
-                pos, rot = _residuals(world)
-                progressed = any(best_pos[i] - pos[i] >= ctrl.stall_eps
-                                 for i in range(n))
-                best_pos = [min(b, p) for b, p in zip(best_pos, pos)]
-                no_progress = 0 if progressed else no_progress + 1
+            pos, rot = _residuals(world)
+            progressed = any(best_pos[i] - pos[i] >= ctrl.stall_eps
+                             for i in range(n))
+            best_pos = [min(b, p) for b, p in zip(best_pos, pos)]
+            no_progress = 0 if progressed else no_progress + 1
 
-                success = all(at_goal(i) for i in range(n))
-                if success:
-                    break
-                if no_progress >= ctrl.stall_window:
-                    result.stall = True
-                    break
-            result.chunks.append(executed)
-            if success or result.collision or result.stall:
-                return finish(success)
-        return finish(False)
+            success = all(at_goal(i) for i in range(n))
+            if success:
+                break
+            if no_progress >= ctrl.stall_window:
+                result.stall = True
+                break
+        result.chunks.append(s)
+        if success or result.collision or result.stall:
+            return finish(success)
+    return finish(False)
+
+
+def write_trace(world: WorldState, path: str | Path) -> None:
+    """The `--dump` JSON lines: one per executed step, read from
+    `world.trajectories` after the episode, with the step number, every
+    arm's config and end-effector pose."""
+    with open(path, "w") as fh:
+        for step, configs in enumerate(zip(*(t[1:] for t in world.trajectories)), start=1):
+            fh.write(json.dumps({
+                "step": step,
+                "configs": [[round(float(v), 9) for v in q] for q in configs],
+                "ee": [[round(float(v), 9) for v in forward_kinematics(arm, q).as_array()]
+                       for arm, q in zip(world.arms, configs)],
+            }, sort_keys=True) + "\n")
 
 
 def run_episode(world: WorldState, single: Policy, dual: Policy | None,
-                cfg: RunConfig, seed: int, trace_path: str | Path | None = None) -> EpisodeResult:
+                cfg: RunConfig, seed: int) -> EpisodeResult:
     """DG-MAP: every cycle searches one horizon and executes its safe prefix."""
 
     def propose(cycle, frozen):
@@ -205,4 +200,4 @@ def run_episode(world: WorldState, single: Policy, dual: Policy | None,
                             cycle_seed, frozen)
         return plan.plans, plan.t_star, plan.stats
 
-    return run_loop(world, cfg, propose, trace_path)
+    return run_loop(world, cfg, propose)

@@ -95,8 +95,8 @@ class TestBaseline:
         world = make_world([arm], [np.zeros(3)], [forward_kinematics(arm, goal_q)])
         single = ScriptedPolicy(config_seeking_plans(goal_q))
         trace_path = tmp_path / "trace.jsonl"
-        result = bn.baseline_decentralized(world, single, cfg, seed=6,
-                                           trace_path=trace_path)
+        result = bn.baseline_decentralized(world, single, cfg, seed=6)
+        ctl.write_trace(world, trace_path)
         lines = [json.loads(ln) for ln in trace_path.read_text().splitlines()]
         assert result.steps > 0
         assert [ln["step"] for ln in lines] == list(range(1, result.steps + 1))
@@ -210,6 +210,23 @@ class TestRunBenchmark:
         meta = json.loads(lines[0])
         assert meta["config_digest"] == report.config_digest
         assert len(lines) == 1 + 2 * 2 * 1 * 3  # methods x arms x diffs x episodes
+
+    def test_each_task_drawn_once_for_all_methods(self, cfg, tmp_path, monkeypatch):
+        calls = []
+        real = bn.generate_task
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bn, "generate_task", counting)
+        small = tiny_bench_cfg(cfg, episodes=2, n_arms=(2,))
+        policies = {"single": GoalAwarePolicy(), "dual": ScriptedPolicy(dodge_plans)}
+        report = bn.run_benchmark(small, policies, ("dgmap", "decentralized"),
+                                  tmp_path / "out")
+        assert calls == [(2, "easy")] * 2
+        assert len(report.episodes) == 4
+        assert bn.verify_task_pairing(report, ("dgmap", "decentralized"))
 
     def test_rerun_is_byte_identical(self, cfg, tmp_path):
         small = tiny_bench_cfg(cfg, episodes=2, n_arms=(1,))

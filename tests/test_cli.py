@@ -109,6 +109,16 @@ class TestGenData:
         assert err.startswith("error=config detail=data episode counts")
         assert stdout == "" and not out.exists()
 
+    def test_non_positive_birrt_budget_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "budget.yaml"
+        cfg.write_text("data: {birrt_max_iters: -1}\n")
+        out = tmp_path / "single.mad"
+        code, stdout, err = run_cli(["gen-data", "--config", str(cfg), "--family",
+                                     "single", "--episodes", "1", "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error=config detail=birrt max iters")
+        assert stdout == "" and not out.exists()
+
     def test_sidecar_matches_header(self, tiny_dataset):
         sidecar = json.loads(Path(str(tiny_dataset) + ".json").read_text())
         loaded = dsets.load_dataset(tiny_dataset)

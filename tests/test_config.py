@@ -78,6 +78,9 @@ diffusion:
         "planner: {batch: 0}",
         "world: {x_min: 1, x_max: 1}",
         "world: {y_min: 2, y_max: -2}",
+        "data: {birrt_max_iters: 0}",
+        "data: {birrt_max_iters: -1}",
+        "data: {shortcut_attempts: -5}",
     ])
     def test_range_validation(self, tmp_path, snippet):
         path = tmp_path / "bad.yaml"

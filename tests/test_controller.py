@@ -9,7 +9,7 @@ from multiarm import controller as ctl
 from multiarm import observation as obs
 from multiarm.collision import WorldBounds, arms_collide, is_free, rollout
 from multiarm.config import load_config
-from multiarm.controller import make_world, run_episode, run_loop
+from multiarm.controller import make_world, run_episode, run_loop, write_trace
 from multiarm.kinematics import (BasePose, DimensionError, EEPose, forward_kinematics,
                                  make_arm, pos_distance, rot_distance)
 
@@ -168,7 +168,8 @@ class TestRunEpisode:
                            [forward_kinematics(arm, np.array([0.9, 0.0, 0.0]))])
         single = ScriptedPolicy(config_seeking_plans(np.array([0.9, 0.0, 0.0])))
         trace_path = tmp_path / "trace.jsonl"
-        result = run_episode(world, single, None, cfg, seed=6, trace_path=trace_path)
+        result = run_episode(world, single, None, cfg, seed=6)
+        write_trace(world, trace_path)
         lines = [json.loads(ln) for ln in trace_path.read_text().splitlines()]
         assert len(lines) == result.steps
         assert lines[0]["step"] == 1
@@ -243,20 +244,27 @@ class TestRunLoop:
         assert result.collision and not result.success
         assert result.to_json()["end_reason"] == "collision"
 
-    def test_zero_horizon_rejected(self, cfg, tmp_path, monkeypatch):
-        # The proposer's answer raises while the trace file is open; the file
-        # must still be closed.
-        opened = []
+    def test_collision_trace_ends_with_colliding_step(self, cfg, tmp_path):
+        arms, starts, goals, _ = facing_scene()
+        sweep = np.zeros((T_P, 3))
+        sweep[:, 0] = -0.1
+        world = make_world(arms, starts, goals)
+        result = run_loop(world, cfg, ScriptedProposer([sweep, sweep], T_P))
+        write_trace(world, tmp_path / "trace.jsonl")
+        lines = [json.loads(ln) for ln in (tmp_path / "trace.jsonl").read_text().splitlines()]
+        assert result.collision and result.steps > 1
+        assert [ln["step"] for ln in lines] == list(range(1, result.steps + 1))
+        # The last line holds the colliding configs: the sweep's rollout
+        # after `steps` steps, whose final segment collides.
+        trajs = [rollout(arm, q, sweep[:result.steps], cfg.controller.delta_limit)
+                 for arm, q in zip(arms, starts)]
+        assert lines[-1]["configs"] == [[round(float(v), 9) for v in t[-1]] for t in trajs]
+        assert ctl.segment_has_collision(arms, [t[-2] for t in trajs], [t[-1] for t in trajs],
+                                         cfg.world, cfg.controller.exec_subsamples)
 
-        def recording_open(*args, **kwargs):
-            opened.append(open(*args, **kwargs))
-            return opened[-1]
-
-        monkeypatch.setattr(ctl, "open", recording_open, raising=False)
+    def test_zero_horizon_rejected(self, cfg):
         with pytest.raises(ValueError, match="horizon"):
-            run_loop(two_apart_arms(), cfg, ScriptedProposer([np.zeros((T_P, 3))] * 2, 0),
-                     tmp_path / "trace.jsonl")
-        assert len(opened) == 1 and opened[0].closed
+            run_loop(two_apart_arms(), cfg, ScriptedProposer([np.zeros((T_P, 3))] * 2, 0))
 
     def test_one_plan_per_arm_required(self, cfg):
         with pytest.raises(ValueError):

@@ -59,8 +59,8 @@ class TestBirrt:
         assert path.shape == (1, 2)
 
     def test_invalid_endpoints_raise(self, rng):
-        with pytest.raises(ValueError):
-            birrt_plan(np.zeros(2), np.ones(2), lambda qs: np.all(qs == 0, axis=1), rng,
+        with pytest.raises(ValueError, match="endpoints must satisfy"):
+            birrt_plan(np.zeros(2), np.ones(2), lambda qs: bool(np.all(qs == 0)), rng,
                        np.full(2, -2.0), np.full(2, 2.0), RES)
 
     def test_free_space_straightens(self, rng):
