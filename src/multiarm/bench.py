@@ -76,12 +76,10 @@ def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,
 def resimulate_trajectory(arms, trajectories, bounds: WorldBounds,
                           subsamples: int) -> bool:
     """True when the whole recorded trajectory is collision-free under dense
-    interpolation. `trajectories[i]` is arm i's (steps + 1, dof) config
-    stack; every step of every arm goes through one `segment_has_collision`
-    call, the executor's own check."""
-    stacks = [np.asarray(t, dtype=float) for t in trajectories]
-    return not segment_has_collision(arms, [s[:-1] for s in stacks],
-                                     [s[1:] for s in stacks], bounds, subsamples)
+    interpolation. `trajectories[i]` is arm i's (steps + 1, dof) configs;
+    every step of every arm goes through one `segment_has_collision` call,
+    the executor's own check."""
+    return segment_has_collision(arms, trajectories, bounds, subsamples) is None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,8 @@ def evaluate_gates(cfg: RunConfig, report: BenchReport, methods) -> dict:
                                  if r["success"])
     margin = cfg.bench.gate_trend_margin
     if margin is not None and set(("dgmap", "decentralized")) <= set(methods):
-        ok = True
+        # Passes only when some n >= 3 was compared and every comparison holds.
+        gaps = []
         for n in cfg.bench.n_arms:
             if n < 3:
                 continue
@@ -214,9 +213,9 @@ def evaluate_gates(cfg: RunConfig, report: BenchReport, methods) -> dict:
                 if not cells:
                     break
                 pair.append(sum(c["success_rate"] for c in cells) / len(cells))
-            if len(pair) == 2 and pair[0] - pair[1] < margin:
-                ok = False
-        gates["trend"] = ok
+            if len(pair) == 2:
+                gaps.append(pair[0] - pair[1])
+        gates["trend"] = bool(gaps) and min(gaps) >= margin
     floor = cfg.bench.gate_easy_floor
     if floor is not None and "dgmap" in methods:
         rates = [c["success_rate"] for key, c in report.cells.items()

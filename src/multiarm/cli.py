@@ -23,8 +23,8 @@ from .bench import run_benchmark, toy_pointmass_suite, verify_task_pairing
 from .config import ConfigError, RunConfig, config_digest, load_config, morphology_digest
 from .controller import make_world, run_episode, write_trace
 from .seeding import TAG_TASK, substream
-from .tasks import (TaskGenerationError, TaskSpec, dual_pair_sampler, generate_task,
-                    single_arm_sampler, task_digest)
+from .tasks import (TaskFileError, TaskGenerationError, dual_pair_sampler, generate_task,
+                    load_task, single_arm_sampler, task_digest)
 
 ENV_OUT_DIR = "MULTIARM_OUT_DIR"
 ENV_WORKERS = "MULTIARM_WORKERS"
@@ -127,7 +127,7 @@ def cmd_plan(args) -> int:
     cfg = _load_cfg(args)
     policies = _policies_from_args(cfg, args, need_dual=False)
     if args.task:
-        task = TaskSpec.from_json(json.loads(Path(args.task).read_text()))
+        task = load_task(args.task, cfg)
     else:
         rng = substream(cfg.seed, TAG_TASK, args.random, 0, 0)
         task = generate_task(args.random, args.difficulty, rng, cfg, seed=cfg.seed)
@@ -276,6 +276,9 @@ def main(argv=None) -> int:
         return 2
     except TaskGenerationError as exc:
         print(f"error=task-generation detail={exc}", file=sys.stderr)
+        return 2
+    except TaskFileError as exc:
+        print(f"error=task-file detail={exc}", file=sys.stderr)
         return 2
 
 

@@ -1,19 +1,19 @@
 """Capsule collision predicates, trajectory rollout, first-conflict search.
 
 Each link is a capsule: its segment inflated by the arm's collision radius.
-Per plan step, collision is tested at the step's end configuration and at
-the midpoint interpolation. That is a heuristic, not a guarantee: per-step
+Collision is tested at states interpolated within each step: a plan at each
+step's midpoint and endpoint. That is a heuristic, not a guarantee: per-step
 deltas are clamped small relative to the capsule radii, but a swept link
 can still touch and leave contact between the two checked states (1 miss
 in 300 max-rate steps that started near contact).
 
 Every multi-arm "does anything collide" question is one
-`find_first_collision` call over one `PlanRecord` per arm. Every record
-comes from one builder, `state_record`, over a (k, d) state stack, so this
-module alone decides which states are checked: a plan's (`plan_record`) at
-each step's midpoint and endpoint, the executor's (`segment_has_collision`,
-which the resim gate also runs) at tau = s / subsamples of each step. It and
-the experts' validity predicates ask `states_conflict` over given stacks.
+`find_first_collision` call over one `PlanRecord` per arm, built by
+`state_record` over states laid out by one builder, `checked_states`:
+`per_step` states per step, step-major, so a conflict's time is its state
+index // per_step. A plan (`plan_record`) and an expert step use 2, the
+executor (`segment_has_collision`, which the resim gate also runs) its
+subsamples, and `states_conflict`, the experts' predicate, 1 per given state.
 
 Record bounds give the search a broad phase: an arm pair whose bounds are
 separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
@@ -174,25 +174,21 @@ def rollout(arm: ArmModel, q0: np.ndarray, plan: np.ndarray, delta_limit: float)
     return configs
 
 
-def _checked_states(configs: np.ndarray) -> np.ndarray:
-    """Interleave midpoint and endpoint states per step: shape (2T, d).
-
-    State 2t is the midpoint of step t, state 2t+1 its endpoint, so the
-    earliest colliding state index maps to step index // 2.
-    """
-    mids = 0.5 * (configs[:-1] + configs[1:])
-    out = np.empty((2 * (len(configs) - 1), configs.shape[1]))
-    out[0::2] = mids
-    out[1::2] = configs[1:]
-    return out
+def checked_states(configs: np.ndarray, per_step: int) -> np.ndarray:
+    """The states checked along a (T + 1, d) trajectory, step-major, shape
+    (T * per_step, d): per step t, c_t + (s / per_step) * (c_{t+1} - c_t) for
+    s = 1..per_step, so state k lies on step k // per_step."""
+    taus = np.arange(1, per_step + 1)[:, None] / per_step
+    c0 = configs[:-1, None]
+    return (c0 + taus * (configs[1:, None] - c0)).reshape(-1, configs.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
 class PlanRecord:
     """One arm's motion as first-conflict search sees it.
 
-    `configs` is a plan's rollout (T + 1, d) or the executor's interpolated
-    states, `verts` the vertex stack of the checked states, and (x_lo, y_lo,
+    `configs` is the trajectory, `verts` the vertex stack of its checked
+    states, `per_step` how many of them lie on each step, and (x_lo, y_lo,
     x_hi, y_hi) the axis-aligned bounds of every vertex in `verts`. A NaN
     vertex makes the bounds NaN, which the broad phase never prunes on; an
     empty stack makes them (inf, inf, -inf, -inf), which it always prunes.
@@ -201,51 +197,50 @@ class PlanRecord:
 
     configs: np.ndarray
     verts: np.ndarray
+    per_step: int
     x_lo: float
     y_lo: float
     x_hi: float
     y_hi: float
 
 
-def state_record(arm: ArmModel, configs: np.ndarray, states: np.ndarray) -> PlanRecord:
-    """The record of `configs`, checked at the (k, d) state stack `states`."""
+def state_record(arm: ArmModel, configs: np.ndarray, states: np.ndarray,
+                 per_step: int) -> PlanRecord:
+    """The record of `configs`, checked at the (k, d) state stack `states`,
+    `per_step` states to a step."""
     verts = chain_vertices(arm, states)
     lo = np.min(verts, axis=(0, 1), initial=np.inf)
     hi = np.max(verts, axis=(0, 1), initial=-np.inf)
-    return PlanRecord(configs, verts, float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
+    return PlanRecord(configs, verts, per_step, float(lo[0]), float(lo[1]), float(hi[0]),
+                      float(hi[1]))
 
 
 def plan_record(arm: ArmModel, q0: np.ndarray, plan: np.ndarray,
                 delta_limit: float) -> PlanRecord:
     """A plan's rollout, checked at each step's midpoint and endpoint."""
     configs = rollout(arm, q0, plan, delta_limit)
-    return state_record(arm, configs, _checked_states(configs))
+    return state_record(arm, configs, checked_states(configs, 2), 2)
 
 
 def states_conflict(arms, stacks, bounds: WorldBounds) -> bool:
     """True when a row of an arm's (k, d) state stack leaves the bounds or
     self-collides, or row r of two arms' stacks puts them in capsule contact."""
-    records = [state_record(arm, states, states) for arm, states in zip(arms, stacks)]
+    records = [state_record(arm, states, states, 1) for arm, states in zip(arms, stacks)]
     return find_first_collision(arms, records, bounds, {}) is not None
 
 
-def segment_has_collision(arms, prev_configs, new_configs, bounds: WorldBounds,
-                          subsamples: int) -> bool:
-    """The executor's check: True when an interpolated state between
-    consecutive configs leaves the bounds, self-collides or brings an arm pair
-    into capsule contact.
-
-    Arm i moves from prev_configs[i] to new_configs[i]: one config (d,) or a
-    (k, d) stack of k steps. Every step is checked at tau = s / subsamples for
-    s = 1..subsamples, so a (k, d) call answers the OR of its k one-step calls.
-    """
-    taus = np.arange(1, subsamples + 1) / subsamples
-    stacks = []
-    for arm, p, q in zip(arms, prev_configs, new_configs):
-        p = config_stack(arm, np.atleast_2d(p))
-        q = config_stack(arm, np.atleast_2d(q))
-        stacks.append((p + taus[:, None, None] * (q - p)).reshape(-1, arm.dof))
-    return states_conflict(arms, stacks, bounds)
+def segment_has_collision(arms, trajectories, bounds: WorldBounds,
+                          subsamples: int) -> Conflict | None:
+    """The executor's check: the first step of arm i's (k + 1, d) trajectory
+    `trajectories[i]` at which an interpolated state leaves the bounds,
+    self-collides or brings an arm pair into capsule contact, as a `Conflict`
+    whose time is that step's index; None when every step is clear. Each step
+    is checked at tau = s / subsamples for s = 1..subsamples."""
+    records = []
+    for arm, traj in zip(arms, trajectories):
+        traj = config_stack(arm, traj)
+        records.append(state_record(arm, traj, checked_states(traj, subsamples), subsamples))
+    return find_first_collision(arms, records, bounds, {})
 
 
 # Slack on the broad-phase gap test. The kernel measures between two points
@@ -263,24 +258,24 @@ def _separated(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanRecord) -> bool
             or rb.y_lo - ra.y_hi > reach or ra.y_lo - rb.y_hi > reach)
 
 
-def _first_self_violation(arm: ArmModel, verts: np.ndarray, bounds: WorldBounds):
-    bad = np.flatnonzero(~_verts_free(arm, verts, bounds))
-    return int(bad[0]) // 2 if len(bad) else None
+def _first_self_violation(arm: ArmModel, rec: PlanRecord, bounds: WorldBounds):
+    bad = np.flatnonzero(~_verts_free(arm, rec.verts, bounds))
+    return int(bad[0]) // rec.per_step if len(bad) else None
 
 
 def _first_pair_collision(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanRecord):
     if _separated(a, ra, b, rb):
         return None
     bad = np.flatnonzero(_verts_collide(a, ra.verts, b, rb.verts))
-    return int(bad[0]) // 2 if len(bad) else None
+    return int(bad[0]) // ra.per_step if len(bad) else None
 
 
 def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conflict | None:
     """Earliest conflict across all arms and arm pairs over the horizon.
 
     `records[i]` is arm i's `PlanRecord` (see `state_record`); a conflict's
-    time is its earliest checked state's index // 2, which is a plan step for
-    `plan_record`s. Per-arm infeasibility surfaces as a self conflict
+    time is its earliest checked state's index // per_step, a step of the
+    records' trajectories. Per-arm infeasibility surfaces as a self conflict
     (arm_i == arm_j). Ties in time break toward the lexicographically
     smallest (i, j).
 
@@ -290,7 +285,7 @@ def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conf
     reuses records across calls reuses their verdicts; a one-off call passes
     `{}`. One memo must serve one set of arms and bounds.
     """
-    if len({len(rec.configs) for rec in records}) != 1:
+    if len({(len(rec.verts), rec.per_step) for rec in records}) != 1:
         raise ValueError("all plans must share one horizon")
     n = len(arms)
     best: tuple[int, int, int] | None = None
@@ -298,7 +293,7 @@ def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conf
         for j in range(i, n):
             key = records[i] if i == j else (records[i], records[j])
             if key not in memo:
-                memo[key] = (_first_self_violation(arms[i], records[i].verts, bounds) if i == j
+                memo[key] = (_first_self_violation(arms[i], records[i], bounds) if i == j
                              else _first_pair_collision(arms[i], records[i], arms[j], records[j]))
             t = memo[key]
             if t is not None and (best is None or (t, i, j) < best):

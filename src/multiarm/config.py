@@ -103,7 +103,10 @@ class BenchConfig:
     medium_max_overlap: float = 0.25
     resim_subsamples: int = 10
     task_ring_attempts: int = 400
-    # Gates checked by the bench command; violation => nonzero exit.
+    # Gates checked by the bench command; violation => nonzero exit. A gate
+    # that compares nothing fails: the trend gate without an n_arms >= 3
+    # whose medium or hard cells both methods ran, the easy floor without a
+    # DG-MAP easy cell.
     gate_soundness: bool = True
     gate_trend_margin: float | None = None  # e.g. 0.15
     gate_easy_floor: float | None = None  # e.g. 0.70
@@ -223,6 +226,7 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 
 def validate(cfg: RunConfig) -> None:
     m, d, p, c, b = cfg.morphology, cfg.diffusion, cfg.planner, cfg.controller, cfg.bench
+    toy = cfg.toy
     checks = [
         (len(m.link_lengths) >= 1, "morphology.link_lengths must be non-empty"),
         (all(v > 0 for v in m.link_lengths), "link lengths must be positive"),
@@ -232,7 +236,8 @@ def validate(cfg: RunConfig) -> None:
         (d.obs_horizon >= 1, "obs_horizon >= 1"),
         (d.pred_horizon >= 1, "pred_horizon >= 1"),
         (d.embed_dim >= 2 and d.embed_dim % 2 == 0, "embed_dim must be even and >= 2"),
-        (all(h >= 1 for h in d.hidden_dims), "hidden dims must be positive"),
+        (len(d.hidden_dims) >= 1 and all(h >= 1 for h in d.hidden_dims),
+         "diffusion hidden dims must be non-empty and positive"),
         (d.learning_rate > 0, "learning rate must be positive"),
         (d.weight_decay >= 0, "weight decay must be nonnegative"),
         (0 < d.ema_rate <= 1, "ema rate in (0, 1]"),
@@ -257,6 +262,12 @@ def validate(cfg: RunConfig) -> None:
         (0 < b.easy_max_overlap < b.medium_max_overlap < 1,
          "difficulty thresholds must satisfy 0 < easy < medium < 1"),
         (b.resim_subsamples >= 1, "resim subsamples >= 1"),
+        (min(toy.episodes, toy.epochs, toy.batch_size, toy.eval_samples) >= 1,
+         "toy episodes, epochs, batch size and eval samples >= 1"),
+        (toy.learning_rate > 0, "toy learning rate must be positive"),
+        (len(toy.hidden_dims) >= 1 and all(h >= 1 for h in toy.hidden_dims),
+         "toy hidden dims must be non-empty and positive"),
+        (toy.monotone_slack >= 0, "toy monotone slack >= 0"),
     ]
     if m.joint_limits is not None:
         checks.append((len(m.joint_limits) == len(m.link_lengths),

@@ -5,12 +5,13 @@ configurations, executes the proposed prefix (clamped like any rollout), and
 appends the executed configs to each arm's trajectory; proposers build
 frames for the last T_o of them only (`WorldState.histories`). Execution
 asserts collision-freedom independently of planner claims by subsampling
-every executed step; any violation ends the episode as a recorded failure,
-never an exception. That check, `collision.segment_has_collision`, builds one
-record per arm from its interpolated states and asks the planner's own
-first-conflict query. `run_loop` is the executor for every method;
-`run_episode` is DG-MAP's proposer on top of it. The loop writes no file;
-`write_trace` writes the `--dump` trace from the trajectories afterwards.
+every step: one `collision.segment_has_collision` call per cycle, the
+planner's own first-conflict query over each arm's chunk, names the first
+colliding step. The loop executes up to and including it and ends the
+episode as a recorded failure, never an exception. `run_loop` is the
+executor for every method; `run_episode` is DG-MAP's proposer on top of it.
+The loop writes no file; `write_trace` writes the `--dump` trace from the
+trajectories afterwards.
 """
 
 from __future__ import annotations
@@ -32,12 +33,16 @@ from .seeding import TAG_CYCLE, substream
 
 @dataclass
 class WorldState:
-    """Mutable episode state: per arm its config, goal and trajectory (start first)."""
+    """Mutable episode state: per arm its goal and trajectory (start first)."""
 
     arms: list
-    configs: list
     goals: list[EEPose]
     trajectories: list
+
+    @property
+    def configs(self) -> list[np.ndarray]:
+        """Each arm's current configuration: its trajectory's last row."""
+        return [traj[-1] for traj in self.trajectories]
 
     def histories(self, t_o: int) -> list[np.ndarray]:
         """Each arm's (t_o, w) observation history: frames of its last t_o
@@ -47,8 +52,8 @@ class WorldState:
 
 
 def make_world(arms, start_configs, goals) -> WorldState:
-    configs = [np.asarray(q, dtype=float).copy() for q in start_configs]
-    return WorldState(list(arms), configs, list(goals), [[q] for q in configs])
+    return WorldState(list(arms), list(goals),
+                      [[np.asarray(q, dtype=float).copy()] for q in start_configs])
 
 
 @dataclass
@@ -146,14 +151,13 @@ def run_loop(world: WorldState, cfg: RunConfig, propose) -> EpisodeResult:
         # Each arm's executed configs, clamped as every rollout is.
         trajs = [rollout(arm, q, plan[:chunk], ctrl.delta_limit)
                  for arm, q, plan in zip(world.arms, world.configs, plans, strict=True)]
+        hit = segment_has_collision(world.arms, trajs, cfg.world, ctrl.exec_subsamples)
         success = False
         for s in range(1, chunk + 1):
-            world.configs[:] = [t[s] for t in trajs]
-            for traj, q in zip(world.trajectories, world.configs):
-                traj.append(q)
+            for traj, t in zip(world.trajectories, trajs):
+                traj.append(t[s])
             result.steps += 1
-            if segment_has_collision(world.arms, [t[s - 1] for t in trajs], world.configs,
-                                     cfg.world, ctrl.exec_subsamples):
+            if hit is not None and hit.time == s - 1:
                 result.collision = True
                 break
 

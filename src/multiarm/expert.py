@@ -24,8 +24,8 @@ import numpy as np
 from .collision import (  # noqa: F401
     DEFAULT_BOUNDS,
     WorldBounds,
-    _checked_states,
     arms_collide,
+    checked_states,
     is_free,
     states_conflict,
     states_free,
@@ -44,7 +44,7 @@ def steps_between(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray
 def _segment_valid(a: np.ndarray, b: np.ndarray, is_valid, resolution: float) -> bool:
     """Every waypoint from a to b and every step midpoint, in one call."""
     configs = np.concatenate([a[None, :], steps_between(a, b, resolution)])
-    return is_valid(_checked_states(configs))
+    return is_valid(checked_states(configs, 2))
 
 
 class _Tree:
@@ -93,7 +93,7 @@ def _extend(tree: _Tree, target: np.ndarray, is_valid, resolution: float):
         return "reached", near_idx
     scale = min(1.0, resolution / gap)
     new = near + scale * diff
-    if not is_valid(_checked_states(np.stack([near, new]))):
+    if not is_valid(checked_states(np.stack([near, new]), 2)):
         return "trapped", near_idx
     idx = tree.add(new, near_idx)
     return ("reached" if scale >= 1.0 else "advanced"), idx

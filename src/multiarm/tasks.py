@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +36,10 @@ DIFFICULTIES = ("easy", "medium", "hard")
 
 class TaskGenerationError(RuntimeError):
     pass
+
+
+class TaskFileError(ValueError):
+    """A task file that is not a well-formed task for the run's config."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,28 @@ class TaskSpec:
         goals = tuple(EEPose(np.asarray(g[:2], dtype=float), g[2]) for g in data["goals"])
         return TaskSpec(data["n_arms"], arms, starts, goals, data["difficulty"],
                         data["seed"], data["overlap"])
+
+
+def load_task(path, cfg: RunConfig) -> TaskSpec:
+    """The task in the JSON file at `path`. Raises `TaskFileError` unless
+    the file parses, n_arms, arms, starts and goals agree in count, each start
+    fits its arm's joints and their limits, and every arm is the config's
+    template arm on its base."""
+    try:
+        task = TaskSpec.from_json(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise TaskFileError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    if not task.n_arms == len(task.arms) == len(task.starts) == len(task.goals):
+        raise TaskFileError(f"{path}: n_arms, arms, starts and goals differ in count")
+    for i, (arm, q) in enumerate(zip(task.arms, task.starts)):
+        if arm != template_arm(cfg.morphology, arm.base):
+            raise TaskFileError(f"{path}: arm {i} differs from the config's morphology")
+        if q.shape != (arm.dof,):
+            raise TaskFileError(f"{path}: start {i} has shape {q.shape}, arm {i} has "
+                                f"{arm.dof} joints")
+        if np.any(q < arm.lower_limits) or np.any(q > arm.upper_limits):
+            raise TaskFileError(f"{path}: start {i} is outside its joint limits")
+    return task
 
 
 def task_digest(task: TaskSpec) -> str:

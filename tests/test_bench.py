@@ -16,7 +16,8 @@ from .test_collision import first_conflict
 from .test_diffusion import random_policy
 from .test_planner import (PerRowReference, PerRowSampling, ScriptedPolicy, dodge_plans,
                            facing_scene, plan_cost_terms, ring_scene, straight_plans)
-from .test_controller import TIGHT, config_seeking_plans, random_layout, random_steps
+from .test_controller import (TIGHT, config_seeking_plans, random_layout, random_steps,
+                              step_conflict)
 
 T_P = 16
 
@@ -180,7 +181,7 @@ class TestResim:
             got = bn.resimulate_trajectory(arms, trajs, TIGHT, 10)
             assert len(calls) == 1
             # The per-step reference: the old loop over consecutive states.
-            ref = not any(real(arms, list(prev), list(new), TIGHT, 10)
+            ref = not any(step_conflict(arms, prev, new, TIGHT, 10) is not None
                           for prev, new in zip(recorded[:-1], recorded[1:]))
             assert got == ref
             verdicts.append(got)
@@ -189,8 +190,8 @@ class TestResim:
     def test_one_state_trajectory_is_clear(self):
         arms = [make_arm((1.0,), BasePose(0.0, y, 0.0), 0.1) for y in (0.0, 0.05)]
         # The only state collides, but no step is taken, so nothing is checked.
-        assert ctl.segment_has_collision(arms, [np.zeros(1)] * 2, [np.zeros(1)] * 2,
-                                         bn.WorldBounds(), 10)
+        assert step_conflict(arms, [np.zeros(1)] * 2, [np.zeros(1)] * 2,
+                             bn.WorldBounds(), 10) is not None
         assert bn.resimulate_trajectory(arms, [np.zeros((1, 1))] * 2,
                                         bn.WorldBounds(), 10)
 
@@ -329,6 +330,19 @@ class TestGates:
         gates = bn.evaluate_gates(gated, self.make_report(cells),
                                   ("dgmap", "decentralized"))
         assert not gates["trend"]
+
+    @pytest.mark.parametrize("n_arms,keep", [
+        ((2,), ("dgmap", "decentralized")),
+        ((3,), ("dgmap",)),
+    ], ids=["no-n-of-three", "one-method-only"])
+    def test_trend_gate_fails_when_nothing_compared(self, cfg, n_arms, keep):
+        gated = dataclasses.replace(cfg, bench=dataclasses.replace(
+            cfg.bench, n_arms=n_arms, gate_trend_margin=0.15))
+        cells = {(method, n, diff): {"success_rate": 1.0 if method == "dgmap" else 0.0,
+                                     "mean_steps": 10, "episodes": 4}
+                 for method in keep for n in n_arms for diff in ("medium", "hard")}
+        gates = bn.evaluate_gates(gated, self.make_report(cells), ("dgmap", "decentralized"))
+        assert gates["trend"] is False
 
 
 class TestToyPieces:

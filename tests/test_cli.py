@@ -12,6 +12,8 @@ from multiarm import cli
 from multiarm import datasets as dsets
 from multiarm import diffusion as dif
 from multiarm.config import load_config
+from multiarm.kinematics import BasePose, EEPose, make_arm
+from multiarm.tasks import TaskSpec, generate_task, task_digest
 
 from .conftest import with_header_key
 
@@ -198,6 +200,51 @@ class TestPlan:
         assert "missing-task" in err
 
 
+def out_of_limits_task_json():
+    """A generated 1-arm task whose start has a joint past its pi limit."""
+    task = generate_task(1, "easy", np.random.default_rng(2), load_config(None)).to_json()
+    task["starts"][0][0] = 4.0
+    return json.dumps(task)
+
+
+def two_link_task_json():
+    """A well-formed 2-arm task whose arms have 2 links."""
+    arms = [make_arm((0.5, 0.5), BasePose(x, 0.0, 0.0), 0.11) for x in (-1.5, 1.5)]
+    goals = [EEPose(np.array([x, 0.5]), 0.0) for x in (-1.0, 1.0)]
+    task = TaskSpec(2, tuple(arms), (np.zeros(2), np.zeros(2)), tuple(goals), "easy", 0, 0.0)
+    return json.dumps(task.to_json())
+
+
+class TestTaskFile:
+    @pytest.mark.parametrize("text", [
+        '{"n_arms": 2}',
+        "not json {",
+        two_link_task_json(),
+        out_of_limits_task_json(),
+    ], ids=["missing-field", "not-json", "wrong-morphology", "start-out-of-limits"])
+    def test_bad_task_file_is_one_error_line(self, tmp_path, small_cfg_file,
+                                             tiny_checkpoint, text, capsys):
+        task = tmp_path / "task.json"
+        task.write_text(text)
+        code, stdout, err = run_cli(["plan", "--config", small_cfg_file, "--task", str(task),
+                                     "--single", str(tiny_checkpoint)], capsys)
+        assert code == 2
+        assert err.startswith("error=task-file detail=")
+        assert len(err.splitlines()) == 1
+        assert stdout == ""
+
+    def test_generated_task_file_runs(self, tmp_path, small_cfg_file, tiny_checkpoint,
+                                      capsys):
+        cfg = load_config(small_cfg_file)
+        task = generate_task(1, "easy", np.random.default_rng(2), cfg)
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps(task.to_json()))
+        code, stdout, _ = run_cli(["plan", "--config", small_cfg_file, "--task", str(path),
+                                   "--single", str(tiny_checkpoint)], capsys)
+        assert code == 0
+        assert json.loads(stdout.strip().splitlines()[-1])["task_digest"] == task_digest(task)
+
+
 class TestLayout:
     def test_width_table(self, capsys):
         code, stdout, _ = run_cli(["layout"], capsys)
@@ -321,6 +368,16 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("error=config detail=")
         assert len(err.splitlines()) == 1
+        assert stdout == ""
+
+    def test_toy_zero_batch_refused(self, tmp_path, capsys):
+        # Unchecked, the toy suite built its dataset and then failed in
+        # `range()` with a zero step.
+        cfg = tmp_path / "toy.yaml"
+        cfg.write_text("toy: {batch_size: 0}\n")
+        code, stdout, err = run_cli(["toy", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert err.startswith("error=config detail=")
         assert stdout == ""
 
     @pytest.mark.parametrize("value,line", [

@@ -81,6 +81,17 @@ diffusion:
         "data: {birrt_max_iters: 0}",
         "data: {birrt_max_iters: -1}",
         "data: {shortcut_attempts: -5}",
+        "diffusion: {hidden_dims: []}",
+        "diffusion: {hidden_dims: [64, 0]}",
+        "toy: {episodes: 0}",
+        "toy: {epochs: 0}",
+        "toy: {batch_size: 0}",
+        "toy: {eval_samples: 0}",
+        "toy: {learning_rate: 0}",
+        "toy: {learning_rate: -1.0e-3}",
+        "toy: {hidden_dims: []}",
+        "toy: {hidden_dims: [0]}",
+        "toy: {monotone_slack: -0.01}",
     ])
     def test_range_validation(self, tmp_path, snippet):
         path = tmp_path / "bad.yaml"

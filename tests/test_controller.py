@@ -259,8 +259,13 @@ class TestRunLoop:
         trajs = [rollout(arm, q, sweep[:result.steps], cfg.controller.delta_limit)
                  for arm, q in zip(arms, starts)]
         assert lines[-1]["configs"] == [[round(float(v), 9) for v in t[-1]] for t in trajs]
-        assert ctl.segment_has_collision(arms, [t[-2] for t in trajs], [t[-1] for t in trajs],
-                                         cfg.world, cfg.controller.exec_subsamples)
+        sub = cfg.controller.exec_subsamples
+        assert step_conflict(arms, [t[-2] for t in trajs], [t[-1] for t in trajs],
+                             cfg.world, sub) is not None
+        # Every step before the last is clear.
+        for s in range(1, result.steps):
+            assert step_conflict(arms, [t[s - 1] for t in trajs], [t[s] for t in trajs],
+                                 cfg.world, sub) is None
 
     def test_zero_horizon_rejected(self, cfg):
         with pytest.raises(ValueError, match="horizon"):
@@ -306,6 +311,21 @@ class TestRunLoop:
         # Two arms: the starting residuals, one set per step, the final set.
         assert len(calls) == 2 * (result.steps + 2)
 
+    def test_safety_check_once_per_cycle(self, cfg, monkeypatch):
+        calls = []
+        real = ctl.segment_has_collision
+
+        def counting(arms, trajectories, bounds, subsamples):
+            calls.append([len(t) for t in trajectories])
+            return real(arms, trajectories, bounds, subsamples)
+
+        monkeypatch.setattr(ctl, "segment_has_collision", counting)
+        result = run_loop(two_apart_arms(), limited(cfg, 9),
+                          ScriptedProposer([np.zeros((T_P, 3))] * 2, 4))
+        assert result.chunks == [4, 4, 1]
+        # One call per cycle, over each arm's chunk rollout.
+        assert calls == [[5, 5], [5, 5], [2, 2]]
+
     def test_stats_accumulate_from_proposer(self, cfg):
         plans = [np.zeros((T_P, 3))] * 2
         stats = {"repairs": 2, "expansions": 3, "solved": True}
@@ -343,6 +363,14 @@ class TestRunLoop:
                 expect.extend(rollout(arm, expect[-1], plan[:chunk], delta)[1:])
             assert np.stack(traj).tobytes() == np.stack(expect).tobytes()
         assert all(t[-1] is q for t, q in zip(world.trajectories, world.configs))
+
+
+def step_conflict(arms, prev_configs, new_configs, bounds, subsamples):
+    """`segment_has_collision` over one step per arm, prev_configs[i] to
+    new_configs[i]: each arm's trajectory is the stack of the two."""
+    return ctl.segment_has_collision(arms, [np.stack([p, q]) for p, q in
+                                            zip(prev_configs, new_configs)],
+                                     bounds, subsamples)
 
 
 def scalar_segment_has_collision(arms, prev_configs, new_configs, bounds, subsamples):
@@ -393,22 +421,21 @@ class TestSegmentCollision:
         prev = [np.array([0.6]), np.array([-0.6])]
         new = [np.array([-0.6]), np.array([0.6])]
         # The arms swap sides: straight-line interpolation must cross.
-        assert ctl.segment_has_collision([a, b], prev, new, WorldBounds(), 10)
+        assert step_conflict([a, b], prev, new, WorldBounds(), 10) is not None
 
     def test_clear_motion(self, cfg):
         a = make_arm((0.5,), BasePose(-1.5, 0, 0), 0.1)
         b = make_arm((0.5,), BasePose(1.5, 0, 0), 0.1)
         prev = [np.array([0.3]), np.array([0.3])]
         new = [np.array([-0.3]), np.array([-0.3])]
-        assert not ctl.segment_has_collision([a, b], prev, new, WorldBounds(), 10)
+        assert step_conflict([a, b], prev, new, WorldBounds(), 10) is None
 
     def test_wrong_shapes_rejected(self):
         arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
         with pytest.raises(DimensionError):
-            ctl.segment_has_collision([arm], [np.zeros(3)], [np.zeros(3)], WorldBounds(), 2)
+            step_conflict([arm], [np.zeros(3)], [np.zeros(3)], WorldBounds(), 2)
         with pytest.raises(DimensionError):
-            ctl.segment_has_collision([arm], [np.zeros((4, 3))], [np.zeros((4, 3))],
-                                      WorldBounds(), 2)
+            ctl.segment_has_collision([arm], [np.zeros((4, 3))], WorldBounds(), 2)
 
     @pytest.mark.parametrize("subsamples", [1, 10])
     def test_matches_scalar_reference(self, subsamples):
@@ -417,7 +444,7 @@ class TestSegmentCollision:
         for trial in range(300):
             arms = random_layout(rng, 1 + trial % 6)
             prev, new = random_steps(rng, arms)
-            got = ctl.segment_has_collision(arms, prev, new, TIGHT, subsamples)
+            got = step_conflict(arms, prev, new, TIGHT, subsamples) is not None
             assert got == scalar_segment_has_collision(arms, prev, new, TIGHT, subsamples)
             verdicts.append(got)
         assert 0.2 < np.mean(verdicts) < 0.8
@@ -428,14 +455,14 @@ class TestSegmentCollision:
         fold = np.array([0.0, 3.0, 3.0])
         assert not is_free(folded, fold, WorldBounds())
         for prev, new in ((np.zeros(3), fold), (fold, np.zeros(3))):
-            assert ctl.segment_has_collision([folded], [prev], [new], WorldBounds(), 10)
+            assert step_conflict([folded], [prev], [new], WorldBounds(), 10) is not None
             assert scalar_segment_has_collision([folded], [prev], [new], WorldBounds(), 10)
         # Straight out, the tip capsule reaches x = 1.6; folded up, x = 1.1.
         up, out = np.array([math.pi / 2, -math.pi / 2, 0.0]), np.zeros(3)
         for x_max, hit in ((1.55, True), (1.7, False)):
             bounds = WorldBounds(-1.0, x_max, -1.0, 1.0)
             for s in (1, 10):
-                assert ctl.segment_has_collision([folded], [up], [out], bounds, s) == hit
+                assert (step_conflict([folded], [up], [out], bounds, s) is not None) == hit
                 assert scalar_segment_has_collision([folded], [up], [out], bounds, s) == hit
 
     def test_near_contact_pairs(self):
@@ -448,7 +475,7 @@ class TestSegmentCollision:
                 a = make_arm((1.0,), BasePose(0.0, 0.0, 0.0), 0.1)
                 b = make_arm((1.0,), BasePose(0.0, order * gap, 0.0), 0.1)
                 q = [np.zeros(1), np.zeros(1)]
-                got = ctl.segment_has_collision([a, b], q, q, WorldBounds(), 10)
+                got = step_conflict([a, b], q, q, WorldBounds(), 10) is not None
                 assert got == scalar_segment_has_collision([a, b], q, q, WorldBounds(), 10)
                 assert got == (gap < 0.2)
                 seen.add(got)
@@ -463,7 +490,7 @@ class TestSegmentCollision:
         prev = [np.zeros(1), np.zeros(1)]
         new = [np.array([math.pi / 2]), np.zeros(1)]
         for s, hit in ((1, False), (2, True), (3, False), (10, True)):
-            assert ctl.segment_has_collision([a, b], prev, new, WorldBounds(), s) == hit
+            assert (step_conflict([a, b], prev, new, WorldBounds(), s) is not None) == hit
             assert scalar_segment_has_collision([a, b], prev, new, WorldBounds(), s) == hit
 
     @pytest.mark.parametrize("subsamples", [1, 10])
@@ -474,14 +501,33 @@ class TestSegmentCollision:
             arms = random_layout(rng, 1 + trial % 6)
             k = int(rng.integers(1, 8))
             trajs = random_steps(rng, arms, k=k, reach=0.15)
-            got = ctl.segment_has_collision(arms, [t[:-1] for t in trajs],
-                                            [t[1:] for t in trajs], TIGHT, subsamples)
-            steps = [ctl.segment_has_collision(arms, [t[s] for t in trajs],
-                                               [t[s + 1] for t in trajs], TIGHT, subsamples)
+            got = ctl.segment_has_collision(arms, trajs, TIGHT, subsamples) is not None
+            steps = [step_conflict(arms, [t[s] for t in trajs], [t[s + 1] for t in trajs],
+                                   TIGHT, subsamples) is not None
                      for s in range(k)]
             assert got == any(steps)
             verdicts.append(got)
         assert 0.2 < np.mean(verdicts) < 0.8
+
+    @pytest.mark.parametrize("subsamples", [1, 2, 10])
+    def test_conflict_time_is_first_flagged_step(self, subsamples):
+        rng = np.random.default_rng(200 + subsamples)
+        times = []
+        for trial in range(150):
+            arms = random_layout(rng, 1 + trial % 6)
+            k = int(rng.integers(1, 8))
+            trajs = random_steps(rng, arms, k=k, reach=0.15)
+            flagged = [s for s in range(k)
+                       if step_conflict(arms, [t[s] for t in trajs], [t[s + 1] for t in trajs],
+                                        TIGHT, subsamples) is not None]
+            got = ctl.segment_has_collision(arms, trajs, TIGHT, subsamples)
+            if flagged:
+                assert got is not None and got.time == flagged[0]
+            else:
+                assert got is None
+            times.append(None if got is None else got.time)
+        # Clear chunks, first-step hits and later-step hits all occur.
+        assert None in times and 0 in times and any(t for t in times)
 
     def test_far_pair_skips_the_kernel(self, monkeypatch):
         # Two-link arms make no self kernel call, and these two never come
@@ -490,10 +536,10 @@ class TestSegmentCollision:
         arms = [make_arm((0.5, 0.5), BasePose(x, 0.0, 0.0), 0.1) for x in (-1.5, 1.5)]
         prev = [np.array([0.3, -0.2]), np.array([2.8, 0.1])]
         new = [np.array([0.4, -0.1]), np.array([2.9, 0.2])]
-        assert not ctl.segment_has_collision(arms, prev, new, WorldBounds(), 10)
+        assert step_conflict(arms, prev, new, WorldBounds(), 10) is None
         assert spy.calls == []
 
     def test_empty_step_stack_is_clear(self):
         arms = [make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)] * 2
-        empty = [np.zeros((0, 2))] * 2
-        assert not ctl.segment_has_collision(arms, empty, empty, WorldBounds(), 10)
+        empty = [np.zeros((1, 2))] * 2
+        assert ctl.segment_has_collision(arms, empty, WorldBounds(), 10) is None
