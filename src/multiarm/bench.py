@@ -20,7 +20,7 @@ import numpy as np
 
 from . import observation as obs
 from .collision import WorldBounds, find_first_collision, rollout, segment_has_collision
-from .config import RunConfig, config_digest, morphology_digest
+from .config import DIFFICULTIES, RunConfig, config_digest, morphology_digest
 from .controller import EpisodeResult, WorldState, make_world, run_episode, run_loop
 from .datasets import Dataset, episode_windows, generate_dataset, path_to_deltas
 from .diffusion import Policy, cosine_schedule, policy_from_state, train
@@ -28,7 +28,7 @@ from .kinematics import BasePose, EEPose, forward_kinematics, make_arm, pos_dist
 from .nets import DenoiserMLP
 from .planner import candidate, init_plans
 from .seeding import METHOD_IDS, TAG_EPISODE, TAG_TASK, TAG_TOY, substream
-from .tasks import DIFFICULTIES, generate_task, task_digest
+from .tasks import generate_task, task_digest
 
 METHODS = tuple(METHOD_IDS)
 
@@ -144,12 +144,22 @@ def _run_task(n_arms, difficulty, episode, methods, master_seed, cfg, policies):
     return records
 
 
+def check_methods(methods) -> None:
+    """Raise ValueError unless `methods` names known methods, at least one,
+    each once."""
+    if not methods:
+        raise ValueError(f"no method given; known {list(METHODS)}")
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; known {list(METHODS)}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"a method is repeated in {list(methods)}")
+
+
 def run_benchmark(cfg: RunConfig, policies, methods, out_dir: str | Path,
                   workers: int = 1) -> BenchReport:
     """Run the full matrix and write report.csv + episodes.jsonl."""
-    for method in methods:
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}")
+    check_methods(methods)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)

@@ -19,8 +19,9 @@ import numpy as np
 from . import datasets as dsets
 from . import diffusion as dif
 from . import observation as obsmod
-from .bench import run_benchmark, toy_pointmass_suite, verify_task_pairing
-from .config import ConfigError, RunConfig, config_digest, load_config, morphology_digest
+from .bench import check_methods, run_benchmark, toy_pointmass_suite, verify_task_pairing
+from .config import (DIFFICULTIES, ConfigError, RunConfig, config_digest, load_config,
+                     morphology_digest)
 from .controller import make_world, run_episode, write_trace
 from .seeding import TAG_TASK, substream
 from .tasks import (TaskFileError, TaskGenerationError, dual_pair_sampler, generate_task,
@@ -143,8 +144,13 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = _load_cfg(args)
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+    try:
+        check_methods(methods)
+    except ValueError as exc:
+        print(f"error=bad-option option=--methods detail={exc}", file=sys.stderr)
+        return 2
+    cfg = _load_cfg(args)
     policies = _policies_from_args(cfg, args, need_dual="dgmap" in methods)
     out_dir = _out_path(args.out)
     report = run_benchmark(cfg, policies, methods, out_dir, workers=args.workers)
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--task", default=None, help="task JSON path")
     p.add_argument("--random", type=int, default=None, metavar="N_ARMS")
-    p.add_argument("--difficulty", default="easy", choices=("easy", "medium", "hard"))
+    p.add_argument("--difficulty", default="easy", choices=DIFFICULTIES)
     p.add_argument("--single", required=True, help="single-arm checkpoint")
     p.add_argument("--dual", default=None, help="dual-arm checkpoint")
     p.add_argument("--dump", default=None, help="trajectory JSONL path")

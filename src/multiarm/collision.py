@@ -37,8 +37,6 @@ import numpy as np
 from .config import WorldBounds
 from .kinematics import ArmModel, chain_vertices, config_stack
 
-DEFAULT_BOUNDS = WorldBounds()
-
 
 @dataclass(frozen=True)
 class Conflict:
@@ -134,7 +132,7 @@ def _verts_collide(a: ArmModel, va: np.ndarray, b: ArmModel, vb: np.ndarray) -> 
     return np.any(dist < a.collision_radius + b.collision_radius, axis=(1, 2))
 
 
-def states_free(arm: ArmModel, qs, bounds: WorldBounds = DEFAULT_BOUNDS) -> np.ndarray:
+def states_free(arm: ArmModel, qs, bounds: WorldBounds) -> np.ndarray:
     """Per row of a (k, d) config stack: self-collision-free and fully inside
     the world rectangle. Returns (k,) bools."""
     return _verts_free(arm, chain_vertices(arm, qs), bounds)
@@ -146,7 +144,7 @@ def states_collide(a: ArmModel, qa, b: ArmModel, qb) -> np.ndarray:
     return _verts_collide(a, chain_vertices(a, qa), b, chain_vertices(b, qb))
 
 
-def is_free(arm: ArmModel, q: np.ndarray, bounds: WorldBounds = DEFAULT_BOUNDS) -> bool:
+def is_free(arm: ArmModel, q: np.ndarray, bounds: WorldBounds) -> bool:
     """Self-collision-free and fully inside the world rectangle."""
     return bool(states_free(arm, np.asarray(q, dtype=float)[None], bounds)[0])
 

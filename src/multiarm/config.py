@@ -1,23 +1,32 @@
-"""Run configuration: defaults, YAML loading, validation, canonical digest.
+"""Run configuration: one declaration per setting, YAML loading, canonical digest.
 
-An empty file (or no file) loads the full default configuration. Every
-field is type- and range-checked at load time, and the resolved config has
-a stable digest that is embedded in datasets, checkpoints, and benchmark
-reports.
+Each setting is declared once, as a section field carrying its type, default
+and bound: `batch: Annotated[int, Range(ge=1)] = 10`. Every section checks its
+fields when it is built, from YAML, by `--seed` or by `dataclasses.replace`:
+ints are not bools, floats take ints unconverted (so a digest does not depend
+on how a number was written) and must be finite, lists become non-empty
+tuples, None passes only where the type allows it, and a `Range` bounds a
+number or each item of a list. Rules that tie fields together sit in the
+section's `_check`. Errors name the YAML path (`controller.pos_tol: ...`).
+An empty file (or none) loads the defaults; the config's digest is embedded
+in datasets, checkpoints and benchmark reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import yaml
+
+DIFFICULTIES = ("easy", "medium", "hard")
 
 
 class ConfigError(ValueError):
@@ -25,16 +34,110 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class MorphologyConfig:
-    link_lengths: tuple[float, ...] = (0.5, 0.3, 0.2)
-    # None means (-pi, pi) on every joint.
-    joint_limits: tuple[tuple[float, float], ...] | None = None
-    collision_radius: float = 0.11
-    workspace_scale: float = 0.85
+class Range:
+    """Bound on a number, or on each item of a list; None leaves a side open."""
+
+    ge: float | None = None
+    gt: float | None = None
+    le: float | None = None
+    lt: float | None = None
+
+    def __call__(self, x) -> bool:
+        return all(getattr(operator, op)(x, v) for op, v in vars(self).items() if v is not None)
+
+    def __str__(self) -> str:
+        signs = {"ge": ">=", "gt": ">", "le": "<=", "lt": "<"}
+        return " and ".join(f"{signs[op]} {v}" for op, v in vars(self).items() if v is not None)
+
+
+class Distinct:
+    """A list whose items must not repeat."""
+
+
+@functools.cache
+def _declared(cls) -> tuple[str, dict]:
+    """(YAML path prefix, field hints with their bounds) of section `cls`."""
+    sections = {hint: f"{name}." for name, hint in get_type_hints(RunConfig).items()}
+    return sections.get(cls, ""), get_type_hints(cls, include_extras=True)
+
+
+class _Section:
+    """Checks every field against its declaration when the section is built."""
+
+    def __post_init__(self):
+        prefix, hints = _declared(type(self))
+        for f in dataclasses.fields(self):
+            value = _checked(getattr(self, f.name), hints[f.name], prefix + f.name)
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Rules that tie fields of this section together."""
+
+    def _refuse(self, name: str, problem: str):
+        raise ConfigError(f"{_declared(type(self))[0]}{name}: {problem}")
+
+
+def _checked(value, hint, where: str, bounds=()):
+    """`value` checked against the field type `hint` and its bounds, with
+    lists as tuples; anything else raises `ConfigError`."""
+    if get_origin(hint) is Annotated:
+        hint, *extra = get_args(hint)
+        bounds = (*bounds, *extra)
+    args = get_args(hint)
+    if type(None) in args:  # an optional field
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return _checked(value, hint, where, bounds)
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, hint):
+            raise ConfigError(f"{where}: expected a {hint.__name__}, got {value!r}")
+        return value
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            if not value:
+                raise ConfigError(f"{where}: must be non-empty")
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} items, got {value!r}")
+        items = tuple(_checked(v, a, f"{where}[{k}]",
+                               [b for b in bounds if not isinstance(b, Distinct)])
+                      for k, (v, a) in enumerate(zip(value, args)))
+        if any(isinstance(b, Distinct) for b in bounds) and len(set(items)) < len(items):
+            raise ConfigError(f"{where}: must not repeat items, got {list(items)}")
+        return items
+    ok = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}[hint]
+    if not isinstance(value, ok) or (hint is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: must be finite, got {value!r}")
+    for bound in bounds:
+        if not bound(value):
+            raise ConfigError(f"{where}: must be {bound}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
-class WorldBounds:
+class MorphologyConfig(_Section):
+    link_lengths: Annotated[tuple[float, ...], Range(gt=0)] = (0.5, 0.3, 0.2)
+    # None means (-pi, pi) on every joint.
+    joint_limits: tuple[tuple[float, float], ...] | None = None
+    collision_radius: Annotated[float, Range(gt=0)] = 0.11
+    workspace_scale: Annotated[float, Range(gt=0, le=1)] = 0.85
+
+    def _check(self):
+        limits = self.joint_limits
+        if limits is not None and (len(limits) != len(self.link_lengths)
+                                   or any(lo >= hi for lo, hi in limits)):
+            self._refuse("joint_limits", f"must be one (lo, hi) pair per link with lo < hi, "
+                         f"got {limits}")
+
+
+@dataclass(frozen=True)
+class WorldBounds(_Section):
     """Static rectangular workspace that every link must stay inside."""
 
     x_min: float = -3.0
@@ -42,91 +145,102 @@ class WorldBounds:
     y_min: float = -3.0
     y_max: float = 3.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.x_min >= self.x_max or self.y_min >= self.y_max:
-            raise ConfigError("world bounds must be a proper rectangle")
+            self._refuse("x_max", "must be a proper rectangle: x_min < x_max, y_min < y_max")
 
 
 @dataclass(frozen=True)
-class DiffusionConfig:
-    denoise_steps: int = 100
-    obs_horizon: int = 2
-    pred_horizon: int = 16
-    embed_dim: int = 256
-    hidden_dims: tuple[int, ...] = (256, 256)
-    learning_rate: float = 1e-4
-    weight_decay: float = 1e-6
-    ema_rate: float = 0.001
-    epochs: int = 60
-    batch_size: int = 256
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
+class DiffusionConfig(_Section):
+    denoise_steps: Annotated[int, Range(ge=1)] = 100
+    obs_horizon: Annotated[int, Range(ge=1)] = 2
+    pred_horizon: Annotated[int, Range(ge=1)] = 16
+    embed_dim: Annotated[int, Range(ge=2)] = 256  # even, see _check
+    hidden_dims: Annotated[tuple[int, ...], Range(ge=1)] = (256, 256)
+    learning_rate: Annotated[float, Range(gt=0)] = 1e-4
+    weight_decay: Annotated[float, Range(ge=0)] = 1e-6
+    ema_rate: Annotated[float, Range(gt=0, le=1)] = 0.001
+    epochs: Annotated[int, Range(ge=1)] = 60
+    batch_size: Annotated[int, Range(ge=1)] = 256
+    adam_beta1: Annotated[float, Range(ge=0, lt=1)] = 0.9
+    adam_beta2: Annotated[float, Range(ge=0, lt=1)] = 0.999
+    adam_eps: Annotated[float, Range(gt=0)] = 1e-8
+
+    def _check(self):
+        if self.embed_dim % 2:
+            self._refuse("embed_dim", f"must be even, got {self.embed_dim}")
 
 
 @dataclass(frozen=True)
-class PlannerConfig:
-    batch: int = 10  # candidate plans sampled per arm
-    collision_penalty: float = 10.0
-    max_expansions: int = 80
+class PlannerConfig(_Section):
+    batch: Annotated[int, Range(ge=1)] = 10  # candidate plans sampled per arm
+    collision_penalty: Annotated[float, Range(ge=0)] = 10.0
+    max_expansions: Annotated[int, Range(ge=0)] = 80
     # Wall-clock cutoff. None keeps planning fully deterministic, which the
     # reproducibility gate needs; set a number for interactive use.
-    timeout_s: float | None = None
+    timeout_s: Annotated[float | None, Range(ge=0)] = None
 
 
 @dataclass(frozen=True)
-class ControllerConfig:
-    pos_tol: float = 0.03
-    rot_tol: float = 0.1
-    step_limit: int = 400
-    delta_limit: float = 0.1
-    stall_window: int = 50
-    stall_eps: float = 1e-4
-    exec_subsamples: int = 10
-    baseline_chunk: int = 8
+class ControllerConfig(_Section):
+    pos_tol: Annotated[float, Range(gt=0)] = 0.03
+    rot_tol: Annotated[float, Range(gt=0)] = 0.1
+    step_limit: Annotated[int, Range(ge=1)] = 400
+    delta_limit: Annotated[float, Range(gt=0)] = 0.1
+    stall_window: Annotated[int, Range(ge=1)] = 50
+    stall_eps: Annotated[float, Range(gt=0)] = 1e-4
+    exec_subsamples: Annotated[int, Range(ge=1)] = 10
+    baseline_chunk: Annotated[int, Range(ge=1)] = 8
 
 
 @dataclass(frozen=True)
-class DataConfig:
-    single_episodes: int = 1200
-    dual_episodes: int = 700
-    birrt_max_iters: int = 4000
-    shortcut_attempts: int = 100
+class DataConfig(_Section):
+    single_episodes: Annotated[int, Range(ge=0)] = 1200
+    dual_episodes: Annotated[int, Range(ge=0)] = 700
+    birrt_max_iters: Annotated[int, Range(ge=1)] = 4000
+    shortcut_attempts: Annotated[int, Range(ge=0)] = 100
 
 
 @dataclass(frozen=True)
-class BenchConfig:
-    n_arms: tuple[int, ...] = (2, 3, 4, 5, 6)
-    difficulties: tuple[str, ...] = ("easy", "medium", "hard")
-    episodes_per_cell: int = 100
-    easy_max_overlap: float = 0.05
+class BenchConfig(_Section):
+    n_arms: Annotated[tuple[int, ...], Range(ge=1), Distinct()] = (2, 3, 4, 5, 6)
+    difficulties: Annotated[tuple[str, ...], Distinct()] = DIFFICULTIES
+    episodes_per_cell: Annotated[int, Range(ge=0)] = 100
+    easy_max_overlap: float = 0.05  # 0 < easy < medium < 1, see _check
     medium_max_overlap: float = 0.25
-    resim_subsamples: int = 10
-    task_ring_attempts: int = 400
+    resim_subsamples: Annotated[int, Range(ge=1)] = 10
+    task_ring_attempts: Annotated[int, Range(ge=1)] = 400
     # Gates checked by the bench command; violation => nonzero exit. A gate
     # that compares nothing fails: the trend gate without an n_arms >= 3
     # whose medium or hard cells both methods ran, the easy floor without a
     # DG-MAP easy cell.
     gate_soundness: bool = True
-    gate_trend_margin: float | None = None  # e.g. 0.15
-    gate_easy_floor: float | None = None  # e.g. 0.70
+    gate_trend_margin: Annotated[float | None, Range(ge=-1, le=1)] = None  # e.g. 0.15
+    gate_easy_floor: Annotated[float | None, Range(ge=0, le=1)] = None  # e.g. 0.70
+
+    def _check(self):
+        unknown = [d for d in self.difficulties if d not in DIFFICULTIES]
+        if unknown:
+            self._refuse("difficulties", f"unknown {unknown}; known {list(DIFFICULTIES)}")
+        if not 0 < self.easy_max_overlap < self.medium_max_overlap < 1:
+            self._refuse("medium_max_overlap", "thresholds must satisfy 0 < easy < medium < 1")
 
 
 @dataclass(frozen=True)
-class ToyConfig:
-    episodes: int = 500
-    epochs: int = 250
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    hidden_dims: tuple[int, ...] = (256, 256)
-    eval_samples: int = 200
+class ToyConfig(_Section):
+    episodes: Annotated[int, Range(ge=1)] = 500
+    epochs: Annotated[int, Range(ge=1)] = 250
+    batch_size: Annotated[int, Range(ge=1)] = 128
+    learning_rate: Annotated[float, Range(gt=0)] = 1e-3
+    hidden_dims: Annotated[tuple[int, ...], Range(ge=1)] = (256, 256)
+    eval_samples: Annotated[int, Range(ge=1)] = 200
     # Tolerated single-step retreat in tip distance; 20% of the tip motion
     # of one full-rate step. Net progress is enforced separately.
-    monotone_slack: float = 0.02
+    monotone_slack: Annotated[float, Range(ge=0)] = 0.02
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Section):
     morphology: MorphologyConfig = field(default_factory=MorphologyConfig)
     world: WorldBounds = field(default_factory=WorldBounds)
     diffusion: DiffusionConfig = field(default_factory=DiffusionConfig)
@@ -135,161 +249,45 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     bench: BenchConfig = field(default_factory=BenchConfig)
     toy: ToyConfig = field(default_factory=ToyConfig)
-    seed: int = 0
+    seed: Annotated[int, Range(ge=0)] = 0
 
 
-def _build(cls, data, path):
-    if data is None:
-        data = {}
+def _build(cls, data, path: str):
+    """`cls` from the YAML mapping `data` at `path`; sections nest."""
+    data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(data).__name__}")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     hints = get_type_hints(cls)
-    return cls(**{name: _typed(value, hints[name], f"{path}.{name}")
+    return cls(**{name: _build(hints[name], value, name)
+                  if dataclasses.is_dataclass(hints[name]) else value
                   for name, value in data.items()})
-
-
-def _typed(value, hint, where: str):
-    """`value` checked against the field type `hint`, with lists as tuples.
-
-    Ints are not bools, floats take ints unconverted (so a config's digest
-    does not depend on how a number was written), and None passes only where
-    the type allows it. Anything else raises `ConfigError`.
-    """
-    args = get_args(hint)
-    if isinstance(hint, UnionType):
-        if value is None and type(None) in args:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-        return _typed(value, hint, where)
-    if get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigError(f"{where}: expected {len(args)} items, got {value!r}")
-        return tuple(_typed(v, a, f"{where}[{k}]") for k, (v, a) in
-                     enumerate(zip(value, args)))
-    ok = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}[hint]
-    if not isinstance(value, ok) or (hint is not bool and isinstance(value, bool)):
-        raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
-    return value
-
-
-_SECTIONS = {
-    "morphology": MorphologyConfig,
-    "world": WorldBounds,
-    "diffusion": DiffusionConfig,
-    "planner": PlannerConfig,
-    "controller": ControllerConfig,
-    "data": DataConfig,
-    "bench": BenchConfig,
-    "toy": ToyConfig,
-}
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
     """Load a YAML config file; missing file sections fall back to defaults."""
     data: dict = {}
     if path is not None:
-        text = Path(path).read_text()
         try:
-            loaded = yaml.safe_load(text)
+            data = yaml.safe_load(Path(path).read_text())
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+        if not isinstance(data, (dict, type(None))):
             raise ConfigError("config root must be a mapping")
-        data = loaded
-    if overrides:
-        for dotted, value in overrides.items():
-            section, _, key = dotted.partition(".")
-            if key:
-                data.setdefault(section, {})[key] = value
-            else:
-                data[section] = value
-
-    unknown = set(data) - set(_SECTIONS) - {"seed"}
-    if unknown:
-        raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        kwargs[name] = _build(cls, data.get(name), name)
-    cfg = RunConfig(seed=_typed(data.get("seed", 0), int, "seed"), **kwargs)
-    validate(cfg)
-    return cfg
-
-
-def validate(cfg: RunConfig) -> None:
-    m, d, p, c, b = cfg.morphology, cfg.diffusion, cfg.planner, cfg.controller, cfg.bench
-    toy = cfg.toy
-    checks = [
-        (len(m.link_lengths) >= 1, "morphology.link_lengths must be non-empty"),
-        (all(v > 0 for v in m.link_lengths), "link lengths must be positive"),
-        (m.collision_radius > 0, "collision radius must be positive"),
-        (0 < m.workspace_scale <= 1, "workspace scale in (0, 1]"),
-        (d.denoise_steps >= 1, "denoise_steps >= 1"),
-        (d.obs_horizon >= 1, "obs_horizon >= 1"),
-        (d.pred_horizon >= 1, "pred_horizon >= 1"),
-        (d.embed_dim >= 2 and d.embed_dim % 2 == 0, "embed_dim must be even and >= 2"),
-        (len(d.hidden_dims) >= 1 and all(h >= 1 for h in d.hidden_dims),
-         "diffusion hidden dims must be non-empty and positive"),
-        (d.learning_rate > 0, "learning rate must be positive"),
-        (d.weight_decay >= 0, "weight decay must be nonnegative"),
-        (0 < d.ema_rate <= 1, "ema rate in (0, 1]"),
-        (d.epochs >= 1 and d.batch_size >= 1, "epochs and batch size >= 1"),
-        (p.batch >= 1, "planner batch >= 1"),
-        (p.collision_penalty >= 0, "collision penalty >= 0"),
-        (p.max_expansions >= 0, "max expansions >= 0"),
-        (p.timeout_s is None or p.timeout_s >= 0, "timeout must be >= 0 or null"),
-        (c.pos_tol > 0 and c.rot_tol > 0, "tolerances must be positive"),
-        (c.step_limit >= 1, "step limit >= 1"),
-        (c.stall_window >= 1, "stall window >= 1"),
-        (c.delta_limit > 0, "delta limit must be positive"),
-        (c.exec_subsamples >= 1, "exec subsamples >= 1"),
-        (c.baseline_chunk >= 1, "baseline chunk >= 1"),
-        (min(cfg.data.single_episodes, cfg.data.dual_episodes) >= 0,
-         "data episode counts >= 0"),
-        (cfg.data.birrt_max_iters >= 1, "birrt max iters >= 1"),
-        (cfg.data.shortcut_attempts >= 0, "shortcut attempts >= 0"),
-        (all(n >= 1 for n in b.n_arms), "bench n_arms >= 1"),
-        (all(x in ("easy", "medium", "hard") for x in b.difficulties), "unknown difficulty"),
-        (b.episodes_per_cell >= 0, "episodes per cell >= 0"),
-        (0 < b.easy_max_overlap < b.medium_max_overlap < 1,
-         "difficulty thresholds must satisfy 0 < easy < medium < 1"),
-        (b.resim_subsamples >= 1, "resim subsamples >= 1"),
-        (min(toy.episodes, toy.epochs, toy.batch_size, toy.eval_samples) >= 1,
-         "toy episodes, epochs, batch size and eval samples >= 1"),
-        (toy.learning_rate > 0, "toy learning rate must be positive"),
-        (len(toy.hidden_dims) >= 1 and all(h >= 1 for h in toy.hidden_dims),
-         "toy hidden dims must be non-empty and positive"),
-        (toy.monotone_slack >= 0, "toy monotone slack >= 0"),
-    ]
-    if m.joint_limits is not None:
-        checks.append((len(m.joint_limits) == len(m.link_lengths),
-                       "one joint limit pair per link"))
-        checks.append((all(lo < hi for lo, hi in m.joint_limits), "joint limits lo < hi"))
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
-    if not math.isfinite(cfg.controller.delta_limit):
-        raise ConfigError("delta limit must be finite")
-
-
-def as_dict(cfg) -> dict:
-    if dataclasses.is_dataclass(cfg):
-        return {f.name: as_dict(getattr(cfg, f.name)) for f in dataclasses.fields(cfg)}
-    if isinstance(cfg, tuple):
-        return [as_dict(v) for v in cfg]
-    return cfg
+    data = data or {}
+    for dotted, value in (overrides or {}).items():
+        section, _, key = dotted.partition(".")
+        if key:
+            data.setdefault(section, {})[key] = value
+        else:
+            data[section] = value
+    return _build(RunConfig, data, "config root")
 
 
 def config_digest(cfg: RunConfig) -> str:
-    canonical = json.dumps(as_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -21,7 +21,6 @@ from . import artifacts
 from . import observation as obs
 # perfbench/layers.py patches arms_collide on this module, so the name stays bound.
 from .collision import (  # noqa: F401
-    DEFAULT_BOUNDS,
     WorldBounds,
     arms_collide,
     is_free,
@@ -130,7 +129,7 @@ def episode_windows(frame_lists, deltas: np.ndarray, t_o: int, t_p: int,
 
 
 def sample_free_config(arm: ArmModel, rng: np.random.Generator,
-                       bounds: WorldBounds = DEFAULT_BOUNDS, tries: int = 200):
+                       bounds: WorldBounds, tries: int = 200):
     for _ in range(tries):
         q = rng.uniform(arm.lower_limits, arm.upper_limits)
         if is_free(arm, q, bounds):
@@ -180,9 +179,8 @@ def generate_dataset(family: str, draw_arms, episode, n_episodes: int, stream,
 
 def generate_single_dataset(arm_sampler, n_episodes: int, seed: int, *, t_o: int,
                             t_p: int, resolution: float,
-                            bounds: WorldBounds = DEFAULT_BOUNDS,
-                            pos_tol: float = 0.03, rot_tol: float = 0.1,
-                            max_iters: int = 4000, shortcut_attempts: int = 100,
+                            bounds: WorldBounds, pos_tol: float, rot_tol: float,
+                            max_iters: int, shortcut_attempts: int,
                             morphology_digest: str = "") -> Dataset:
     """Single-arm demonstrations: BiRRT to a sampled reachable goal pose."""
     return generate_dataset("single", lambda rng: (arm_sampler(rng),), _single_episode,
@@ -194,9 +192,8 @@ def generate_single_dataset(arm_sampler, n_episodes: int, seed: int, *, t_o: int
 
 def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
                           t_p: int, resolution: float,
-                          bounds: WorldBounds = DEFAULT_BOUNDS,
-                          pos_tol: float = 0.03, rot_tol: float = 0.1,
-                          max_iters: int = 4000, shortcut_attempts: int = 100,
+                          bounds: WorldBounds, pos_tol: float, rot_tol: float,
+                          max_iters: int, shortcut_attempts: int,
                           morphology_digest: str = "") -> Dataset:
     """Dual-arm demonstrations: joint-space BiRRT, two ego records per window."""
     return generate_dataset("dual", pair_sampler, _dual_episode, n_episodes,

@@ -22,7 +22,6 @@ import numpy as np
 # perfbench/layers.py patches is_free and arms_collide on this module, so the
 # names stay bound.
 from .collision import (  # noqa: F401
-    DEFAULT_BOUNDS,
     WorldBounds,
     arms_collide,
     checked_states,
@@ -135,7 +134,7 @@ def _shortcut(path: np.ndarray, is_valid, resolution: float, attempts: int,
 
 def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Generator,
                bounds_lo: np.ndarray, bounds_hi: np.ndarray, resolution: float,
-               max_iters: int = 4000, shortcut_attempts: int = 100) -> np.ndarray | None:
+               max_iters: int, shortcut_attempts: int) -> np.ndarray | None:
     """RRT-connect between start and goal. Returns waypoints (W, d) or None.
 
     Invalid endpoints are a caller bug, not a planning failure.
@@ -166,12 +165,12 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
     return None
 
 
-def single_arm_validity(arm: ArmModel, bounds: WorldBounds = DEFAULT_BOUNDS):
+def single_arm_validity(arm: ArmModel, bounds: WorldBounds):
     """Batch predicate: True when every row of a (k, d) config stack is free."""
     return lambda qs: not states_conflict([arm], [qs], bounds)
 
 
-def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds = DEFAULT_BOUNDS):
+def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds):
     """Batch predicate over stacked [q_a | q_b] rows: True when every row is
     free for both arms and keeps them apart."""
     da = arm_a.dof
@@ -180,8 +179,8 @@ def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds = DE
 
 def dual_birrt_plan(arm_a: ArmModel, arm_b: ArmModel, starts, goals,
                     rng: np.random.Generator, resolution: float,
-                    bounds: WorldBounds = DEFAULT_BOUNDS, max_iters: int = 4000,
-                    shortcut_attempts: int = 100) -> np.ndarray | None:
+                    bounds: WorldBounds, max_iters: int,
+                    shortcut_attempts: int) -> np.ndarray | None:
     """Joint-space RRT-connect for a pair; waypoints stack [q_a | q_b]."""
     start = np.concatenate([starts[0], starts[1]])
     goal = np.concatenate([goals[0], goals[1]])
@@ -202,8 +201,7 @@ def _pose_jacobian(verts: np.ndarray) -> np.ndarray:
 
 
 def sample_goal_config(arm: ArmModel, goal_pose: EEPose, rng: np.random.Generator,
-                       pos_tol: float = 0.03, rot_tol: float = 0.1,
-                       bounds: WorldBounds = DEFAULT_BOUNDS,
+                       pos_tol: float, rot_tol: float, bounds: WorldBounds,
                        max_restarts: int = 50, iters: int = 200) -> np.ndarray | None:
     """Collision-free config realizing goal_pose within (pos_tol, rot_tol).
 

@@ -219,7 +219,7 @@ class AdamW:
     """Adam with decoupled weight decay over a fixed parameter list."""
 
     def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 beta1: float, beta2: float, eps: float):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay

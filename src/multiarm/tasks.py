@@ -18,7 +18,7 @@ import numpy as np
 
 # perfbench/layers.py patches is_free on this module, so the name stays bound.
 from .collision import arms_collide, is_free  # noqa: F401
-from .config import MorphologyConfig, RunConfig
+from .config import DIFFICULTIES, MorphologyConfig, RunConfig
 from .datasets import sample_free_config
 from .expert import sample_goal_config
 from .kinematics import (
@@ -30,8 +30,6 @@ from .kinematics import (
     make_arm,
     reach_radius,
 )
-
-DIFFICULTIES = ("easy", "medium", "hard")
 
 
 class TaskGenerationError(RuntimeError):

@@ -239,6 +239,15 @@ class TestRunBenchmark:
         assert ((tmp_path / "a" / "episodes.jsonl").read_bytes()
                 == (tmp_path / "b" / "episodes.jsonl").read_bytes())
 
+    @pytest.mark.parametrize("methods", [(), ("dgmap", "foo"), ("dgmap", "dgmap")],
+                             ids=["empty", "unknown", "repeated"])
+    def test_bad_methods_refused(self, cfg, tmp_path, methods):
+        policies = {"single": GoalAwarePolicy(), "dual": None}
+        with pytest.raises(ValueError):
+            bn.run_benchmark(tiny_bench_cfg(cfg, episodes=1), policies, methods,
+                             tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_episodes(self, cfg, tmp_path):
         empty = tiny_bench_cfg(cfg, episodes=0)
         policies = {"single": GoalAwarePolicy(), "dual": None}

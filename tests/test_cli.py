@@ -108,7 +108,7 @@ class TestGenData:
         code, stdout, err = run_cli(["gen-data", "--config", str(cfg), "--family", "dual",
                                      "--out", str(out)], capsys)
         assert code == 2
-        assert err.startswith("error=config detail=data episode counts")
+        assert err.startswith("error=config detail=data.dual_episodes: ")
         assert stdout == "" and not out.exists()
 
     def test_non_positive_birrt_budget_refused(self, tmp_path, capsys):
@@ -118,7 +118,7 @@ class TestGenData:
         code, stdout, err = run_cli(["gen-data", "--config", str(cfg), "--family",
                                      "single", "--episodes", "1", "--out", str(out)], capsys)
         assert code == 2
-        assert err.startswith("error=config detail=birrt max iters")
+        assert err.startswith("error=config detail=data.birrt_max_iters: ")
         assert stdout == "" and not out.exists()
 
     def test_sidecar_matches_header(self, tiny_dataset):
@@ -346,12 +346,12 @@ class TestOutOfRangeCounts:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_task_generation_failure_reported(self, tmp_path, small_cfg_file,
-                                              tiny_checkpoint, capsys):
-        cfg = tmp_path / "no_attempts.yaml"
-        cfg.write_text("bench: {task_ring_attempts: 0}\n")
-        code, stdout, err = run_cli(["plan", "--config", str(cfg), "--random", "2",
-                                     "--single", str(tiny_checkpoint)], capsys)
+    def test_task_generation_failure_reported(self, small_cfg_file, tiny_checkpoint,
+                                              capsys):
+        # A lone arm is always an easy task, so no medium one can be drawn.
+        code, stdout, err = run_cli(["plan", "--config", small_cfg_file, "--random", "1",
+                                     "--difficulty", "medium", "--single",
+                                     str(tiny_checkpoint)], capsys)
         assert code == 2
         assert err.startswith("error=task-generation detail=")
         assert stdout == ""
@@ -379,6 +379,31 @@ class TestConfigErrors:
         assert code == 2
         assert err.startswith("error=config detail=")
         assert stdout == ""
+
+    def test_negative_seed_refused(self, small_cfg_file, tiny_checkpoint, capsys):
+        code, stdout, err = run_cli(["plan", "--config", small_cfg_file, "--seed", "-2",
+                                     "--random", "2", "--single", str(tiny_checkpoint)],
+                                    capsys)
+        assert code == 2
+        assert err.startswith("error=config detail=seed: must be >= 0")
+        assert len(err.splitlines()) == 1
+        assert stdout == ""
+
+    @pytest.mark.parametrize("methods,detail", [
+        ("dgmap,foo", "unknown method 'foo'"),
+        (",", "no method given"),
+        ("dgmap,dgmap", "a method is repeated"),
+    ], ids=["unknown", "empty", "repeated"])
+    def test_bad_methods_refused_before_loading(self, tmp_path, methods, detail, capsys):
+        # The checkpoint does not exist: the methods are checked first.
+        out = tmp_path / "never"
+        code, stdout, err = run_cli(["bench", "--methods", methods, "--single", str(out),
+                                     "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(f"error=bad-option option=--methods detail={detail}")
+        assert len(err.splitlines()) == 1
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value,line", [
         ("x", "error=config detail=MULTIARM_WORKERS"),

@@ -17,6 +17,7 @@ from multiarm.kinematics import BasePose, DimensionError, link_vertices, make_ar
 from .conftest import random_arm, random_config
 
 DELTA = 0.1
+WORLD = WorldBounds()
 
 
 def capsule_distance(seg_a, seg_b) -> float:
@@ -53,13 +54,13 @@ def dense_min_distance(seg_a, seg_b, grid=1000, refine_rounds=6):
     return best
 
 
-def first_conflict(arms, starts, plans, delta=DELTA, bounds=col.DEFAULT_BOUNDS):
+def first_conflict(arms, starts, plans, delta=DELTA, bounds=WORLD):
     """`find_first_collision` on fresh records and an empty memo."""
     records = [col.plan_record(a, q, p, delta) for a, q, p in zip(arms, starts, plans)]
     return find_first_collision(arms, records, bounds, {})
 
 
-def brute_first_conflict(arms, starts, plans, delta=DELTA, bounds=col.DEFAULT_BOUNDS):
+def brute_first_conflict(arms, starts, plans, delta=DELTA, bounds=WORLD):
     """Exhaustive per-step scan, written independently of first-conflict search."""
     trajs = [rollout(a, q, p, delta) for a, q, p in zip(arms, starts, plans)]
     horizon = len(plans[0])
@@ -111,7 +112,7 @@ class TestCapsuleDistance:
 
 class TestIsFree:
     def test_straight_chain_free(self, arm3):
-        assert is_free(arm3, np.zeros(3))
+        assert is_free(arm3, np.zeros(3), WORLD)
 
     def test_folded_chain_collides(self):
         # Fold the chain back onto itself: link 3 lies on top of link 1.
@@ -120,7 +121,7 @@ class TestIsFree:
         verts = link_vertices(arm, q)
         gap = capsule_distance((verts[0], verts[1]), (verts[2], verts[3]))
         assert gap < 2 * arm.collision_radius
-        assert not is_free(arm, q)
+        assert not is_free(arm, q, WORLD)
 
     def test_boundary_violation(self):
         bounds = WorldBounds(-1.0, 1.0, -1.0, 1.0)
@@ -225,9 +226,9 @@ class TestFindFirstCollision:
         a, b = facing_pair()
         records = [col.plan_record(arm, np.zeros(3), np.zeros((16, 3)), DELTA) for arm in (a, b)]
         memo = {}
-        first = find_first_collision([a, b], records, col.DEFAULT_BOUNDS, memo)
+        first = find_first_collision([a, b], records, WORLD, memo)
         assert len(memo) == 3  # two self checks plus the pair
-        second = find_first_collision([a, b], records, col.DEFAULT_BOUNDS, memo)
+        second = find_first_collision([a, b], records, WORLD, memo)
         assert first == second
         assert len(memo) == 3
 
@@ -238,9 +239,9 @@ class TestFindFirstCollision:
             plans = [rng.uniform(-DELTA, DELTA, size=(6, 2)) for _ in arms]
             records = [col.plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
             memo = {}
-            find_first_collision(arms, records, col.DEFAULT_BOUNDS, memo)
+            find_first_collision(arms, records, WORLD, memo)
             # The second call answers from the memo alone.
-            with_memo = find_first_collision(arms, records, col.DEFAULT_BOUNDS, memo)
+            with_memo = find_first_collision(arms, records, WORLD, memo)
             assert with_memo == first_conflict(arms, starts, plans)
 
     def test_self_conflict_reported(self):
@@ -323,20 +324,20 @@ class TestBatchedPredicates:
             assert scalar_collide(a, np.zeros(1), b, np.zeros(1)) == hit
 
     def test_empty_stack(self, arm3):
-        assert col.states_free(arm3, np.zeros((0, 3))).shape == (0,)
+        assert col.states_free(arm3, np.zeros((0, 3)), WORLD).shape == (0,)
         assert col.states_collide(arm3, np.zeros((0, 3)), arm3, np.zeros((0, 3))).shape == (0,)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 2), (1, 1, 3)])
     def test_wrong_stack_shape_raises(self, arm3, shape):
         with pytest.raises(DimensionError):
-            col.states_free(arm3, np.zeros(shape))
+            col.states_free(arm3, np.zeros(shape), WORLD)
         with pytest.raises(DimensionError):
             col.states_collide(arm3, np.zeros(shape), arm3, np.zeros(shape))
 
     @pytest.mark.parametrize("shape", [(4,), (1, 3), ()])
     def test_wrong_config_shape_raises(self, arm3, shape):
         with pytest.raises(DimensionError):
-            is_free(arm3, np.zeros(shape))
+            is_free(arm3, np.zeros(shape), WORLD)
         with pytest.raises(DimensionError):
             arms_collide(arm3, np.zeros(shape), arm3, np.zeros(3))
 
@@ -397,7 +398,7 @@ class TestBroadPhase:
                 b = tuple(int(k) for k in rng.integers(0, 3, size=n))
                 plans = [candidates[i][k] for i, k in enumerate(b)]
                 got = find_first_collision(arms, [records[i][k] for i, k in enumerate(b)],
-                                           col.DEFAULT_BOUNDS, memo)
+                                           WORLD, memo)
                 assert got == brute_first_conflict(arms, starts, plans), f"trial {trial}"
             for i in range(n):
                 for j in range(i + 1, n):
@@ -421,7 +422,7 @@ class TestBroadPhase:
         records = [col.plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
         spy.calls.clear()
         memo = {}
-        got = find_first_collision(arms, records, col.DEFAULT_BOUNDS, memo)
+        got = find_first_collision(arms, records, WORLD, memo)
         assert got == expect
         # Two-link arms need no self kernel, so the one call is the 0-1 pair.
         assert spy.calls == [(32, 2, 2)]

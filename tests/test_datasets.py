@@ -20,6 +20,11 @@ from .conftest import with_header_key
 
 RES = 0.1
 T_O, T_P = 2, 16
+# The expert settings of the default config, which every generator takes.
+_CFG = load_config()
+EXPERT = dict(bounds=_CFG.world, pos_tol=_CFG.controller.pos_tol,
+              rot_tol=_CFG.controller.rot_tol, max_iters=_CFG.data.birrt_max_iters,
+              shortcut_attempts=_CFG.data.shortcut_attempts)
 
 
 def free_arm_sampler(rng):
@@ -38,7 +43,8 @@ def spaced_pair_sampler(rng):
 @pytest.fixture(scope="module")
 def single_ds():
     return ds.generate_single_dataset(free_arm_sampler, 3, seed=7, t_o=T_O, t_p=T_P,
-                                      resolution=RES, morphology_digest="x" * 64)
+                                      resolution=RES, morphology_digest="x" * 64,
+                                      **EXPERT)
 
 
 class TestWindows:
@@ -89,15 +95,15 @@ class TestSingleGeneration:
 
     def test_reproducible(self):
         a = ds.generate_single_dataset(free_arm_sampler, 2, seed=11, t_o=T_O, t_p=T_P,
-                                       resolution=RES)
+                                       resolution=RES, **EXPERT)
         b = ds.generate_single_dataset(free_arm_sampler, 2, seed=11, t_o=T_O, t_p=T_P,
-                                       resolution=RES)
+                                       resolution=RES, **EXPERT)
         assert np.array_equal(a.observations, b.observations)
         assert np.array_equal(a.actions, b.actions)
 
     def test_empty_dataset(self):
         empty = ds.generate_single_dataset(free_arm_sampler, 0, seed=3, t_o=T_O,
-                                           t_p=T_P, resolution=RES)
+                                           t_p=T_P, resolution=RES, **EXPERT)
         assert len(empty) == 0
         assert empty.observations.shape == (0, T_O * 20)
 
@@ -105,7 +111,7 @@ class TestSingleGeneration:
 class TestDualGeneration:
     def test_dual_records(self):
         dual = ds.generate_dual_dataset(spaced_pair_sampler, 2, seed=5, t_o=T_O,
-                                        t_p=T_P, resolution=RES)
+                                        t_p=T_P, resolution=RES, **EXPERT)
         assert len(dual) >= 2
         assert dual.obs_width == T_O * 40  # paired rows are twice as wide
         acts = dual.actions.reshape(len(dual), T_P, 3)
@@ -237,7 +243,7 @@ class TestRowsMatchInference:
     def test_single_row_is_init_plans_conditioning(self, monkeypatch):
         seen = record_expert(monkeypatch, "birrt_plan")
         data = ds.generate_single_dataset(free_arm_sampler, 1, seed=7, t_o=T_O, t_p=T_P,
-                                          resolution=RES)
+                                          resolution=RES, **EXPERT)
         path, goal = seen["path"], seen["goals"][-1]
         arm = free_arm_sampler(substream(7, TAG_DATA, ds.FAMILIES["single"], 0))
         assert len(data) == len(path) > 1
@@ -251,7 +257,7 @@ class TestRowsMatchInference:
     def test_dual_row_is_repair_conditioning(self, monkeypatch):
         seen = record_expert(monkeypatch, "dual_birrt_plan")
         data = ds.generate_dual_dataset(spaced_pair_sampler, 1, seed=5, t_o=T_O,
-                                        t_p=T_P, resolution=RES)
+                                        t_p=T_P, resolution=RES, **EXPERT)
         arms = list(seen["args"][:2])
         goals = seen["goals"][-2:]
         path = seen["path"]
@@ -337,7 +343,7 @@ class TestVersionRefusal:
 
     def test_dual_rows_hold_two_histories(self, tmp_path):
         dual = ds.generate_dual_dataset(spaced_pair_sampler, 1, seed=5, t_o=T_O,
-                                        t_p=T_P, resolution=RES)
+                                        t_p=T_P, resolution=RES, **EXPERT)
         ds.save_dataset(dual, tmp_path / "dual.mad")
         loaded = ds.load_dataset(tmp_path / "dual.mad")
         assert (loaded.family, loaded.obs_width) == ("dual", 2 * T_O * loaded.frame_width)
@@ -359,7 +365,9 @@ class TestPinnedBytes:
 
     def settings(self, cfg):
         return dict(t_o=T_O, t_p=T_P, resolution=cfg.controller.delta_limit,
-                    bounds=cfg.world, morphology_digest="y" * 64)
+                    bounds=cfg.world, pos_tol=cfg.controller.pos_tol,
+                    rot_tol=cfg.controller.rot_tol, max_iters=cfg.data.birrt_max_iters,
+                    shortcut_attempts=cfg.data.shortcut_attempts, morphology_digest="y" * 64)
 
     def test_single(self, cfg, tmp_path):
         data = ds.generate_single_dataset(single_arm_sampler(cfg), 6, 0, **self.settings(cfg))

@@ -375,7 +375,9 @@ class TestSampling:
 class TestOptimizer:
     def test_zero_grad_weight_decay_only(self):
         p = np.full((3,), 2.0)
-        opt = AdamW([p], lr=0.1, weight_decay=0.01)
+        d = DiffusionConfig()
+        opt = AdamW([p], lr=0.1, weight_decay=0.01, beta1=d.adam_beta1, beta2=d.adam_beta2,
+                    eps=d.adam_eps)
         opt.step([np.zeros(3)])
         assert p == pytest.approx(np.full(3, 2.0 * (1 - 0.1 * 0.01)))
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from multiarm import collision, expert
-from multiarm.collision import DEFAULT_BOUNDS, WorldBounds, arms_collide, is_free
+from multiarm.collision import WorldBounds, arms_collide, is_free
+from multiarm.config import RunConfig
 from multiarm.expert import birrt_plan, dual_birrt_plan, sample_goal_config, steps_between
 from multiarm.kinematics import (
     BasePose,
@@ -18,6 +19,11 @@ from multiarm.kinematics import (
 )
 
 RES = 0.1
+# The expert settings of the default config.
+CFG = RunConfig()
+WORLD = CFG.world
+IK_SETTINGS = dict(pos_tol=CFG.controller.pos_tol, rot_tol=CFG.controller.rot_tol, bounds=WORLD)
+BUDGET = dict(max_iters=CFG.data.birrt_max_iters, shortcut_attempts=CFG.data.shortcut_attempts)
 
 
 def always_valid(qs):
@@ -55,20 +61,20 @@ class TestBirrt:
     def test_start_equals_goal(self, rng):
         q = np.array([0.3, -0.2])
         path = birrt_plan(q, q, always_valid, rng, np.full(2, -math.pi),
-                          np.full(2, math.pi), RES)
+                          np.full(2, math.pi), RES, **BUDGET)
         assert path.shape == (1, 2)
 
     def test_invalid_endpoints_raise(self, rng):
         with pytest.raises(ValueError, match="endpoints must satisfy"):
             birrt_plan(np.zeros(2), np.ones(2), lambda qs: bool(np.all(qs == 0)), rng,
-                       np.full(2, -2.0), np.full(2, 2.0), RES)
+                       np.full(2, -2.0), np.full(2, 2.0), RES, **BUDGET)
 
     def test_free_space_straightens(self, rng):
         for _ in range(5):
             start = rng.uniform(-1, 1, size=3)
             goal = rng.uniform(-1, 1, size=3)
             path = birrt_plan(start, goal, always_valid, rng, np.full(3, -math.pi),
-                              np.full(3, math.pi), RES)
+                              np.full(3, math.pi), RES, **BUDGET)
             assert path is not None
             validate_path(path, always_valid, RES)
             assert path[0] == pytest.approx(start)
@@ -85,23 +91,24 @@ class TestBirrt:
     def test_two_arm_head_on_joint_space(self, rng):
         a = make_arm((0.5, 0.3, 0.2), BasePose(-0.7, 0.0, 0.0), 0.11)
         b = make_arm((0.5, 0.3, 0.2), BasePose(0.7, 0.0, math.pi), 0.11)
-        valid = expert.dual_arm_validity(a, b)
+        valid = expert.dual_arm_validity(a, b, WORLD)
         starts = (np.array([0.6, 0.0, 0.0]), np.array([0.6, 0.0, 0.0]))
         goals = (np.array([-0.6, 0.0, 0.0]), np.array([-0.6, 0.0, 0.0]))
         assert valid(np.concatenate([starts[0], starts[1]])[None, :])
         assert valid(np.concatenate([goals[0], goals[1]])[None, :])
-        path = dual_birrt_plan(a, b, starts, goals, rng, RES, max_iters=8000)
+        path = dual_birrt_plan(a, b, starts, goals, rng, RES, WORLD, max_iters=8000,
+                               shortcut_attempts=CFG.data.shortcut_attempts)
         assert path is not None
         validate_path(path, valid, RES)
         for qa, qb in zip(path[:, :3], path[:, 3:]):
-            assert is_free(a, qa) and is_free(b, qb)
+            assert is_free(a, qa, WORLD) and is_free(b, qb, WORLD)
             assert not arms_collide(a, qa, b, qb)
 
     def test_dual_start_equals_goal(self, rng):
         a = make_arm((0.5, 0.3), BasePose(-1.5, 0.0, 0.0), 0.1)
         b = make_arm((0.5, 0.3), BasePose(1.5, 0.0, math.pi), 0.1)
         q = (np.zeros(2), np.zeros(2))
-        path = dual_birrt_plan(a, b, q, q, rng, RES)
+        path = dual_birrt_plan(a, b, q, q, rng, RES, WORLD, **BUDGET)
         assert path.shape == (1, 4)
 
     def test_disjoint_workspaces_near_straight(self, rng):
@@ -109,15 +116,15 @@ class TestBirrt:
         b = make_arm((0.5, 0.3), BasePose(1.5, 0.0, math.pi), 0.1)
         starts = (np.array([0.5, 0.2]), np.array([-0.4, 0.3]))
         goals = (np.array([-0.8, -0.4]), np.array([0.9, -0.1]))
-        path = dual_birrt_plan(a, b, starts, goals, rng, RES)
+        path = dual_birrt_plan(a, b, starts, goals, rng, RES, WORLD, **BUDGET)
         assert path is not None
-        validate_path(path, expert.dual_arm_validity(a, b), RES)
+        validate_path(path, expert.dual_arm_validity(a, b, WORLD), RES)
 
 
 class TestSampleGoalConfig:
     def test_full_extension_tip(self, arm3, rng):
         goal = EEPose(np.array([1.0, 0.0]), 0.0)
-        q = sample_goal_config(arm3, goal, rng)
+        q = sample_goal_config(arm3, goal, rng, **IK_SETTINGS)
         assert q is not None
         pose = forward_kinematics(arm3, q)
         assert pos_distance(pose, goal) <= 0.03
@@ -127,23 +134,23 @@ class TestSampleGoalConfig:
         goals = []
         while len(goals) < 20:
             seed_q = rng.uniform(arm3.lower_limits, arm3.upper_limits)
-            if is_free(arm3, seed_q):
+            if is_free(arm3, seed_q, WORLD):
                 goals.append(forward_kinematics(arm3, seed_q))
         hits = 0
         for goal in goals:
-            q = sample_goal_config(arm3, goal, rng)
+            q = sample_goal_config(arm3, goal, rng, **IK_SETTINGS)
             if q is None:
                 continue
             hits += 1
             pose = forward_kinematics(arm3, q)
             assert pos_distance(pose, goal) <= 0.03
             assert rot_distance(pose, goal) <= 0.1
-            assert is_free(arm3, q)
+            assert is_free(arm3, q, WORLD)
         assert hits >= 18
 
     def test_unreachable_goal(self, arm3, rng):
         goal = EEPose(np.array([5.0, 0.0]), 0.0)
-        assert sample_goal_config(arm3, goal, rng) is None
+        assert sample_goal_config(arm3, goal, rng, **IK_SETTINGS) is None
 
 
 def one_at_a_time(is_valid):
@@ -194,7 +201,7 @@ def head_on_pair():
 
 class TestBatchedValidity:
     def test_segment_valid_matches_scalar_loop(self, head_on_pair, rng):
-        valid = expert.dual_arm_validity(*head_on_pair)
+        valid = expert.dual_arm_validity(*head_on_pair, WORLD)
         verdicts = []
         for _ in range(150):
             a, b = rng.uniform(-math.pi, math.pi, size=(2, 6))
@@ -207,7 +214,7 @@ class TestBatchedValidity:
         assert 0 < sum(verdicts) < len(verdicts)
 
     def test_extend_matches_scalar_loop(self, head_on_pair, rng):
-        valid = expert.dual_arm_validity(*head_on_pair)
+        valid = expert.dual_arm_validity(*head_on_pair, WORLD)
         root = np.array([0.6, 0.0, 0.0, 0.6, 0.0, 0.0])
         batched, scalar = expert._Tree(root), expert._Tree(root)
         statuses = set()
@@ -226,8 +233,8 @@ class TestBatchedValidity:
 
     def test_single_arm_validity_is_batched(self, arm3, rng):
         qs = rng.uniform(-math.pi, math.pi, size=(40, 3))
-        valid = expert.single_arm_validity(arm3)
-        expect = [is_free(arm3, q) for q in qs]
+        valid = expert.single_arm_validity(arm3, WORLD)
+        expect = [is_free(arm3, q, WORLD) for q in qs]
         assert [valid(q[None]) for q in qs] == expect
         # A stack is valid exactly when each of its rows is.
         for k in range(0, len(qs), 4):
@@ -238,9 +245,9 @@ class TestBatchedValidity:
     def test_dual_arm_validity_builds_vertices_once(self, head_on_pair, rng, monkeypatch):
         a, b = head_on_pair
         qs = rng.uniform(-math.pi, math.pi, size=(200, 6))
-        expect = [is_free(a, q[:3]) and is_free(b, q[3:]) and not arms_collide(a, q[:3], b, q[3:])
-                  for q in qs]
-        valid = expert.dual_arm_validity(a, b)
+        expect = [is_free(a, q[:3], WORLD) and is_free(b, q[3:], WORLD)
+                  and not arms_collide(a, q[:3], b, q[3:]) for q in qs]
+        valid = expert.dual_arm_validity(a, b, WORLD)
         assert [valid(q[None]) for q in qs] == expect
         builds = []
         real = collision.chain_vertices
@@ -268,8 +275,8 @@ class TestShortcut:
             assert np.float64(got).tobytes() == np.float64(per_pair_length(pts, i, j)).tobytes()
 
 
-def sequential_goal_config(arm, goal_pose, rng, pos_tol=0.03, rot_tol=0.1,
-                           bounds=DEFAULT_BOUNDS, max_restarts=50, iters=200):
+def sequential_goal_config(arm, goal_pose, rng, pos_tol, rot_tol, bounds, max_restarts=50,
+                           iters=200):
     """Reference: restarts drawn and descended one after another."""
     if float(np.linalg.norm(goal_pose.position - arm.base.xy)) > arm.total_length + pos_tol:
         return None
@@ -305,6 +312,7 @@ def sequential_goal_config(arm, goal_pose, rng, pos_tol=0.03, rot_tol=0.1,
 
 
 def assert_same_as_sequential(arm, goal, seed, **kwargs):
+    kwargs = {**IK_SETTINGS, **kwargs}
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = sample_goal_config(arm, goal, rng_a, **kwargs)
     expect = sequential_goal_config(arm, goal, rng_b, **kwargs)

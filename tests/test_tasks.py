@@ -62,7 +62,7 @@ class TestGenerateTask:
     def test_starts_jointly_free(self, cfg, rng):
         task = generate_task(4, "medium", rng, cfg)
         for i, (arm, q) in enumerate(zip(task.arms, task.starts)):
-            assert is_free(arm, q)
+            assert is_free(arm, q, cfg.world)
             for j in range(i):
                 assert not arms_collide(task.arms[j], task.starts[j], arm, q)
 
@@ -70,7 +70,7 @@ class TestGenerateTask:
         task = generate_task(2, "easy", rng, cfg)
         for arm, goal in zip(task.arms, task.goals):
             q = sample_goal_config(arm, goal, rng, cfg.controller.pos_tol,
-                                   cfg.controller.rot_tol)
+                                   cfg.controller.rot_tol, cfg.world)
             assert q is not None
 
     def test_rejects_bad_arguments(self, cfg, rng):
