@@ -301,8 +301,8 @@ def _toy_episode(arms, rng, *, t_o, t_p, delta):
     q0, goal_q = _toy_endpoints(rng)
     path = toy_expert_path(q0, goal_q, delta)
     goal_pose = forward_kinematics(arm, np.array([goal_q]))
-    frames = [obs.build_frame(arm, q, goal_pose) for q in path]
-    return list(episode_windows([frames], path_to_deltas(path), t_o, t_p, 1, arm.base))
+    return [episode_windows([obs.frames(arm, path, goal_pose)], path_to_deltas(path), t_o,
+                            t_p, arm.base)]
 
 
 def toy_dataset(cfg: RunConfig, seed: int) -> Dataset:
@@ -327,9 +327,8 @@ def goal_directed_fraction(policy_like, cfg: RunConfig, seed: int,
         q0, goal_q = _toy_endpoints(rng)
         goal_pose = forward_kinematics(arm, np.array([goal_q]))
         frame = obs.build_frame(arm, np.array([q0]), goal_pose)
-        history = obs.build_history([frame], cfg.diffusion.obs_horizon)
-        plan = policy_like.sample_plans(obs.conditioning([history], arm.base), 1, rng,
-                                        delta)[0]
+        cond = obs.conditioning([frame[None]], arm.base, cfg.diffusion.obs_horizon)[-1]
+        plan = policy_like.sample_plans(cond, 1, rng, delta)[0]
         if _plan_goal_directed(arm, float(q0), goal_pose, plan, delta, slack,
                                cfg.controller.pos_tol):
             hits += 1

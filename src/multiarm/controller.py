@@ -3,12 +3,12 @@
 Each cycle asks a method's proposer for plans from the current
 configurations, executes the proposed prefix (clamped like any rollout), and
 appends the executed configs to each arm's trajectory; proposers build
-frames for the last T_o of them only (`WorldState.histories`). Execution
-asserts collision-freedom independently of planner claims by subsampling
-every step: one `collision.segment_has_collision` call per cycle, the
-planner's own first-conflict query over each arm's chunk, names the first
-colliding step. The loop executes up to and including it and ends the
-episode as a recorded failure, never an exception. `run_loop` is the
+unpadded frames for the last T_o of them only (`WorldState.histories`).
+Execution asserts collision-freedom independently of planner claims by
+subsampling every step: one `collision.segment_has_collision` call per
+cycle, the planner's own first-conflict query over each arm's chunk, names
+the first colliding step. The loop executes up to and including it and ends
+the episode as a recorded failure, never an exception. `run_loop` is the
 executor for every method; `run_episode` is DG-MAP's proposer on top of it.
 The loop writes no file; `write_trace` writes the `--dump` trace from the
 trajectories afterwards.
@@ -45,9 +45,9 @@ class WorldState:
         return [traj[-1] for traj in self.trajectories]
 
     def histories(self, t_o: int) -> list[np.ndarray]:
-        """Each arm's (t_o, w) observation history: frames of its last t_o
-        configurations, front-padded by repeating the start."""
-        return [obs.build_history([obs.build_frame(arm, q, goal) for q in traj[-t_o:]], t_o)
+        """Each arm's (k, w) frames of its last k <= t_o configurations;
+        `obs.conditioning` pads a short history."""
+        return [obs.frames(arm, traj[-t_o:], goal)
                 for arm, goal, traj in zip(self.arms, self.goals, self.trajectories)]
 
 
@@ -197,11 +197,12 @@ def run_episode(world: WorldState, single: Policy, dual: Policy | None,
                 cfg: RunConfig, seed: int) -> EpisodeResult:
     """DG-MAP: every cycle searches one horizon and executes its safe prefix."""
 
+    t_o = max(p.obs_horizon for p in (single, dual) if p is not None)  # covers both
+
     def propose(cycle, frozen):
         cycle_seed = int(substream(seed, TAG_CYCLE, cycle).integers(0, 2 ** 62))
-        plan = dgmap_search(world.arms, world.configs, world.goals,
-                            world.histories(single.obs_horizon), single, dual, cfg,
-                            cycle_seed, frozen)
+        plan = dgmap_search(world.arms, world.configs, world.goals, world.histories(t_o),
+                            single, dual, cfg, cycle_seed, frozen)
         return plan.plans, plan.t_star, plan.stats
 
     return run_loop(world, cfg, propose)

@@ -2,10 +2,10 @@
 
 Records pair an ego-frame conditioning vector (`obs.conditioning`) with a
 horizon of delta actions. Episodes convert expert waypoint paths into
-per-step deltas; a window slides over every waypoint, padding history at
-the episode start by repeating the first frame and actions at the end with
-zeros. Every dataset, the toy suite's too, runs one episode loop,
-`generate_dataset`. Files are `artifacts` containers (see
+per-step deltas, one row per waypoint: `obs.conditioning` gives every
+observation window in one call and one gather over the zero-padded deltas
+every action window. Every dataset, the toy suite's too, runs one episode
+loop, `generate_dataset`. Files are `artifacts` containers (see
 docs/file_formats.md) plus a JSON sidecar.
 """
 
@@ -107,25 +107,19 @@ def path_to_deltas(path: np.ndarray) -> np.ndarray:
     return np.diff(path, axis=0)
 
 
-def _action_window(deltas: np.ndarray, t: int, t_p: int, dof: int) -> np.ndarray:
-    """Deltas t .. t + t_p - 1 flattened, zero-padded past the path's end."""
-    window = np.zeros((t_p, dof))
-    avail = deltas[t: t + t_p]
-    window[: len(avail)] = avail
-    return window.reshape(-1)
+def episode_windows(frame_stacks, deltas: np.ndarray, t_o: int, t_p: int,
+                    base: BasePose) -> tuple[np.ndarray, np.ndarray]:
+    """The episode's (observations, actions) blocks, one row per waypoint.
 
-
-def episode_windows(frame_lists, deltas: np.ndarray, t_o: int, t_p: int,
-                    action_dim: int, base: BasePose):
-    """One (conditioning, action_window) pair per waypoint.
-
-    `frame_lists` holds one world-frame frame list per arm, the ego arm's
-    last, and `base` is the ego arm's base: each row is the
-    `obs.conditioning` call the planner makes for the same world state.
+    `frame_stacks` holds one world-frame (k, w) frame stack per arm, the ego
+    arm's last, and `base` is the ego arm's base: observation row t is the
+    `obs.conditioning` row the planner uses for the same world state, and
+    action row t holds deltas t .. t + t_p - 1, zero-padded past the end.
     """
-    for t in range(len(frame_lists[-1])):
-        hists = [obs.build_history(frames[: t + 1], t_o) for frames in frame_lists]
-        yield obs.conditioning(hists, base), _action_window(deltas, t, t_p, action_dim)
+    k, dof = len(frame_stacks[-1]), deltas.shape[1]
+    padded = np.concatenate([deltas, np.zeros((t_p, dof))])
+    return (obs.conditioning(frame_stacks, base, t_o),
+            padded[np.arange(k)[:, None] + np.arange(t_p)].reshape(k, t_p * dof))
 
 
 def sample_free_config(arm: ArmModel, rng: np.random.Generator,
@@ -143,11 +137,11 @@ def generate_dataset(family: str, draw_arms, episode, n_episodes: int, stream,
 
     Episode ep draws its arms with `draw_arms(rng)` from `substream(*stream,
     ep)`; the first arm's dof sets the action width. `episode(arms, rng,
-    **settings)` returns the episode's (observation, action) rows, or None
+    **settings)` returns a list of (observations, actions) blocks, or None
     when the expert gives up and the episode is skipped.
     """
     t_o, t_p = settings["t_o"], settings["t_p"]
-    rows = []
+    blocks = []
     skipped = 0
     dof = None
     for ep in range(n_episodes):
@@ -158,15 +152,15 @@ def generate_dataset(family: str, draw_arms, episode, n_episodes: int, stream,
         if got is None:
             skipped += 1
             continue
-        rows.extend(got)
+        blocks.extend(got)
     if dof is None:
         dof = draw_arms(substream(*stream, 0))[0].dof
     frame_width = obs.frame_width(dof)
     obs_width = t_o * frame_width * (2 if family == "dual" else 1)
-    observations = (np.stack([o for o, _ in rows]).astype(np.float32) if rows
-                    else np.zeros((0, obs_width), dtype=np.float32))
-    actions = (np.stack([a for _, a in rows]).astype(np.float32) if rows
-               else np.zeros((0, t_p * dof), dtype=np.float32))
+    observations = np.concatenate([np.zeros((0, obs_width)), *(o for o, _ in blocks)],
+                                  dtype=np.float32)
+    actions = np.concatenate([np.zeros((0, t_p * dof)), *(a for _, a in blocks)],
+                             dtype=np.float32)
     meta = {
         "episodes": n_episodes,
         "skipped": skipped,
@@ -219,9 +213,8 @@ def _single_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol
                       resolution, max_iters, shortcut_attempts)
     if path is None:
         return None
-    frames = [obs.build_frame(arm, q, goal_pose) for q in path]
-    return list(episode_windows([frames], path_to_deltas(path), t_o, t_p, arm.dof,
-                                arm.base))
+    return [episode_windows([obs.frames(arm, path, goal_pose)], path_to_deltas(path),
+                            t_o, t_p, arm.base)]
 
 
 def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
@@ -260,14 +253,13 @@ def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
     if path is None:
         return None
 
-    da = arm_a.dof
-    path_a, path_b = path[:, :da], path[:, da:]
-    frames_a = [obs.build_frame(arm_a, q, goals[2]) for q in path_a]
-    frames_b = [obs.build_frame(arm_b, q, goals[3]) for q in path_b]
-    return [*episode_windows([frames_b, frames_a], path_to_deltas(path_a), t_o, t_p,
-                             da, arm_a.base),
-            *episode_windows([frames_a, frames_b], path_to_deltas(path_b), t_o, t_p,
-                             da, arm_b.base)]
+    path_a, path_b = path[:, :arm_a.dof], path[:, arm_a.dof:]
+    frames_a = obs.frames(arm_a, path_a, goals[2])
+    frames_b = obs.frames(arm_b, path_b, goals[3])
+    return [episode_windows([frames_b, frames_a], path_to_deltas(path_a), t_o, t_p,
+                            arm_a.base),
+            episode_windows([frames_a, frames_b], path_to_deltas(path_b), t_o, t_p,
+                            arm_b.base)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +316,10 @@ def load_dataset(path: str | Path) -> Dataset:
     if t_p < 1 or act_width % t_p:
         raise IncompatibleDatasetError(
             f"action width {act_width} does not split into t_p = {t_p} steps")
-    frames = t_o * (2 if family == "dual" else 1)
-    if obs_width != frames * frame_w:
-        raise IncompatibleDatasetError(
-            f"observation width {obs_width} is not {frames} frames of width {frame_w}")
+    frames, action_dim = t_o * (2 if family == "dual" else 1), act_width // t_p
+    if frame_w != obs.frame_width(action_dim) or obs_width != frames * frame_w:
+        raise IncompatibleDatasetError(f"observation width {obs_width} and frame width "
+                                       f"{frame_w} do not fit {frames} frames of "
+                                       f"{action_dim} joints")
     norm = norm_from_arrays(arrays, obs_width, act_width, IncompatibleDatasetError)
-    return Dataset(family, t_o, t_p, frame_w, act_width // t_p, observations, actions,
-                   norm, meta)
+    return Dataset(family, t_o, t_p, frame_w, action_dim, observations, actions, norm, meta)

@@ -34,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from . import observation
 from .config import DiffusionConfig
 from .datasets import FAMILIES, NORM_NAMES, Dataset, NormStats, norm_from_arrays
 from .nets import AdamW, DenoiserMLP, ema_update
@@ -345,6 +346,10 @@ def load_checkpoint(path: str | Path, expect_morphology: str | None = None) -> P
             or not all(type(v) is int and v >= 1 for v in [*dims, *hidden])):
         raise IncompatibleCheckpointError("checkpoint header is malformed")
     n_steps, t_o, t_p, action_dim, frame_w, embed_dim, obs_dim = dims
+    frames = t_o * (2 if family == "dual" else 1)
+    if frame_w != observation.frame_width(action_dim) or obs_dim != frames * frame_w:
+        raise IncompatibleCheckpointError(f"obs_dim {obs_dim} and frame width {frame_w} do "
+                                          f"not fit {frames} frames of {action_dim} joints")
     alpha, alpha_bar = arrays.get("alpha"), arrays.get("alpha_bar")
     if alpha is None or alpha_bar is None or not (
             alpha.shape == alpha_bar.shape == (n_steps + 1,)):

@@ -1,11 +1,12 @@
-"""Observation frames, stacked histories and model conditioning.
+"""Observation frames and model conditioning.
 
 A frame is a flat float vector; the layout is generated by `frame_layout`
 and used everywhere, so field widths follow the arm's joint count with no
-magic numbers. Frames are stored world-frame; histories stack the last
-T_o of them oldest-first. `conditioning` is the one place that turns
-histories into model input: every history in the ego arm's base frame,
-the other arm's rows before the ego arm's.
+magic numbers. Frames are stored world-frame; `frames` builds a config
+stack's frames in one call. `conditioning` is the one place, for datasets
+and the planner alike, that turns frame stacks into model input: every
+T_o-frame window at once, in the ego arm's base frame, the other arm's rows
+before the ego arm's.
 """
 
 from __future__ import annotations
@@ -53,16 +54,23 @@ def dof_from_width(width: int) -> int:
     return dof
 
 
+def frames(arm: ArmModel, qs, goal: EEPose) -> np.ndarray:
+    """The (k, w) frames of a (k, d) config stack, from one `chain_vertices` call."""
+    qs = kin.config_stack(arm, qs)
+    verts = kin.chain_vertices(arm, qs)
+    heading = kin.wrap_angle(arm.base.heading + np.sum(qs, axis=1))
+    out = np.empty((len(qs), frame_width(arm.dof)))
+    out[:, slot(arm.dof, "joint_angles")] = qs
+    out[:, slot(arm.dof, "ee_pose")] = np.column_stack([verts[:, -1], heading])
+    out[:, slot(arm.dof, "goal_pose")] = goal.as_array()
+    out[:, slot(arm.dof, "link_endpoints")] = verts.reshape(len(qs), 2 * (arm.dof + 1))
+    out[:, slot(arm.dof, "base_pose")] = arm.base.as_array()
+    return out
+
+
 def build_frame(arm: ArmModel, q: np.ndarray, goal: EEPose) -> np.ndarray:
-    """Single observation frame for one arm, all quantities world-frame."""
-    frame = np.empty(frame_width(arm.dof))
-    ee = kin.forward_kinematics(arm, q)
-    frame[slot(arm.dof, "joint_angles")] = q
-    frame[slot(arm.dof, "ee_pose")] = ee.as_array()
-    frame[slot(arm.dof, "goal_pose")] = goal.as_array()
-    frame[slot(arm.dof, "link_endpoints")] = kin.link_vertices(arm, q).reshape(-1)
-    frame[slot(arm.dof, "base_pose")] = arm.base.as_array()
-    return frame
+    """Single observation frame for one arm: `frames`' one-row case."""
+    return frames(arm, np.asarray(q, dtype=float)[None], goal)[0]
 
 
 def transform_to_frame(target_base: BasePose, source_base: BasePose,
@@ -81,44 +89,37 @@ def transform_to_frame(target_base: BasePose, source_base: BasePose,
         out[..., s.start + 2] = kin.apply_to_angles(g, frame[..., s.start + 2])
 
     s = slot(dof, "link_endpoints")
-    pts = frame[..., s].reshape(*frame.shape[:-1], -1, 2)
-    out[..., s] = kin.apply_to_points(g, pts).reshape(*frame.shape[:-1], -1)
+    pts = frame[..., s].reshape(*frame.shape[:-1], dof + 1, 2)
+    out[..., s] = kin.apply_to_points(g, pts).reshape(*frame.shape[:-1], s.stop - s.start)
     return out
 
 
-def build_history(frames, t_o: int) -> np.ndarray:
-    """Last t_o frames oldest-first, front-padded by repeating the earliest."""
-    frames = [np.asarray(f, dtype=float) for f in frames]
-    if not frames:
-        raise ValueError("history needs at least one frame")
-    if len(frames) >= t_o:
-        window = frames[-t_o:]
-    else:
-        window = [frames[0]] * (t_o - len(frames)) + frames
-    return np.stack(window, axis=0)
+def conditioning(frame_stacks, base: BasePose, t_o: int) -> np.ndarray:
+    """Denoiser conditioning for both model families, every window at once.
 
-
-def conditioning(histories, base: BasePose) -> np.ndarray:
-    """Denoiser conditioning vector for both model families.
-
-    `histories` are world-frame (T_o, w) histories, the ego arm's last: the
-    single-arm model gets [ego], the pair model [other, ego]. Every history
-    is re-expressed in the ego arm's `base`, so the features do not depend
-    on where the scene sits in the world. Rows are concatenated per history
-    step as [other ++ ego] and flattened oldest-first. Histories of
+    `frame_stacks` are world-frame (k, w) frame stacks, the ego arm's last:
+    the single-arm model gets [ego], the pair model [other, ego]. Row t of
+    the (k, t_o * n * w) result is the input when frame t is newest: frames
+    t - t_o + 1 .. t, front-padded by repeating frame 0, re-expressed in the
+    ego arm's `base` (so the scene's world placement does not matter), with
+    each step's rows as [other ++ ego], oldest step first. Stacks of
     different shapes raise ValueError.
     """
-    local = transform_to_frame(base, kin.IDENTITY_POSE, np.stack(histories))
-    return local.transpose(1, 0, 2).reshape(-1)
+    stacks = np.stack(frame_stacks)
+    n, k, w = stacks.shape
+    window = np.maximum(np.arange(k)[:, None] + np.arange(1 - t_o, 1), 0)
+    # Gathering windows before the base change keeps a row's bits free of k.
+    local = transform_to_frame(base, kin.IDENTITY_POSE, stacks[:, window])
+    return local.transpose(1, 2, 0, 3).reshape(k, t_o * n * w)
 
 
 def layout_table(dof: int, t_o: int) -> str:
-    """Human-readable slot table for one frame plus history/paired widths."""
+    """Human-readable slot table for one frame plus window/paired widths."""
     lines = [f"frame width (dof={dof}): {frame_width(dof)}"]
     for name, start, stop in frame_layout(dof):
         lines.append(f"  [{start:3d}:{stop:3d}] {name}")
     w = frame_width(dof)
-    lines.append("conditioning frame: ego arm base (every history re-expressed in it)")
+    lines.append("conditioning frame: ego arm base (every frame re-expressed in it)")
     lines.append(f"single conditioning width (T_o={t_o}): {t_o * w}")
     lines.append(f"paired row width: {2 * w}")
     lines.append(f"paired conditioning width (T_o={t_o}): {t_o * 2 * w}")

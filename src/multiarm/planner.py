@@ -67,7 +67,8 @@ def init_plans(single_policy: Policy, histories, batch: int, stream: tuple,
     plan_sets = [[np.zeros(shape)] for _ in histories]
     active = [i for i in range(len(histories)) if i not in frozen]
     if active:
-        conds = np.stack([obs.conditioning([histories[i]], bases[i]) for i in active])
+        conds = np.stack([obs.conditioning([histories[i]], bases[i],
+                                           single_policy.obs_horizon)[-1] for i in active])
         rngs = [substream(*stream, i) for i in active]
         samples = single_policy.sample_plans_many(conds, batch, rngs, delta_limit)
         for i, arm_samples in zip(active, samples):
@@ -181,7 +182,7 @@ class _Search:
         for s in slots:
             ego, other = pairs[s]
             conds.append(obs.conditioning([self.histories[other], self.histories[ego]],
-                                          self.arms[ego].base))
+                                          self.arms[ego].base, self.dual.obs_horizon)[-1])
             rngs.append(substream(self.seed, TAG_PLAN, 1, self.stats["repairs"]))
             self.stats["repairs"] += 1
         samples = self.dual.sample_plans_many(np.stack(conds), self.cfg.planner.batch,

@@ -86,8 +86,8 @@ class TaskSpec:
 def load_task(path, cfg: RunConfig) -> TaskSpec:
     """The task in the JSON file at `path`. Raises `TaskFileError` unless
     the file parses, n_arms, arms, starts and goals agree in count, each start
-    fits its arm's joints and their limits, and every arm is the config's
-    template arm on its base."""
+    is finite and fits its arm's joints and their limits, and every arm is
+    the config's template arm on its base."""
     try:
         task = TaskSpec.from_json(json.loads(Path(path).read_text()))
     except (ValueError, KeyError, TypeError, IndexError) as exc:
@@ -100,8 +100,8 @@ def load_task(path, cfg: RunConfig) -> TaskSpec:
         if q.shape != (arm.dof,):
             raise TaskFileError(f"{path}: start {i} has shape {q.shape}, arm {i} has "
                                 f"{arm.dof} joints")
-        if np.any(q < arm.lower_limits) or np.any(q > arm.upper_limits):
-            raise TaskFileError(f"{path}: start {i} is outside its joint limits")
+        if not np.all((arm.lower_limits <= q) & (q <= arm.upper_limits)):  # NaN fails too
+            raise TaskFileError(f"{path}: start {i} is not finite within its joint limits")
     return task
 
 

@@ -207,6 +207,14 @@ def out_of_limits_task_json():
     return json.dumps(task)
 
 
+def nan_start_task_json():
+    """A generated 1-arm task whose start has a NaN joint, which compares
+    False against both limits."""
+    task = generate_task(1, "easy", np.random.default_rng(2), load_config(None)).to_json()
+    task["starts"][0][1] = float("nan")
+    return json.dumps(task)
+
+
 def two_link_task_json():
     """A well-formed 2-arm task whose arms have 2 links."""
     arms = [make_arm((0.5, 0.5), BasePose(x, 0.0, 0.0), 0.11) for x in (-1.5, 1.5)]
@@ -221,7 +229,9 @@ class TestTaskFile:
         "not json {",
         two_link_task_json(),
         out_of_limits_task_json(),
-    ], ids=["missing-field", "not-json", "wrong-morphology", "start-out-of-limits"])
+        nan_start_task_json(),
+    ], ids=["missing-field", "not-json", "wrong-morphology", "start-out-of-limits",
+            "start-nan"])
     def test_bad_task_file_is_one_error_line(self, tmp_path, small_cfg_file,
                                              tiny_checkpoint, text, capsys):
         task = tmp_path / "task.json"

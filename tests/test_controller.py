@@ -111,6 +111,24 @@ class TestRunEpisode:
         assert result.planner_calls == 0
         assert result.to_json()["end_reason"] == "success"
 
+    def test_histories_cover_the_longer_window(self, cfg, monkeypatch):
+        # A pair model that reads more frames than the single-arm model must
+        # see real frames, not the single model's window padded out.
+        seen = []
+
+        def search(arms, configs, goals, histories, *rest):
+            seen.append([len(h) for h in histories])
+            raise _Proposed
+
+        monkeypatch.setattr(ctl, "dgmap_search", search)
+        world = two_apart_arms()
+        for traj in world.trajectories:
+            traj.extend([traj[0]] * 4)
+        dual = ScriptedPolicy(straight_plans, obs_horizon=3)
+        with pytest.raises(_Proposed):
+            run_episode(world, ScriptedPolicy(straight_plans), dual, cfg, seed=1)
+        assert seen == [[3, 3]]
+
     def test_single_arm_reaches_goal(self, cfg):
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
         start = np.zeros(3)
@@ -337,8 +355,8 @@ class TestRunLoop:
         assert empty.planner_calls == 3
 
     def test_trajectories_record_executed_configs(self, cfg):
-        # Every cycle, each arm's history is the one the executor's old
-        # per-step frame log gave: frames of the whole trajectory, windowed.
+        # Every cycle, each arm's history holds the frames of its last t_o
+        # executed configs, unpadded: `obs.conditioning` pads.
         world = two_apart_arms()
         rng = np.random.default_rng(5)
         plans = [rng.uniform(-0.15, 0.15, (T_P, 3)) for _ in world.arms]
@@ -350,8 +368,8 @@ class TestRunLoop:
             for t_o in (1, 2, 5):
                 for arm, goal, traj, hist in zip(world.arms, world.goals, world.trajectories,
                                                  world.histories(t_o)):
-                    frames = [obs.build_frame(arm, q, goal) for q in traj]
-                    assert hist.tobytes() == obs.build_history(frames, t_o).tobytes()
+                    frames = [obs.build_frame(arm, q, goal) for q in traj[-t_o:]]
+                    assert hist.tobytes() == np.stack(frames).tobytes()
             return plans, 4, {}
 
         result = run_loop(world, limited(cfg, 9), propose)

@@ -49,28 +49,27 @@ def single_ds():
 
 class TestWindows:
     def test_window_count_matches_path_length(self):
-        frames = [np.full(20, float(i)) for i in range(9)]
+        frames = np.stack([np.full(20, float(i)) for i in range(9)])
         deltas = np.ones((8, 3)) * 0.05
-        rows = list(ds.episode_windows([frames], deltas, T_O, T_P, 3, IDENTITY_POSE))
-        assert len(rows) == 9
+        observations, actions = ds.episode_windows([frames], deltas, T_O, T_P, IDENTITY_POSE)
+        assert observations.shape == (9, T_O * 20)
+        assert actions.shape == (9, T_P * 3)
 
     def test_history_padding_and_action_padding(self):
-        frames = [np.full(20, float(i)) for i in range(3)]
+        frames = np.stack([np.full(20, float(i)) for i in range(3)])
         deltas = np.arange(6, dtype=float).reshape(2, 3) * 0.01
-        rows = list(ds.episode_windows([frames], deltas, T_O, T_P, 3, IDENTITY_POSE))
-        first_obs, first_act = rows[0]
-        assert first_obs[:20] == pytest.approx(first_obs[20:])  # repeated frame
-        last_obs, last_act = rows[-1]
-        assert np.all(last_act == 0.0)  # end padding
-        assert first_act[:6] == pytest.approx(deltas.reshape(-1)[:6])
+        observations, actions = ds.episode_windows([frames], deltas, T_O, T_P, IDENTITY_POSE)
+        assert observations[0, :20] == pytest.approx(observations[0, 20:])  # repeated frame
+        assert np.all(actions[-1] == 0.0)  # end padding
+        assert actions[0, :6] == pytest.approx(deltas.reshape(-1)[:6])
 
     def test_action_window_zero_pads_past_path_end(self):
         deltas = np.arange(12, dtype=float).reshape(4, 3)
-        window = ds._action_window(deltas, 2, 5, 3)
-        assert window.shape == (15,)
-        assert np.array_equal(window.reshape(5, 3)[:2], deltas[2:])
-        assert np.all(window.reshape(5, 3)[2:] == 0.0)
-        assert np.all(ds._action_window(deltas, 4, 5, 3) == 0.0)
+        _, actions = ds.episode_windows([np.zeros((5, 20))], deltas, 1, 5, IDENTITY_POSE)
+        window = actions[2].reshape(5, 3)
+        assert np.array_equal(window[:2], deltas[2:])
+        assert np.all(window[2:] == 0.0)
+        assert np.all(actions[4] == 0.0)
 
     def test_integrating_deltas_recovers_path(self, rng):
         path = np.cumsum(rng.uniform(-RES, RES, size=(30, 3)), axis=0)
@@ -123,9 +122,9 @@ class TestDualGeneration:
         a, b = spaced_pair_sampler(rng)
         path_a = np.cumsum(rng.uniform(-0.02, 0.02, size=(10, 3)), axis=0)
         deltas = ds.path_to_deltas(path_a)
-        frames = [np.zeros(20) for _ in path_a]
-        rows = list(ds.episode_windows([frames], deltas, T_O, T_P, 3, a.base))
-        for t, (_, act) in enumerate(rows):
+        _, actions = ds.episode_windows([np.zeros((len(path_a), 20))], deltas, T_O, T_P,
+                                        a.base)
+        for t, act in enumerate(actions):
             window = np.zeros((T_P, 3))
             avail = deltas[t: t + T_P]
             window[: len(avail)] = avail
@@ -322,6 +321,15 @@ class TestVersionRefusal:
         ds.save_dataset(single_ds, tmp_path / "a.mad")
         bad = with_header_key(tmp_path / "a.mad", tmp_path / "b.mad", key, value)
         with pytest.raises(ds.IncompatibleDatasetError, match="observation width"):
+            ds.load_dataset(bad)
+
+    def test_frame_width_contradicting_action_dim_refused(self, single_ds, tmp_path):
+        # 4 frames of width 10 fill the 40 observation columns, but 3-joint
+        # frames are 20 wide.
+        ds.save_dataset(single_ds, tmp_path / "a.mad")
+        with_header_key(tmp_path / "a.mad", tmp_path / "b.mad", "t_o", 4)
+        bad = with_header_key(tmp_path / "b.mad", tmp_path / "c.mad", "frame_width", 10)
+        with pytest.raises(ds.IncompatibleDatasetError, match="frame width 10"):
             ds.load_dataset(bad)
 
     def test_norm_vector_of_wrong_length_refused(self, single_ds, tmp_path):

@@ -8,6 +8,7 @@ from multiarm import diffusion as dif
 from multiarm.config import DiffusionConfig
 from multiarm.datasets import Dataset, NormStats, compute_norm_stats
 from multiarm.nets import AdamW, DenoiserMLP, ema_update, sinusoidal_table
+from multiarm.observation import frame_width
 
 from .conftest import with_header_key
 
@@ -425,7 +426,8 @@ class TestTraining:
 
 class TestCheckpoint:
     def make_policy(self, rng):
-        ds = synthetic_dataset(rng, n=64)
+        # One frame of a 2-joint arm per row, as the header's widths claim.
+        ds = synthetic_dataset(rng, n=64, obs_dim=frame_width(2))
         cfg = DiffusionConfig(denoise_steps=8, epochs=2, batch_size=32,
                               hidden_dims=(8, 8), embed_dim=6)
         state = dif.train(ds, "single", cfg, seed=1)
@@ -502,10 +504,13 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key,value", [
         ("family", "triple"), ("embed_dim", "6"), ("meta", None), ("t_p", 0),
-        ("hidden_dims", [8, 9]), ("obs_dim", 7), ("action_dim", 3),
+        ("hidden_dims", [8, 9]), ("obs_dim", 7), ("action_dim", 3), ("t_o", 3),
+        ("frame_width", 7),
     ])
     def test_malformed_header_refused(self, rng, tmp_path, key, value):
-        # The last three disagree with the stored weight or norm shapes.
+        # hidden_dims, obs_dim and action_dim disagree with the stored weight
+        # or norm shapes; t_o and frame_width with the frame layout, which
+        # would surface only at the first sample.
         dif.save_checkpoint(self.make_policy(rng), tmp_path / "a.ckpt")
         bad = with_header_key(tmp_path / "a.ckpt", tmp_path / "b.ckpt", key, value)
         with pytest.raises(dif.IncompatibleCheckpointError):

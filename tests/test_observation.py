@@ -9,10 +9,12 @@ from multiarm import observation as obs
 from multiarm.kinematics import (
     IDENTITY_POSE,
     BasePose,
+    DimensionError,
     EEPose,
     apply_to_points,
     compose,
     forward_kinematics,
+    link_vertices,
     make_arm,
 )
 
@@ -103,97 +105,166 @@ class TestTransformToFrame:
         assert out[obs.slot(4, "joint_angles")] == pytest.approx(q)
 
 
+def reference_frame(arm, q, goal):
+    """One frame assembled field by field from the one-config kinematics."""
+    ee = forward_kinematics(arm, q)
+    return np.concatenate([q, ee.as_array(), goal.as_array(),
+                           link_vertices(arm, q).reshape(-1), arm.base.as_array()])
+
+
+class TestFrames:
+    @pytest.mark.parametrize("dof", [1, 3])
+    def test_rows_equal_one_config_frames_bitwise(self, rng, dof):
+        arm = random_arm(rng, dof=dof)
+        goal = EEPose(np.array([0.4, -0.2]), 0.7)
+        qs = np.stack([random_config(arm, rng) for _ in range(7)])
+        stack = obs.frames(arm, qs, goal)
+        assert stack.shape == (7, obs.frame_width(dof))
+        for q, row in zip(qs, stack):
+            assert row.tobytes() == obs.build_frame(arm, q, goal).tobytes()
+            assert row.tobytes() == reference_frame(arm, q, goal).tobytes()
+
+    def test_empty_stack(self, arm3):
+        assert obs.frames(arm3, np.zeros((0, 3)), EEPose(np.zeros(2), 0.0)).shape == (0, 20)
+
+    def test_wrong_width_rejected(self, arm3):
+        with pytest.raises(DimensionError):
+            obs.frames(arm3, np.zeros((2, 2)), EEPose(np.zeros(2), 0.0))
+
+
+def ego_frame(base, stack):
+    """World-frame frames re-expressed in `base`, one frame at a time."""
+    return np.stack([obs.transform_to_frame(base, IDENTITY_POSE, f) for f in stack])
+
+
+def padded_window(stack, t, t_o):
+    """Frames t - t_o + 1 .. t of `stack`, front-padded with frame 0."""
+    seen = list(stack[: t + 1])
+    return np.stack([seen[0]] * max(0, t_o - len(seen)) + seen[-t_o:])
+
+
 class TestHistory:
+    """`conditioning` row t is the window that ends at frame t."""
+
     def test_padding(self):
         f = np.arange(20.0)
-        hist = obs.build_history([f], 2)
-        assert hist.shape == (2, 20)
-        assert np.array_equal(hist[0], hist[1])
+        rows = obs.conditioning([f[None]], IDENTITY_POSE, 2)
+        assert rows.shape == (1, 40)
+        assert np.array_equal(rows[0, :20], rows[0, 20:])
 
     def test_exact_suffix(self):
-        frames = [np.full(5, float(i)) for i in range(6)]
-        hist = obs.build_history(frames, 3)
-        assert [row[0] for row in hist] == [3.0, 4.0, 5.0]
+        stack = np.stack([np.full(20, float(i)) for i in range(6)])
+        rows = obs.conditioning([stack], IDENTITY_POSE, 3).reshape(6, 3, 20)
+        # Column 0 is a joint angle, which no base change moves.
+        assert list(rows[5, :, 0]) == [3.0, 4.0, 5.0]
+        assert list(rows[1, :, 0]) == [0.0, 0.0, 1.0]
 
     def test_oldest_first(self):
-        frames = [np.full(4, 1.0), np.full(4, 2.0)]
-        hist = obs.build_history(frames, 2)
-        assert hist[0, 0] == 1.0 and hist[1, 0] == 2.0
+        stack = np.stack([np.full(20, 1.0), np.full(20, 2.0)])
+        row = obs.conditioning([stack], IDENTITY_POSE, 2)[-1]
+        assert row[0] == 1.0 and row[20] == 2.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            obs.build_history([], 2)
+    def test_empty_stack_gives_no_rows(self):
+        rows = obs.conditioning([np.zeros((0, 20))], IDENTITY_POSE, 2)
+        assert rows.shape == (0, 40)
 
     @given(st.integers(1, 6), st.integers(1, 5))
     def test_fixed_length(self, n_frames, t_o):
-        frames = [np.full(3, float(i)) for i in range(n_frames)]
-        assert obs.build_history(frames, t_o).shape == (t_o, 3)
+        stack = np.stack([np.full(20, float(i)) for i in range(n_frames)])
+        assert obs.conditioning([stack], IDENTITY_POSE, t_o).shape == (n_frames, t_o * 20)
 
+    @pytest.mark.parametrize("t_o", [1, 2, 4])
+    def test_rows_match_pad_and_window_reference(self, rng, t_o):
+        # The reference pads and windows each stack first and re-expresses
+        # the (n, t_o, w) windows in one call, as a per-row builder would.
+        arms = [random_arm(rng, dof=3) for _ in range(2)]
+        goal = EEPose(np.array([0.4, -0.2]), 0.7)
+        stacks = [obs.frames(arm, np.stack([random_config(arm, rng) for _ in range(6)]), goal)
+                  for arm in arms]
+        base = arms[1].base
+        rows = obs.conditioning(stacks, base, t_o)
+        assert rows.shape == (6, t_o * 2 * 20)
+        for t, row in enumerate(rows):
+            windows = np.stack([padded_window(stack, t, t_o) for stack in stacks])
+            want = obs.transform_to_frame(base, IDENTITY_POSE, windows).transpose(1, 0, 2)
+            assert row.tobytes() == want.reshape(-1).tobytes()
+            assert row == pytest.approx(
+                np.stack([ego_frame(base, w) for w in windows], axis=1).reshape(-1), abs=1e-12)
 
-def ego_frame(base, hist):
-    """A world-frame history re-expressed in `base`, one frame at a time."""
-    return np.stack([obs.transform_to_frame(base, IDENTITY_POSE, f) for f in hist])
+    def test_row_does_not_depend_on_stack_length(self, rng):
+        # A dataset builds every row of an episode at once, the planner only
+        # the newest row from the last t_o frames: the bits must agree.
+        arm = random_arm(rng, dof=3)
+        goal = EEPose(np.array([0.1, 0.3]), -0.4)
+        stack = obs.frames(arm, np.stack([random_config(arm, rng) for _ in range(9)]), goal)
+        rows = obs.conditioning([stack], arm.base, 3)
+        for t in range(9):
+            newest = obs.conditioning([stack[max(0, t - 2): t + 1]], arm.base, 3)[-1]
+            assert newest.tobytes() == rows[t].tobytes()
 
 
 class TestPaired:
     """The pair model's conditioning: [other ++ ego] rows in the ego frame."""
 
-    def make_pair(self, rng, colocated=False):
+    def make_pair(self, rng, colocated=False, k=1):
         base_a = random_pose(rng)
         base_b = base_a if colocated else random_pose(rng)
         arm_a = make_arm((0.5, 0.3, 0.2), base_a, 0.1)
         arm_b = make_arm((0.5, 0.3, 0.2), base_b, 0.1)
-        qa, qb = random_config(arm_a, rng), random_config(arm_b, rng)
         goal = EEPose(np.array([0.2, 0.2]), 0.1)
-        hist_a = obs.build_history([obs.build_frame(arm_a, qa, goal)], 2)
-        hist_b = obs.build_history([obs.build_frame(arm_b, qb, goal)], 2)
-        return arm_a, arm_b, hist_a, hist_b
+        stack_a = obs.frames(arm_a, np.stack([random_config(arm_a, rng) for _ in range(k)]),
+                             goal)
+        stack_b = obs.frames(arm_b, np.stack([random_config(arm_b, rng) for _ in range(k)]),
+                             goal)
+        return arm_a, arm_b, stack_a, stack_b
 
     def test_width(self, rng):
-        arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
-        cond = obs.conditioning([hist_b, hist_a], arm_a.base)
-        assert cond.shape == (80,)
+        arm_a, arm_b, stack_a, stack_b = self.make_pair(rng)
+        cond = obs.conditioning([stack_b, stack_a], arm_a.base, 2)
+        assert cond.shape == (1, 80)
 
     def test_identity_for_colocated_bases(self, rng):
-        arm_a, arm_b, hist_a, hist_b = self.make_pair(rng, colocated=True)
-        rows = obs.conditioning([hist_b, hist_a], arm_a.base).reshape(2, 40)
+        arm_a, arm_b, stack_a, stack_b = self.make_pair(rng, colocated=True, k=3)
+        rows = obs.conditioning([stack_b, stack_a], arm_a.base, 2).reshape(3, 2, 40)
         # Colocated bases: each block is that arm's own single conditioning.
-        own_b = obs.conditioning([hist_b], arm_b.base).reshape(2, 20)
-        own_a = obs.conditioning([hist_a], arm_a.base).reshape(2, 20)
-        assert rows[:, :20] == pytest.approx(own_b, abs=1e-12)
-        assert rows[:, 20:] == pytest.approx(own_a, abs=1e-12)
+        own_b = obs.conditioning([stack_b], arm_b.base, 2).reshape(3, 2, 20)
+        own_a = obs.conditioning([stack_a], arm_a.base, 2).reshape(3, 2, 20)
+        assert rows[..., :20] == pytest.approx(own_b, abs=1e-12)
+        assert rows[..., 20:] == pytest.approx(own_a, abs=1e-12)
 
     def test_other_block_first_then_ego(self, rng):
-        arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
-        rows = obs.conditioning([hist_b, hist_a], arm_a.base).reshape(2, 40)
-        assert rows[:, :20] == pytest.approx(ego_frame(arm_a.base, hist_b), abs=1e-12)
-        assert rows[:, 20:] == pytest.approx(ego_frame(arm_a.base, hist_a), abs=1e-12)
+        arm_a, arm_b, stack_a, stack_b = self.make_pair(rng, k=4)
+        rows = obs.conditioning([stack_b, stack_a], arm_a.base, 2).reshape(4, 2, 40)
+        for t in range(4):
+            assert rows[t, :, :20] == pytest.approx(
+                ego_frame(arm_a.base, padded_window(stack_b, t, 2)), abs=1e-12)
+            assert rows[t, :, 20:] == pytest.approx(
+                ego_frame(arm_a.base, padded_window(stack_a, t, 2)), abs=1e-12)
         # The ego base sits at the origin of its own frame.
-        assert rows[:, 20:][:, obs.slot(3, "base_pose")] == pytest.approx(0.0, abs=1e-12)
+        assert rows[..., 20:][..., obs.slot(3, "base_pose")] == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_and_transform_back(self, rng):
-        arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
-        moved = obs.conditioning([hist_b, hist_a], arm_a.base)[:20]
+        arm_a, arm_b, stack_a, stack_b = self.make_pair(rng)
+        moved = obs.conditioning([stack_b, stack_a], arm_a.base, 2)[0, :20]
         back = obs.transform_to_frame(IDENTITY_POSE, arm_a.base, moved)
-        assert back == pytest.approx(hist_b[0], abs=1e-9)
+        assert back == pytest.approx(stack_b[0], abs=1e-9)
 
     def test_length_mismatch(self, rng):
-        arm_a, arm_b, hist_a, hist_b = self.make_pair(rng)
+        arm_a, arm_b, stack_a, stack_b = self.make_pair(rng, k=2)
         with pytest.raises(ValueError):
-            obs.conditioning([hist_b[:1], hist_a], arm_a.base)
+            obs.conditioning([stack_b[:1], stack_a], arm_a.base, 2)
 
 
 class TestFlatten:
     def test_round_trip_and_length(self, rng):
         arm = random_arm(rng, dof=3)
         goal = EEPose(np.array([0.4, -0.2]), 0.7)
-        frames = [obs.build_frame(arm, random_config(arm, rng), goal) for _ in range(2)]
-        hist = obs.build_history(frames, 2)
-        flat = obs.conditioning([hist], arm.base)
+        stack = obs.frames(arm, np.stack([random_config(arm, rng) for _ in range(2)]), goal)
+        flat = obs.conditioning([stack], arm.base, 2)[-1]
         assert flat.shape == (40,)
-        assert flat.reshape(2, 20) == pytest.approx(ego_frame(arm.base, hist), abs=1e-12)
+        assert flat.reshape(2, 20) == pytest.approx(ego_frame(arm.base, stack), abs=1e-12)
         # Oldest first: the first frame occupies the leading slots.
-        assert flat[:20] == pytest.approx(ego_frame(arm.base, hist[:1])[0], abs=1e-12)
+        assert flat[:20] == pytest.approx(ego_frame(arm.base, stack[:1])[0], abs=1e-12)
 
 
 class TestConditioningInvariance:
@@ -220,10 +291,10 @@ class TestConditioningInvariance:
                 arms = [make_arm((0.5, 0.3, 0.2), compose(g, b), 0.1) for b in bases]
                 moved = [EEPose(apply_to_points(g, goal.position),
                                 goal.orientation + g.heading) for goal in goals]
-                hists = [obs.build_history([obs.build_frame(arm, q, goal)], 2)
-                         for arm, q, goal in zip(arms, configs, moved)]
-                scenes.append((obs.conditioning(hists[1:], arms[1].base),
-                               obs.conditioning(hists, arms[1].base)))
+                stacks = [obs.frames(arm, q[None], goal)
+                          for arm, q, goal in zip(arms, configs, moved)]
+                scenes.append((obs.conditioning(stacks[1:], arms[1].base, 2),
+                               obs.conditioning(stacks, arms[1].base, 2)))
             for before, after in zip(*scenes):
                 assert np.max(np.abs(after - before)) <= 1e-9
 

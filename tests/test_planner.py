@@ -9,7 +9,7 @@ from multiarm import planner as pl
 from multiarm.collision import rollout
 from multiarm.config import RunConfig, WorldBounds, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
-from multiarm.observation import build_frame, build_history
+from multiarm.observation import frames
 from multiarm.planner import dgmap_search
 from multiarm.seeding import TAG_PLAN, substream
 
@@ -84,7 +84,7 @@ def facing_scene():
     starts = [np.array([math.pi / 2, 0.0, 0.0]), np.array([math.pi / 2, 0.0, 0.0])]
     goals = [forward_kinematics(arm, np.array([-math.pi / 2, 0.0, 0.0]))
              for arm in (a, b)]
-    hists = [build_history([build_frame(arm, q, g)], 2)
+    hists = [frames(arm, q[None], g)
              for arm, q, g in zip((a, b), starts, goals)]
     return [a, b], starts, goals, hists
 
@@ -99,7 +99,7 @@ def one_arm_search(cfg, penalty=10.0):
     arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
     q = np.array([0.3, -0.2])
     goal = forward_kinematics(arm, q)
-    hist = build_history([build_frame(arm, q, goal)], 2)
+    hist = frames(arm, q[None], goal)
     hold = ScriptedPolicy(lambda o, c, r: np.zeros((c, T_P, 2)), action_dim=2)
     cfg = dataclasses.replace(cfg, planner=dataclasses.replace(
         cfg.planner, collision_penalty=penalty))
@@ -176,7 +176,7 @@ def ring_scene(n, radius=1.0, q0=0.3):
         arms.append(arm)
         starts.append(np.array([q0, 0.0, 0.0]))
         goals.append(forward_kinematics(arm, np.array([-q0, 0.3, 0.0])))
-    hists = [build_history([build_frame(arm, q, g)], 2)
+    hists = [frames(arm, q[None], g)
              for arm, q, g in zip(arms, starts, goals)]
     return arms, starts, goals, hists
 
@@ -304,7 +304,7 @@ def floor_scene_search(cfg):
     arms = [make_arm((0.5,), BasePose(x, 0.0, 0.0), 0.05) for x in (-1.5, 1.5)]
     starts = [np.zeros(1), np.zeros(1)]
     goals = [forward_kinematics(arm, np.array([-math.pi / 2])) for arm in arms]
-    hists = [build_history([build_frame(arm, q, g)], 2)
+    hists = [frames(arm, q[None], g)
              for arm, q, g in zip(arms, starts, goals)]
     # Arms are sampled in order, one call each.
     rates = iter([(-0.095, -0.078, 0.1), (-0.09, -0.06, -0.05)])
@@ -320,7 +320,7 @@ class TestSearch:
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
         start = np.zeros(3)
         goal = forward_kinematics(arm, np.array([0.8, 0.2, -0.1]))
-        hist = build_history([build_frame(arm, start, goal)], 2)
+        hist = frames(arm, start[None], goal)
         policy = ScriptedPolicy(straight_plans)
         result = dgmap_search([arm], [start], [goal], [hist], policy, None, cfg, 3)
         assert result.solved
@@ -416,7 +416,7 @@ class TestSearch:
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0.0, 0.0, 0.0), 0.11)
         start = np.zeros(3)
         goal = forward_kinematics(arm, np.array([0.9, 0.0, 0.0]))
-        hist = build_history([build_frame(arm, start, goal)], 2)
+        hist = frames(arm, start[None], goal)
 
         def head_for_wall(obs_vec, count, rng):
             plans = np.zeros((count, T_P, 3))
