@@ -114,19 +114,15 @@ def load_policy(path, family: str, cfg) -> dif.Policy:
     return policy
 
 
-def _policies_from_args(cfg, args, need_dual: bool):
+def _policies_from_args(cfg, args):
     single = load_policy(args.single, "single", cfg)
-    dual = None
-    if getattr(args, "dual", None):
-        dual = load_policy(args.dual, "dual", cfg)
-    elif need_dual:
-        raise FileNotFoundError("a dual checkpoint is required")
+    dual = load_policy(args.dual, "dual", cfg) if args.dual else None
     return {"single": single, "dual": dual}
 
 
 def cmd_plan(args) -> int:
     cfg = _load_cfg(args)
-    policies = _policies_from_args(cfg, args, need_dual=False)
+    policies = _policies_from_args(cfg, args)
     if args.task:
         task = load_task(args.task, cfg)
     else:
@@ -150,8 +146,12 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         print(f"error=bad-option option=--methods detail={exc}", file=sys.stderr)
         return 2
+    if "dgmap" in methods and not args.dual:
+        print("error=bad-option option=--dual detail=method dgmap needs a dual checkpoint",
+              file=sys.stderr)
+        return 2
     cfg = _load_cfg(args)
-    policies = _policies_from_args(cfg, args, need_dual="dgmap" in methods)
+    policies = _policies_from_args(cfg, args)
     out_dir = _out_path(args.out)
     report = run_benchmark(cfg, policies, methods, out_dir, workers=args.workers)
     if not verify_task_pairing(report, methods):

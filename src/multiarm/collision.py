@@ -106,19 +106,18 @@ def _verts_in_bounds(verts: np.ndarray, radius: float, bounds: WorldBounds) -> n
 def _self_clear(verts: np.ndarray, radius: float) -> np.ndarray:
     """True per state when no non-adjacent link pair is in capsule contact.
 
-    verts has shape (..., d+1, 2); links m and m' are checked for |m-m'| >= 2.
+    verts has shape (..., d+1, 2); the kernel runs on the ordered link pairs
+    (m, m') with |m-m'| >= 2 only, both orders of each, since the kernel is
+    not symmetric to the bit.
     """
     d = verts.shape[-2] - 1
     if d < 3:
         return np.ones(verts.shape[:-2], dtype=bool)
-    starts = verts[..., :-1, :]
-    ends = verts[..., 1:, :]
-    dist = segment_distance_batch(starts[..., :, None, :], ends[..., :, None, :],
-                                  starts[..., None, :, :], ends[..., None, :, :])
     idx = np.arange(d)
-    nonadjacent = np.abs(idx[:, None] - idx[None, :]) >= 2
-    clear = (dist >= 2.0 * radius) | ~nonadjacent
-    return np.all(clear, axis=(-2, -1))
+    m, n = np.nonzero(np.abs(idx[:, None] - idx) >= 2)
+    dist = segment_distance_batch(verts[..., m, :], verts[..., m + 1, :],
+                                  verts[..., n, :], verts[..., n + 1, :])
+    return np.all(dist >= 2.0 * radius, axis=-1)
 
 
 def _verts_free(arm: ArmModel, verts: np.ndarray, bounds: WorldBounds) -> np.ndarray:

@@ -14,9 +14,11 @@ sqrt(alpha_k), which multiplies the estimate's error by 1/sqrt(alpha_k),
 about 32 at the last cosine step.
 
 Sampling runs one chain over m stacked conditioning rows with one generator
-per row. Each row's generator draws exactly the blocks a chain of its own
-would, and each row's matrix products keep a solo chain's shapes, so
-stacking conditionings never changes any row's plans.
+per row. `sample` draws every noise block, one per row generator and step,
+and `reverse_step` takes it as an argument, so the step draws nothing. Each
+row's generator draws exactly the blocks a chain of its own would, and each
+row's matrix products keep a solo chain's shapes, so stacking conditionings
+never changes any row's plans.
 
 A chain runs in its model's dtype. `Policy` samples with a float32 copy of
 its EMA weights: the embedding table, the action box and every noise block
@@ -104,7 +106,7 @@ def forward_noise(schedule: NoiseSchedule, z0: np.ndarray, k, epsilon: np.ndarra
 
 
 def reverse_step(schedule: NoiseSchedule, eps_hat: np.ndarray, z_k: np.ndarray,
-                 k: int, rng: np.random.Generator, box) -> np.ndarray:
+                 k: int, noise: np.ndarray | None, box) -> np.ndarray:
     """One ancestral update from z_k to z_{k-1}, given the model's noise
     estimate `eps_hat` at (z_k, k).
 
@@ -113,12 +115,13 @@ def reverse_step(schedule: NoiseSchedule, eps_hat: np.ndarray, z_k: np.ndarray,
     step returns the posterior mean
     sqrt(abar_{k-1}) beta_k / (1 - abar_k) x0_hat
     + sqrt(alpha_k) (1 - abar_{k-1}) / (1 - abar_k) z_k
-    plus sigma_k noise. At k == 1 it returns the clipped x0_hat itself.
+    plus sigma_k * noise, where `noise` is a standard-normal block of z_k's
+    shape. At k == 1 it returns the clipped x0_hat itself and ignores
+    `noise`, which may then be None.
 
     The step keeps z_k's float type: the schedule coefficients enter as
     Python floats, which never promote an array (a NumPy float64 scalar
-    would lift float32 to float64), and the noise is drawn in float64 and
-    rounded to that type. `box` must already be in it.
+    would lift float32 to float64). `noise` and `box` must already be in it.
     """
     if not 1 <= k <= schedule.n_steps:
         raise ValueError("k out of range")
@@ -132,20 +135,7 @@ def reverse_step(schedule: NoiseSchedule, eps_hat: np.ndarray, z_k: np.ndarray,
     beta, alpha = float(schedule.beta[k]), float(schedule.alpha[k])
     mean = (math.sqrt(abar_prev) * beta / (1.0 - abar) * x0_hat
             + math.sqrt(alpha) * (1.0 - abar_prev) / (1.0 - abar) * z_k)
-    sigma = math.sqrt(schedule.posterior_var[k])
-    return mean + sigma * rng.standard_normal(z_k.shape).astype(z_k.dtype, copy=False)
-
-
-class _RowStreams:
-    """Noise source for a chain over a stack of conditioning rows: a request
-    for (m, count, w) normals takes block i from generators[i] alone, so each
-    generator draws exactly what it would in a chain of its own."""
-
-    def __init__(self, generators):
-        self.generators = list(generators)
-
-    def standard_normal(self, shape):
-        return np.stack([g.standard_normal(shape[1:]) for g in self.generators])
+    return mean + math.sqrt(schedule.posterior_var[k]) * noise
 
 
 def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: int,
@@ -156,11 +146,12 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     in float64.
 
     One chain denoises an (m, count, width) stack. Row i draws its noise from
-    rngs[i] only (initial block, then one block per step), and every matrix
-    product runs per row block with the shapes of a solo chain, so row i is
-    bit-identical to a chain run for that conditioning alone. Every step
-    clips its x0 estimate to the normalized image of [-delta_limit,
-    delta_limit], the range the plans are clamped to afterwards.
+    rngs[i] only: the initial block, then one (count, width) block for each
+    step k > 1, which `reverse_step` takes. Every matrix product runs per row
+    block with the shapes of a solo chain, so row i is bit-identical to a
+    chain run for that conditioning alone. Every step clips its x0 estimate
+    to the normalized image of [-delta_limit, delta_limit], the range the
+    plans are clamped to afterwards.
 
     The chain runs in the model's dtype. The conditioning is normalized in
     float64 and the action box and every noise block are rounded to the
@@ -170,9 +161,8 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     if count < 1:
         raise ValueError("count must be >= 1")
     obs = np.atleast_2d(np.asarray(obs, dtype=float))
-    noise = _RowStreams(rngs)
     m = obs.shape[0]
-    if len(noise.generators) != m:
+    if len(rngs) != m:
         raise ValueError("need one generator per conditioning row")
     norm_obs = (obs - norm.obs_mean) / norm.obs_scale
     obs_proj = model.obs_projection(norm_obs[:, None, :])
@@ -181,10 +171,15 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     dtype = model.dtype
     box = tuple(((limit - norm.act_mean) / norm.act_scale).astype(dtype, copy=False)
                 for limit in (-delta_limit, delta_limit))
-    z = noise.standard_normal((m, count, model.action_width)).astype(dtype, copy=False)
+
+    def draw():
+        blocks = [g.standard_normal((count, model.action_width)) for g in rngs]
+        return np.stack(blocks).astype(dtype, copy=False)
+
+    z = draw()
     for k in range(schedule.n_steps, 0, -1):
         eps_hat = model.forward(z, obs_proj=obs_proj, emb_proj=emb_proj_table[k])
-        z = reverse_step(schedule, eps_hat, z, k, noise, box)
+        z = reverse_step(schedule, eps_hat, z, k, draw() if k > 1 else None, box)
     actions = norm.denormalize_act(z).reshape(m, count, pred_horizon, action_dim)
     return np.clip(actions, -delta_limit, delta_limit)
 

@@ -415,6 +415,24 @@ class TestConfigErrors:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("methods,line", [
+        ("dgmap", "error=bad-option option=--dual detail="),
+        ("decentralized,dgmap", "error=bad-option option=--dual detail="),
+        ("decentralized", "error=file-not-found detail="),
+    ])
+    def test_dgmap_without_dual_refused_before_loading(self, tmp_path, methods, line,
+                                                       capsys):
+        # The --single checkpoint does not exist, so only a method that needs
+        # no dual model gets as far as reading it.
+        out = tmp_path / "never"
+        code, stdout, err = run_cli(["bench", "--methods", methods, "--single", str(out),
+                                     "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith(line)
+        assert len(err.splitlines()) == 1
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value,line", [
         ("x", "error=config detail=MULTIARM_WORKERS"),
         ("0", "error=out-of-range option=MULTIARM_WORKERS value=0 minimum=1"),

@@ -12,7 +12,8 @@ from multiarm.collision import (
     is_free,
     rollout,
 )
-from multiarm.kinematics import BasePose, DimensionError, link_vertices, make_arm
+from multiarm.kinematics import (BasePose, DimensionError, chain_vertices, link_vertices,
+                                 make_arm)
 
 from .conftest import random_arm, random_config
 
@@ -275,6 +276,46 @@ def scalar_collide(a, qa, b, qb):
     va, vb = link_vertices(a, qa), link_vertices(b, qb)
     return any(capsule_distance(va[m:m + 2], vb[n:n + 2]) < a.collision_radius + b.collision_radius
                for m in range(a.dof) for n in range(b.dof))
+
+
+def all_pairs_self_clear(verts, radius):
+    """The rule `_self_clear` replaced: the kernel on all d^2 ordered link
+    pairs of a (..., d+1, 2) stack, the adjacent ones masked out after."""
+    d = verts.shape[-2] - 1
+    if d < 3:
+        return np.ones(verts.shape[:-2], dtype=bool)
+    starts, ends = verts[..., :-1, :], verts[..., 1:, :]
+    dist = col.segment_distance_batch(starts[..., :, None, :], ends[..., :, None, :],
+                                      starts[..., None, :, :], ends[..., None, :, :])
+    idx = np.arange(d)
+    nonadjacent = np.abs(idx[:, None] - idx[None, :]) >= 2
+    return np.all((dist >= 2.0 * radius) | ~nonadjacent, axis=(-2, -1))
+
+
+class TestSelfClear:
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4, 5])
+    def test_matches_all_pairs_reference(self, rng, dof):
+        verdicts = []
+        for _ in range(20):
+            arm = random_arm(rng, dof=dof)
+            qs = rng.uniform(arm.lower_limits, arm.upper_limits, size=(32, dof))
+            verts = chain_vertices(arm, qs).reshape(4, 8, dof + 1, 2)
+            radii = [arm.collision_radius]
+            if dof >= 3:
+                # Put state 0's links 0 and 2 exactly at contact, and a
+                # rounding step either side of it.
+                gap = float(col.segment_distance_batch(*verts[0, 0, :4]))
+                radii += [gap / 2.0, np.nextafter(gap / 2.0, 0.0),
+                          np.nextafter(gap / 2.0, np.inf)]
+            for radius in radii:
+                got = col._self_clear(verts, radius)
+                assert got.shape == (4, 8)
+                assert np.array_equal(got, all_pairs_self_clear(verts, radius))
+                verdicts.extend(got.ravel().tolist())
+        if dof >= 3:
+            assert 0 < sum(verdicts) < len(verdicts)
+        else:
+            assert all(verdicts)
 
 
 class TestBatchedPredicates:

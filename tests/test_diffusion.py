@@ -192,11 +192,6 @@ class ScaledDenoiser:
         return eps
 
 
-class _NoNoise:
-    def standard_normal(self, shape):
-        return np.zeros(shape)
-
-
 INF_BOX = (-np.inf, np.inf)
 
 
@@ -210,7 +205,7 @@ def plant_the_noise(sched, z0, box, rng):
     oracle = OracleDenoiser(sched, z0)
     z = dif.forward_noise(sched, z0, sched.n_steps, rng.standard_normal(z0.shape))
     for k in range(sched.n_steps, 0, -1):
-        z = dif.reverse_step(sched, oracle.forward(z, None, k), z, k, _NoNoise(), box)
+        z = dif.reverse_step(sched, oracle.forward(z, None, k), z, k, np.zeros_like(z), box)
     return z
 
 
@@ -219,18 +214,36 @@ class TestReverse:
         model = tiny_model(rng)
         sched = make_schedule(10)
         z = rng.normal(size=(2, 4))
-        obs = rng.normal(size=(2, 3))
-        eps_hat = model.forward(z, obs, 1)
-        a = dif.reverse_step(sched, eps_hat, z, 1, np.random.default_rng(0), INF_BOX)
-        b = dif.reverse_step(sched, eps_hat, z, 1, np.random.default_rng(99), INF_BOX)
-        assert a == pytest.approx(b)
+        eps_hat = model.forward(z, rng.normal(size=(2, 3)), 1)
+        box = (np.full(4, -1.0), np.full(4, 1.0))
+        want = np.clip((z - np.sqrt(1.0 - sched.alpha_bar[1]) * eps_hat)
+                       / np.sqrt(sched.alpha_bar[1]), box[0], box[1])
+        for noise in (None, np.zeros((2, 4)), rng.standard_normal((2, 4))):
+            assert np.array_equal(dif.reverse_step(sched, eps_hat, z, 1, noise, box), want)
+
+    @pytest.mark.parametrize("k", [2, 5, 10])
+    def test_zero_noise_gives_posterior_mean(self, rng, k):
+        sched = make_schedule(10)
+        z = rng.normal(size=(3, 4))
+        eps_hat = rng.normal(size=(3, 4))
+        box = (np.full(4, -0.5), np.full(4, 0.5))
+        abar, abar_prev = sched.alpha_bar[k], sched.alpha_bar[k - 1]
+        x0_hat = np.clip((z - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar), box[0], box[1])
+        mean = (np.sqrt(abar_prev) * sched.beta[k] / (1.0 - abar) * x0_hat
+                + np.sqrt(sched.alpha[k]) * (1.0 - abar_prev) / (1.0 - abar) * z)
+        got = dif.reverse_step(sched, eps_hat, z, k, np.zeros_like(z), box)
+        assert got == pytest.approx(mean, rel=1e-12, abs=1e-15)
+        noise = rng.standard_normal(z.shape)
+        noisy = dif.reverse_step(sched, eps_hat, z, k, noise, box)
+        assert noisy - got == pytest.approx(np.sqrt(sched.posterior_var[k]) * noise,
+                                            rel=1e-9, abs=1e-14)
 
     def test_out_of_range_k(self):
         sched = make_schedule(10)
         for k in (0, 11):
             with pytest.raises(ValueError):
                 dif.reverse_step(sched, np.zeros((1, 4)), np.zeros((1, 4)), k,
-                                 np.random.default_rng(0), INF_BOX)
+                                 np.zeros((1, 4)), INF_BOX)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_plant_the_noise_recovery(self, rng):
@@ -257,7 +270,7 @@ class TestReverse:
         for k in range(1, 101):
             z = rng.normal(size=(5, 4))
             scaled = ScaledDenoiser(model, 1.0)
-            got = dif.reverse_step(sched, scaled.forward(z, obs, k), z, k, _NoNoise(),
+            got = dif.reverse_step(sched, scaled.forward(z, obs, k), z, k, np.zeros_like(z),
                                    INF_BOX)
             ref = eps_form_mean(sched, z, scaled.eps_seen[-1], k)
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -272,7 +285,8 @@ class TestReverse:
         noise = np.random.default_rng(3)
         for k in range(100, 0, -1):
             z_prev = z
-            z = dif.reverse_step(sched, model.forward(z, obs, k), z, k, noise, box)
+            z = dif.reverse_step(sched, model.forward(z, obs, k), z, k,
+                                 noise.standard_normal(z.shape), box)
             assert np.all(np.isfinite(z))
             assert np.max(np.abs(z)) <= 10.0
         assert np.all(z >= box[0]) and np.all(z <= box[1])
@@ -286,7 +300,8 @@ class TestReverse:
         z = rng.normal(size=(4, 4))
         obs = rng.normal(size=(4, 3))
         for k in range(1, 11):
-            z_next = dif.reverse_step(sched, model.forward(z, obs, k), z, k, rng, INF_BOX)
+            z_next = dif.reverse_step(sched, model.forward(z, obs, k), z, k,
+                                      rng.standard_normal(z.shape), INF_BOX)
             assert np.all(np.isfinite(z_next))
 
 
@@ -301,6 +316,22 @@ class TestSampling:
         assert np.array_equal(a, b)
         assert a.shape == (1, 5, 2, 2)
         assert np.max(np.abs(a)) <= 0.1
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("n_steps", [1, 6])
+    def test_each_generator_draws_one_block_per_noisy_step(self, rng, m, n_steps):
+        """Row i's generator ends where drawing the initial block and one
+        block per step k > 1 leaves it: K blocks of (count, width)."""
+        model = tiny_model(rng, action_width=4, obs_dim=3, K=n_steps)
+        norm = NormStats(np.zeros(3), np.ones(3), np.zeros(4), np.ones(4))
+        rngs = [np.random.default_rng(s) for s in range(m)]
+        dif.sample(make_schedule(n_steps), model, rng.normal(size=(m, 3)), 5, rngs, norm,
+                   0.1, 2, 2)
+        for s, g in enumerate(rngs):
+            ref = np.random.default_rng(s)
+            for _ in range(n_steps):
+                ref.standard_normal((5, 4))
+            assert g.bit_generator.state == ref.bit_generator.state
 
     def test_one_generator_per_row(self, rng):
         model = tiny_model(rng, action_width=4, obs_dim=3, K=10)
@@ -340,10 +371,10 @@ class TestSampling:
             seen.append(("eps_hat", out.dtype))
             return out
 
-        def spy_step(schedule, eps_hat, z_k, k, rng, box):
+        def spy_step(schedule, eps_hat, z_k, k, noise, box):
             seen.append(("reverse_step", eps_hat.dtype, z_k.dtype, box[0].dtype,
-                         box[1].dtype))
-            return step(schedule, eps_hat, z_k, k, rng, box)
+                         box[1].dtype, *(() if k == 1 else (noise.dtype,))))
+            return step(schedule, eps_hat, z_k, k, noise, box)
 
         monkeypatch.setattr(DenoiserMLP, "forward", spy_forward)
         monkeypatch.setattr(dif, "reverse_step", spy_step)
