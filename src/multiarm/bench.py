@@ -19,14 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import WorldBounds, find_first_collision, rollout, segment_has_collision
+from .collision import (WorldBounds, fill_self_verdicts, find_first_collision, rollout,
+                        segment_has_collision)
 from .config import DIFFICULTIES, RunConfig, config_digest, morphology_digest
 from .controller import EpisodeResult, WorldState, make_world, run_episode, run_loop
 from .datasets import Dataset, episode_windows, generate_dataset, path_to_deltas
 from .diffusion import Policy, cosine_schedule, policy_from_state, train
 from .kinematics import BasePose, EEPose, forward_kinematics, make_arm, pos_distance
 from .nets import DenoiserMLP
-from .planner import candidate, init_plans
+from .planner import candidates, init_plans
 from .seeding import METHOD_IDS, TAG_EPISODE, TAG_TASK, TAG_TOY, substream
 from .tasks import generate_task, task_digest
 
@@ -39,15 +40,15 @@ METHODS = tuple(METHOD_IDS)
 
 def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
     """The arm's cheapest candidate, judged on its own: no other arm exists.
-    Ties go to the earliest plan."""
-
-    def score(plan):
-        rec, cost = candidate(arm, q, plan, goal, cfg.controller.delta_limit)
-        if find_first_collision([arm], [rec], bounds, {}) is not None:
-            cost += cfg.planner.collision_penalty
-        return cost
-
-    return min(plans, key=score)
+    Ties go to the earliest plan. The plans are built and self-checked
+    together, so each plan's conflict query only reads the memo."""
+    records, costs = candidates(arm, q, plans, goal, cfg.controller.delta_limit)
+    memo: dict = {}
+    fill_self_verdicts(arm, records, bounds, memo)
+    for p, rec in enumerate(records):
+        if find_first_collision([arm], [rec], bounds, memo) is not None:
+            costs[p] += cfg.planner.collision_penalty
+    return plans[min(range(len(plans)), key=costs.__getitem__)]
 
 
 def baseline_decentralized(world: WorldState, single: Policy, cfg: RunConfig,

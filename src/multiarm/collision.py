@@ -9,11 +9,13 @@ in 300 max-rate steps that started near contact).
 
 Every multi-arm "does anything collide" question is one
 `find_first_collision` call over one `PlanRecord` per arm, built by
-`state_record` over states laid out by one builder, `checked_states`:
-`per_step` states per step, step-major, so a conflict's time is its state
-index // per_step. A plan (`plan_record`) and an expert step use 2, the
-executor (`segment_has_collision`, which the resim gate also runs) its
-subsamples, and `states_conflict`, the experts' predicate, 1 per given state.
+`state_records` (for a stack of trajectories; `state_record` is its one-row
+case) over states laid out by one builder, `checked_states`: `per_step`
+states per step, step-major, so a conflict's time is its state index //
+per_step. A plan (`plan_records`, one rollout for a plan stack) and an
+expert step use 2, the executor (`segment_has_collision`, which the resim
+gate also runs) its subsamples, and `states_conflict`, the experts'
+predicate, 1 per given state.
 
 Record bounds give the search a broad phase: an arm pair whose bounds are
 separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
@@ -21,11 +23,17 @@ touch at any checked state, so it resolves to "no conflict" without the
 capsule kernel. The margin sits far above the kernel's rounding error, so
 every verdict is the kernel's own. Verdicts go into a caller-owned memo
 keyed by the records, so a search that reuses them never checks a pair twice.
+`fill_self_verdicts` and `fill_pair_verdicts` store many records' verdicts
+from one kernel pass each, the values `find_first_collision` would store, so
+a caller that knows its next queries can answer them in one stacked pass.
 
-`states_free` and `states_collide` answer per row of (k, d) stacks; `is_free`
-and `arms_collide` are their one-row case. They and the search reach the
-segment-distance kernel through the same stacked helpers, `_verts_free` and
-`_verts_collide`, which no other module calls.
+Only `_verts_free` (bounds plus self-contact, through `_self_clear`) and
+`_verts_collide` (pair contact) call the segment-distance kernel, and no
+other module calls them. They are reached from `states_free` and
+`states_collide`, which answer per row of (k, d) stacks (`is_free` and
+`arms_collide` are their one-row case), from `find_first_collision`'s memo
+misses, and from the two fill helpers. Each answers per state, so a stacked
+call gives every state the bits of a call of its own.
 """
 
 from __future__ import annotations
@@ -160,24 +168,30 @@ def arms_collide(a: ArmModel, qa: np.ndarray, b: ArmModel, qb: np.ndarray) -> bo
 
 def rollout(arm: ArmModel, q0: np.ndarray, plan: np.ndarray, delta_limit: float) -> np.ndarray:
     """Integrate a delta plan from q0: per-step deltas and joint limits are
-    both clamped. Returns configs of shape (T + 1, d)."""
-    plan = np.asarray(plan, dtype=float)
-    steps = np.clip(plan, -delta_limit, delta_limit)
-    configs = np.empty((len(steps) + 1, arm.dof))
+    both clamped. A (T, d) plan gives configs of shape (T + 1, d); a (P, T, d)
+    stack gives (P, T + 1, d), each plan rolled out as if alone."""
+    # Time-major inside, so each step reads and writes one contiguous block.
+    steps = np.moveaxis(np.clip(np.asarray(plan, dtype=float), -delta_limit, delta_limit),
+                        -2, 0)
+    configs = np.empty((len(steps) + 1, *steps.shape[1:-1], arm.dof))
     configs[0] = np.asarray(q0, dtype=float)
     lo, hi = arm.lower_limits, arm.upper_limits
     for t in range(len(steps)):
-        configs[t + 1] = np.clip(configs[t] + steps[t], lo, hi)
-    return configs
+        # The method is `np.clip` without its wrapper's call overhead.
+        configs[t + 1] = (configs[t] + steps[t]).clip(lo, hi)
+    return np.ascontiguousarray(np.moveaxis(configs, 0, -2))
 
 
 def checked_states(configs: np.ndarray, per_step: int) -> np.ndarray:
-    """The states checked along a (T + 1, d) trajectory, step-major, shape
-    (T * per_step, d): per step t, c_t + (s / per_step) * (c_{t+1} - c_t) for
-    s = 1..per_step, so state k lies on step k // per_step."""
+    """The states checked along a (..., T + 1, d) trajectory stack,
+    step-major, shape (..., T * per_step, d): per step t, c_t + (s / per_step)
+    * (c_{t+1} - c_t) for s = 1..per_step, so state k lies on step
+    k // per_step."""
     taus = np.arange(1, per_step + 1)[:, None] / per_step
-    c0 = configs[:-1, None]
-    return (c0 + taus * (configs[1:, None] - c0)).reshape(-1, configs.shape[1])
+    c0 = configs[..., :-1, None, :]
+    states = c0 + taus * (configs[..., 1:, None, :] - c0)
+    return states.reshape(*configs.shape[:-2], (configs.shape[-2] - 1) * per_step,
+                          configs.shape[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,22 +215,38 @@ class PlanRecord:
     y_hi: float
 
 
+def state_records(arm: ArmModel, configs: np.ndarray, states: np.ndarray,
+                  per_step: int) -> list[PlanRecord]:
+    """The records of a (P, T + 1, d) trajectory stack `configs`, row p
+    checked at the (k, d) states `states[p]`, `per_step` states to a step:
+    one vertex pass and one bounds pass for the whole stack."""
+    verts = chain_vertices(arm, states.reshape(-1, arm.dof)).reshape(
+        *states.shape[:2], arm.dof + 1, 2)
+    lo = np.min(verts, axis=(1, 2), initial=np.inf).tolist()
+    hi = np.max(verts, axis=(1, 2), initial=-np.inf).tolist()
+    return [PlanRecord(c, v, per_step, l[0], l[1], h[0], h[1])
+            for c, v, l, h in zip(configs, verts, lo, hi)]
+
+
 def state_record(arm: ArmModel, configs: np.ndarray, states: np.ndarray,
                  per_step: int) -> PlanRecord:
     """The record of `configs`, checked at the (k, d) state stack `states`,
     `per_step` states to a step."""
-    verts = chain_vertices(arm, states)
-    lo = np.min(verts, axis=(0, 1), initial=np.inf)
-    hi = np.max(verts, axis=(0, 1), initial=-np.inf)
-    return PlanRecord(configs, verts, per_step, float(lo[0]), float(lo[1]), float(hi[0]),
-                      float(hi[1]))
+    return state_records(arm, [configs], config_stack(arm, states)[None], per_step)[0]
+
+
+def plan_records(arm: ArmModel, q0: np.ndarray, plans: np.ndarray,
+                 delta_limit: float) -> list[PlanRecord]:
+    """The records of a (P, T, d) plan stack's rollouts from q0, each checked
+    at its steps' midpoints and endpoints, from one rollout of the stack."""
+    configs = rollout(arm, q0, plans, delta_limit)
+    return state_records(arm, configs, checked_states(configs, 2), 2)
 
 
 def plan_record(arm: ArmModel, q0: np.ndarray, plan: np.ndarray,
                 delta_limit: float) -> PlanRecord:
     """A plan's rollout, checked at each step's midpoint and endpoint."""
-    configs = rollout(arm, q0, plan, delta_limit)
-    return state_record(arm, configs, checked_states(configs, 2), 2)
+    return plan_records(arm, q0, np.asarray(plan, dtype=float)[None], delta_limit)[0]
 
 
 def states_conflict(arms, stacks, bounds: WorldBounds) -> bool:
@@ -255,16 +285,58 @@ def _separated(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanRecord) -> bool
             or rb.y_lo - ra.y_hi > reach or ra.y_lo - rb.y_hi > reach)
 
 
+def _first_step(bad: np.ndarray, per_step: int):
+    """The step of the first True in a per-state bool row, or None."""
+    hit = np.flatnonzero(bad)
+    return int(hit[0]) // per_step if len(hit) else None
+
+
 def _first_self_violation(arm: ArmModel, rec: PlanRecord, bounds: WorldBounds):
-    bad = np.flatnonzero(~_verts_free(arm, rec.verts, bounds))
-    return int(bad[0]) // rec.per_step if len(bad) else None
+    return _first_step(~_verts_free(arm, rec.verts, bounds), rec.per_step)
 
 
 def _first_pair_collision(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanRecord):
     if _separated(a, ra, b, rb):
         return None
-    bad = np.flatnonzero(_verts_collide(a, ra.verts, b, rb.verts))
-    return int(bad[0]) // ra.per_step if len(bad) else None
+    return _first_step(_verts_collide(a, ra.verts, b, rb.verts), ra.per_step)
+
+
+def _stacked_verts(records) -> np.ndarray:
+    """The records' vertex stacks end to end, shape (sum of k, d + 1, 2)."""
+    return np.concatenate([rec.verts for rec in records])
+
+
+def fill_self_verdicts(arm: ArmModel, records, bounds: WorldBounds, memo: dict) -> None:
+    """Store in `memo` the self verdict of each of arm's `records` not yet
+    in it: the value `find_first_collision` would store, from one kernel pass
+    over all of their states. The records must share one horizon."""
+    todo = [rec for rec in dict.fromkeys(records) if rec not in memo]
+    if not todo:
+        return
+    bad = ~_verts_free(arm, _stacked_verts(todo), bounds).reshape(len(todo), -1)
+    for rec, row in zip(todo, bad):
+        memo[rec] = _first_step(row, rec.per_step)
+
+
+def fill_pair_verdicts(a: ArmModel, b: ArmModel, pairs, memo: dict) -> None:
+    """Store in `memo` the verdict of each record pair (ra, rb) of arms a and
+    b not yet in it, where a is the lower arm index: the value
+    `find_first_collision` would store. Pairs the broad phase prunes store
+    None; the rest share one kernel pass. The records must share one horizon."""
+    live = []
+    for key in dict.fromkeys(pairs):
+        if key in memo:
+            continue
+        if _separated(a, key[0], b, key[1]):
+            memo[key] = None
+        else:
+            live.append(key)
+    if not live:
+        return
+    bad = _verts_collide(a, _stacked_verts([ra for ra, _ in live]),
+                         b, _stacked_verts([rb for _, rb in live])).reshape(len(live), -1)
+    for key, row in zip(live, bad):
+        memo[key] = _first_step(row, key[0].per_step)
 
 
 def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conflict | None:

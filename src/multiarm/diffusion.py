@@ -119,6 +119,12 @@ def reverse_step(schedule: NoiseSchedule, eps_hat: np.ndarray, z_k: np.ndarray,
     shape. At k == 1 it returns the clipped x0_hat itself and ignores
     `noise`, which may then be None.
 
+    The clip is maximum-then-minimum, without `np.clip`'s call overhead. For
+    low < high it gives `np.clip`'s bits, NaN and infinities included, unless
+    a bound is zero: then a zero of the other sign may take the bound's sign.
+    A sampling box's bounds are zero only when a dataset's mean action sits
+    exactly on the delta limit.
+
     The step keeps z_k's float type: the schedule coefficients enter as
     Python floats, which never promote an array (a NumPy float64 scalar
     would lift float32 to float64). `noise` and `box` must already be in it.
@@ -128,7 +134,7 @@ def reverse_step(schedule: NoiseSchedule, eps_hat: np.ndarray, z_k: np.ndarray,
     z_k = np.asarray(z_k)
     abar = float(schedule.alpha_bar[k])
     x0_hat = (z_k - math.sqrt(1.0 - abar) * eps_hat) / math.sqrt(abar)
-    x0_hat = np.clip(x0_hat, box[0], box[1])
+    x0_hat = np.minimum(np.maximum(x0_hat, box[0]), box[1])
     if k == 1:
         return x0_hat
     abar_prev = float(schedule.alpha_bar[k - 1])
@@ -172,9 +178,14 @@ def sample(schedule: NoiseSchedule, model: DenoiserMLP, obs: np.ndarray, count: 
     box = tuple(((limit - norm.act_mean) / norm.act_scale).astype(dtype, copy=False)
                 for limit in (-delta_limit, delta_limit))
 
+    # Each step's float64 draws land in one reused block; `astype` copies
+    # it, so no z aliases the block the next step overwrites.
+    block = np.empty((m, count, model.action_width))
+
     def draw():
-        blocks = [g.standard_normal((count, model.action_width)) for g in rngs]
-        return np.stack(blocks).astype(dtype, copy=False)
+        for g, row in zip(rngs, block):
+            g.standard_normal(out=row)
+        return block.astype(dtype)
 
     z = draw()
     for k in range(schedule.n_steps, 0, -1):

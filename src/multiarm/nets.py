@@ -37,14 +37,22 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     per-element branches, yet every element goes through the same float
     operations as in the branch-wise form, so results are bit-identical to
     it for every input. NaNs keep their sign: minimum(x, -x) returns the NaN
-    operand unchanged, where -abs(x) would flip it.
+    operand unchanged, where -abs(x) would flip it. After the first two
+    operations every step writes into an array this call made.
     """
-    e = np.exp(np.minimum(x, -x))
-    return np.maximum(e, (x >= 0).astype(e.dtype)) / (1.0 + e)
+    e = np.minimum(x, -x)
+    np.exp(e, out=e)
+    out = (x >= 0).astype(e.dtype)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 def silu(x):
-    return x * sigmoid(x)
+    # x first: with two NaN operands the product keeps the first one's bits.
+    sig = sigmoid(x)
+    return np.multiply(x, sig, out=sig)
 
 
 def dsilu(x):
@@ -157,17 +165,22 @@ class DenoiserMLP:
         if emb_proj is None:
             emb = self.embed_table[np.asarray(k)]
             emb_proj = emb @ self.w_emb
-        pre = z @ self.w_act + obs_proj
-        pre = pre + emb_proj
+        # Sums accumulate in place into each product's fresh array, in the
+        # order (product + obs_proj) + emb_proj, product + bias.
+        pre = z @ self.w_act
+        pre += obs_proj
+        pre += emb_proj
         pres = [pre]
         h = silu(pre)
         hs = [h]
         for w, b in zip(self.hidden_ws, self.biases[1:]):
-            pre = h @ w + b
+            pre = h @ w
+            pre += b
             pres.append(pre)
             h = silu(pre)
             hs.append(h)
-        out = h @ self.w_out + self.b_out
+        out = h @ self.w_out
+        out += self.b_out
         if cache is not None:
             cache.update(z=z, obs=obs, k=k, pres=pres, hs=hs)
         return out

@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observation as obs
-from .collision import Conflict, PlanRecord, find_first_collision, plan_record
+from .collision import (Conflict, PlanRecord, fill_pair_verdicts, fill_self_verdicts,
+                        find_first_collision, plan_records)
 from .config import RunConfig
 from .diffusion import Policy
-from .kinematics import EEPose, forward_kinematics, pos_distance, rot_distance
+from .kinematics import (EEPose, chain_vertices, forward_kinematics, pos_distance,
+                         rot_distance, wrap_angle)
 from .seeding import TAG_PLAN, substream
 
 
@@ -37,18 +39,37 @@ class PlannerResult:
 
 def _cost_terms(arm, final_config: np.ndarray, plan: np.ndarray, goal: EEPose) -> float:
     """Per-arm cost: summed step magnitudes plus the terminal pose residuals
-    of `final_config`, the plan's rolled-out end."""
+    of `final_config`, the plan's rolled-out end. `candidates` computes it
+    for a plan stack, bit for bit."""
     ee = forward_kinematics(arm, final_config)
     smoothness = float(np.sum(np.linalg.norm(plan, axis=1)))
     return smoothness + pos_distance(ee, goal) + rot_distance(ee, goal)
 
 
+def candidates(arm, q0: np.ndarray, plans, goal: EEPose,
+               delta_limit: float) -> tuple[list[PlanRecord], list[float]]:
+    """A (P, T, d) plan stack's candidates as the search and the baseline
+    score them: each plan's `PlanRecord` and its cost terms (`_cost_terms`),
+    from one rollout, one vertex pass and one end-pose pass for the stack.
+
+    `np.vecdot` runs the kernel `np.linalg.norm` uses for one 2-vector, so
+    each position residual keeps a solo call's bits."""
+    plans = np.asarray(plans, dtype=float)
+    records = plan_records(arm, q0, plans, delta_limit)
+    ends = np.array([rec.configs[-1] for rec in records]).reshape(-1, arm.dof)
+    off = chain_vertices(arm, ends)[:, -1] - goal.position
+    heading = wrap_angle(arm.base.heading + np.sum(ends, axis=1))
+    cost = (np.sum(np.linalg.norm(plans, axis=2), axis=1) + np.sqrt(np.vecdot(off, off))
+            + np.abs(wrap_angle(heading - goal.orientation)))
+    return records, cost.tolist()
+
+
 def candidate(arm, q0: np.ndarray, plan: np.ndarray, goal: EEPose,
               delta_limit: float) -> tuple[PlanRecord, float]:
-    """One candidate plan as the search and the baseline score it: its
-    `PlanRecord` and its cost terms, from one rollout."""
-    rec = plan_record(arm, q0, plan, delta_limit)
-    return rec, _cost_terms(arm, rec.configs[-1], plan, goal)
+    """One plan's candidate: the one-row case of `candidates`."""
+    records, costs = candidates(arm, q0, np.asarray(plan, dtype=float)[None], goal,
+                                delta_limit)
+    return records[0], costs[0]
 
 
 def init_plans(single_policy: Policy, histories, batch: int, stream: tuple,
@@ -103,6 +124,7 @@ class _Search:
         self.pushed: set[tuple[int, ...]] = set()
         # (arm, plan index) -> (PlanRecord, cost terms), filled once per
         # candidate: first-conflict search and cost share its one rollout.
+        # The root's entries are built one by one, a branch's together.
         self.candidates: dict[tuple[int, int], tuple[PlanRecord, float]] = {}
         # First-conflict verdicts for this replan's fixed starts, keyed by
         # record (see `find_first_collision`). Each call looks up n(n+1)/2
@@ -156,8 +178,39 @@ class _Search:
         """Push b with the ego arm's plan index set to each of `indices` and
         its conflict set to `kappa`."""
         sets = conflict_sets[:ego] + (kappa,) + conflict_sets[ego + 1:]
-        for m in indices:
-            self.push(b[:ego] + (m,) + b[ego + 1:], sets)
+        succ = [t for t in (b[:ego] + (m,) + b[ego + 1:] for m in indices)
+                if t not in self.pushed]
+        self.prefill(b, ego, [t[ego] for t in succ])
+        for t in succ:
+            self.push(t, sets)
+
+    def prefill(self, b, ego: int, indices):
+        """Build the ego arm's candidates `indices` and store the memo
+        verdicts that pushing b with each of them would look up and miss, in
+        one stacked pass: one `candidates` call, one self check and one check
+        per other arm. The pushes then find every candidate and verdict, so
+        the candidate table, the memo and the cache counts end as lazy
+        pushes would leave them."""
+        if not indices:
+            return
+        arm = self.arms[ego]
+        new = [m for m in indices if (ego, m) not in self.candidates]
+        if new:
+            built = candidates(arm, self.starts[ego], [self.plan_sets[ego][m] for m in new],
+                               self.goals[ego], self.delta)
+            for m, rec, cost in zip(new, *built):
+                self.candidates[(ego, m)] = (rec, cost)
+        records = [self.candidates[(ego, m)][0] for m in indices]
+        fill_self_verdicts(arm, records, self.cfg.world, self.memo)
+        for j in range(self.n):
+            if j == ego:
+                continue
+            # b's own candidates were built when b was pushed.
+            other = self.candidates[(j, b[j])][0]
+            if j < ego:
+                fill_pair_verdicts(self.arms[j], arm, [(other, r) for r in records], self.memo)
+            else:
+                fill_pair_verdicts(arm, self.arms[j], [(r, other) for r in records], self.memo)
 
     def rebranch(self, b, conflict_sets, ego: int, kappa: frozenset):
         """Push one successor per existing ego plan outside `kappa`."""

@@ -137,7 +137,9 @@ class TestBaseline:
         real = collision.rollout
 
         def counting(arm, q0, plan, delta_limit):
-            rolled.append(np.asarray(plan).tobytes())
+            # A call rolls out a (P, T, d) stack: count its plans, not calls.
+            rolled.extend(p.tobytes() for p in np.asarray(plan).reshape(
+                -1, *np.shape(plan)[-2:]))
             return real(arm, q0, plan, delta_limit)
 
         monkeypatch.setattr(collision, "rollout", counting)

@@ -7,7 +7,7 @@ import pytest
 from multiarm import diffusion as dif
 from multiarm.config import DiffusionConfig
 from multiarm.datasets import Dataset, NormStats, compute_norm_stats
-from multiarm.nets import AdamW, DenoiserMLP, ema_update, sinusoidal_table
+from multiarm.nets import AdamW, DenoiserMLP, ema_update, silu, sinusoidal_table
 from multiarm.observation import frame_width
 
 from .conftest import with_header_key
@@ -121,6 +121,64 @@ class TestFastForward:
         fast = model.forward(z, obs_proj=model.obs_projection(obs[None, :]),
                              emb_proj=model.emb_projection_table()[4])
         assert fast == pytest.approx(plain, abs=1e-12)
+
+
+def out_of_place_forward(model, z, obs=None, k=None, obs_proj=None, emb_proj=None):
+    """DenoiserMLP.forward with every sum taken out of place; returns the
+    output and the training cache's (pres, hs)."""
+    z = np.asarray(z, dtype=model.dtype)
+    if obs_proj is None:
+        obs_proj = np.asarray(obs, dtype=model.dtype) @ model.w_obs + model.biases[0]
+    if emb_proj is None:
+        emb_proj = model.embed_table[np.asarray(k)] @ model.w_emb
+    pre = z @ model.w_act + obs_proj
+    pre = pre + emb_proj
+    pres, hs = [pre], []
+    h = silu(pre)
+    hs.append(h)
+    for w, b in zip(model.hidden_ws, model.biases[1:]):
+        pre = h @ w + b
+        pres.append(pre)
+        h = silu(pre)
+        hs.append(h)
+    return h @ model.w_out + model.b_out, pres, hs
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestInPlaceForward:
+    """forward's in-place sums keep the out-of-place bits, cache included."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_training_form_and_grads(self, rng, dtype):
+        model = tiny_model(rng, action_width=6, obs_dim=5, hidden=(16, 12, 8)).astype(dtype)
+        z = rng.normal(size=(7, 6))
+        obs = rng.normal(size=(7, 5))
+        k = rng.integers(1, 11, size=7)
+        cache: dict = {}
+        out = model.forward(z, obs, k, cache=cache)
+        want, pres, hs = out_of_place_forward(model, z, obs, k)
+        assert same_bits(out, want)
+        assert len(cache["pres"]) == len(pres) and len(cache["hs"]) == len(hs)
+        assert all(same_bits(a, b) for a, b in zip(cache["pres"], pres))
+        assert all(same_bits(a, b) for a, b in zip(cache["hs"], hs))
+        grad = rng.normal(size=out.shape)
+        ref_cache = dict(cache, pres=pres, hs=hs)
+        for a, b in zip(model.backward(grad, cache), model.backward(grad, ref_cache)):
+            assert same_bits(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sampling_form(self, rng, dtype):
+        model = tiny_model(rng, action_width=6, obs_dim=5, hidden=(16, 8)).astype(dtype)
+        obs_proj = model.obs_projection(rng.normal(size=(3, 1, 5)))
+        emb_proj = model.emb_projection_table()[4]
+        z = rng.normal(size=(3, 4, 6)).astype(dtype)
+        out = model.forward(z, obs_proj=obs_proj, emb_proj=emb_proj)
+        want, _, _ = out_of_place_forward(model, z, obs_proj=obs_proj, emb_proj=emb_proj)
+        assert out.dtype == dtype and same_bits(out, want)
 
 
 class TestGradients:
@@ -305,6 +363,40 @@ class TestReverse:
             assert np.all(np.isfinite(z_next))
 
 
+class TestReverseClip:
+    """The step's maximum-then-minimum clip gives np.clip's bits."""
+
+    SPECIAL = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_np_clip_bitwise(self, rng, dtype):
+        sched = make_schedule(10)
+        abar = sched.alpha_bar[1]
+        z = rng.normal(size=(3, 8)).astype(dtype)
+        z[0, :6] = self.SPECIAL
+        eps_hat = np.zeros_like(z)
+        raw = (z - np.sqrt(1.0 - abar).item() * eps_hat) / np.sqrt(abar).item()
+        # Bounds taken from rows 1 and 2 of the estimate, so those rows sit
+        # exactly on them; the fixed box cuts through random values.
+        exact = (np.minimum(raw[1], raw[2]), np.maximum(raw[1], raw[2]))
+        for box in (exact, (np.full(8, -0.5, dtype), np.full(8, 0.25, dtype))):
+            got = dif.reverse_step(sched, eps_hat, z, 1, None, box)
+            want = np.clip(raw, box[0], box[1])
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+            assert np.isnan(got[0, :2]).all()
+            assert (got[0, 4], got[0, 5]) == (box[1][4], box[0][5])
+
+    def test_zero_bound_differs_in_sign_only(self):
+        sched = make_schedule(10)
+        z = np.array([[0.0, -0.0, 1.0, -1.0, np.nan]])
+        box = (np.zeros(5), np.full(5, 2.0))
+        got = dif.reverse_step(sched, np.zeros_like(z), z, 1, None, box)
+        raw = z / np.sqrt(sched.alpha_bar[1])
+        assert np.array_equal(got, np.clip(raw, box[0], box[1]), equal_nan=True)
+
+
 class TestSampling:
     def test_seed_determinism_and_clamp(self, rng):
         model = tiny_model(rng, action_width=4, obs_dim=3, K=10)
@@ -332,6 +424,32 @@ class TestSampling:
             for _ in range(n_steps):
                 ref.standard_normal((5, 4))
             assert g.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_noise_blocks_are_fresh_copies_of_the_draws(self, rng, monkeypatch, dtype):
+        """Each step gets its own noise array, holding exactly the rounded
+        draws, never a view of the block the next step refills."""
+        model = tiny_model(rng, action_width=4, obs_dim=3, K=6).astype(dtype)
+        norm = NormStats(np.zeros(3), np.ones(3), np.zeros(4), np.ones(4))
+        seen, step = [], dif.reverse_step
+
+        def spy_step(schedule, eps_hat, z_k, k, noise, box):
+            seen.append((z_k, noise))
+            return step(schedule, eps_hat, z_k, k, noise, box)
+
+        monkeypatch.setattr(dif, "reverse_step", spy_step)
+        rngs = [np.random.default_rng(s) for s in range(2)]
+        dif.sample(make_schedule(6), model, rng.normal(size=(2, 3)), 5, rngs, norm,
+                   0.1, 2, 2)
+        refs = [np.random.default_rng(s) for s in range(2)]
+        want = [np.stack([g.standard_normal((5, 4)) for g in refs]).astype(dtype)
+                for _ in range(6)]
+        arrays = [a for z_k, noise in seen for a in (z_k, noise) if a is not None]
+        for a in arrays:
+            assert sum(np.shares_memory(a, b) for b in arrays) == 1
+        assert same_bits(seen[0][0], want[0])
+        for (_, noise), block in zip(seen[:-1], want[1:]):
+            assert same_bits(noise, block)
 
     def test_one_generator_per_row(self, rng):
         model = tiny_model(rng, action_width=4, obs_dim=3, K=10)

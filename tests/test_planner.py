@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multiarm import planner as pl
-from multiarm.collision import rollout
+from multiarm.collision import plan_record, rollout
 from multiarm.config import RunConfig, WorldBounds, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import frames
@@ -131,6 +131,55 @@ class TestNodeCost:
             ee = forward_kinematics(arm, traj[-1])
             expect = smooth + pos_distance(ee, goal) + rot_distance(ee, goal)
             assert got == pytest.approx(expect, abs=1e-9)
+
+
+def bits(a) -> bytes:
+    """An array's or float's exact bytes, so -0.0 and NaN payloads count."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestCandidates:
+    """A stacked build gives each plan exactly its solo record and cost."""
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 2, 10])
+    def test_stack_equals_per_plan_builds_bitwise(self, dof, count):
+        rng = np.random.default_rng(10 * dof + count)
+        # Tight limits and steps up to 3x the delta limit: rollouts hit both
+        # clamps.
+        arm = make_arm(tuple(rng.uniform(0.2, 0.5, dof)), BasePose(*rng.uniform(-1, 1, 3)),
+                       0.1, tuple((-0.4, 0.5) for _ in range(dof)))
+        q0 = rng.uniform(-0.3, 0.4, dof)
+        plans = rng.uniform(-3 * DELTA, 3 * DELTA, (count, T_P, dof))
+        plans[:, :, 0] = np.sign(plans[:, :1, 0]) * 2 * DELTA
+        goal = EEPose(rng.uniform(-1, 1, 2), rng.uniform(-3, 3))
+        records, costs = pl.candidates(arm, q0, plans, goal, DELTA)
+        assert len(records) == len(costs) == count
+        for plan, rec, cost in zip(plans, records, costs):
+            ref = plan_record(arm, q0, plan, DELTA)
+            assert bits(rec.configs) == bits(ref.configs)
+            assert bits(rec.verts) == bits(ref.verts)
+            assert rec.per_step == ref.per_step
+            bounds = (rec.x_lo, rec.y_lo, rec.x_hi, rec.y_hi)
+            assert bits(bounds) == bits((ref.x_lo, ref.y_lo, ref.x_hi, ref.y_hi))
+            assert all(type(v) is float for v in bounds)
+            want = pl._cost_terms(arm, ref.configs[-1], plan, goal)
+            assert type(cost) is float and bits(cost) == bits(want)
+        configs = np.stack([rec.configs for rec in records])
+        assert np.any(configs == -0.4) or np.any(configs == 0.5)
+        assert np.any(np.abs(plans) > DELTA)
+
+    def test_one_plan_is_the_one_row_case(self):
+        arms, starts, goals, _ = facing_scene()
+        plan = straight_plans(None, 1, np.random.default_rng(0))[0]
+        rec, cost = pl.candidate(arms[0], starts[0], plan, goals[0], DELTA)
+        records, costs = pl.candidates(arms[0], starts[0], plan[None], goals[0], DELTA)
+        assert bits(rec.verts) == bits(records[0].verts) and cost == costs[0]
+
+    def test_empty_stack(self):
+        arms, starts, goals, _ = facing_scene()
+        assert pl.candidates(arms[0], starts[0], np.zeros((0, T_P, 3)), goals[0],
+                             DELTA) == ([], [])
 
 
 class TestInitPlans:
@@ -490,7 +539,9 @@ class TestPlanRecords:
         real = collision.rollout
 
         def counting(arm, q0, plan, delta_limit):
-            rolled.append((id(arm), np.asarray(plan).tobytes()))
+            # A call rolls out a (P, T, d) stack: count its plans, not calls.
+            rolled.extend((id(arm), p.tobytes()) for p in np.asarray(plan).reshape(
+                -1, *np.shape(plan)[-2:]))
             return real(arm, q0, plan, delta_limit)
 
         monkeypatch.setattr(collision, "rollout", counting)
@@ -499,8 +550,8 @@ class TestPlanRecords:
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
         result = search.run()
         assert result.stats["repairs"] >= 1
-        # One candidate table entry per rolled-out plan, record and cost
-        # terms together.
+        # Each (arm, plan) rolled out once, and one candidate table entry per
+        # rolled-out plan, record and cost terms together.
         assert len(rolled) == len(set(rolled)) == len(search.candidates)
 
     def test_broad_phase_leaves_search_unchanged(self, cfg, monkeypatch):
@@ -539,21 +590,29 @@ def search_digest(result) -> str:
     return h.hexdigest()
 
 
-def pinned_facing(cfg):
+def facing_args(cfg):
     arms, starts, goals, hists = facing_scene()
-    return dgmap_search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
-                        ScriptedPolicy(dodge_plans), cfg, 11)
+    return (arms, starts, goals, hists, ScriptedPolicy(straight_plans),
+            ScriptedPolicy(dodge_plans), cfg, 11)
+
+
+def ring_args(n, radius, max_expansions):
+    def args(cfg):
+        arms, starts, goals, hists = ring_scene(n, radius=radius)
+        small = dataclasses.replace(cfg, planner=dataclasses.replace(
+            cfg.planner, batch=4, max_expansions=max_expansions))
+        return (arms, starts, goals, hists,
+                random_policy("single", 40, pred_horizon=T_P, seed=3),
+                random_policy("dual", 80, pred_horizon=T_P, seed=4), small, 5)
+    return args
+
+
+def pinned_facing(cfg):
+    return dgmap_search(*facing_args(cfg))
 
 
 def pinned_ring(radius):
-    def run(cfg):
-        arms, starts, goals, hists = ring_scene(6, radius=radius)
-        small = dataclasses.replace(cfg, planner=dataclasses.replace(
-            cfg.planner, batch=4, max_expansions=8))
-        return dgmap_search(arms, starts, goals, hists,
-                            random_policy("single", 40, pred_horizon=T_P, seed=3),
-                            random_policy("dual", 80, pred_horizon=T_P, seed=4), small, 5)
-    return run
+    return lambda cfg: dgmap_search(*ring_args(6, radius, 8)(cfg))
 
 
 class TestPinnedSearches:
@@ -575,3 +634,49 @@ class TestPinnedSearches:
         assert (result.stats["cache_hits"], result.stats["cache_evals"]) == (hits, evals)
         assert search_digest(result) == digest
 
+
+class TestBranchPrefill:
+    """A branch's stacked build and memo prefill change nothing the search
+    does: with the prefill switched off, every push builds and checks lazily
+    and must give the same memo, search order, costs and cache counts."""
+
+    @staticmethod
+    def run(args, monkeypatch, prefill):
+        from multiarm import collision
+        misses = []
+        with monkeypatch.context() as m:
+            for name in ("_first_self_violation", "_first_pair_collision"):
+                real = getattr(collision, name)
+                m.setattr(collision, name,
+                          lambda *a, real=real: misses.append(1) or real(*a))
+            if not prefill:
+                m.setattr(pl._Search, "prefill", lambda self, b, ego, indices: None)
+            search = pl._Search(*args, frozenset())
+            result = search.run()
+        if prefill:
+            # Only the root's keys miss: every branch push finds its entries.
+            assert len(misses) == search.n * (search.n + 1) // 2
+        # Records key the memo by identity; name each by (arm, plan index).
+        names = {id(rec): key for key, (rec, _) in search.candidates.items()}
+        memo = {(names[id(key)],) if not isinstance(key, tuple)
+                else (names[id(key[0])], names[id(key[1])]): value
+                for key, value in search.memo.items()}
+        costs = {key: bits(cost) for key, (_, cost) in search.candidates.items()}
+        return result, memo, costs
+
+    @pytest.mark.parametrize("args", [
+        facing_args, ring_args(6, 1.6, 8), ring_args(6, 1.0, 8), ring_args(4, 0.8, 16),
+    ], ids=["facing", "ring-spread", "ring-crowded", "ring-repairs"])
+    def test_same_search_without_prefill(self, cfg, args, monkeypatch):
+        got, got_memo, got_costs = self.run(args(cfg), monkeypatch, prefill=True)
+        ref, ref_memo, ref_costs = self.run(args(cfg), monkeypatch, prefill=False)
+        assert got_memo == ref_memo
+        assert got_costs == ref_costs
+        for key in ("expanded_tuples", "extraction_costs", "generated", "repairs",
+                    "rebranches", "cache_hits", "cache_evals", "plan_set_sizes"):
+            assert got.stats[key] == ref.stats[key], key
+        assert search_digest(got) == search_digest(ref)
+
+    def test_repair_heavy_scene_repairs(self, cfg):
+        result = dgmap_search(*ring_args(4, 0.8, 16)(cfg))
+        assert result.stats["repairs"] >= 20 and result.stats["rebranches"] >= 20
