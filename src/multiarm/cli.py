@@ -53,7 +53,6 @@ def cmd_gen_data(args) -> int:
     digest = morphology_digest(cfg)
     common = dict(t_o=cfg.diffusion.obs_horizon, t_p=cfg.diffusion.pred_horizon,
                   resolution=cfg.controller.delta_limit, bounds=cfg.world,
-                  pos_tol=cfg.controller.pos_tol, rot_tol=cfg.controller.rot_tol,
                   max_iters=cfg.data.birrt_max_iters,
                   shortcut_attempts=cfg.data.shortcut_attempts,
                   morphology_digest=digest)

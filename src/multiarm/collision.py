@@ -12,10 +12,10 @@ Every multi-arm "does anything collide" question is one
 `state_records` (for a stack of trajectories; `state_record` is its one-row
 case) over states laid out by one builder, `checked_states`: `per_step`
 states per step, step-major, so a conflict's time is its state index //
-per_step. A plan (`plan_records`, one rollout for a plan stack) and an
-expert step use 2, the executor (`segment_has_collision`, which the resim
-gate also runs) its subsamples, and `states_conflict`, the experts'
-predicate, 1 per given state.
+per_step. Plans (`plan_records`, one rollout for a whole plan stack; there
+is no one-plan builder) and an expert step use 2, the executor
+(`segment_has_collision`, which the resim gate also runs) its subsamples,
+and `states_conflict`, the experts' predicate, 1 per given state.
 
 Record bounds give the search a broad phase: an arm pair whose bounds are
 separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
@@ -241,12 +241,6 @@ def plan_records(arm: ArmModel, q0: np.ndarray, plans: np.ndarray,
     at its steps' midpoints and endpoints, from one rollout of the stack."""
     configs = rollout(arm, q0, plans, delta_limit)
     return state_records(arm, configs, checked_states(configs, 2), 2)
-
-
-def plan_record(arm: ArmModel, q0: np.ndarray, plan: np.ndarray,
-                delta_limit: float) -> PlanRecord:
-    """A plan's rollout, checked at each step's midpoint and endpoint."""
-    return plan_records(arm, q0, np.asarray(plan, dtype=float)[None], delta_limit)[0]
 
 
 def states_conflict(arms, stacks, bounds: WorldBounds) -> bool:

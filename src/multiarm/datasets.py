@@ -19,19 +19,15 @@ import numpy as np
 
 from . import artifacts
 from . import observation as obs
-# perfbench/layers.py patches arms_collide on this module, so the name stays bound.
+# perfbench/layers.py patches arms_collide and sample_goal_config on this module,
+# so the names stay bound.
 from .collision import (  # noqa: F401
     WorldBounds,
     arms_collide,
     is_free,
 )
-from .expert import (
-    birrt_plan,
-    dual_arm_validity,
-    dual_birrt_plan,
-    sample_goal_config,
-    single_arm_validity,
-)
+from .expert import birrt_plan, dual_arm_validity, dual_birrt_plan, single_arm_validity
+from .expert import sample_goal_config  # noqa: F401
 from .kinematics import ArmModel, BasePose, forward_kinematics
 from .seeding import TAG_DATA, substream
 
@@ -172,90 +168,81 @@ def generate_dataset(family: str, draw_arms, episode, n_episodes: int, stream,
 
 
 def generate_single_dataset(arm_sampler, n_episodes: int, seed: int, *, t_o: int,
-                            t_p: int, resolution: float,
-                            bounds: WorldBounds, pos_tol: float, rot_tol: float,
+                            t_p: int, resolution: float, bounds: WorldBounds,
                             max_iters: int, shortcut_attempts: int,
-                            morphology_digest: str = "") -> Dataset:
-    """Single-arm demonstrations: BiRRT to a sampled reachable goal pose."""
+                            morphology_digest: str = "", pos_tol: float | None = None,
+                            rot_tol: float | None = None) -> Dataset:
+    """Single-arm demonstrations: BiRRT from a sampled free start to a sampled
+    free goal configuration, conditioned on that configuration's pose.
+
+    The path ends at the goal configuration itself, so no tolerance applies:
+    `pos_tol` and `rot_tol` are ignored, and accepted only so that callers
+    may pass the controller's settings.
+    """
     return generate_dataset("single", lambda rng: (arm_sampler(rng),), _single_episode,
                             n_episodes, (seed, TAG_DATA, FAMILIES["single"]),
                             morphology_digest, t_o=t_o, t_p=t_p, resolution=resolution,
-                            bounds=bounds, pos_tol=pos_tol, rot_tol=rot_tol,
-                            max_iters=max_iters, shortcut_attempts=shortcut_attempts)
-
-
-def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
-                          t_p: int, resolution: float,
-                          bounds: WorldBounds, pos_tol: float, rot_tol: float,
-                          max_iters: int, shortcut_attempts: int,
-                          morphology_digest: str = "") -> Dataset:
-    """Dual-arm demonstrations: joint-space BiRRT, two ego records per window."""
-    return generate_dataset("dual", pair_sampler, _dual_episode, n_episodes,
-                            (seed, TAG_DATA, FAMILIES["dual"]), morphology_digest,
-                            t_o=t_o, t_p=t_p, resolution=resolution, bounds=bounds,
-                            pos_tol=pos_tol, rot_tol=rot_tol, max_iters=max_iters,
+                            bounds=bounds, max_iters=max_iters,
                             shortcut_attempts=shortcut_attempts)
 
 
-def _single_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
-                    max_iters, shortcut_attempts):
+def generate_dual_dataset(pair_sampler, n_episodes: int, seed: int, *, t_o: int,
+                          t_p: int, resolution: float, bounds: WorldBounds,
+                          max_iters: int, shortcut_attempts: int,
+                          morphology_digest: str = "", pos_tol: float | None = None,
+                          rot_tol: float | None = None) -> Dataset:
+    """Dual-arm demonstrations: joint-space BiRRT between sampled free pair
+    configurations, two ego records per window. `pos_tol` and `rot_tol` are
+    ignored, as in `generate_single_dataset`."""
+    return generate_dataset("dual", pair_sampler, _dual_episode, n_episodes,
+                            (seed, TAG_DATA, FAMILIES["dual"]), morphology_digest,
+                            t_o=t_o, t_p=t_p, resolution=resolution, bounds=bounds,
+                            max_iters=max_iters, shortcut_attempts=shortcut_attempts)
+
+
+def _single_episode(arms, rng, *, t_o, t_p, resolution, bounds, max_iters,
+                    shortcut_attempts):
     (arm,) = arms
     valid = single_arm_validity(arm, bounds)
     start = sample_free_config(arm, rng, bounds)
-    goal_seed = sample_free_config(arm, rng, bounds)
-    if start is None or goal_seed is None:
+    goal = sample_free_config(arm, rng, bounds)
+    if start is None or goal is None:
         return None
-    goal_pose = forward_kinematics(arm, goal_seed)
-    target = sample_goal_config(arm, goal_pose, rng, pos_tol, rot_tol, bounds)
-    if target is None:
-        return None
-    path = birrt_plan(start, target, valid, rng, arm.lower_limits, arm.upper_limits,
+    path = birrt_plan(start, goal, valid, rng, arm.lower_limits, arm.upper_limits,
                       resolution, max_iters, shortcut_attempts)
     if path is None:
         return None
-    return [episode_windows([obs.frames(arm, path, goal_pose)], path_to_deltas(path),
-                            t_o, t_p, arm.base)]
+    return [episode_windows([obs.frames(arm, path, forward_kinematics(arm, goal))],
+                            path_to_deltas(path), t_o, t_p, arm.base)]
 
 
-def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, pos_tol, rot_tol,
-                  max_iters, shortcut_attempts):
-    arm_a, arm_b = arms
-    valid = dual_arm_validity(arm_a, arm_b, bounds)
-    starts = None
-    for _ in range(100):
+def _free_pair(arm_a, arm_b, rng, bounds, valid, tries: int):
+    """The first of `tries` draws of one free config per arm that `valid`
+    accepts together, or None."""
+    for _ in range(tries):
         qa = sample_free_config(arm_a, rng, bounds)
         qb = sample_free_config(arm_b, rng, bounds)
         if qa is not None and qb is not None and valid(np.concatenate([qa, qb])[None]):
-            starts = (qa, qb)
-            break
-    if starts is None:
-        return None
+            return qa, qb
+    return None
 
-    goals = None
-    for _ in range(40):
-        ga_seed = sample_free_config(arm_a, rng, bounds)
-        gb_seed = sample_free_config(arm_b, rng, bounds)
-        if ga_seed is None or gb_seed is None:
-            continue
-        pose_a = forward_kinematics(arm_a, ga_seed)
-        pose_b = forward_kinematics(arm_b, gb_seed)
-        ta = sample_goal_config(arm_a, pose_a, rng, pos_tol, rot_tol, bounds)
-        tb = sample_goal_config(arm_b, pose_b, rng, pos_tol, rot_tol, bounds)
-        if ta is None or tb is None or not valid(np.concatenate([ta, tb])[None]):
-            continue
-        goals = (ta, tb, pose_a, pose_b)
-        break
+
+def _dual_episode(arms, rng, *, t_o, t_p, resolution, bounds, max_iters,
+                  shortcut_attempts):
+    arm_a, arm_b = arms
+    valid = dual_arm_validity(arm_a, arm_b, bounds)
+    starts = _free_pair(arm_a, arm_b, rng, bounds, valid, 100)
+    goals = None if starts is None else _free_pair(arm_a, arm_b, rng, bounds, valid, 40)
     if goals is None:
         return None
-
-    path = dual_birrt_plan(arm_a, arm_b, starts, goals[:2], rng, resolution, bounds,
+    path = dual_birrt_plan(arm_a, arm_b, starts, goals, rng, resolution, bounds,
                            max_iters, shortcut_attempts)
     if path is None:
         return None
 
     path_a, path_b = path[:, :arm_a.dof], path[:, arm_a.dof:]
-    frames_a = obs.frames(arm_a, path_a, goals[2])
-    frames_b = obs.frames(arm_b, path_b, goals[3])
+    frames_a = obs.frames(arm_a, path_a, forward_kinematics(arm_a, goals[0]))
+    frames_b = obs.frames(arm_b, path_b, forward_kinematics(arm_b, goals[1]))
     return [episode_windows([frames_b, frames_a], path_to_deltas(path_a), t_o, t_p,
                             arm_a.base),
             episode_windows([frames_a, frames_b], path_to_deltas(path_b), t_o, t_p,

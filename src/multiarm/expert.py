@@ -33,11 +33,14 @@ from .kinematics import ArmModel, EEPose, chain_vertices, wrap_angle
 
 
 def steps_between(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray:
-    """Waypoints from a to b (exclusive of a), max-norm spacing <= resolution."""
+    """Waypoints from a to b (exclusive of a), max-norm spacing <= resolution.
+    The last is b itself: a + 1.0 * (b - a) can round an ulp away from it."""
     gap = float(np.max(np.abs(b - a)))
     n = max(1, int(math.ceil(gap / resolution)))
     ts = np.arange(1, n + 1) / n
-    return a[None, :] + ts[:, None] * (b - a)[None, :]
+    out = a[None, :] + ts[:, None] * (b - a)[None, :]
+    out[-1] = b
+    return out
 
 
 def _segment_valid(a: np.ndarray, b: np.ndarray, is_valid, resolution: float) -> bool:

@@ -21,6 +21,11 @@ DELTA = 0.1
 WORLD = WorldBounds()
 
 
+def plan_record(arm, q0, plan, delta_limit):
+    """One plan's record: the one-plan case of `collision.plan_records`."""
+    return col.plan_records(arm, q0, np.asarray(plan, dtype=float)[None], delta_limit)[0]
+
+
 def capsule_distance(seg_a, seg_b) -> float:
     """Distance between two segments given as (start, end) pairs, through
     the batched kernel that every capsule predicate uses."""
@@ -57,7 +62,7 @@ def dense_min_distance(seg_a, seg_b, grid=1000, refine_rounds=6):
 
 def first_conflict(arms, starts, plans, delta=DELTA, bounds=WORLD):
     """`find_first_collision` on fresh records and an empty memo."""
-    records = [col.plan_record(a, q, p, delta) for a, q, p in zip(arms, starts, plans)]
+    records = [plan_record(a, q, p, delta) for a, q, p in zip(arms, starts, plans)]
     return find_first_collision(arms, records, bounds, {})
 
 
@@ -225,7 +230,7 @@ class TestFindFirstCollision:
 
     def test_cache_coherence(self):
         a, b = facing_pair()
-        records = [col.plan_record(arm, np.zeros(3), np.zeros((16, 3)), DELTA) for arm in (a, b)]
+        records = [plan_record(arm, np.zeros(3), np.zeros((16, 3)), DELTA) for arm in (a, b)]
         memo = {}
         first = find_first_collision([a, b], records, WORLD, memo)
         assert len(memo) == 3  # two self checks plus the pair
@@ -238,7 +243,7 @@ class TestFindFirstCollision:
             arms = [random_arm(rng, dof=2, base_scale=0.7) for _ in range(2)]
             starts = [random_config(a, rng) for a in arms]
             plans = [rng.uniform(-DELTA, DELTA, size=(6, 2)) for _ in arms]
-            records = [col.plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
+            records = [plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
             memo = {}
             find_first_collision(arms, records, WORLD, memo)
             # The second call answers from the memo alone.
@@ -432,7 +437,7 @@ class TestBroadPhase:
             starts = [random_config(a, rng) for a in arms]
             candidates = [[rng.uniform(-DELTA, DELTA, size=(8, a.dof)) for _ in range(3)]
                           for a in arms]
-            records = [[col.plan_record(arm, q, c, DELTA) for c in cands]
+            records = [[plan_record(arm, q, c, DELTA) for c in cands]
                        for arm, q, cands in zip(arms, starts, candidates)]
             memo = {}
             for _ in range(6):
@@ -460,7 +465,7 @@ class TestBroadPhase:
         starts = [np.zeros(2)] * 3
         plans = [rng.uniform(-DELTA, DELTA, size=(16, 2)) for _ in arms]
         expect = brute_first_conflict(arms, starts, plans)
-        records = [col.plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
+        records = [plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
         spy.calls.clear()
         memo = {}
         got = find_first_collision(arms, records, WORLD, memo)
@@ -472,9 +477,9 @@ class TestBroadPhase:
 
     def test_nan_bounds_fall_through(self):
         a, b = one_link_pair(2.0, 0)
-        far = col.plan_record(b, np.zeros(1), np.zeros((4, 1)), DELTA)
-        assert col._separated(a, col.plan_record(a, np.zeros(1), np.zeros((4, 1)), DELTA), b, far)
-        lost = col.plan_record(a, np.array([np.nan]), np.zeros((4, 1)), DELTA)
+        far = plan_record(b, np.zeros(1), np.zeros((4, 1)), DELTA)
+        assert col._separated(a, plan_record(a, np.zeros(1), np.zeros((4, 1)), DELTA), b, far)
+        lost = plan_record(a, np.array([np.nan]), np.zeros((4, 1)), DELTA)
         assert math.isnan(lost.x_hi)
         assert not col._separated(a, lost, b, far)
         assert not col._separated(b, far, a, lost)
@@ -482,8 +487,8 @@ class TestBroadPhase:
     def test_record_bounds_cover_checked_states(self, rng):
         for _ in range(20):
             arm = random_arm(rng)
-            rec = col.plan_record(arm, random_config(arm, rng),
-                                  rng.uniform(-DELTA, DELTA, size=(6, arm.dof)), DELTA)
+            rec = plan_record(arm, random_config(arm, rng),
+                              rng.uniform(-DELTA, DELTA, size=(6, arm.dof)), DELTA)
             assert rec.configs.shape == (7, arm.dof)
             assert rec.verts.shape == (12, arm.dof + 1, 2)
             assert (rec.x_lo, rec.y_lo) == tuple(rec.verts.reshape(-1, 2).min(axis=0))

@@ -8,11 +8,13 @@ import pytest
 
 from multiarm import artifacts
 from multiarm import datasets as ds
+from multiarm import expert
 from multiarm import planner as pl
 from multiarm.bench import toy_dataset
 from multiarm.config import load_config
 from multiarm.controller import make_world
-from multiarm.kinematics import IDENTITY_POSE, BasePose, make_arm
+from multiarm.kinematics import IDENTITY_POSE, BasePose, forward_kinematics, make_arm
+from multiarm.observation import slot
 from multiarm.seeding import TAG_DATA, substream
 from multiarm.tasks import dual_pair_sampler, single_arm_sampler
 
@@ -22,8 +24,7 @@ RES = 0.1
 T_O, T_P = 2, 16
 # The expert settings of the default config, which every generator takes.
 _CFG = load_config()
-EXPERT = dict(bounds=_CFG.world, pos_tol=_CFG.controller.pos_tol,
-              rot_tol=_CFG.controller.rot_tol, max_iters=_CFG.data.birrt_max_iters,
+EXPERT = dict(bounds=_CFG.world, max_iters=_CFG.data.birrt_max_iters,
               shortcut_attempts=_CFG.data.shortcut_attempts)
 
 
@@ -208,20 +209,22 @@ class RecordingPolicy:
 
 
 def record_expert(monkeypatch, planner_name):
-    """Capture the arms, goal poses and path of the expert episode."""
+    """Capture the arms, goal poses and path of the expert episode. An episode
+    makes its goal poses with `forward_kinematics`, one per arm, and uses it
+    for nothing else."""
     seen = {"goals": []}
-    real_goal, real_plan = ds.sample_goal_config, getattr(ds, planner_name)
+    real_fk, real_plan = ds.forward_kinematics, getattr(ds, planner_name)
 
-    def goal_config(arm, goal_pose, *args, **kwargs):
-        seen["goals"].append(goal_pose)
-        return real_goal(arm, goal_pose, *args, **kwargs)
+    def goal_pose(arm, q):
+        seen["goals"].append(real_fk(arm, q))
+        return seen["goals"][-1]
 
     def plan(*args, **kwargs):
         seen["args"] = args
         seen["path"] = real_plan(*args, **kwargs)
         return seen["path"]
 
-    monkeypatch.setattr(ds, "sample_goal_config", goal_config)
+    monkeypatch.setattr(ds, "forward_kinematics", goal_pose)
     monkeypatch.setattr(ds, planner_name, plan)
     return seen
 
@@ -274,6 +277,53 @@ class TestRowsMatchInference:
             for ego, cond in enumerate(dual.conds):
                 assert cond.astype(np.float32).tobytes() == \
                     data.observations[ego * n + t].tobytes()
+
+
+def record_frames(monkeypatch):
+    """Capture every frame stack an episode builds, in call order."""
+    stacks, real = [], ds.obs.frames
+
+    def frames(arm, qs, goal):
+        stacks.append(real(arm, qs, goal))
+        return stacks[-1]
+
+    monkeypatch.setattr(ds.obs, "frames", frames)
+    return stacks
+
+
+class TestExpertGoals:
+    """Episodes plan to the goal configuration they sampled, so each path ends
+    exactly at the pose its frames condition on, and no goal IK runs."""
+
+    @pytest.mark.parametrize("family", ["single", "dual"])
+    def test_path_ends_at_each_arms_goal_pose(self, monkeypatch, family):
+        planner, generate, sampler, seed = {
+            "single": ("birrt_plan", ds.generate_single_dataset, free_arm_sampler, 7),
+            "dual": ("dual_birrt_plan", ds.generate_dual_dataset, spaced_pair_sampler, 5),
+        }[family]
+        seen = record_expert(monkeypatch, planner)
+        stacks = record_frames(monkeypatch)
+        generate(sampler, 1, seed=seed, t_o=T_O, t_p=T_P, resolution=RES, **EXPERT)
+        arms = sampler(substream(seed, TAG_DATA, ds.FAMILIES[family], 0))
+        arms = arms if family == "dual" else (arms,)
+        ends = np.split(seen["path"][-1], np.cumsum([arm.dof for arm in arms])[:-1])
+        assert len(stacks) == len(arms)
+        for arm, frames, q in zip(arms, stacks, ends):
+            reached = forward_kinematics(arm, q).as_array()
+            assert frames[:, slot(arm.dof, "goal_pose")].tobytes() == \
+                np.tile(reached, (len(frames), 1)).tobytes()
+
+    def test_generators_run_without_goal_ik(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dataset generation ran the goal IK")
+
+        monkeypatch.setattr(ds, "sample_goal_config", refuse)
+        monkeypatch.setattr(expert, "sample_goal_config", refuse)
+        single = ds.generate_single_dataset(free_arm_sampler, 2, seed=11, t_o=T_O,
+                                            t_p=T_P, resolution=RES, **EXPERT)
+        dual = ds.generate_dual_dataset(spaced_pair_sampler, 1, seed=5, t_o=T_O,
+                                        t_p=T_P, resolution=RES, **EXPERT)
+        assert len(single) > 0 and len(dual) > 0
 
 
 class TestVersionRefusal:
@@ -363,9 +413,10 @@ def saved_sha256(dataset, tmp_path) -> str:
 
 
 class TestPinnedBytes:
-    """Seeded datasets keep their exact saved bytes. The digests were recorded
-    from the code that ran each family's episode loop on its own, so a shared
-    loop or a changed expert predicate must reproduce them bit for bit."""
+    """Seeded datasets keep their exact saved bytes. The single and dual
+    digests were recorded when episodes began planning straight to their
+    sampled goal configurations; the toy digest is older, from the code that
+    ran each family's episode loop on its own."""
 
     @pytest.fixture(scope="class")
     def cfg(self):
@@ -373,19 +424,18 @@ class TestPinnedBytes:
 
     def settings(self, cfg):
         return dict(t_o=T_O, t_p=T_P, resolution=cfg.controller.delta_limit,
-                    bounds=cfg.world, pos_tol=cfg.controller.pos_tol,
-                    rot_tol=cfg.controller.rot_tol, max_iters=cfg.data.birrt_max_iters,
+                    bounds=cfg.world, max_iters=cfg.data.birrt_max_iters,
                     shortcut_attempts=cfg.data.shortcut_attempts, morphology_digest="y" * 64)
 
     def test_single(self, cfg, tmp_path):
         data = ds.generate_single_dataset(single_arm_sampler(cfg), 6, 0, **self.settings(cfg))
         assert (len(data), saved_sha256(data, tmp_path)) == (
-            172, "4a65a5e02eac600893d07d63e93ad79704afbb3fd25da542de01dec935116261")
+            168, "748930074a3cdc7faf0e397ad10eac8bb5d4ab336b419ffd6e93af09e29b3c3d")
 
     def test_dual(self, cfg, tmp_path):
         data = ds.generate_dual_dataset(dual_pair_sampler(cfg), 3, 1, **self.settings(cfg))
         assert (len(data), saved_sha256(data, tmp_path)) == (
-            158, "58256c10d0d00a642c2b246d9c6485e057cbda8563b36cdbc0ace89c9b9f83d4")
+            150, "d8204570e15dbe20be7245dab846aad92e33e6f291a5b908c6cd482d14ef9d6d")
 
     def test_toy(self, cfg, tmp_path):
         small = dataclasses.replace(cfg, toy=dataclasses.replace(cfg.toy, episodes=6))

@@ -77,8 +77,7 @@ class TestBirrt:
                               np.full(3, math.pi), RES, **BUDGET)
             assert path is not None
             validate_path(path, always_valid, RES)
-            assert path[0] == pytest.approx(start)
-            assert path[-1] == pytest.approx(goal)
+            assert np.array_equal(path[0], start) and np.array_equal(path[-1], goal)
             # After smoothing the path should be near-straight: its length is
             # close to the direct distance, and the waypoint count close to
             # max-norm distance / resolution.
@@ -264,6 +263,14 @@ def per_pair_length(pts, i, j):
 
 
 class TestShortcut:
+    def test_replacement_segment_ends_exactly_at_its_end(self, rng):
+        # A shortcut to a path's last waypoint keeps the goal bit for bit.
+        for _ in range(200):
+            a, b = rng.uniform(-math.pi, math.pi, size=(2, 3))
+            steps = steps_between(a, b, RES)
+            assert steps[-1].tobytes() == b.tobytes()
+            assert np.max(np.abs(np.diff(np.vstack([a, steps]), axis=0))) <= RES + 1e-12
+
     @pytest.mark.parametrize("d", [3, 6])
     def test_path_length_bitwise_equal_to_per_pair_norms(self, d, rng):
         for _ in range(500):

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from multiarm import planner as pl
-from multiarm.collision import plan_record, rollout
+from multiarm.collision import rollout
 from multiarm.config import RunConfig, WorldBounds, load_config
 from multiarm.kinematics import BasePose, EEPose, forward_kinematics, make_arm
 from multiarm.observation import frames
 from multiarm.planner import dgmap_search
 from multiarm.seeding import TAG_PLAN, substream
 
-from .test_collision import first_conflict
+from .test_collision import first_conflict, plan_record
 from .test_diffusion import random_policy
 
 T_P = 16
