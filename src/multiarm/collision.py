@@ -13,9 +13,12 @@ Every multi-arm "does anything collide" question is one
 case) over states laid out by one builder, `checked_states`: `per_step`
 states per step, step-major, so a conflict's time is its state index //
 per_step. Plans (`plan_records`, one rollout for a whole plan stack; there
-is no one-plan builder) and an expert step use 2, the executor
-(`segment_has_collision`, which the resim gate also runs) its subsamples,
-and `states_conflict`, the experts' predicate, 1 per given state.
+is no one-plan builder) use 2, the executor (`segment_has_collision`, which
+the resim gate also runs) its subsamples. `states_conflict`, the experts'
+predicate, takes states its caller laid out and their `per_step` (2 for
+steer steps, connect chunks and shortcut segments, 1 for endpoints), and
+returns the first `Conflict`, so a chunk of steps learns its valid prefix
+from one query.
 
 Record bounds give the search a broad phase: an arm pair whose bounds are
 separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
@@ -33,11 +36,16 @@ other module calls them. They are reached from `states_free` and
 `states_collide`, which answer per row of (k, d) stacks (`is_free` and
 `arms_collide` are their one-row case), from `find_first_collision`'s memo
 misses, and from the two fill helpers. Each answers per state, so a stacked
-call gives every state the bits of a call of its own.
+call gives every state the bits of a call of its own. The kernel runs the
+float operations of np.sum, np.clip and np.linalg.norm without those
+functions' Python wrappers, which cost more than the arithmetic on the
+expert's small stacks, and `_self_clear` builds its link-pair indices once
+per link count.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,21 +89,26 @@ def segment_distance_batch(p0, p1, q0, q1) -> np.ndarray:
     d1 = p1 - p0
     d2 = q1 - q0
     r = p0 - q0
-    a = np.sum(d1 * d1, axis=-1)
-    e = np.sum(d2 * d2, axis=-1)
-    f = np.sum(d2 * r, axis=-1)
-    c = np.sum(d1 * r, axis=-1)
-    b = np.sum(d1 * d2, axis=-1)
+    # np.add.reduce, the clip method and the closing sqrt are what np.sum,
+    # np.clip and np.linalg.norm run, without the wrappers' call overhead,
+    # which dominated on the small stacks the expert checks.
+    a = np.add.reduce(d1 * d1, axis=-1)
+    e = np.add.reduce(d2 * d2, axis=-1)
+    f = np.add.reduce(d2 * r, axis=-1)
+    c = np.add.reduce(d1 * r, axis=-1)
+    b = np.add.reduce(d1 * d2, axis=-1)
     denom = a * e - b * b
     # s on [p0,p1], t on [q0,q1]; guard degenerate (point) segments.
-    s = np.where(denom > 1e-14, np.clip((b * f - c * e) / np.where(denom > 1e-14, denom, 1.0), 0.0, 1.0), 0.0)
+    ok = denom > 1e-14
+    s = np.where(ok, ((b * f - c * e) / np.where(ok, denom, 1.0)).clip(0.0, 1.0), 0.0)
     t_num = b * s + f
-    t = np.clip(np.where(e > 1e-14, t_num / np.where(e > 1e-14, e, 1.0), 0.0), 0.0, 1.0)
+    ok = e > 1e-14
+    t = np.where(ok, t_num / np.where(ok, e, 1.0), 0.0).clip(0.0, 1.0)
     # Recompute s for the clamped t, then clamp again.
-    s = np.clip(np.where(a > 1e-14, (b * t - c) / np.where(a > 1e-14, a, 1.0), 0.0), 0.0, 1.0)
-    closest_p = p0 + s[..., None] * d1
-    closest_q = q0 + t[..., None] * d2
-    return np.linalg.norm(closest_p - closest_q, axis=-1)
+    ok = a > 1e-14
+    s = np.where(ok, (b * t - c) / np.where(ok, a, 1.0), 0.0).clip(0.0, 1.0)
+    gap = (p0 + s[..., None] * d1) - (q0 + t[..., None] * d2)
+    return np.sqrt(np.add.reduce(gap * gap, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +134,22 @@ def _self_clear(verts: np.ndarray, radius: float) -> np.ndarray:
     d = verts.shape[-2] - 1
     if d < 3:
         return np.ones(verts.shape[:-2], dtype=bool)
+    m0, m1, n0, n1 = _self_pairs(d)
+    dist = segment_distance_batch(verts[..., m0, :], verts[..., m1, :],
+                                  verts[..., n0, :], verts[..., n1, :])
+    return np.all(dist >= 2.0 * radius, axis=-1)
+
+
+@functools.cache
+def _self_pairs(d: int) -> tuple[np.ndarray, ...]:
+    """Vertex indices (m, m + 1, n, n + 1) of a d-link chain's ordered link
+    pairs (m, n) with |m - n| >= 2, read-only, built once per d."""
     idx = np.arange(d)
     m, n = np.nonzero(np.abs(idx[:, None] - idx) >= 2)
-    dist = segment_distance_batch(verts[..., m, :], verts[..., m + 1, :],
-                                  verts[..., n, :], verts[..., n + 1, :])
-    return np.all(dist >= 2.0 * radius, axis=-1)
+    out = (m, m + 1, n, n + 1)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _verts_free(arm: ArmModel, verts: np.ndarray, bounds: WorldBounds) -> np.ndarray:
@@ -243,11 +267,14 @@ def plan_records(arm: ArmModel, q0: np.ndarray, plans: np.ndarray,
     return state_records(arm, configs, checked_states(configs, 2), 2)
 
 
-def states_conflict(arms, stacks, bounds: WorldBounds) -> bool:
-    """True when a row of an arm's (k, d) state stack leaves the bounds or
-    self-collides, or row r of two arms' stacks puts them in capsule contact."""
-    records = [state_record(arm, states, states, 1) for arm, states in zip(arms, stacks)]
-    return find_first_collision(arms, records, bounds, {}) is not None
+def states_conflict(arms, stacks, bounds: WorldBounds, per_step: int) -> Conflict | None:
+    """The first conflict among the arms' (k, d) state stacks, laid out
+    `per_step` states to a step: the earliest step holding a row of an arm's
+    stack that leaves the bounds or self-collides, or a row r at which two
+    arms' stacks are in capsule contact; None when every row is clear."""
+    records = [state_record(arm, states, states, per_step)
+               for arm, states in zip(arms, stacks)]
+    return find_first_collision(arms, records, bounds, {})
 
 
 def segment_has_collision(arms, trajectories, bounds: WorldBounds,

@@ -222,7 +222,7 @@ def _free_pair(arm_a, arm_b, rng, bounds, valid, tries: int):
     for _ in range(tries):
         qa = sample_free_config(arm_a, rng, bounds)
         qb = sample_free_config(arm_b, rng, bounds)
-        if qa is not None and qb is not None and valid(np.concatenate([qa, qb])[None]):
+        if qa is not None and qb is not None and valid(np.concatenate([qa, qb])[None], 1) is None:
             return qa, qb
     return None
 

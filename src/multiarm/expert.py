@@ -6,11 +6,15 @@ random restarts of damped Jacobian-transpose descent. Paths are arrays of
 waypoints whose consecutive rows differ by at most `resolution` per joint,
 so expert steps convert to clamp-free delta actions.
 
-Validity predicates are batch-only: `is_valid(qs)` takes a (k, d) stack of
-configurations and answers one bool, "every row is valid", so a steer step,
-both endpoints or a whole shortcut segment is checked in one call. Both
-predicates are one `collision.states_conflict` call, the executor's own
-feasibility query.
+Validity predicates answer stacks: `check(states, per_step)` takes a (k, d)
+stack of states laid out `per_step` to a step and returns the first
+conflicting step as a `collision.Conflict`, or None when every row is
+valid. Both predicates are one `collision.states_conflict` call, the
+executor's own feasibility query. A steer step checks its midpoint and new
+node in one query; `_connect` checks its straight line in chunks of 1, 2,
+4, ... steps, one query each, and keeps each chunk's valid prefix, so its
+tree is the one that repeated steer steps build; a shortcut checks its
+whole replacement segment in one query.
 """
 
 from __future__ import annotations
@@ -43,10 +47,11 @@ def steps_between(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray
     return out
 
 
-def _segment_valid(a: np.ndarray, b: np.ndarray, is_valid, resolution: float) -> bool:
-    """Every waypoint from a to b and every step midpoint, in one call."""
+def _valid_segment(a: np.ndarray, b: np.ndarray, check, resolution: float):
+    """The waypoints from a to b, a included, when every one of them and
+    every step midpoint is valid, checked in one query; else None."""
     configs = np.concatenate([a[None, :], steps_between(a, b, resolution)])
-    return is_valid(checked_states(configs, 2))
+    return configs if check(checked_states(configs, 2), 2) is None else None
 
 
 class _Tree:
@@ -85,57 +90,92 @@ class _Tree:
         return path
 
 
-def _extend(tree: _Tree, target: np.ndarray, is_valid, resolution: float):
+def _steer(node: np.ndarray, target: np.ndarray, resolution: float):
+    """One steer step from node toward target: (new node, whether it is
+    target), or (None, True) when node is within 1e-12 of target."""
+    diff = target - node
+    gap = float(np.max(np.abs(diff)))
+    if gap <= 1e-12:
+        return None, True
+    scale = min(1.0, resolution / gap)
+    return node + scale * diff, scale >= 1.0
+
+
+def _extend(tree: _Tree, target: np.ndarray, check, resolution: float):
     """One steer step toward target: returns (status, node_index)."""
     near_idx = tree.nearest(target)
     near = tree.node(near_idx)
-    diff = target - near
-    gap = float(np.max(np.abs(diff)))
-    if gap <= 1e-12:
+    new, reached = _steer(near, target, resolution)
+    if new is None:
         return "reached", near_idx
-    scale = min(1.0, resolution / gap)
-    new = near + scale * diff
-    if not is_valid(checked_states(np.stack([near, new]), 2)):
+    if check(checked_states(np.stack([near, new]), 2), 2) is not None:
         return "trapped", near_idx
-    idx = tree.add(new, near_idx)
-    return ("reached" if scale >= 1.0 else "advanced"), idx
+    return ("reached" if reached else "advanced"), tree.add(new, near_idx)
 
 
-def _connect(tree: _Tree, target: np.ndarray, is_valid, resolution: float):
-    status = "advanced"
-    idx = -1
-    while status == "advanced":
-        status, idx = _extend(tree, target, is_valid, resolution)
-    return status, idx
+def _connect(tree: _Tree, target: np.ndarray, check, resolution: float):
+    """`_extend` toward target until it stops advancing: the status, index
+    and tree that calling it in a loop leaves, in fewer queries.
+
+    A step moves at least `resolution` closer to target than the node it
+    leaves, far more than rounding, so the node each step adds is the tree's
+    strict nearest and the loop's next step would steer from it. So only the
+    first step scans the tree, and the line is checked in chunks of 1, 2, 4,
+    ... steps, one query each; a chunk's valid prefix joins the tree. The
+    first chunk is one step, so a connect blocked at once costs one
+    two-state query, as `_extend` does."""
+    idx = tree.nearest(target)
+    line, reached, chunk = [tree.node(idx)], False, 1
+    while not reached:
+        line = line[-1:]
+        while len(line) <= chunk and not reached:
+            new, reached = _steer(line[-1], target, resolution)
+            if new is not None:
+                line.append(new)
+        if len(line) > 1:
+            hit = check(checked_states(np.stack(line), 2), 2)
+            for new in line[1:] if hit is None else line[1:1 + hit.time]:
+                idx = tree.add(new, idx)
+            if hit is not None:
+                return "trapped", idx
+        chunk *= 2
+    return "reached", idx
 
 
-def _path_length(waypoints: np.ndarray) -> float:
-    """Summed step lengths, added left to right; each length rounds like the
-    per-pair np.linalg.norm."""
+def _step_lengths(waypoints: np.ndarray) -> list[float]:
+    """The length of each step of a (W, d) waypoint stack; each rounds like
+    the per-pair np.linalg.norm."""
     d = waypoints[1:] - waypoints[:-1]
-    return sum(np.sqrt(np.vecdot(d, d)).tolist())
+    return np.sqrt(np.vecdot(d, d)).tolist()
 
 
-def _shortcut(path: np.ndarray, is_valid, resolution: float, attempts: int,
+def _shortcut(path: np.ndarray, check, resolution: float, attempts: int,
               rng: np.random.Generator) -> np.ndarray:
-    """Random shortcut smoothing; every replacement segment is re-validated."""
+    """Random shortcut smoothing; every replacement segment is re-validated.
+
+    `lengths[k]` is the length of the step from waypoint k to k + 1, spliced
+    with the waypoints, so a span's length is a sum of stored floats, added
+    left to right."""
     pts = [np.asarray(w, dtype=float) for w in path]
+    lengths = _step_lengths(np.asarray(path, dtype=float))
     for _ in range(attempts):
         if len(pts) < 3:
             break
         i = int(rng.integers(0, len(pts) - 2))
         j = int(rng.integers(i + 2, len(pts)))
-        old_len = _path_length(np.stack(pts[i:j + 1]))
-        if float(np.linalg.norm(pts[j] - pts[i])) >= old_len - 1e-12:
+        # The float np.linalg.norm returns for a 1-D array.
+        direct = pts[j] - pts[i]
+        if math.sqrt(direct.dot(direct)) >= sum(lengths[i:j]) - 1e-12:
             continue
-        if not _segment_valid(pts[i], pts[j], is_valid, resolution):
+        segment = _valid_segment(pts[i], pts[j], check, resolution)
+        if segment is None:
             continue
-        mids = steps_between(pts[i], pts[j], resolution)
-        pts = pts[: i + 1] + [w for w in mids] + pts[j + 1:]
+        lengths[i:j] = _step_lengths(segment)
+        pts[i + 1:j + 1] = list(segment[1:])
     return np.stack(pts)
 
 
-def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Generator,
+def birrt_plan(start: np.ndarray, goal: np.ndarray, check, rng: np.random.Generator,
                bounds_lo: np.ndarray, bounds_hi: np.ndarray, resolution: float,
                max_iters: int, shortcut_attempts: int) -> np.ndarray | None:
     """RRT-connect between start and goal. Returns waypoints (W, d) or None.
@@ -144,7 +184,7 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
     """
     start = np.asarray(start, dtype=float)
     goal = np.asarray(goal, dtype=float)
-    if not is_valid(np.stack([start, goal])):
+    if check(np.stack([start, goal]), 1) is not None:
         raise ValueError("birrt endpoints must satisfy the validity predicate")
     if float(np.max(np.abs(goal - start))) <= 1e-12:
         return start[None, :]
@@ -153,15 +193,15 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
     forward = True  # tree_a grows from start when True
     for _ in range(max_iters):
         sample = rng.uniform(bounds_lo, bounds_hi)
-        status, new_idx = _extend(tree_a, sample, is_valid, resolution)
+        status, new_idx = _extend(tree_a, sample, check, resolution)
         if status != "trapped":
-            status_b, meet_idx = _connect(tree_b, tree_a.node(new_idx), is_valid, resolution)
+            status_b, meet_idx = _connect(tree_b, tree_a.node(new_idx), check, resolution)
             if status_b == "reached":
                 part_a = tree_a.path_to_root(new_idx)[::-1]
                 part_b = tree_b.path_to_root(meet_idx)
                 path = part_a + part_b if forward else part_b[::-1] + part_a[::-1]
                 raw = np.stack(path)
-                smoothed = _shortcut(raw, is_valid, resolution, shortcut_attempts, rng)
+                smoothed = _shortcut(raw, check, resolution, shortcut_attempts, rng)
                 return smoothed
         tree_a, tree_b = tree_b, tree_a
         forward = not forward
@@ -169,15 +209,19 @@ def birrt_plan(start: np.ndarray, goal: np.ndarray, is_valid, rng: np.random.Gen
 
 
 def single_arm_validity(arm: ArmModel, bounds: WorldBounds):
-    """Batch predicate: True when every row of a (k, d) config stack is free."""
-    return lambda qs: not states_conflict([arm], [qs], bounds)
+    """Predicate over a (k, d) state stack laid out `per_step` states to a
+    step: the first `Conflict` (a self conflict of arm 0), or None when
+    every row is free."""
+    return lambda states, per_step: states_conflict([arm], [states], bounds, per_step)
 
 
 def dual_arm_validity(arm_a: ArmModel, arm_b: ArmModel, bounds: WorldBounds):
-    """Batch predicate over stacked [q_a | q_b] rows: True when every row is
-    free for both arms and keeps them apart."""
+    """Predicate over stacked [q_a | q_b] rows laid out `per_step` states to a
+    step: the first `Conflict` of the pair (arm 0 is a, arm 1 is b), or None
+    when every row is free for both arms and keeps them apart."""
     da = arm_a.dof
-    return lambda qs: not states_conflict([arm_a, arm_b], [qs[:, :da], qs[:, da:]], bounds)
+    return lambda states, per_step: states_conflict(
+        [arm_a, arm_b], [states[:, :da], states[:, da:]], bounds, per_step)
 
 
 def dual_birrt_plan(arm_a: ArmModel, arm_b: ArmModel, starts, goals,

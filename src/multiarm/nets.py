@@ -209,7 +209,12 @@ class DenoiserMLP:
 
 
 class AdamW:
-    """Adam with decoupled weight decay over a fixed parameter list."""
+    """Adam with decoupled weight decay over a fixed parameter list.
+
+    A step updates every array in place through two scratch arrays per
+    parameter, running the float operations of the expression form
+    `p - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)` in its order,
+    so it gives that form's bits without its temporaries."""
 
     def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float,
                  beta1: float, beta2: float, eps: float):
@@ -222,20 +227,37 @@ class AdamW:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, grads: list[np.ndarray]) -> None:
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p[...] = p - self.lr * (m_hat / (np.sqrt(v_hat) + self.eps)
-                                    + self.weight_decay * p)
+        b1, b2 = self.beta1, self.beta2
+        m_scale, v_scale = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for p, g, m, v, (buf, upd) in zip(self.params, grads, self.m, self.v, self._scratch):
+            # m = b1 * m + (1 - b1) * g
+            np.multiply(g, 1.0 - b1, out=buf)
+            m *= b1
+            m += buf
+            # v = b2 * v + (1 - b2) * g * g
+            np.multiply(g, 1.0 - b2, out=buf)
+            buf *= g
+            v *= b2
+            v += buf
+            # upd = lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)
+            np.divide(v, v_scale, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.eps
+            np.divide(m, m_scale, out=upd)
+            upd /= buf
+            np.multiply(p, self.weight_decay, out=buf)
+            upd += buf
+            upd *= self.lr
+            p -= upd
 
 
 def ema_update(ema_params: list[np.ndarray], params: list[np.ndarray], rate: float) -> None:
-    """Polyak averaging: ema <- (1 - rate) * ema + rate * params."""
+    """Polyak averaging: ema <- (1 - rate) * ema + rate * params, in place."""
     for e, p in zip(ema_params, params):
-        e[...] = (1.0 - rate) * e + rate * p
+        e *= 1.0 - rate
+        e += rate * p

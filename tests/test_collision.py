@@ -116,6 +116,90 @@ class TestCapsuleDistance:
             assert capsule_distance(a, b) == pytest.approx(capsule_distance(b, a), abs=1e-12)
 
 
+def wrapped_segment_distance(p0, p1, q0, q1):
+    """Reference: the segment kernel through the np.sum, np.clip and
+    np.linalg.norm wrappers, as it was first written."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    q0 = np.asarray(q0, dtype=float)
+    q1 = np.asarray(q1, dtype=float)
+    d1 = p1 - p0
+    d2 = q1 - q0
+    r = p0 - q0
+    a = np.sum(d1 * d1, axis=-1)
+    e = np.sum(d2 * d2, axis=-1)
+    f = np.sum(d2 * r, axis=-1)
+    c = np.sum(d1 * r, axis=-1)
+    b = np.sum(d1 * d2, axis=-1)
+    denom = a * e - b * b
+    s = np.where(denom > 1e-14,
+                 np.clip((b * f - c * e) / np.where(denom > 1e-14, denom, 1.0), 0.0, 1.0), 0.0)
+    t_num = b * s + f
+    t = np.clip(np.where(e > 1e-14, t_num / np.where(e > 1e-14, e, 1.0), 0.0), 0.0, 1.0)
+    s = np.clip(np.where(a > 1e-14, (b * t - c) / np.where(a > 1e-14, a, 1.0), 0.0), 0.0, 1.0)
+    closest_p = p0 + s[..., None] * d1
+    closest_q = q0 + t[..., None] * d2
+    return np.linalg.norm(closest_p - closest_q, axis=-1)
+
+
+# Endpoints whose combinations give zero-length, parallel, anti-parallel,
+# collinear (overlapping, touching, disjoint), near-degenerate and NaN or
+# infinite segments, and signed zeros.
+SPECIAL_POINTS = np.array([
+    (0.0, 0.0), (-0.0, -0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 0.0), (-1.0, -0.0),
+    (0.0, 1.0), (1.0, 1.0), (1e-8, 0.0), (1e-8, 1e-8), (3e-7, -2e-7),
+    (np.nan, 0.0), (0.0, np.inf), (1.0, -np.inf),
+])
+
+
+class TestKernelBits:
+    def assert_same_bits(self, *args):
+        with np.errstate(all="ignore"):
+            got = col.segment_distance_batch(*args)
+            expect = wrapped_segment_distance(*args)
+        got, expect = np.asarray(got), np.asarray(expect)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+        return got
+
+    def test_special_segments(self):
+        n = len(SPECIAL_POINTS)
+        idx = np.stack(np.meshgrid(*[np.arange(n)] * 4, indexing="ij"), -1).reshape(-1, 4)
+        got = self.assert_same_bits(*(SPECIAL_POINTS[idx[:, k]] for k in range(4)))
+        assert np.isnan(got).any() and (got == 0.0).any()
+
+    def test_scaled_random_segments(self, rng):
+        for scale in (1e-9, 1e-7, 1.0, 1e3):
+            self.assert_same_bits(*(scale * rng.standard_normal((500, 2)) for _ in range(4)))
+
+    def test_one_pair(self, rng):
+        for _ in range(20):
+            got = self.assert_same_bits(*rng.standard_normal((4, 2)))
+            assert got.shape == ()
+
+    def test_pair_and_self_broadcast_shapes(self, rng):
+        va, vb = rng.uniform(-1, 1, size=(2, 30, 4, 2))
+        va[3, 1] = np.nan
+        # `_verts_collide`'s all-pairs layout.
+        self.assert_same_bits(va[:, :-1, None, :], va[:, 1:, None, :],
+                              vb[:, None, :-1, :], vb[:, None, 1:, :])
+        # `_self_clear`'s gathered pairs over a (4, 30)-state stack.
+        verts = rng.uniform(-1, 1, size=(4, 30, 6, 2))
+        m0, m1, n0, n1 = col._self_pairs(5)
+        self.assert_same_bits(verts[..., m0, :], verts[..., m1, :],
+                              verts[..., n0, :], verts[..., n1, :])
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_self_pairs_match_nonzero_construction(self, d):
+        idx = np.arange(d)
+        m, n = np.nonzero(np.abs(idx[:, None] - idx) >= 2)
+        got = col._self_pairs(d)
+        assert got is col._self_pairs(d)
+        for cached, expect in zip(got, (m, m + 1, n, n + 1)):
+            assert cached.dtype == expect.dtype and np.array_equal(cached, expect)
+            assert not cached.flags.writeable
+
+
 class TestIsFree:
     def test_straight_chain_free(self, arm3):
         assert is_free(arm3, np.zeros(3), WORLD)

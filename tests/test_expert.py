@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multiarm import collision, expert
-from multiarm.collision import WorldBounds, arms_collide, is_free
+from multiarm.collision import Conflict, WorldBounds, arms_collide, is_free
 from multiarm.config import RunConfig
 from multiarm.expert import birrt_plan, dual_birrt_plan, sample_goal_config, steps_between
 from multiarm.kinematics import (
@@ -26,18 +26,27 @@ IK_SETTINGS = dict(pos_tol=CFG.controller.pos_tol, rot_tol=CFG.controller.rot_to
 BUDGET = dict(max_iters=CFG.data.birrt_max_iters, shortcut_attempts=CFG.data.shortcut_attempts)
 
 
-def always_valid(qs):
-    return True
+def always_valid(states, per_step):
+    return None
 
 
-def validate_path(path, is_valid, resolution):
+def row_check(free_row):
+    """A stack predicate from a per-row rule: the step of the first row the
+    rule rejects, as a self conflict of arm 0."""
+    def check(states, per_step):
+        bad = [k for k, q in enumerate(states) if not free_row(q)]
+        return Conflict(0, 0, bad[0] // per_step) if bad else None
+    return check
+
+
+def validate_path(path, check, resolution):
     """Independent re-validation, one config per call: spacing, waypoints,
     and midpoints."""
     for a, b in zip(path[:-1], path[1:]):
         assert float(np.max(np.abs(b - a))) <= resolution + 1e-9
-        assert is_valid((0.5 * (a + b))[None, :])
+        assert check((0.5 * (a + b))[None, :], 1) is None
     for w in path:
-        assert is_valid(w[None, :])
+        assert check(w[None, :], 1) is None
 
 
 class TestTree:
@@ -66,7 +75,7 @@ class TestBirrt:
 
     def test_invalid_endpoints_raise(self, rng):
         with pytest.raises(ValueError, match="endpoints must satisfy"):
-            birrt_plan(np.zeros(2), np.ones(2), lambda qs: bool(np.all(qs == 0)), rng,
+            birrt_plan(np.zeros(2), np.ones(2), row_check(lambda q: not q.any()), rng,
                        np.full(2, -2.0), np.full(2, 2.0), RES, **BUDGET)
 
     def test_free_space_straightens(self, rng):
@@ -93,8 +102,8 @@ class TestBirrt:
         valid = expert.dual_arm_validity(a, b, WORLD)
         starts = (np.array([0.6, 0.0, 0.0]), np.array([0.6, 0.0, 0.0]))
         goals = (np.array([-0.6, 0.0, 0.0]), np.array([-0.6, 0.0, 0.0]))
-        assert valid(np.concatenate([starts[0], starts[1]])[None, :])
-        assert valid(np.concatenate([goals[0], goals[1]])[None, :])
+        assert valid(np.concatenate([starts[0], starts[1]])[None, :], 1) is None
+        assert valid(np.concatenate([goals[0], goals[1]])[None, :], 1) is None
         path = dual_birrt_plan(a, b, starts, goals, rng, RES, WORLD, max_iters=8000,
                                shortcut_attempts=CFG.data.shortcut_attempts)
         assert path is not None
@@ -152,9 +161,9 @@ class TestSampleGoalConfig:
         assert sample_goal_config(arm3, goal, rng, **IK_SETTINGS) is None
 
 
-def one_at_a_time(is_valid):
-    """Scalar view of a batch predicate: one config per call."""
-    return lambda q: is_valid(q[None, :])
+def one_at_a_time(check):
+    """Scalar view of a stack predicate: one config per call, True when free."""
+    return lambda q: check(q[None, :], 1) is None
 
 
 def scalar_segment_valid(a, b, valid, resolution):
@@ -182,13 +191,13 @@ def scalar_extend(tree, target, valid, resolution):
 
 
 class CountingValidity:
-    def __init__(self, is_valid):
-        self.is_valid = is_valid
+    def __init__(self, check):
+        self.check = check
         self.calls = 0
 
-    def __call__(self, qs):
+    def __call__(self, states, per_step):
         self.calls += 1
-        return self.is_valid(qs)
+        return self.check(states, per_step)
 
 
 @pytest.fixture
@@ -205,7 +214,11 @@ class TestBatchedValidity:
         for _ in range(150):
             a, b = rng.uniform(-math.pi, math.pi, size=(2, 6))
             counting = CountingValidity(valid)
-            got = expert._segment_valid(a, b, counting, RES)
+            segment = expert._valid_segment(a, b, counting, RES)
+            got = segment is not None
+            if got:
+                steps = np.concatenate([a[None], steps_between(a, b, RES)])
+                assert segment.tobytes() == steps.tobytes()
             assert counting.calls == 1
             expect = scalar_segment_valid(a, b, one_at_a_time(valid), RES)
             assert got == expect
@@ -234,11 +247,15 @@ class TestBatchedValidity:
         qs = rng.uniform(-math.pi, math.pi, size=(40, 3))
         valid = expert.single_arm_validity(arm3, WORLD)
         expect = [is_free(arm3, q, WORLD) for q in qs]
-        assert [valid(q[None]) for q in qs] == expect
-        # A stack is valid exactly when each of its rows is.
-        for k in range(0, len(qs), 4):
-            assert valid(qs[k:k + 4]) == all(expect[k:k + 4])
-        assert valid(qs[np.array(expect)])
+        assert [valid(q[None], 1) is None for q in qs] == expect
+        # A stack's conflict is the step of its first invalid row.
+        for per_step in (1, 2, 4):
+            for k in range(0, len(qs), 8):
+                rows = expect[k:k + 8]
+                hit = valid(qs[k:k + 8], per_step)
+                assert hit == (None if all(rows)
+                               else Conflict(0, 0, rows.index(False) // per_step))
+        assert valid(qs[np.array(expect)], 1) is None
         assert 0 < sum(expect) < len(expect)
 
     def test_dual_arm_validity_builds_vertices_once(self, head_on_pair, rng, monkeypatch):
@@ -247,19 +264,132 @@ class TestBatchedValidity:
         expect = [is_free(a, q[:3], WORLD) and is_free(b, q[3:], WORLD)
                   and not arms_collide(a, q[:3], b, q[3:]) for q in qs]
         valid = expert.dual_arm_validity(a, b, WORLD)
-        assert [valid(q[None]) for q in qs] == expect
+        assert [valid(q[None], 1) is None for q in qs] == expect
         builds = []
         real = collision.chain_vertices
         monkeypatch.setattr(collision, "chain_vertices",
                             lambda arm, states: builds.append(arm) or real(arm, states))
-        assert valid(qs[np.array(expect)])
+        assert valid(qs[np.array(expect)], 1) is None
         assert builds == [a, b]
-        assert not valid(qs)
+        for per_step in (1, 2, 3):
+            assert valid(qs, per_step).time == expect.index(False) // per_step
         assert 0 < sum(expect) < len(expect)
+
+
+def stepwise_connect(tree, target, valid, resolution):
+    """Reference: steer steps one at a time, each config checked alone."""
+    status, steps = "advanced", 0
+    while status == "advanced":
+        status, idx = scalar_extend(tree, target, valid, resolution)
+        steps += 1
+    return status, idx, steps
+
+
+def assert_same_trees(chunked, stepwise):
+    assert chunked.size == stepwise.size
+    assert chunked.parents == stepwise.parents
+    assert all(chunked.node(i).tobytes() == stepwise.node(i).tobytes()
+               for i in range(chunked.size))
+
+
+def assert_connect_matches_stepwise(tree, ref, target, check, resolution):
+    """Connect both trees toward target; returns the status."""
+    counting = CountingValidity(check)
+    got = expert._connect(tree, target, counting, resolution)
+    status, idx, steps = stepwise_connect(ref, target, one_at_a_time(check), resolution)
+    assert got == (status, idx)
+    assert_same_trees(tree, ref)
+    assert counting.calls <= math.ceil(math.log2(steps + 1)) + 1
+    return status, steps
+
+
+class TestConnect:
+    def test_matches_stepwise_extend_on_a_pair(self, head_on_pair, rng):
+        valid = expert.dual_arm_validity(*head_on_pair, WORLD)
+        root = np.array([0.6, 0.0, 0.0, 0.6, 0.0, 0.0])
+        chunked, stepwise = expert._Tree(root), expert._Tree(root)
+        kinds = set()
+        for _ in range(200):
+            target = rng.uniform(-math.pi, math.pi, size=6)
+            before = chunked.size
+            status, steps = assert_connect_matches_stepwise(chunked, stepwise, target,
+                                                            valid, RES)
+            grew = chunked.size > before
+            kinds.add("reached" if status == "reached"
+                      else "trapped midway" if grew else "trapped at once")
+            assert steps >= 1
+        assert kinds == {"reached", "trapped midway", "trapped at once"}
+
+    @pytest.mark.parametrize("blocked_step", range(1, 20))
+    def test_trapped_at_each_step(self, blocked_step):
+        # A wall at x0 = (blocked_step - 0.25) * RES: the midpoint of step
+        # `blocked_step` (counting from 1) is the first state past it, so
+        # exactly blocked_step - 1 nodes join.
+        wall = (blocked_step - 0.25) * RES
+        check = row_check(lambda q: q[0] < wall)
+        root, target = np.zeros(3), np.array([30 * RES, 0.7, -0.4])
+        chunked, stepwise = expert._Tree(root), expert._Tree(root)
+        status, steps = assert_connect_matches_stepwise(chunked, stepwise, target, check,
+                                                        RES)
+        assert status == "trapped" and steps == blocked_step
+        assert chunked.size == blocked_step
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_tiny_gap_left_at_a_chunk_boundary(self, n_steps):
+        # Target sits 5e-13 past n_steps whole steps, so after n_steps steps
+        # the gap is at most 1e-12 and the connect stops there without
+        # adding a node. n_steps = 1, 3, 7, 15 end a chunk.
+        target = np.array([n_steps * RES + 5e-13, 0.5 * n_steps * RES])
+        chunked, stepwise = expert._Tree(np.zeros(2)), expert._Tree(np.zeros(2))
+        status, steps = assert_connect_matches_stepwise(chunked, stepwise, target,
+                                                        always_valid, RES)
+        assert status == "reached" and steps == n_steps + 1
+        assert chunked.size == n_steps + 1
+        gap = float(np.max(np.abs(target - chunked.node(n_steps))))
+        assert 0.0 < gap <= 1e-12
+
+    def test_target_already_in_tree(self):
+        tree = expert._Tree(np.zeros(2))
+        counting = CountingValidity(always_valid)
+        assert expert._connect(tree, np.full(2, 1e-13), counting, RES) == ("reached", 0)
+        assert counting.calls == 0 and tree.size == 1
+
+    def test_trapped_at_once_is_one_two_state_query(self):
+        sizes = []
+
+        def check(states, per_step):
+            sizes.append((len(states), per_step))
+            return Conflict(0, 0, 0)
+
+        tree = expert._Tree(np.zeros(3))
+        assert expert._connect(tree, np.ones(3), check, RES) == ("trapped", 0)
+        assert sizes == [(2, 2)] and tree.size == 1
 
 
 def per_pair_length(pts, i, j):
     return sum(float(np.linalg.norm(pts[k + 1] - pts[k])) for k in range(i, j))
+
+
+def restacking_shortcut(path, check, resolution, attempts, rng):
+    """Reference: the smoothing loop that re-stacks and re-measures its span
+    on every attempt."""
+    pts = [np.asarray(w, dtype=float) for w in path]
+    for _ in range(attempts):
+        if len(pts) < 3:
+            break
+        i = int(rng.integers(0, len(pts) - 2))
+        j = int(rng.integers(i + 2, len(pts)))
+        span = np.stack(pts[i:j + 1])
+        d = span[1:] - span[:-1]
+        old_len = sum(np.sqrt(np.vecdot(d, d)).tolist())
+        if float(np.linalg.norm(pts[j] - pts[i])) >= old_len - 1e-12:
+            continue
+        configs = np.concatenate([pts[i][None], steps_between(pts[i], pts[j], resolution)])
+        if check(collision.checked_states(configs, 2), 2) is not None:
+            continue
+        mids = steps_between(pts[i], pts[j], resolution)
+        pts = pts[: i + 1] + [w for w in mids] + pts[j + 1:]
+    return np.stack(pts)
 
 
 class TestShortcut:
@@ -273,13 +403,37 @@ class TestShortcut:
 
     @pytest.mark.parametrize("d", [3, 6])
     def test_path_length_bitwise_equal_to_per_pair_norms(self, d, rng):
+        # A span's length is the sum of the per-step lengths of the whole path.
         for _ in range(500):
             n = int(rng.integers(2, 40))
             pts = list(rng.normal(0.0, float(rng.choice([1e-3, 1.0, 1e3])), size=(n, d)))
             i = int(rng.integers(0, n - 1))
             j = int(rng.integers(i + 1, n))
-            got = expert._path_length(np.stack(pts[i:j + 1]))
+            lengths = expert._step_lengths(np.stack(pts))
+            assert len(lengths) == n - 1
+            got = sum(lengths[i:j])
             assert np.float64(got).tobytes() == np.float64(per_pair_length(pts, i, j)).tobytes()
+
+    def test_matches_restacking_reference(self, head_on_pair, rng):
+        valid = expert.dual_arm_validity(*head_on_pair, WORLD)
+        accepted = 0
+        for k in range(30):
+            n = int(rng.integers(2, 60))
+            if k % 3 == 0:
+                # A straight evenly spaced line: span and chord tie to rounding.
+                path = np.linspace(rng.uniform(-1, 1, size=6), rng.uniform(-1, 1, size=6), n)
+            else:
+                path = np.cumsum(rng.uniform(-RES, RES, size=(n, 6)), axis=0)
+                if k % 3 == 2:
+                    path[n // 2] = path[n // 2 - 1]  # a zero-length step
+            seed = int(rng.integers(1 << 30))
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = expert._shortcut(path, valid, RES, 80, rng_a)
+            expect = restacking_shortcut(path, valid, RES, 80, rng_b)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            accepted += got.shape != path.shape or got.tobytes() != path.tobytes()
+        assert accepted > 0
 
 
 def sequential_goal_config(arm, goal_pose, rng, pos_tol, rot_tol, bounds, max_restarts=50,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiarm.nets import dsilu, sigmoid, silu
+from multiarm.nets import AdamW, dsilu, ema_update, sigmoid, silu
 
 
 def masked_sigmoid(x):
@@ -50,3 +50,58 @@ class TestActivationKernel:
         sig = masked_sigmoid(block)
         assert same_bits(silu(block), block * sig)
         assert same_bits(dsilu(block), sig * (1.0 + block * (1.0 - sig)))
+
+
+class ExpressionAdamW:
+    """Reference: the AdamW update written as whole-array expressions."""
+
+    def __init__(self, params, lr, weight_decay, beta1, beta2, eps):
+        self.params, self.lr, self.weight_decay = params, lr, weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, grads):
+        self.t += 1
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
+            v[...] = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            p[...] = p - self.lr * (m_hat / (np.sqrt(v_hat) + self.eps)
+                                    + self.weight_decay * p)
+
+
+class TestInPlaceUpdates:
+    SHAPES = [(7, 5), (5,), (1,), (3, 1)]
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_adamw_matches_expression_form_bitwise(self, weight_decay):
+        rng = np.random.default_rng(11)
+        init = [rng.standard_normal(shape) for shape in self.SHAPES]
+        params = [p.copy() for p in init]
+        ref_params = [p.copy() for p in init]
+        settings = dict(lr=3e-3, weight_decay=weight_decay, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt, ref = AdamW(params, **settings), ExpressionAdamW(ref_params, **settings)
+        for step in range(20):
+            scale = 10.0 ** rng.integers(-6, 3)
+            grads = [scale * rng.standard_normal(shape) for shape in self.SHAPES]
+            if step == 3:
+                grads[0][0, 0] = 0.0  # a zero gradient entry keeps v's entry small
+            opt.step(grads)
+            ref.step(grads)
+            for got, expect in zip(params + opt.m + opt.v, ref_params + ref.m + ref.v):
+                assert same_bits(got, expect)
+        assert opt.params[0] is params[0]
+
+    def test_ema_matches_expression_form_bitwise(self):
+        rng = np.random.default_rng(12)
+        ema = [rng.standard_normal(shape) for shape in self.SHAPES]
+        ref = [e.copy() for e in ema]
+        for rate in rng.uniform(0.0, 0.2, size=20):
+            params = [rng.standard_normal(shape) for shape in self.SHAPES]
+            ema_update(ema, params, float(rate))
+            for e, p in zip(ref, params):
+                e[...] = (1.0 - rate) * e + rate * p
+            assert all(same_bits(got, expect) for got, expect in zip(ema, ref))
