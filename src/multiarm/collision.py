@@ -9,38 +9,38 @@ in 300 max-rate steps that started near contact).
 
 Every multi-arm "does anything collide" question is one
 `find_first_collision` call over one `PlanRecord` per arm, built by
-`state_records` (for a stack of trajectories; `state_record` is its one-row
-case) over states laid out by one builder, `checked_states`: `per_step`
-states per step, step-major, so a conflict's time is its state index //
-per_step. Plans (`plan_records`, one rollout for a whole plan stack; there
-is no one-plan builder) use 2, the executor (`segment_has_collision`, which
-the resim gate also runs) its subsamples. `states_conflict`, the experts'
+`state_records` (one record per row of a (P, k, d) stack of checked states)
+over states laid out by one builder, `checked_states`: `per_step` states
+per step, step-major, so a conflict's time is its state index // per_step.
+Plans (`planner.candidates`) use 2. `states_conflict`, the experts'
 predicate, takes states its caller laid out and their `per_step` (2 for
-steer steps, connect chunks and shortcut segments, 1 for endpoints), and
+steer steps, connect chunks and shortcut segments, 1 for endpoints) and
 returns the first `Conflict`, so a chunk of steps learns its valid prefix
-from one query.
+from one query; the executor's `segment_has_collision` (which the resim
+gate also runs) asks it about each trajectory's checked states.
 
 Record bounds give the search a broad phase: an arm pair whose bounds are
 separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
 touch at any checked state, so it resolves to "no conflict" without the
 capsule kernel. The margin sits far above the kernel's rounding error, so
 every verdict is the kernel's own. Verdicts go into a caller-owned memo
-keyed by the records, so a search that reuses them never checks a pair twice.
-`fill_self_verdicts` and `fill_pair_verdicts` store many records' verdicts
-from one kernel pass each, the values `find_first_collision` would store, so
-a caller that knows its next queries can answer them in one stacked pass.
+keyed by the records, so a search that reuses them never checks a pair
+twice. One pair of fills computes every verdict: `fill_self_verdicts` and
+`fill_pair_verdicts` store many records' verdicts from one kernel pass
+each, and `find_first_collision` computes each memo miss as a one-record
+fill, so a caller that knows its next queries can answer them in one
+stacked pass.
 
 Only `_verts_free` (bounds plus self-contact, through `_self_clear`) and
 `_verts_collide` (pair contact) call the segment-distance kernel, and no
-other module calls them. They are reached from `states_free` and
-`states_collide`, which answer per row of (k, d) stacks (`is_free` and
-`arms_collide` are their one-row case), from `find_first_collision`'s memo
-misses, and from the two fill helpers. Each answers per state, so a stacked
-call gives every state the bits of a call of its own. The kernel runs the
-float operations of np.sum, np.clip and np.linalg.norm without those
-functions' Python wrappers, which cost more than the arithmetic on the
-expert's small stacks, and `_self_clear` builds its link-pair indices once
-per link count.
+other module calls them. They are reached from the two fills and from
+`states_free` and `states_collide`, which answer per row of (k, d) stacks
+(`is_free` and `arms_collide` are their one-row case). Each answers per
+state, so a stacked call gives every state the bits of a call of its own.
+The kernel runs the float operations of np.sum, np.clip and np.linalg.norm
+without those functions' Python wrappers, which cost more than the
+arithmetic on the expert's small stacks, and `_self_clear` builds its
+link-pair indices once per link count.
 """
 
 from __future__ import annotations
@@ -220,17 +220,14 @@ def checked_states(configs: np.ndarray, per_step: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PlanRecord:
-    """One arm's motion as first-conflict search sees it.
+    """One arm's motion as first-conflict search sees it: `verts`, the
+    vertex stack of its checked states, `per_step`, how many of them lie on
+    each step, and (x_lo, y_lo, x_hi, y_hi), the axis-aligned bounds of
+    every vertex in `verts`. A NaN vertex makes the bounds NaN, which the
+    broad phase never prunes on; an empty stack makes them (inf, inf, -inf,
+    -inf), which it always prunes. Records compare and hash by identity, so
+    they key the memo directly."""
 
-    `configs` is the trajectory, `verts` the vertex stack of its checked
-    states, `per_step` how many of them lie on each step, and (x_lo, y_lo,
-    x_hi, y_hi) the axis-aligned bounds of every vertex in `verts`. A NaN
-    vertex makes the bounds NaN, which the broad phase never prunes on; an
-    empty stack makes them (inf, inf, -inf, -inf), which it always prunes.
-    Records compare and hash by identity, so they key the memo directly.
-    """
-
-    configs: np.ndarray
     verts: np.ndarray
     per_step: int
     x_lo: float
@@ -239,32 +236,15 @@ class PlanRecord:
     y_hi: float
 
 
-def state_records(arm: ArmModel, configs: np.ndarray, states: np.ndarray,
-                  per_step: int) -> list[PlanRecord]:
-    """The records of a (P, T + 1, d) trajectory stack `configs`, row p
-    checked at the (k, d) states `states[p]`, `per_step` states to a step:
-    one vertex pass and one bounds pass for the whole stack."""
+def state_records(arm: ArmModel, states: np.ndarray, per_step: int) -> list[PlanRecord]:
+    """The records of a (P, k, d) state stack, row p checked at `states[p]`,
+    `per_step` states to a step, from one vertex pass and one bounds pass."""
     verts = chain_vertices(arm, states.reshape(-1, arm.dof)).reshape(
         *states.shape[:2], arm.dof + 1, 2)
     lo = np.min(verts, axis=(1, 2), initial=np.inf).tolist()
     hi = np.max(verts, axis=(1, 2), initial=-np.inf).tolist()
-    return [PlanRecord(c, v, per_step, l[0], l[1], h[0], h[1])
-            for c, v, l, h in zip(configs, verts, lo, hi)]
-
-
-def state_record(arm: ArmModel, configs: np.ndarray, states: np.ndarray,
-                 per_step: int) -> PlanRecord:
-    """The record of `configs`, checked at the (k, d) state stack `states`,
-    `per_step` states to a step."""
-    return state_records(arm, [configs], config_stack(arm, states)[None], per_step)[0]
-
-
-def plan_records(arm: ArmModel, q0: np.ndarray, plans: np.ndarray,
-                 delta_limit: float) -> list[PlanRecord]:
-    """The records of a (P, T, d) plan stack's rollouts from q0, each checked
-    at its steps' midpoints and endpoints, from one rollout of the stack."""
-    configs = rollout(arm, q0, plans, delta_limit)
-    return state_records(arm, configs, checked_states(configs, 2), 2)
+    return [PlanRecord(v, per_step, l[0], l[1], h[0], h[1])
+            for v, l, h in zip(verts, lo, hi)]
 
 
 def states_conflict(arms, stacks, bounds: WorldBounds, per_step: int) -> Conflict | None:
@@ -272,7 +252,7 @@ def states_conflict(arms, stacks, bounds: WorldBounds, per_step: int) -> Conflic
     `per_step` states to a step: the earliest step holding a row of an arm's
     stack that leaves the bounds or self-collides, or a row r at which two
     arms' stacks are in capsule contact; None when every row is clear."""
-    records = [state_record(arm, states, states, per_step)
+    records = [state_records(arm, config_stack(arm, states)[None], per_step)[0]
                for arm, states in zip(arms, stacks)]
     return find_first_collision(arms, records, bounds, {})
 
@@ -284,11 +264,9 @@ def segment_has_collision(arms, trajectories, bounds: WorldBounds,
     self-collides or brings an arm pair into capsule contact, as a `Conflict`
     whose time is that step's index; None when every step is clear. Each step
     is checked at tau = s / subsamples for s = 1..subsamples."""
-    records = []
-    for arm, traj in zip(arms, trajectories):
-        traj = config_stack(arm, traj)
-        records.append(state_record(arm, traj, checked_states(traj, subsamples), subsamples))
-    return find_first_collision(arms, records, bounds, {})
+    return states_conflict(arms, [checked_states(config_stack(arm, traj), subsamples)
+                                  for arm, traj in zip(arms, trajectories)],
+                           bounds, subsamples)
 
 
 # Slack on the broad-phase gap test. The kernel measures between two points
@@ -312,26 +290,16 @@ def _first_step(bad: np.ndarray, per_step: int):
     return int(hit[0]) // per_step if len(hit) else None
 
 
-def _first_self_violation(arm: ArmModel, rec: PlanRecord, bounds: WorldBounds):
-    return _first_step(~_verts_free(arm, rec.verts, bounds), rec.per_step)
-
-
-def _first_pair_collision(a: ArmModel, ra: PlanRecord, b: ArmModel, rb: PlanRecord):
-    if _separated(a, ra, b, rb):
-        return None
-    return _first_step(_verts_collide(a, ra.verts, b, rb.verts), ra.per_step)
-
-
 def _stacked_verts(records) -> np.ndarray:
     """The records' vertex stacks end to end, shape (sum of k, d + 1, 2)."""
     return np.concatenate([rec.verts for rec in records])
 
 
 def fill_self_verdicts(arm: ArmModel, records, bounds: WorldBounds, memo: dict) -> None:
-    """Store in `memo` the self verdict of each of arm's `records` not yet
-    in it: the value `find_first_collision` would store, from one kernel pass
-    over all of their states. The records must share one horizon."""
-    todo = [rec for rec in dict.fromkeys(records) if rec not in memo]
+    """Store in `memo` the self verdict (the step of the first checked state
+    out of bounds or in self-contact, or None) of each of arm's `records` not
+    yet in it, from one kernel pass. The records must share one horizon."""
+    todo = [rec for rec in records if rec not in memo]
     if not todo:
         return
     bad = ~_verts_free(arm, _stacked_verts(todo), bounds).reshape(len(todo), -1)
@@ -341,11 +309,11 @@ def fill_self_verdicts(arm: ArmModel, records, bounds: WorldBounds, memo: dict) 
 
 def fill_pair_verdicts(a: ArmModel, b: ArmModel, pairs, memo: dict) -> None:
     """Store in `memo` the verdict of each record pair (ra, rb) of arms a and
-    b not yet in it, where a is the lower arm index: the value
-    `find_first_collision` would store. Pairs the broad phase prunes store
-    None; the rest share one kernel pass. The records must share one horizon."""
+    b not yet in it, a being the lower arm index: the step of the pair's
+    first checked state in capsule contact, or None. Pairs the broad phase
+    prunes store None; the rest share one kernel pass."""
     live = []
-    for key in dict.fromkeys(pairs):
+    for key in pairs:
         if key in memo:
             continue
         if _separated(a, key[0], b, key[1]):
@@ -363,7 +331,7 @@ def fill_pair_verdicts(a: ArmModel, b: ArmModel, pairs, memo: dict) -> None:
 def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conflict | None:
     """Earliest conflict across all arms and arm pairs over the horizon.
 
-    `records[i]` is arm i's `PlanRecord` (see `state_record`); a conflict's
+    `records[i]` is arm i's `PlanRecord` (see `state_records`); a conflict's
     time is its earliest checked state's index // per_step, a step of the
     records' trajectories. Per-arm infeasibility surfaces as a self conflict
     (arm_i == arm_j). Ties in time break toward the lexicographically
@@ -383,8 +351,10 @@ def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conf
         for j in range(i, n):
             key = records[i] if i == j else (records[i], records[j])
             if key not in memo:
-                memo[key] = (_first_self_violation(arms[i], records[i], bounds) if i == j
-                             else _first_pair_collision(arms[i], records[i], arms[j], records[j]))
+                if i == j:
+                    fill_self_verdicts(arms[i], [key], bounds, memo)
+                else:
+                    fill_pair_verdicts(arms[i], arms[j], [key], memo)
             t = memo[key]
             if t is not None and (best is None or (t, i, j) < best):
                 best = (t, i, j)

@@ -251,6 +251,11 @@ class RunConfig(_Section):
     toy: ToyConfig = field(default_factory=ToyConfig)
     seed: Annotated[int, Range(ge=0)] = 0
 
+    def _check(self):
+        if self.controller.baseline_chunk > self.diffusion.pred_horizon:
+            self._refuse("controller.baseline_chunk", f"must be <= diffusion.pred_horizon "
+                         f"({self.diffusion.pred_horizon}), got {self.controller.baseline_chunk}")
+
 
 def _build(cls, data, path: str):
     """`cls` from the YAML mapping `data` at `path`; sections nest."""

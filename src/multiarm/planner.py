@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observation as obs
-from .collision import (Conflict, PlanRecord, fill_pair_verdicts, fill_self_verdicts,
-                        find_first_collision, plan_records)
+from .collision import (Conflict, PlanRecord, checked_states, fill_pair_verdicts,
+                        fill_self_verdicts, find_first_collision, rollout, state_records)
 from .config import RunConfig
 from .diffusion import Policy
 from .kinematics import (EEPose, chain_vertices, forward_kinematics, pos_distance,
@@ -55,21 +55,15 @@ def candidates(arm, q0: np.ndarray, plans, goal: EEPose,
     `np.vecdot` runs the kernel `np.linalg.norm` uses for one 2-vector, so
     each position residual keeps a solo call's bits."""
     plans = np.asarray(plans, dtype=float)
-    records = plan_records(arm, q0, plans, delta_limit)
-    ends = np.array([rec.configs[-1] for rec in records]).reshape(-1, arm.dof)
+    configs = rollout(arm, q0, plans, delta_limit)
+    # Each plan checked at its steps' midpoints and endpoints.
+    records = state_records(arm, checked_states(configs, 2), 2)
+    ends = configs[:, -1]
     off = chain_vertices(arm, ends)[:, -1] - goal.position
     heading = wrap_angle(arm.base.heading + np.sum(ends, axis=1))
     cost = (np.sum(np.linalg.norm(plans, axis=2), axis=1) + np.sqrt(np.vecdot(off, off))
             + np.abs(wrap_angle(heading - goal.orientation)))
     return records, cost.tolist()
-
-
-def candidate(arm, q0: np.ndarray, plan: np.ndarray, goal: EEPose,
-              delta_limit: float) -> tuple[PlanRecord, float]:
-    """One plan's candidate: the one-row case of `candidates`."""
-    records, costs = candidates(arm, q0, np.asarray(plan, dtype=float)[None], goal,
-                                delta_limit)
-    return records[0], costs[0]
 
 
 def init_plans(single_policy: Policy, histories, batch: int, stream: tuple,
@@ -123,9 +117,11 @@ class _Search:
         # no tuple is popped twice.
         self.pushed: set[tuple[int, ...]] = set()
         # (arm, plan index) -> (PlanRecord, cost terms), filled once per
-        # candidate: first-conflict search and cost share its one rollout.
-        # The root's entries are built one by one, a branch's together.
+        # candidate by `build`: first-conflict search and cost share its one
+        # rollout. It starts with the root tuple's, one arm at a time.
         self.candidates: dict[tuple[int, int], tuple[PlanRecord, float]] = {}
+        for i in range(self.n):
+            self.build(i, [0])
         # First-conflict verdicts for this replan's fixed starts, keyed by
         # record (see `find_first_collision`). Each call looks up n(n+1)/2
         # keys, so the hits are calls * n(n+1)/2 - len(memo).
@@ -141,23 +137,27 @@ class _Search:
     def plans_for(self, b):
         return tuple(self.plan_sets[i][bi] for i, bi in enumerate(b))
 
-    def candidate(self, i: int, bi: int) -> tuple[PlanRecord, float]:
-        entry = self.candidates.get((i, bi))
-        if entry is None:
-            entry = self.candidates[(i, bi)] = candidate(
-                self.arms[i], self.starts[i], self.plan_sets[i][bi], self.goals[i], self.delta)
-        return entry
+    def build(self, ego: int, indices):
+        """Build the ego arm's candidates `indices` not yet in the table, in
+        one `candidates` call: the search's one candidate builder."""
+        new = [m for m in indices if (ego, m) not in self.candidates]
+        if new:
+            built = candidates(self.arms[ego], self.starts[ego],
+                               [self.plan_sets[ego][m] for m in new], self.goals[ego],
+                               self.delta)
+            for m, rec, cost in zip(new, *built):
+                self.candidates[(ego, m)] = (rec, cost)
 
     def conflict_for(self, b) -> Conflict | None:
         self.conflict_calls += 1
         return find_first_collision(self.arms,
-                                    [self.candidate(i, bi)[0] for i, bi in enumerate(b)],
+                                    [self.candidates[(i, bi)][0] for i, bi in enumerate(b)],
                                     self.cfg.world, self.memo)
 
     def cost_for(self, b, collided: bool) -> float:
         total = 0.0
         for i, bi in enumerate(b):
-            total += self.candidate(i, bi)[1]
+            total += self.candidates[(i, bi)][1]
         return total + (self.penalty if collided else 0.0)
 
     def push(self, b, conflict_sets):
@@ -186,20 +186,12 @@ class _Search:
 
     def prefill(self, b, ego: int, indices):
         """Build the ego arm's candidates `indices` and store the memo
-        verdicts that pushing b with each of them would look up and miss, in
-        one stacked pass: one `candidates` call, one self check and one check
-        per other arm. The pushes then find every candidate and verdict, so
-        the candidate table, the memo and the cache counts end as lazy
-        pushes would leave them."""
-        if not indices:
-            return
+        verdicts that pushing b with each of them would look up and miss,
+        from one self check and one check per other arm. The pushes then find
+        every verdict, so the memo and the cache counts end as if each push
+        had computed its own misses."""
         arm = self.arms[ego]
-        new = [m for m in indices if (ego, m) not in self.candidates]
-        if new:
-            built = candidates(arm, self.starts[ego], [self.plan_sets[ego][m] for m in new],
-                               self.goals[ego], self.delta)
-            for m, rec, cost in zip(new, *built):
-                self.candidates[(ego, m)] = (rec, cost)
+        self.build(ego, indices)
         records = [self.candidates[(ego, m)][0] for m in indices]
         fill_self_verdicts(arm, records, self.cfg.world, self.memo)
         for j in range(self.n):

@@ -113,7 +113,7 @@ class TestBaseline:
 
 
     def test_each_candidate_rolled_out_once(self, cfg, monkeypatch):
-        from multiarm import collision
+        from multiarm import planner
         arm = make_arm((0.5, 0.3, 0.2), BasePose(0, 0, 0), 0.11)
         q = np.array([0.2, -0.4, 0.3])
         goal = forward_kinematics(arm, np.array([1.0, 0.2, -0.2]))
@@ -134,7 +134,7 @@ class TestBaseline:
             return best, best_score
 
         rolled = []
-        real = collision.rollout
+        real = planner.rollout
 
         def counting(arm, q0, plan, delta_limit):
             # A call rolls out a (P, T, d) stack: count its plans, not calls.
@@ -142,7 +142,7 @@ class TestBaseline:
                 -1, *np.shape(plan)[-2:]))
             return real(arm, q0, plan, delta_limit)
 
-        monkeypatch.setattr(collision, "rollout", counting)
+        monkeypatch.setattr(planner, "rollout", counting)
         got = bn._best_own_plan(arm, q, goal, plans, cfg, bounds)
         assert sorted(rolled) == sorted(p.tobytes() for p in plans)
         ref, ref_score = reference()

@@ -369,8 +369,10 @@ class TestOutOfRangeCounts:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("text", ["planner: {batch: 0}\n", "planner: {batch: 0\n",
-                                      'planner: {batch: "x"}\n'],
-                             ids=["out-of-range", "yaml-syntax", "wrong-type"])
+                                      'planner: {batch: "x"}\n',
+                                      "controller: {baseline_chunk: 20}\n"],
+                             ids=["out-of-range", "yaml-syntax", "wrong-type",
+                                  "chunk-past-horizon"])
     def test_bad_config_is_one_error_line(self, tmp_path, text, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text(text)

@@ -22,8 +22,10 @@ WORLD = WorldBounds()
 
 
 def plan_record(arm, q0, plan, delta_limit):
-    """One plan's record: the one-plan case of `collision.plan_records`."""
-    return col.plan_records(arm, q0, np.asarray(plan, dtype=float)[None], delta_limit)[0]
+    """One plan's record as the planner builds it: its rollout from q0,
+    checked at each step's midpoint and endpoint."""
+    configs = rollout(arm, q0, np.asarray(plan, dtype=float)[None], delta_limit)
+    return col.state_records(arm, col.checked_states(configs, 2), 2)[0]
 
 
 def capsule_distance(seg_a, seg_b) -> float:
@@ -573,7 +575,6 @@ class TestBroadPhase:
             arm = random_arm(rng)
             rec = plan_record(arm, random_config(arm, rng),
                               rng.uniform(-DELTA, DELTA, size=(6, arm.dof)), DELTA)
-            assert rec.configs.shape == (7, arm.dof)
             assert rec.verts.shape == (12, arm.dof + 1, 2)
             assert (rec.x_lo, rec.y_lo) == tuple(rec.verts.reshape(-1, 2).min(axis=0))
             assert (rec.x_hi, rec.y_hi) == tuple(rec.verts.reshape(-1, 2).max(axis=0))

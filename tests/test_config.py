@@ -178,6 +178,8 @@ class TestSectionRules:
         ("morphology: {joint_limits: [[-1, 1], [1, -1], [-1, 1]]}", "morphology.joint_limits"),
         ("diffusion: {embed_dim: 7}", "diffusion.embed_dim"),
         ("world: {x_min: 3}", "world.x_max"),
+        ("controller: {baseline_chunk: 17}", "controller.baseline_chunk"),
+        ("diffusion: {pred_horizon: 4}", "controller.baseline_chunk"),
     ])
     def test_error_names_the_yaml_path(self, tmp_path, snippet, path):
         cfg = tmp_path / "bad.yaml"
@@ -194,6 +196,18 @@ class TestSectionRules:
             dataclasses.replace(cfg.controller, pos_tol=math.inf)
         with pytest.raises(ConfigError, match=r"^bench\.n_arms: must not repeat"):
             dataclasses.replace(cfg.bench, n_arms=(2, 2))
+
+    def test_baseline_chunk_within_the_horizon(self):
+        # A longer chunk ran past the plan in the baseline's first cycle.
+        cfg = RunConfig()
+        whole = dataclasses.replace(cfg.controller, baseline_chunk=16)
+        assert dataclasses.replace(cfg, controller=whole).controller.baseline_chunk == 16
+        with pytest.raises(ConfigError, match=r"^controller\.baseline_chunk: must be <= "
+                           r"diffusion\.pred_horizon \(16\), got 17$"):
+            dataclasses.replace(cfg, controller=dataclasses.replace(whole, baseline_chunk=17))
+        with pytest.raises(ConfigError, match=r"^controller\.baseline_chunk: .* \(4\), got 8$"):
+            dataclasses.replace(cfg, diffusion=dataclasses.replace(cfg.diffusion,
+                                                                   pred_horizon=4))
 
     def test_lists_become_tuples_on_replace(self):
         bench = dataclasses.replace(RunConfig().bench, n_arms=[3, 2])
@@ -246,8 +260,14 @@ def shaped(hint, leaf):
     return [shaped(a, leaf) for a in (args[:1] if args[-1] is Ellipsis else args)]
 
 
+# What a field's edge value needs beside it to pass the rules that tie fields
+# together: a one-step plan horizon takes a baseline chunk of at most one.
+COMPANIONS = {("diffusion", "pred_horizon"): {"controller": {"baseline_chunk": 1}}}
+
+
 def load_one(tmp_path, keys, value):
     data = {keys[0]: value} if len(keys) == 1 else {keys[0]: {keys[1]: value}}
+    data.update(COMPANIONS.get(tuple(keys), {}))
     path = tmp_path / "one.yaml"
     path.write_text(yaml.safe_dump(data))
     return load_config(path)

@@ -157,24 +157,16 @@ class TestCandidates:
         assert len(records) == len(costs) == count
         for plan, rec, cost in zip(plans, records, costs):
             ref = plan_record(arm, q0, plan, DELTA)
-            assert bits(rec.configs) == bits(ref.configs)
             assert bits(rec.verts) == bits(ref.verts)
             assert rec.per_step == ref.per_step
             bounds = (rec.x_lo, rec.y_lo, rec.x_hi, rec.y_hi)
             assert bits(bounds) == bits((ref.x_lo, ref.y_lo, ref.x_hi, ref.y_hi))
             assert all(type(v) is float for v in bounds)
-            want = pl._cost_terms(arm, ref.configs[-1], plan, goal)
+            want = pl._cost_terms(arm, rollout(arm, q0, plan, DELTA)[-1], plan, goal)
             assert type(cost) is float and bits(cost) == bits(want)
-        configs = np.stack([rec.configs for rec in records])
+        configs = rollout(arm, q0, plans, DELTA)
         assert np.any(configs == -0.4) or np.any(configs == 0.5)
         assert np.any(np.abs(plans) > DELTA)
-
-    def test_one_plan_is_the_one_row_case(self):
-        arms, starts, goals, _ = facing_scene()
-        plan = straight_plans(None, 1, np.random.default_rng(0))[0]
-        rec, cost = pl.candidate(arms[0], starts[0], plan, goals[0], DELTA)
-        records, costs = pl.candidates(arms[0], starts[0], plan[None], goals[0], DELTA)
-        assert bits(rec.verts) == bits(records[0].verts) and cost == costs[0]
 
     def test_empty_stack(self):
         arms, starts, goals, _ = facing_scene()
@@ -534,9 +526,8 @@ class TestCacheIntegration:
 
 class TestPlanRecords:
     def test_each_plan_rolled_out_once(self, cfg, monkeypatch):
-        from multiarm import collision
         rolled = []
-        real = collision.rollout
+        real = pl.rollout
 
         def counting(arm, q0, plan, delta_limit):
             # A call rolls out a (P, T, d) stack: count its plans, not calls.
@@ -544,7 +535,7 @@ class TestPlanRecords:
                 -1, *np.shape(plan)[-2:]))
             return real(arm, q0, plan, delta_limit)
 
-        monkeypatch.setattr(collision, "rollout", counting)
+        monkeypatch.setattr(pl, "rollout", counting)
         arms, starts, goals, hists = facing_scene()
         search = pl._Search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
@@ -637,20 +628,26 @@ class TestPinnedSearches:
 
 class TestBranchPrefill:
     """A branch's stacked build and memo prefill change nothing the search
-    does: with the prefill switched off, every push builds and checks lazily
-    and must give the same memo, search order, costs and cache counts."""
+    does: with the prefill switched off, every candidate is built on its own
+    and every push computes its own memo misses, and the memo, search order,
+    costs and cache counts must be the same."""
 
     @staticmethod
     def run(args, monkeypatch, prefill):
         from multiarm import collision
         misses = []
         with monkeypatch.context() as m:
-            for name in ("_first_self_violation", "_first_pair_collision"):
+            # find_first_collision computes its misses through the collision
+            # module's names; the prefill calls the planner's own bindings.
+            for name in ("fill_self_verdicts", "fill_pair_verdicts"):
                 real = getattr(collision, name)
                 m.setattr(collision, name,
                           lambda *a, real=real: misses.append(1) or real(*a))
             if not prefill:
-                m.setattr(pl._Search, "prefill", lambda self, b, ego, indices: None)
+                def one_by_one(self, b, ego, indices):
+                    for k in indices:
+                        self.build(ego, [k])
+                m.setattr(pl._Search, "prefill", one_by_one)
             search = pl._Search(*args, frozenset())
             result = search.run()
         if prefill:
