@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import observation as obs
-from .collision import (WorldBounds, fill_self_verdicts, find_first_collision, rollout,
-                        segment_has_collision)
+from .collision import WorldBounds, find_first_collision, rollout, segment_has_collision
 from .config import DIFFICULTIES, RunConfig, config_digest, morphology_digest
 from .controller import EpisodeResult, WorldState, make_world, run_episode, run_loop
 from .datasets import Dataset, episode_windows, generate_dataset, path_to_deltas
@@ -40,13 +39,12 @@ METHODS = tuple(METHOD_IDS)
 
 def _best_own_plan(arm, q, goal, plans, cfg: RunConfig, bounds) -> np.ndarray:
     """The arm's cheapest candidate, judged on its own: no other arm exists.
-    Ties go to the earliest plan. The plans are built and self-checked
-    together, so each plan's conflict query only reads the memo."""
+    Ties go to the earliest plan. The plans are built with one `candidates`
+    call and checked with one query over one-arm tuples."""
     records, costs = candidates(arm, q, plans, goal, cfg.controller.delta_limit)
-    memo: dict = {}
-    fill_self_verdicts(arm, records, bounds, memo)
-    for p, rec in enumerate(records):
-        if find_first_collision([arm], [rec], bounds, memo) is not None:
+    conflicts = find_first_collision([arm], [(rec,) for rec in records], bounds, {})
+    for p, conflict in enumerate(conflicts):
+        if conflict is not None:
             costs[p] += cfg.planner.collision_penalty
     return plans[min(range(len(plans)), key=costs.__getitem__)]
 

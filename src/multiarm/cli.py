@@ -84,6 +84,9 @@ def cmd_train(args) -> int:
     if ds.meta.get("morphology_digest") and ds.meta["morphology_digest"] != expected:
         print("error=morphology-mismatch", file=sys.stderr)
         return 2
+    if len(ds) == 0:
+        print(f"error=empty-dataset path={args.data}", file=sys.stderr)
+        return 2
 
     def log(epoch, loss):
         print(f"epoch={epoch} loss={loss:.6f}")

@@ -8,28 +8,26 @@ can still touch and leave contact between the two checked states (1 miss
 in 300 max-rate steps that started near contact).
 
 Every multi-arm "does anything collide" question is one
-`find_first_collision` call over one `PlanRecord` per arm, built by
-`state_records` (one record per row of a (P, k, d) stack of checked states)
-over states laid out by one builder, `checked_states`: `per_step` states
-per step, step-major, so a conflict's time is its state index // per_step.
-Plans (`planner.candidates`) use 2. `states_conflict`, the experts'
-predicate, takes states its caller laid out and their `per_step` (2 for
-steer steps, connect chunks and shortcut segments, 1 for endpoints) and
-returns the first `Conflict`, so a chunk of steps learns its valid prefix
-from one query; the executor's `segment_has_collision` (which the resim
-gate also runs) asks it about each trajectory's checked states.
+`find_first_collision` query over a list of tuples of one `PlanRecord` per
+arm, built by `state_records` (one record per row of a (P, k, d) stack of
+checked states) over states laid out by one builder, `checked_states`:
+`per_step` states per step, step-major, so a conflict's time is its state
+index // per_step. Plans (`planner.candidates`) use 2. `states_conflict`,
+the experts' predicate, takes states its caller laid out and their
+`per_step` (2 for steer steps, connect chunks and shortcut segments, 1 for
+endpoints) and returns their one tuple's first `Conflict`, so a chunk of
+steps learns its valid prefix from one query; the executor's
+`segment_has_collision` (which the resim gate also runs) asks it about
+each trajectory's checked states.
 
-Record bounds give the search a broad phase: an arm pair whose bounds are
+Record bounds give the query a broad phase: an arm pair whose bounds are
 separated on x or y by more than r_a + r_b + `BROAD_PHASE_MARGIN` cannot
 touch at any checked state, so it resolves to "no conflict" without the
 capsule kernel. The margin sits far above the kernel's rounding error, so
 every verdict is the kernel's own. Verdicts go into a caller-owned memo
-keyed by the records, so a search that reuses them never checks a pair
-twice. One pair of fills computes every verdict: `fill_self_verdicts` and
-`fill_pair_verdicts` store many records' verdicts from one kernel pass
-each, and `find_first_collision` computes each memo miss as a one-record
-fill, so a caller that knows its next queries can answer them in one
-stacked pass.
+keyed by the records, which no other module keys. The query fills the
+keys its tuples miss with one kernel pass per arm and per arm pair
+(`_fill_self_verdicts`, `_fill_pair_verdicts`, the only verdict code).
 
 Only `_verts_free` (bounds plus self-contact, through `_self_clear`) and
 `_verts_collide` (pair contact) call the segment-distance kernel, and no
@@ -254,7 +252,7 @@ def states_conflict(arms, stacks, bounds: WorldBounds, per_step: int) -> Conflic
     arms' stacks are in capsule contact; None when every row is clear."""
     records = [state_records(arm, config_stack(arm, states)[None], per_step)[0]
                for arm, states in zip(arms, stacks)]
-    return find_first_collision(arms, records, bounds, {})
+    return find_first_collision(arms, [records], bounds, {})[0]
 
 
 def segment_has_collision(arms, trajectories, bounds: WorldBounds,
@@ -295,27 +293,20 @@ def _stacked_verts(records) -> np.ndarray:
     return np.concatenate([rec.verts for rec in records])
 
 
-def fill_self_verdicts(arm: ArmModel, records, bounds: WorldBounds, memo: dict) -> None:
-    """Store in `memo` the self verdict (the step of the first checked state
-    out of bounds or in self-contact, or None) of each of arm's `records` not
-    yet in it, from one kernel pass. The records must share one horizon."""
-    todo = [rec for rec in records if rec not in memo]
-    if not todo:
-        return
-    bad = ~_verts_free(arm, _stacked_verts(todo), bounds).reshape(len(todo), -1)
-    for rec, row in zip(todo, bad):
+def _fill_self_verdicts(arm: ArmModel, records, bounds: WorldBounds, memo: dict) -> None:
+    """Store each of arm's distinct `records`' step of its first checked state
+    out of bounds or in self-contact, or None, from one kernel pass."""
+    bad = ~_verts_free(arm, _stacked_verts(records), bounds).reshape(len(records), -1)
+    for rec, row in zip(records, bad):
         memo[rec] = _first_step(row, rec.per_step)
 
 
-def fill_pair_verdicts(a: ArmModel, b: ArmModel, pairs, memo: dict) -> None:
-    """Store in `memo` the verdict of each record pair (ra, rb) of arms a and
-    b not yet in it, a being the lower arm index: the step of the pair's
-    first checked state in capsule contact, or None. Pairs the broad phase
-    prunes store None; the rest share one kernel pass."""
+def _fill_pair_verdicts(a: ArmModel, b: ArmModel, pairs, memo: dict) -> None:
+    """Store each distinct record pair (ra, rb)'s step of its first checked
+    state in capsule contact, or None, a being the lower arm index. Pairs the
+    broad phase prunes store None; the rest share one kernel pass."""
     live = []
     for key in pairs:
-        if key in memo:
-            continue
         if _separated(a, key[0], b, key[1]):
             memo[key] = None
         else:
@@ -328,37 +319,48 @@ def fill_pair_verdicts(a: ArmModel, b: ArmModel, pairs, memo: dict) -> None:
         memo[key] = _first_step(row, key[0].per_step)
 
 
-def find_first_collision(arms, records, bounds: WorldBounds, memo: dict) -> Conflict | None:
-    """Earliest conflict across all arms and arm pairs over the horizon.
+_MISS = object()
 
-    `records[i]` is arm i's `PlanRecord` (see `state_records`); a conflict's
-    time is its earliest checked state's index // per_step, a step of the
-    records' trajectories. Per-arm infeasibility surfaces as a self conflict
-    (arm_i == arm_j). Ties in time break toward the lexicographically
-    smallest (i, j).
+
+def find_first_collision(arms, tuples, bounds: WorldBounds, memo: dict) -> list:
+    """Each record tuple's earliest conflict over the horizon, a `Conflict`
+    or None. `tuples[s][i]` is arm i's `PlanRecord` in tuple s; all share one
+    horizon. A conflict's time is its earliest checked state's index //
+    per_step; an arm infeasible on its own is a self conflict (arm_i ==
+    arm_j); ties in time go to the smallest (i, j).
 
     `memo` maps a record (self check) or a record pair (i < j) to that check's
-    earliest conflicting step, or None; a pair the broad phase prunes is
-    stored like any other. Every call reads and writes it, so a caller that
-    reuses records across calls reuses their verdicts; a one-off call passes
-    `{}`. One memo must serve one set of arms and bounds.
+    earliest conflicting step or None, pruned pairs included, for one set of
+    arms and bounds; a one-off call passes `{}`. Each key is looked up once,
+    and the missed ones are filled, one kernel pass per arm and arm pair.
     """
-    if len({(len(rec.verts), rec.per_step) for rec in records}) != 1:
+    if len({(len(rec.verts), rec.per_step) for recs in tuples for rec in recs}) > 1:
         raise ValueError("all plans must share one horizon")
     n = len(arms)
-    best: tuple[int, int, int] | None = None
-    for i in range(n):
-        for j in range(i, n):
-            key = records[i] if i == j else (records[i], records[j])
-            if key not in memo:
-                if i == j:
-                    fill_self_verdicts(arms[i], [key], bounds, memo)
-                else:
-                    fill_pair_verdicts(arms[i], arms[j], [key], memo)
+    # Per tuple, the earliest (t, i, j) among the hits and the missed keys.
+    found, misses = [], {}
+    for recs in tuples:
+        best, missed = None, []
+        for i in range(n):
+            for j in range(i, n):
+                key = recs[i] if i == j else (recs[i], recs[j])
+                t = memo.get(key, _MISS)
+                if t is _MISS:
+                    misses.setdefault((i, j), {})[key] = None
+                    missed.append((key, i, j))
+                elif t is not None and (best is None or (t, i, j) < best):
+                    best = (t, i, j)
+        found.append((best, missed))
+    for (i, j), keys in misses.items():
+        if i == j:
+            _fill_self_verdicts(arms[i], keys, bounds, memo)
+        else:
+            _fill_pair_verdicts(arms[i], arms[j], keys, memo)
+    out = []
+    for best, missed in found:
+        for key, i, j in missed:
             t = memo[key]
             if t is not None and (best is None or (t, i, j) < best):
                 best = (t, i, j)
-    if best is None:
-        return None
-    t, i, j = best
-    return Conflict(i, j, t)
+        out.append(None if best is None else Conflict(best[1], best[2], best[0]))
+    return out

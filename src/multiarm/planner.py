@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observation as obs
-from .collision import (Conflict, PlanRecord, checked_states, fill_pair_verdicts,
-                        fill_self_verdicts, find_first_collision, rollout, state_records)
+from .collision import (Conflict, PlanRecord, checked_states, find_first_collision, rollout,
+                        state_records)
 from .config import RunConfig
 from .diffusion import Policy
 from .kinematics import (EEPose, chain_vertices, forward_kinematics, pos_distance,
@@ -116,15 +116,12 @@ class _Search:
         # re-pushes from sibling expansions loses nothing but heap churn, and
         # no tuple is popped twice.
         self.pushed: set[tuple[int, ...]] = set()
-        # (arm, plan index) -> (PlanRecord, cost terms), filled once per
-        # candidate by `build`: first-conflict search and cost share its one
-        # rollout. It starts with the root tuple's, one arm at a time.
+        # (arm, plan index) -> (PlanRecord, cost terms), filled once per candidate
+        # by `build`: first-conflict search and cost share its one rollout.
         self.candidates: dict[tuple[int, int], tuple[PlanRecord, float]] = {}
-        for i in range(self.n):
-            self.build(i, [0])
         # First-conflict verdicts for this replan's fixed starts, keyed by
-        # record (see `find_first_collision`). Each call looks up n(n+1)/2
-        # keys, so the hits are calls * n(n+1)/2 - len(memo).
+        # record (see `find_first_collision`). Each tuple queried looks up
+        # n(n+1)/2 keys, so the hits are tuples * n(n+1)/2 - len(memo).
         self.memo: dict = {}
         self.conflict_calls = 0
         self.seed = seed
@@ -148,25 +145,30 @@ class _Search:
             for m, rec, cost in zip(new, *built):
                 self.candidates[(ego, m)] = (rec, cost)
 
-    def conflict_for(self, b) -> Conflict | None:
-        self.conflict_calls += 1
-        return find_first_collision(self.arms,
-                                    [self.candidates[(i, bi)][0] for i, bi in enumerate(b)],
-                                    self.cfg.world, self.memo)
+    def conflicts_for(self, tuples) -> list[Conflict | None]:
+        self.conflict_calls += len(tuples)
+        return find_first_collision(
+            self.arms, [[self.candidates[(i, bi)][0] for i, bi in enumerate(b)] for b in tuples],
+            self.cfg.world, self.memo)
 
     def cost_for(self, b, collided: bool) -> float:
-        total = 0.0
-        for i, bi in enumerate(b):
-            total += self.candidates[(i, bi)][1]
+        total = sum(self.candidates[(i, bi)][1] for i, bi in enumerate(b))
         return total + (self.penalty if collided else 0.0)
 
-    def push(self, b, conflict_sets):
-        if b in self.pushed:
+    def push(self, tuples, conflict_sets):
+        """The one way into the frontier: push each of `tuples` not pushed
+        before, in order, with `conflict_sets`, after one `build` call per arm
+        and one first-conflict query for them all."""
+        new = [b for b in dict.fromkeys(tuples) if b not in self.pushed]
+        if not new:
             return
-        self.pushed.add(b)
-        cost = self.cost_for(b, self.conflict_for(b) is not None)
-        heapq.heappush(self.heap, (cost, self.stats["generated"], b, conflict_sets))
-        self.stats["generated"] += 1
+        self.pushed.update(new)
+        for i in range(self.n):
+            self.build(i, [b[i] for b in new])
+        for b, conflict in zip(new, self.conflicts_for(new)):
+            cost = self.cost_for(b, conflict is not None)
+            heapq.heappush(self.heap, (cost, self.stats["generated"], b, conflict_sets))
+            self.stats["generated"] += 1
 
     def pop(self):
         """The cheapest frontier entry (cost, seq, b, conflict_sets), or None."""
@@ -178,31 +180,7 @@ class _Search:
         """Push b with the ego arm's plan index set to each of `indices` and
         its conflict set to `kappa`."""
         sets = conflict_sets[:ego] + (kappa,) + conflict_sets[ego + 1:]
-        succ = [t for t in (b[:ego] + (m,) + b[ego + 1:] for m in indices)
-                if t not in self.pushed]
-        self.prefill(b, ego, [t[ego] for t in succ])
-        for t in succ:
-            self.push(t, sets)
-
-    def prefill(self, b, ego: int, indices):
-        """Build the ego arm's candidates `indices` and store the memo
-        verdicts that pushing b with each of them would look up and miss,
-        from one self check and one check per other arm. The pushes then find
-        every verdict, so the memo and the cache counts end as if each push
-        had computed its own misses."""
-        arm = self.arms[ego]
-        self.build(ego, indices)
-        records = [self.candidates[(ego, m)][0] for m in indices]
-        fill_self_verdicts(arm, records, self.cfg.world, self.memo)
-        for j in range(self.n):
-            if j == ego:
-                continue
-            # b's own candidates were built when b was pushed.
-            other = self.candidates[(j, b[j])][0]
-            if j < ego:
-                fill_pair_verdicts(self.arms[j], arm, [(other, r) for r in records], self.memo)
-            else:
-                fill_pair_verdicts(arm, self.arms[j], [(r, other) for r in records], self.memo)
+        self.push([b[:ego] + (m,) + b[ego + 1:] for m in indices], sets)
 
     def rebranch(self, b, conflict_sets, ego: int, kappa: frozenset):
         """Push one successor per existing ego plan outside `kappa`."""
@@ -252,9 +230,8 @@ class _Search:
         if self.cfg.planner.timeout_s is not None:
             deadline = time.monotonic() + self.cfg.planner.timeout_s
         horizon = self.single.pred_horizon
-
-        root = tuple(0 for _ in range(self.n))
-        self.push(root, tuple(frozenset() for _ in range(self.n)))
+        # The root tuple: each arm's plan 0.
+        self.push([(0,) * self.n], tuple(frozenset() for _ in range(self.n)))
 
         result: PlannerResult | None = None
         while self.heap:
@@ -266,7 +243,7 @@ class _Search:
             self.stats["expansions"] += 1
             self.stats["extraction_costs"].append(cost)
             self.stats["expanded_tuples"].append(b)
-            conflict = self.conflict_for(b)
+            (conflict,) = self.conflicts_for([b])
             if conflict is None:
                 self.stats["solved"] = True
                 result = PlannerResult(self.plans_for(b), horizon, True)
@@ -300,8 +277,8 @@ class _Search:
         else:
             # Frontier exhausted: resort to the cheapest expanded tuple.
             b = min(self.stats["expanded_tuples"],
-                    key=lambda b: (self.cost_for(b, self.conflict_for(b) is not None), b))
-        conflict = self.conflict_for(b)
+                    key=lambda b: (self.cost_for(b, self.conflicts_for([b])[0] is not None), b))
+        (conflict,) = self.conflicts_for([b])
         plans = self.plans_for(b)
         if conflict is None:
             self.stats["solved"] = True

@@ -323,6 +323,20 @@ class TestGates:
         report = self.make_report({}, [{"success": True, "resim_ok": False}])
         assert not bn.evaluate_gates(cfg, report, ("dgmap",))["soundness"]
 
+    def test_task_pairing_fails_on_a_digest_mismatch(self):
+        def record(method, n_arms, episode, digest):
+            return {"method": method, "n_arms": n_arms, "difficulty": "easy",
+                    "episode": episode, "task_digest": digest}
+
+        methods = ("dgmap", "decentralized")
+        paired = [record(m, 2, e, f"task{e}") for e in range(2) for m in methods]
+        assert bn.verify_task_pairing(self.make_report({}, paired), methods)
+        # Cells differ in their tasks; only within one cell must digests agree.
+        other = [*paired, *(record(m, 3, 0, "other") for m in methods)]
+        assert bn.verify_task_pairing(self.make_report({}, other), methods)
+        split = [*paired[:-1], record("decentralized", 2, 1, "task1-drawn-again")]
+        assert not bn.verify_task_pairing(self.make_report({}, split), methods)
+
     def test_trend_gate(self, cfg):
         gated = dataclasses.replace(cfg, bench=dataclasses.replace(
             cfg.bench, n_arms=(3,), gate_trend_margin=0.15, gate_easy_floor=0.7))

@@ -151,6 +151,17 @@ class TestTrain:
         assert "family-mismatch" in err
         assert not out.exists()
 
+    def test_empty_dataset_refused(self, tmp_path, small_cfg_file, capsys):
+        data, out = tmp_path / "empty.mad", tmp_path / "empty.ckpt"
+        assert run_cli(["gen-data", "--config", small_cfg_file, "--family", "single",
+                        "--episodes", "0", "--out", str(data)], capsys)[0] == 0
+        code, stdout, err = run_cli(["train", "--config", small_cfg_file, "--family",
+                                     "single", "--data", str(data), "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.splitlines() == [f"error=empty-dataset path={data}"]
+        assert not out.exists()
+
     def test_deterministic_checkpoint(self, tmp_path, small_cfg_file, tiny_dataset,
                                       capsys):
         outs = []

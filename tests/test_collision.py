@@ -65,7 +65,7 @@ def dense_min_distance(seg_a, seg_b, grid=1000, refine_rounds=6):
 def first_conflict(arms, starts, plans, delta=DELTA, bounds=WORLD):
     """`find_first_collision` on fresh records and an empty memo."""
     records = [plan_record(a, q, p, delta) for a, q, p in zip(arms, starts, plans)]
-    return find_first_collision(arms, records, bounds, {})
+    return find_first_collision(arms, [records], bounds, {})[0]
 
 
 def brute_first_conflict(arms, starts, plans, delta=DELTA, bounds=WORLD):
@@ -318,9 +318,9 @@ class TestFindFirstCollision:
         a, b = facing_pair()
         records = [plan_record(arm, np.zeros(3), np.zeros((16, 3)), DELTA) for arm in (a, b)]
         memo = {}
-        first = find_first_collision([a, b], records, WORLD, memo)
+        (first,) = find_first_collision([a, b], [records], WORLD, memo)
         assert len(memo) == 3  # two self checks plus the pair
-        second = find_first_collision([a, b], records, WORLD, memo)
+        (second,) = find_first_collision([a, b], [records], WORLD, memo)
         assert first == second
         assert len(memo) == 3
 
@@ -331,9 +331,9 @@ class TestFindFirstCollision:
             plans = [rng.uniform(-DELTA, DELTA, size=(6, 2)) for _ in arms]
             records = [plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
             memo = {}
-            find_first_collision(arms, records, WORLD, memo)
+            find_first_collision(arms, [records], WORLD, memo)
             # The second call answers from the memo alone.
-            with_memo = find_first_collision(arms, records, WORLD, memo)
+            (with_memo,) = find_first_collision(arms, [records], WORLD, memo)
             assert with_memo == first_conflict(arms, starts, plans)
 
     def test_self_conflict_reported(self):
@@ -350,6 +350,61 @@ class TestFindFirstCollision:
         first = first_conflict(arms, starts, plans)
         for _ in range(5):
             assert first_conflict(arms, starts, plans) == first
+
+
+class TestBatchedQuery:
+    """One query over many tuples answers each as a one-tuple query would."""
+
+    def test_matches_one_tuple_queries(self, rng):
+        bounds = WorldBounds(-1.8, 1.8, -1.8, 1.8)
+        kinds = {"self": 0, "pair": 0, "clear": 0, "pruned": 0}
+        for trial in range(16):
+            n = int(rng.integers(2, 6))
+            horizon = int(rng.choice([1, 4, 8]))
+            arms = [random_arm(rng, base_scale=1.4) for _ in range(n)]
+            starts = [random_config(a, rng) for a in arms]
+            records = [[plan_record(arm, q, rng.uniform(-DELTA, DELTA, size=(horizon, arm.dof)),
+                                    DELTA) for _ in range(3)]
+                       for arm, q in zip(arms, starts)]
+            # Ten tuples, repeats likely on small teams.
+            tuples = [[records[i][k] for i, k in enumerate(rng.integers(0, 3, size=n))]
+                      for _ in range(10)]
+            batched, solo = {}, {}
+            # Warm both memos alike, so the batch mixes hits and misses.
+            for memo in (batched, solo):
+                find_first_collision(arms, tuples[:1], bounds, memo)
+            got = find_first_collision(arms, tuples, bounds, batched)
+            expect = [find_first_collision(arms, [t], bounds, solo)[0] for t in tuples]
+            assert got == expect, f"trial {trial}"
+            # Same keys (records compare by identity) and the same verdicts.
+            assert batched.keys() == solo.keys()
+            assert all(type(batched[k]) is type(solo[k]) and batched[k] == solo[k]
+                       for k in solo), f"trial {trial}"
+            for conflict in got:
+                kinds["clear" if conflict is None else
+                      "self" if conflict.is_self else "pair"] += 1
+            kinds["pruned"] += sum(col._separated(arms[i], t[i], arms[j], t[j])
+                                   for t in tuples for i in range(n) for j in range(i + 1, n))
+        assert all(kinds.values()), kinds
+
+    def test_horizons_must_match_across_tuples(self, arm3):
+        short, long = (plan_record(arm3, np.zeros(3), np.zeros((k, 3)), DELTA) for k in (4, 5))
+        with pytest.raises(ValueError):
+            find_first_collision([arm3], [(short,), (long,)], WORLD, {})
+
+    def test_no_tuples(self, arm3):
+        memo = {}
+        assert find_first_collision([arm3], [], WORLD, memo) == [] and memo == {}
+
+    def test_hit_tuples_read_the_memo_only(self, monkeypatch, rng):
+        arms = [random_arm(rng, dof=3, base_scale=0.6) for _ in range(3)]
+        records = [plan_record(a, random_config(a, rng), rng.uniform(-DELTA, DELTA, size=(8, 3)),
+                               DELTA) for a in arms]
+        memo = {}
+        first = find_first_collision(arms, [records], WORLD, memo)
+        spy = KernelSpy(monkeypatch)
+        assert find_first_collision(arms, [records] * 3, WORLD, memo) == first * 3
+        assert spy.calls == [] and len(memo) == 6
 
 
 def scalar_free(arm, q, bounds):
@@ -529,8 +584,8 @@ class TestBroadPhase:
             for _ in range(6):
                 b = tuple(int(k) for k in rng.integers(0, 3, size=n))
                 plans = [candidates[i][k] for i, k in enumerate(b)]
-                got = find_first_collision(arms, [records[i][k] for i, k in enumerate(b)],
-                                           WORLD, memo)
+                (got,) = find_first_collision(arms, [[records[i][k] for i, k in enumerate(b)]],
+                                              WORLD, memo)
                 assert got == brute_first_conflict(arms, starts, plans), f"trial {trial}"
             for i in range(n):
                 for j in range(i + 1, n):
@@ -554,7 +609,7 @@ class TestBroadPhase:
         records = [plan_record(a, q, p, DELTA) for a, q, p in zip(arms, starts, plans)]
         spy.calls.clear()
         memo = {}
-        got = find_first_collision(arms, records, WORLD, memo)
+        (got,) = find_first_collision(arms, [records], WORLD, memo)
         assert got == expect
         # Two-link arms need no self kernel, so the one call is the 0-1 pair.
         assert spy.calls == [(32, 2, 2)]

@@ -13,7 +13,7 @@ from multiarm.observation import frames
 from multiarm.planner import dgmap_search
 from multiarm.seeding import TAG_PLAN, substream
 
-from .test_collision import first_conflict, plan_record
+from .test_collision import KernelSpy, first_conflict, plan_record
 from .test_diffusion import random_policy
 
 T_P = 16
@@ -108,11 +108,14 @@ def one_arm_search(cfg, penalty=10.0):
 
 class TestNodeCost:
     def test_zero_at_goal_with_zero_plans(self, cfg):
-        cost = one_arm_search(cfg).cost_for((0,), collided=False)
+        search = one_arm_search(cfg)
+        search.push([(0,)], (frozenset(),))
+        cost = search.cost_for((0,), collided=False)
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_collision_penalty_adds_ten(self, cfg):
         search = one_arm_search(cfg)
+        search.push([(0,)], (frozenset(),))
         base = search.cost_for((0,), collided=False)
         bumped = search.cost_for((0,), collided=True)
         assert bumped - base == pytest.approx(10.0)
@@ -477,7 +480,7 @@ class TestRepairDetails:
         search = pl._Search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
         root = tuple([0, 0])
-        search.push(root, (frozenset(), frozenset()))
+        search.push([root], (frozenset(), frozenset()))
         _, _, b, sets = search.pop()
         before = len(search.plan_sets[0])
         (plans,) = search.sample_repairs([(0, 1)])
@@ -495,7 +498,7 @@ class TestRepairDetails:
         search = pl._Search(arms, starts, goals, hists, ScriptedPolicy(straight_plans),
                             ScriptedPolicy(dodge_plans), cfg, 11, frozenset())
         root = tuple([0, 0])
-        search.push(root, (frozenset(), frozenset()))
+        search.push([root], (frozenset(), frozenset()))
         _, _, b, sets = search.pop()
         kappa = frozenset({0, 3})
         # The popped root was pushed once already, so it is not pushed again.
@@ -627,52 +630,78 @@ class TestPinnedSearches:
 
 
 class TestBranchPrefill:
-    """A branch's stacked build and memo prefill change nothing the search
-    does: with the prefill switched off, every candidate is built on its own
-    and every push computes its own memo misses, and the memo, search order,
-    costs and cache counts must be the same."""
+    """A branch's batched push, which builds and fills the memo for all its
+    successors before any enters the frontier, changes nothing the search
+    does: without that prefill, pushed one tuple at a time, every candidate
+    is built on its own and every push computes its own memo misses, and the
+    memo, search order, costs and cache counts must be the same."""
 
     @staticmethod
     def run(args, monkeypatch, prefill):
         from multiarm import collision
-        misses = []
+        fills = []  # fill calls per first-conflict query
         with monkeypatch.context() as m:
-            # find_first_collision computes its misses through the collision
-            # module's names; the prefill calls the planner's own bindings.
-            for name in ("fill_self_verdicts", "fill_pair_verdicts"):
+            query = pl.find_first_collision
+            m.setattr(pl, "find_first_collision", lambda *a: fills.append(0) or query(*a))
+            for name in ("_fill_self_verdicts", "_fill_pair_verdicts"):
                 real = getattr(collision, name)
-                m.setattr(collision, name,
-                          lambda *a, real=real: misses.append(1) or real(*a))
+
+                def fill(*a, real=real):
+                    fills[-1] += 1
+                    return real(*a)
+                m.setattr(collision, name, fill)
             if not prefill:
-                def one_by_one(self, b, ego, indices):
-                    for k in indices:
-                        self.build(ego, [k])
-                m.setattr(pl._Search, "prefill", one_by_one)
+                push = pl._Search.push
+
+                def one_by_one(self, tuples, conflict_sets):
+                    for b in tuples:
+                        push(self, [b], conflict_sets)
+                m.setattr(pl._Search, "push", one_by_one)
             search = pl._Search(*args, frozenset())
             result = search.run()
-        if prefill:
-            # Only the root's keys miss: every branch push finds its entries.
-            assert len(misses) == search.n * (search.n + 1) // 2
+        # At most one fill per arm and per arm pair in any query.
+        assert max(fills) <= search.n * (search.n + 1) // 2
         # Records key the memo by identity; name each by (arm, plan index).
         names = {id(rec): key for key, (rec, _) in search.candidates.items()}
         memo = {(names[id(key)],) if not isinstance(key, tuple)
                 else (names[id(key[0])], names[id(key[1])]): value
                 for key, value in search.memo.items()}
         costs = {key: bits(cost) for key, (_, cost) in search.candidates.items()}
-        return result, memo, costs
+        return result, memo, costs, sum(fills)
 
     @pytest.mark.parametrize("args", [
         facing_args, ring_args(6, 1.6, 8), ring_args(6, 1.0, 8), ring_args(4, 0.8, 16),
     ], ids=["facing", "ring-spread", "ring-crowded", "ring-repairs"])
     def test_same_search_without_prefill(self, cfg, args, monkeypatch):
-        got, got_memo, got_costs = self.run(args(cfg), monkeypatch, prefill=True)
-        ref, ref_memo, ref_costs = self.run(args(cfg), monkeypatch, prefill=False)
+        got, got_memo, got_costs, got_fills = self.run(args(cfg), monkeypatch, prefill=True)
+        ref, ref_memo, ref_costs, ref_fills = self.run(args(cfg), monkeypatch, prefill=False)
+        # Only a search that branches has pushes to batch.
+        assert got_fills < ref_fills or got.stats["generated"] == 1
         assert got_memo == ref_memo
         assert got_costs == ref_costs
         for key in ("expanded_tuples", "extraction_costs", "generated", "repairs",
                     "rebranches", "cache_hits", "cache_evals", "plan_set_sizes"):
             assert got.stats[key] == ref.stats[key], key
         assert search_digest(got) == search_digest(ref)
+
+    def test_one_self_and_at_most_n_minus_one_pair_kernel_calls(self, cfg, monkeypatch):
+        args = ring_args(6, 1.0, 8)(cfg)
+        search = pl._Search(*args, frozenset())
+        n = search.n
+        search.push([(0,) * n], tuple(frozenset() for _ in range(n)))
+        _, _, b, sets = search.pop()
+        ego = 2
+        spy = KernelSpy(monkeypatch)
+        search.rebranch(b, sets, ego, frozenset({b[ego]}))
+        succ = len(search.plan_sets[ego]) - 1
+        assert succ >= 2 and len(search.heap) == succ
+        rows = succ * 2 * T_P
+        # Self calls run on (rows, link pairs), pair calls on (rows, d, d).
+        selves = [shape for shape in spy.calls if len(shape) == 2]
+        pairs = [shape for shape in spy.calls if len(shape) == 3]
+        assert len(selves) == 1 and selves[0][0] == rows
+        assert len(pairs) <= n - 1 and all(shape[0] <= rows for shape in pairs)
+        assert len(selves) + len(pairs) == len(spy.calls)
 
     def test_repair_heavy_scene_repairs(self, cfg):
         result = dgmap_search(*ring_args(4, 0.8, 16)(cfg))
