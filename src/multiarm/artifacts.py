@@ -50,7 +50,7 @@ def _listed(entry) -> bool:
 def read(path, magic: bytes, version: int, error: type[Exception], kind: str):
     """The (header without its `arrays` key, {name: array}) stored at `path`.
     Raises `error`, naming `kind`, unless the magic, the version, the
-    checksum and the array listing all hold."""
+    checksum and the array listing all hold and every array is finite."""
     blob = Path(path).read_bytes()
     if blob[: len(magic)] != magic:
         raise error(f"not a {kind} file")
@@ -76,5 +76,9 @@ def read(path, magic: bytes, version: int, error: type[Exception], kind: str):
     if bounds[-1] != len(payload):
         raise error(f"{kind} size does not match its header")
     view = memoryview(payload)
-    return header, {name: np.frombuffer(view[lo:hi], dtype).reshape(shape).copy()
-                    for (name, dtype, shape), lo, hi in zip(listing, bounds, bounds[1:])}
+    arrays = {name: np.frombuffer(view[lo:hi], dtype).reshape(shape).copy()
+              for (name, dtype, shape), lo, hi in zip(listing, bounds, bounds[1:])}
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise error(f"{kind} array {name} is not finite")
+    return header, arrays

@@ -124,12 +124,12 @@ def _policies_from_args(cfg, args):
 
 def cmd_plan(args) -> int:
     cfg = _load_cfg(args)
-    policies = _policies_from_args(cfg, args)
     if args.task:
         task = load_task(args.task, cfg)
     else:
         rng = substream(cfg.seed, TAG_TASK, args.random, 0, 0)
         task = generate_task(args.random, args.difficulty, rng, cfg, seed=cfg.seed)
+    policies = _policies_from_args(cfg, args)
     world = make_world(task.arms, task.starts, task.goals)
     result = run_episode(world, policies["single"], policies["dual"], cfg, cfg.seed)
     if args.dump:

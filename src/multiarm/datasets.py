@@ -151,9 +151,8 @@ def generate_dataset(family: str, draw_arms, episode, n_episodes: int, stream,
         blocks.extend(got)
     if dof is None:
         dof = draw_arms(substream(*stream, 0))[0].dof
-    frame_width = obs.frame_width(dof)
-    obs_width = t_o * frame_width * (2 if family == "dual" else 1)
-    observations = np.concatenate([np.zeros((0, obs_width)), *(o for o, _ in blocks)],
+    observations = np.concatenate([np.zeros((0, obs.conditioning_width(family, dof, t_o))),
+                                   *(o for o, _ in blocks)],
                                   dtype=np.float32)
     actions = np.concatenate([np.zeros((0, t_p * dof)), *(a for _, a in blocks)],
                              dtype=np.float32)
@@ -163,7 +162,7 @@ def generate_dataset(family: str, draw_arms, episode, n_episodes: int, stream,
         "seed": stream[0],
         "morphology_digest": morphology_digest,
     }
-    return Dataset(family, t_o, t_p, frame_width, dof, observations, actions,
+    return Dataset(family, t_o, t_p, obs.frame_width(dof), dof, observations, actions,
                    compute_norm_stats(observations, actions), meta)
 
 
@@ -303,10 +302,11 @@ def load_dataset(path: str | Path) -> Dataset:
     if t_p < 1 or act_width % t_p:
         raise IncompatibleDatasetError(
             f"action width {act_width} does not split into t_p = {t_p} steps")
-    frames, action_dim = t_o * (2 if family == "dual" else 1), act_width // t_p
-    if frame_w != obs.frame_width(action_dim) or obs_width != frames * frame_w:
+    action_dim = act_width // t_p
+    if (frame_w != obs.frame_width(action_dim)
+            or obs_width != obs.conditioning_width(family, action_dim, t_o)):
         raise IncompatibleDatasetError(f"observation width {obs_width} and frame width "
-                                       f"{frame_w} do not fit {frames} frames of "
+                                       f"{frame_w} do not fit {family}, t_o = {t_o}, "
                                        f"{action_dim} joints")
     norm = norm_from_arrays(arrays, obs_width, act_width, IncompatibleDatasetError)
     return Dataset(family, t_o, t_p, frame_w, action_dim, observations, actions, norm, meta)

@@ -340,9 +340,6 @@ def save_checkpoint(policy: Policy, path: str | Path) -> None:
 def load_checkpoint(path: str | Path, expect_morphology: str | None = None) -> Policy:
     header, arrays = artifacts.read(path, CKPT_MAGIC, CKPT_VERSION,
                                     IncompatibleCheckpointError, "checkpoint")
-    for name, arr in arrays.items():
-        if not np.all(np.isfinite(arr)):
-            raise IncompatibleCheckpointError(f"checkpoint array {name} is not finite")
     dims = [header.get(key) for key in _CKPT_DIMS]
     family, hidden, digest, meta = (header.get(key) for key in
                                     ("family", "hidden_dims", "morphology_digest", "meta"))
@@ -352,10 +349,10 @@ def load_checkpoint(path: str | Path, expect_morphology: str | None = None) -> P
             or not all(type(v) is int and v >= 1 for v in [*dims, *hidden])):
         raise IncompatibleCheckpointError("checkpoint header is malformed")
     n_steps, t_o, t_p, action_dim, frame_w, embed_dim, obs_dim = dims
-    frames = t_o * (2 if family == "dual" else 1)
-    if frame_w != observation.frame_width(action_dim) or obs_dim != frames * frame_w:
+    if (frame_w != observation.frame_width(action_dim)
+            or obs_dim != observation.conditioning_width(family, action_dim, t_o)):
         raise IncompatibleCheckpointError(f"obs_dim {obs_dim} and frame width {frame_w} do "
-                                          f"not fit {frames} frames of {action_dim} joints")
+                                          f"not fit {family}, t_o = {t_o}, {action_dim} joints")
     alpha, alpha_bar = arrays.get("alpha"), arrays.get("alpha_bar")
     if alpha is None or alpha_bar is None or not (
             alpha.shape == alpha_bar.shape == (n_steps + 1,)):

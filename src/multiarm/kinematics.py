@@ -57,8 +57,8 @@ class EEPose:
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (2,) or not np.all(np.isfinite(pos)):
-            raise ValueError("position must be a finite 2-vector")
+        if pos.shape != (2,) or not np.isfinite(pos).all() or not math.isfinite(self.orientation):
+            raise ValueError("position must be a finite 2-vector and orientation finite")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "orientation", float(wrap_angle(self.orientation)))
 

@@ -39,6 +39,11 @@ def frame_width(dof: int) -> int:
     return frame_layout(dof)[-1][2]
 
 
+def conditioning_width(family: str, dof: int, t_o: int) -> int:
+    """t_o ego frames of a `dof`-joint arm, each paired with another's for dual."""
+    return t_o * frame_width(dof) * (2 if family == "dual" else 1)
+
+
 def slot(dof: int, name: str) -> slice:
     for field, start, stop in frame_layout(dof):
         if field == name:
@@ -120,7 +125,8 @@ def layout_table(dof: int, t_o: int) -> str:
         lines.append(f"  [{start:3d}:{stop:3d}] {name}")
     w = frame_width(dof)
     lines.append("conditioning frame: ego arm base (every frame re-expressed in it)")
-    lines.append(f"single conditioning width (T_o={t_o}): {t_o * w}")
+    lines.append(f"single conditioning width (T_o={t_o}): "
+                 f"{conditioning_width('single', dof, t_o)}")
     lines.append(f"paired row width: {2 * w}")
-    lines.append(f"paired conditioning width (T_o={t_o}): {t_o * 2 * w}")
+    lines.append(f"paired conditioning width (T_o={t_o}): {conditioning_width('dual', dof, t_o)}")
     return "\n".join(lines)

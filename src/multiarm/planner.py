@@ -92,6 +92,10 @@ def init_plans(single_policy: Policy, histories, batch: int, stream: tuple,
 
 
 class _Search:
+    """One replan's best-first search over plan-index tuples. `push` finds
+    each tuple's first conflict once and keeps it in `conflicts`, where a
+    pop and `result`, which builds every search result, read it."""
+
     def __init__(self, arms, start_configs, goals, histories, single_policy: Policy,
                  dual_policy: Policy | None, cfg: RunConfig, seed: int, frozen):
         self.arms = list(arms)
@@ -112,27 +116,23 @@ class _Search:
         # Frontier entries (cost, seq, b, conflict_sets). seq is the push
         # count, so cost ties break in push order.
         self.heap: list[tuple] = []
-        # Tuples ever inserted. Cost depends only on the tuple, so dropping
-        # re-pushes from sibling expansions loses nothing but heap churn, and
-        # no tuple is popped twice.
-        self.pushed: set[tuple[int, ...]] = set()
+        # Each tuple ever pushed -> the first conflict its push query found
+        # (None when clear). Cost and verdict depend only on the tuple, so
+        # dropping re-pushes from sibling expansions loses nothing but heap
+        # churn, no tuple is popped twice and none is queried twice.
+        self.conflicts: dict[tuple[int, ...], Conflict | None] = {}
         # (arm, plan index) -> (PlanRecord, cost terms), filled once per candidate
         # by `build`: first-conflict search and cost share its one rollout.
         self.candidates: dict[tuple[int, int], tuple[PlanRecord, float]] = {}
         # First-conflict verdicts for this replan's fixed starts, keyed by
-        # record (see `find_first_collision`). Each tuple queried looks up
-        # n(n+1)/2 keys, so the hits are tuples * n(n+1)/2 - len(memo).
+        # record (see `find_first_collision`). Each pushed tuple looks up
+        # n(n+1)/2 keys once, so the hits are generated * n(n+1)/2 - len(memo).
         self.memo: dict = {}
-        self.conflict_calls = 0
         self.seed = seed
         self.stats = {"expansions": 0, "generated": 0, "repairs": 0, "rebranches": 0,
-                      "repair_plans": 0, "extraction_costs": [], "expanded_tuples": [],
-                      "solved": False}
+                      "repair_plans": 0, "extraction_costs": [], "expanded_tuples": []}
 
     # -- plumbing -----------------------------------------------------------
-
-    def plans_for(self, b):
-        return tuple(self.plan_sets[i][bi] for i, bi in enumerate(b))
 
     def build(self, ego: int, indices):
         """Build the ego arm's candidates `indices` not yet in the table, in
@@ -145,28 +145,22 @@ class _Search:
             for m, rec, cost in zip(new, *built):
                 self.candidates[(ego, m)] = (rec, cost)
 
-    def conflicts_for(self, tuples) -> list[Conflict | None]:
-        self.conflict_calls += len(tuples)
-        return find_first_collision(
-            self.arms, [[self.candidates[(i, bi)][0] for i, bi in enumerate(b)] for b in tuples],
-            self.cfg.world, self.memo)
-
-    def cost_for(self, b, collided: bool) -> float:
-        total = sum(self.candidates[(i, bi)][1] for i, bi in enumerate(b))
-        return total + (self.penalty if collided else 0.0)
-
     def push(self, tuples, conflict_sets):
         """The one way into the frontier: push each of `tuples` not pushed
         before, in order, with `conflict_sets`, after one `build` call per arm
-        and one first-conflict query for them all."""
-        new = [b for b in dict.fromkeys(tuples) if b not in self.pushed]
+        and one first-conflict query for them all, kept in `conflicts`."""
+        new = [b for b in dict.fromkeys(tuples) if b not in self.conflicts]
         if not new:
             return
-        self.pushed.update(new)
         for i in range(self.n):
             self.build(i, [b[i] for b in new])
-        for b, conflict in zip(new, self.conflicts_for(new)):
-            cost = self.cost_for(b, conflict is not None)
+        found = find_first_collision(
+            self.arms, [[self.candidates[(i, bi)][0] for i, bi in enumerate(b)] for b in new],
+            self.cfg.world, self.memo)
+        for b, conflict in zip(new, found):
+            self.conflicts[b] = conflict
+            cost = (sum(self.candidates[(i, bi)][1] for i, bi in enumerate(b))
+                    + (0.0 if conflict is None else self.penalty))
             heapq.heappush(self.heap, (cost, self.stats["generated"], b, conflict_sets))
             self.stats["generated"] += 1
 
@@ -229,25 +223,20 @@ class _Search:
         deadline = None
         if self.cfg.planner.timeout_s is not None:
             deadline = time.monotonic() + self.cfg.planner.timeout_s
-        horizon = self.single.pred_horizon
         # The root tuple: each arm's plan 0.
         self.push([(0,) * self.n], tuple(frozenset() for _ in range(self.n)))
-
-        result: PlannerResult | None = None
         while self.heap:
-            if self.stats["expansions"] >= self.cfg.planner.max_expansions:
-                break
-            if deadline is not None and time.monotonic() >= deadline:
-                break
+            if (self.stats["expansions"] >= self.cfg.planner.max_expansions
+                    or deadline is not None and time.monotonic() >= deadline):
+                # Out of budget or time: the cheapest frontier tuple.
+                return self.result(self.pop()[2])
             cost, _, b, sets = self.pop()
             self.stats["expansions"] += 1
             self.stats["extraction_costs"].append(cost)
             self.stats["expanded_tuples"].append(b)
-            (conflict,) = self.conflicts_for([b])
+            conflict = self.conflicts[b]
             if conflict is None:
-                self.stats["solved"] = True
-                result = PlannerResult(self.plans_for(b), horizon, True)
-                break
+                return self.result(b)
             i, j = conflict.arm_i, conflict.arm_j
             kappa_i = sets[i] | {b[i]}
             self.rebranch(b, sets, i, kappa_i)
@@ -257,33 +246,22 @@ class _Search:
                 self.repair(b, sets, i, kappa_i, plans_i)
                 self.rebranch(b, sets, j, kappa_j)
                 self.repair(b, sets, j, kappa_j, plans_j)
+        # Frontier exhausted: the cheapest expanded tuple, ties to the lower.
+        return self.result(min(zip(self.stats["extraction_costs"],
+                                   self.stats["expanded_tuples"]))[1])
 
-        if result is None:
-            result = self._best_effort(horizon)
-        result.stats = dict(self.stats)
-        result.stats["cache_hits"] = (self.conflict_calls * self.n * (self.n + 1) // 2
-                                      - len(self.memo))
-        result.stats["cache_evals"] = len(self.memo)
-        result.stats["plan_set_sizes"] = [len(ps) for ps in self.plan_sets]
-        return result
-
-    def _best_effort(self, horizon: int) -> PlannerResult:
-        """Timeout or exhaustion: return the cheapest frontier tuple (the
-        cheapest expanded one if the frontier is empty), with its own
-        first-conflict time as the safe-execution prefix (floored at one)."""
-        entry = self.pop()
-        if entry is not None:
-            b = entry[2]
-        else:
-            # Frontier exhausted: resort to the cheapest expanded tuple.
-            b = min(self.stats["expanded_tuples"],
-                    key=lambda b: (self.cost_for(b, self.conflicts_for([b])[0] is not None), b))
-        (conflict,) = self.conflicts_for([b])
-        plans = self.plans_for(b)
-        if conflict is None:
-            self.stats["solved"] = True
-            return PlannerResult(plans, horizon, True)
-        return PlannerResult(plans, max(1, conflict.time), False)
+    def result(self, b) -> PlannerResult:
+        """The search's one result builder: tuple b's plans, executable to the
+        horizon when its push found it clear (solved), else to its first
+        conflict's time floored at one step, with the search's stats."""
+        conflict = self.conflicts[b]
+        solved, evals = conflict is None, len(self.memo)
+        stats = dict(self.stats, solved=solved,
+                     cache_hits=self.stats["generated"] * self.n * (self.n + 1) // 2 - evals,
+                     cache_evals=evals, plan_set_sizes=[len(ps) for ps in self.plan_sets])
+        t_star = self.single.pred_horizon if solved else max(1, conflict.time)
+        plans = tuple(self.plan_sets[i][bi] for i, bi in enumerate(b))
+        return PlannerResult(plans, t_star, solved, stats)
 
 
 def dgmap_search(arms, start_configs, goals, histories, single_policy: Policy,

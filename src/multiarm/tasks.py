@@ -85,9 +85,9 @@ class TaskSpec:
 
 def load_task(path, cfg: RunConfig) -> TaskSpec:
     """The task in the JSON file at `path`. Raises `TaskFileError` unless
-    the file parses, n_arms, arms, starts and goals agree in count, each start
-    is finite and fits its arm's joints and their limits, and every arm is
-    the config's template arm on its base."""
+    the file parses, every goal is finite, n_arms, arms, starts and goals
+    agree in count, each start is finite and fits its arm's joints and their
+    limits, and every arm is the config's template arm on its base."""
     try:
         task = TaskSpec.from_json(json.loads(Path(path).read_text()))
     except (ValueError, KeyError, TypeError, IndexError) as exc:

@@ -226,6 +226,14 @@ def nan_start_task_json():
     return json.dumps(task)
 
 
+def bad_goal_task_json(orientation):
+    """A generated 1-arm task whose goal orientation is `orientation`, which
+    JSON writes as NaN or Infinity."""
+    task = generate_task(1, "easy", np.random.default_rng(2), load_config(None)).to_json()
+    task["goals"][0][2] = orientation
+    return json.dumps(task)
+
+
 def two_link_task_json():
     """A well-formed 2-arm task whose arms have 2 links."""
     arms = [make_arm((0.5, 0.5), BasePose(x, 0.0, 0.0), 0.11) for x in (-1.5, 1.5)]
@@ -241,8 +249,10 @@ class TestTaskFile:
         two_link_task_json(),
         out_of_limits_task_json(),
         nan_start_task_json(),
+        bad_goal_task_json(float("nan")),
+        bad_goal_task_json(float("inf")),
     ], ids=["missing-field", "not-json", "wrong-morphology", "start-out-of-limits",
-            "start-nan"])
+            "start-nan", "goal-nan", "goal-inf"])
     def test_bad_task_file_is_one_error_line(self, tmp_path, small_cfg_file,
                                              tiny_checkpoint, text, capsys):
         task = tmp_path / "task.json"

@@ -399,6 +399,15 @@ class TestVersionRefusal:
         with pytest.raises(ds.IncompatibleDatasetError):
             ds.load_dataset(path)
 
+    def test_non_finite_observation_refused_despite_valid_checksum(self, single_ds,
+                                                                   tmp_path):
+        observations = single_ds.observations.copy()
+        observations[0, 0] = np.nan
+        ds.save_dataset(dataclasses.replace(single_ds, observations=observations),
+                        tmp_path / "a.mad")
+        with pytest.raises(ds.IncompatibleDatasetError, match="observations is not finite"):
+            ds.load_dataset(tmp_path / "a.mad")
+
     def test_dual_rows_hold_two_histories(self, tmp_path):
         dual = ds.generate_dual_dataset(spaced_pair_sampler, 1, seed=5, t_o=T_O,
                                         t_p=T_P, resolution=RES, **EXPERT)

@@ -94,30 +94,37 @@ def cfg() -> RunConfig:
     return load_config(None)
 
 
-def one_arm_search(cfg, penalty=10.0):
-    """A one-arm search whose only candidate plan holds still at the goal."""
+def one_arm_search(cfg, penalty=10.0, x_max=3.0):
+    """A one-arm search whose only candidate plan holds still at the goal;
+    its tip, near x = 0.97, leaves a world cut at `x_max` below that."""
     arm = make_arm((0.5, 0.5), BasePose(0, 0, 0), 0.1)
     q = np.array([0.3, -0.2])
     goal = forward_kinematics(arm, q)
     hist = frames(arm, q[None], goal)
     hold = ScriptedPolicy(lambda o, c, r: np.zeros((c, T_P, 2)), action_dim=2)
     cfg = dataclasses.replace(cfg, planner=dataclasses.replace(
-        cfg.planner, collision_penalty=penalty))
+        cfg.planner, collision_penalty=penalty), world=dataclasses.replace(
+        cfg.world, x_max=x_max))
     return pl._Search([arm], [q], [goal], [hist], hold, None, cfg, 0, frozenset())
+
+
+def pushed_root(search):
+    """Push `search`'s one-arm root and pop it: its cost and its verdict."""
+    search.push([(0,)], (frozenset(),))
+    cost, _, b, _ = search.pop()
+    return cost, search.conflicts[b]
 
 
 class TestNodeCost:
     def test_zero_at_goal_with_zero_plans(self, cfg):
-        search = one_arm_search(cfg)
-        search.push([(0,)], (frozenset(),))
-        cost = search.cost_for((0,), collided=False)
+        cost, conflict = pushed_root(one_arm_search(cfg))
+        assert conflict is None
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_collision_penalty_adds_ten(self, cfg):
-        search = one_arm_search(cfg)
-        search.push([(0,)], (frozenset(),))
-        base = search.cost_for((0,), collided=False)
-        bumped = search.cost_for((0,), collided=True)
+        base, clear = pushed_root(one_arm_search(cfg))
+        bumped, conflict = pushed_root(one_arm_search(cfg, x_max=0.8))
+        assert clear is None and conflict is not None and conflict.is_self
         assert bumped - base == pytest.approx(10.0)
 
     def test_matches_independent_recomputation(self, rng):
@@ -470,8 +477,23 @@ class TestSearch:
 
         single = ScriptedPolicy(head_for_wall)
         dual = ScriptedPolicy(dodge_plans)
-        result = dgmap_search([arm], [start], [goal], [hist], single, dual, world, 2)
+        search = pl._Search([arm], [start], [goal], [hist], single, dual, world, 2,
+                            frozenset())
+        result = search.run()
         assert result.stats["repairs"] == 0
+        # The frontier empties within budget: the result is the cheapest
+        # expanded tuple (ties to the lower tuple), executable to its first
+        # conflict, found afresh here, floored at one step.
+        stats = result.stats
+        assert not search.heap and not result.solved
+        assert stats["expansions"] == 10 < world.planner.max_expansions
+        cheapest = min(stats["extraction_costs"])
+        b = min(t for t, cost in zip(stats["expanded_tuples"], stats["extraction_costs"])
+                if cost == cheapest)
+        plans = [search.plan_sets[0][b[0]]]
+        assert all(np.array_equal(got, want) for got, want in zip(result.plans, plans))
+        conflict = first_conflict([arm], [start], plans, DELTA, world.world)
+        assert result.t_star == max(1, conflict.time)
 
 
 class TestRepairDetails:
@@ -615,12 +637,12 @@ class TestPinnedSearches:
     first-conflict search or its memo must leave all of it as it is."""
 
     @pytest.mark.parametrize("run,t_star,solved,hits,evals,digest", [
-        (pinned_facing, 16, True, 44, 79,
-         "f84c291522da940228a93ca33b8f074435d8e236b1f461d4be9bcefc9b545d4c"),
-        (pinned_ring(1.6), 16, True, 21, 21,
-         "95da19ef2d616c8963c48b6ee0aff4ab4628ca0b832c5aaf6f7c6f4dbd51336c"),
-        (pinned_ring(1.0), 1, False, 3439, 551,
-         "acefc25ddd97a7f3a55398ded4b9d1387724d20803cf5e2f0d56dc7296fcbb95"),
+        (pinned_facing, 16, True, 38, 79,
+         "37ea5db657ccb465034ac4424adc265322427c045cfc45248ddda20466c93a55"),
+        (pinned_ring(1.6), 16, True, 0, 21,
+         "e7e107e38faa8d15d741a404f9a93aaa82043bb1ebc8419e01de8187eb4736d9"),
+        (pinned_ring(1.0), 1, False, 3250, 551,
+         "ad62460b4e8063b858e55cd7a66203ff01d80adb147094c0ed4516be4fc98456"),
     ], ids=["facing", "ring-spread", "ring-crowded"])
     def test_output_unchanged(self, cfg, run, t_star, solved, hits, evals, digest):
         result = run(cfg)
@@ -640,9 +662,11 @@ class TestBranchPrefill:
     def run(args, monkeypatch, prefill):
         from multiarm import collision
         fills = []  # fill calls per first-conflict query
+        queried = []  # tuples per first-conflict query
         with monkeypatch.context() as m:
             query = pl.find_first_collision
-            m.setattr(pl, "find_first_collision", lambda *a: fills.append(0) or query(*a))
+            m.setattr(pl, "find_first_collision",
+                      lambda *a: fills.append(0) or queried.append(len(a[1])) or query(*a))
             for name in ("_fill_self_verdicts", "_fill_pair_verdicts"):
                 real = getattr(collision, name)
 
@@ -660,7 +684,12 @@ class TestBranchPrefill:
             search = pl._Search(*args, frozenset())
             result = search.run()
         # At most one fill per arm and per arm pair in any query.
-        assert max(fills) <= search.n * (search.n + 1) // 2
+        pairs = search.n * (search.n + 1) // 2
+        assert max(fills) <= pairs
+        # Each pushed tuple is queried once, and looks up every key once.
+        stats = result.stats
+        assert sum(queried) == stats["generated"]
+        assert stats["cache_hits"] == stats["generated"] * pairs - stats["cache_evals"]
         # Records key the memo by identity; name each by (arm, plan index).
         names = {id(rec): key for key, (rec, _) in search.candidates.items()}
         memo = {(names[id(key)],) if not isinstance(key, tuple)
